@@ -236,15 +236,19 @@ def _emit_classify(cx, fem, h, outdir):
 
 
 def run(cfg: RunConfig) -> int:
-    """Execute one command; returns the exit status and writes output files."""
-    cfg.validate()
-    os.makedirs(cfg.out, exist_ok=True)
+    """Execute one command; returns the exit status and writes output files.
+
+    Every failure (module errors, bad values, unreadable files, failed
+    topology checks) exits with status 2 through ``write_error``.
+    """
     from .errors import FieldTopoError
     from .fem import build_fem
     from .mesh import validate_complex
     from .writers import write_json, write_mesh_vtk
 
     try:
+        cfg.validate()
+        os.makedirs(cfg.out, exist_ok=True)
         cx = build_geometry(cfg)
         report = validate_complex(cx)
         report.raise_if_failed()
@@ -294,21 +298,23 @@ def run(cfg: RunConfig) -> int:
         _emit_classify(cx, fem, sol.cochains[:, 0], cfg.out)
         return 0
 
-    except FieldTopoError as exc:
-        write_error(cfg.out, exc)
-        return 2
-    except ValueError as exc:
+    except (FieldTopoError, ValueError, OSError, RuntimeError) as exc:
         write_error(cfg.out, exc)
         return 2
 
 
-def write_error(outdir, exc):
+def write_error(outdir, exc, name=None):
+    """Print ``{"error": ..., "message": ...}`` and, when ``outdir`` is
+    given, also write it to ``outdir/error.json``."""
     from .writers import dumps_json
 
-    doc = {"error": type(exc).__name__, "message": str(exc)}
+    doc = {"error": name or type(exc).__name__, "message": str(exc)}
     text = dumps_json(doc)
     print(text)
+    if outdir is None:
+        return
     try:
+        os.makedirs(outdir, exist_ok=True)
         with open(os.path.join(outdir, "error.json"), "w") as fh:
             fh.write(text + "\n")
     except OSError:
@@ -329,8 +335,17 @@ def _read_config_file(path) -> dict:
     return out
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports usage errors as ValueError, so they follow the JSON error
+    contract instead of exiting from inside argparse."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _ArgumentParser(
         prog="fieldtopo",
         description="Topology and spectra of magnetic fields on tet meshes",
     )
@@ -356,8 +371,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        cfg = _config_from_args(argv)
+    except (ValueError, OSError) as exc:
+        write_error(None, exc, name="ConfigError")
+        return 2
+    return run(cfg)
 
+
+def _config_from_args(argv) -> RunConfig:
+    """Parse flags and the --config file (flags win); sets the thread
+    environment variables before numpy is loaded."""
+    args = build_parser().parse_args(argv)
     filecfg = _read_config_file(args.config) if args.config else {}
 
     def pick(name, default, cast=None):
@@ -378,28 +403,22 @@ def main(argv=None) -> int:
         ):
             os.environ[var] = str(threads)
 
-    try:
-        cfg = RunConfig(
-            command=args.command,
-            geometry=pick("geometry", "cube"),
-            n=_parse_tuple(pick("n", "4"), 3, int),
-            size=_parse_tuple(pick("size", "1.0"), 3, float),
-            periodic=pick("periodic", None),
-            bc=pick("bc", None),
-            k=int(pick("k", 1)),
-            tol=float(pick("tol", 1e-8)),
-            level=str(pick("level", "auto")),
-            cut_class=int(pick("cut_class", 0)),
-            shift=pick("shift", None, float),
-            seed=int(pick("seed", 0)),
-            out=pick("out", "."),
-            threads=threads,
-        )
-    except ValueError as exc:
-        print(f'{{"error": "ConfigError", "message": "{exc}"}}')
-        return 2
-
-    return run(cfg)
+    return RunConfig(
+        command=args.command,
+        geometry=pick("geometry", "cube"),
+        n=_parse_tuple(pick("n", "4"), 3, int),
+        size=_parse_tuple(pick("size", "1.0"), 3, float),
+        periodic=pick("periodic", None),
+        bc=pick("bc", None),
+        k=int(pick("k", 1)),
+        tol=float(pick("tol", 1e-8)),
+        level=str(pick("level", "auto")),
+        cut_class=int(pick("cut_class", 0)),
+        shift=pick("shift", None, float),
+        seed=int(pick("seed", 0)),
+        out=pick("out", "."),
+        threads=threads,
+    )
 
 
 if __name__ == "__main__":

@@ -21,7 +21,7 @@ import scipy.sparse as sp
 from .errors import TrivialH1
 from .mesh import SimplicialComplex3
 from .snf import integer_kernel_basis, rank_mod_p, smith_normal_form
-from .surface import SurfaceComplex, boundary_surface
+from .surface import SurfaceComplex
 
 EXACT_SNF_LIMIT = 20000
 
@@ -59,11 +59,12 @@ class CohomologyBasis:
         return len(self.cocycles)
 
 
-def _rank_and_torsion(A, exact: bool):
-    if exact:
-        r = smith_normal_form(A)
-        return r.rank, [int(f) for f in r.invariant_factors if f > 1]
-    return rank_mod_p(A), []
+def _memo(cx: SimplicialComplex3, key, compute):
+    """Topology record ``key`` of ``cx``, computed once and kept in ``cx.meta``."""
+    cache = cx.meta.setdefault("_topology", {})
+    if key not in cache:
+        cache[key] = compute()
+    return cache[key]
 
 
 def _use_exact(counts) -> bool:
@@ -72,56 +73,72 @@ def _use_exact(counts) -> bool:
     warnings.warn(
         f"complex exceeds {EXACT_SNF_LIMIT} simplices per degree; "
         "computing Betti numbers over GF(p), torsion not certified",
-        stacklevel=3,
+        stacklevel=4,
     )
     return False
 
 
-def betti_numbers(cx: SimplicialComplex3) -> BettiNumbers:
-    """Betti numbers and torsion of H_* from Smith normal form ranks."""
-    counts = [cx.num_vertices, cx.num_edges, cx.num_faces, cx.num_tets]
-    exact = _use_exact(counts)
-    r1, t0 = _rank_and_torsion(cx.D0, exact)
-    r2, t1 = _rank_and_torsion(cx.D1, exact)
-    r3, t2 = _rank_and_torsion(cx.D2, exact)
+def _chain_betti(counts, boundaries, exact: bool) -> BettiNumbers:
+    """Betti numbers and torsion of a chain complex from its three boundary ranks."""
+    ranks, torsion = [], []
+    for A in boundaries:
+        if exact:
+            r = smith_normal_form(A)
+            ranks.append(r.rank)
+            torsion.append([int(f) for f in r.invariant_factors if f > 1])
+        else:
+            ranks.append(rank_mod_p(A))
+            torsion.append([])
+    r1, r2, r3 = ranks
     betti = (
         counts[0] - r1,
         counts[1] - r1 - r2,
         counts[2] - r2 - r3,
         counts[3] - r3,
     )
-    return BettiNumbers(betti=betti, torsion=[t0, t1, t2, []], exact=exact)
+    return BettiNumbers(betti=betti, torsion=torsion + [[]], exact=exact)
+
+
+def _cached_betti(cx, kind: str, counts, boundaries) -> BettiNumbers:
+    # the exactness decision (and its warning) is made on every call and is
+    # part of the key, so a changed EXACT_SNF_LIMIT never sees a stale record
+    exact = _use_exact(counts)
+    b = _memo(cx, (kind, exact), lambda: _chain_betti(counts, boundaries(), exact))
+    return BettiNumbers(betti=b.betti, torsion=[list(t) for t in b.torsion], exact=b.exact)
+
+
+def betti_numbers(cx: SimplicialComplex3) -> BettiNumbers:
+    """Betti numbers and torsion of H_* from Smith normal form ranks.
+
+    Computed once per complex (and exactness decision); each call returns
+    its own copy.
+    """
+    counts = [cx.num_vertices, cx.num_edges, cx.num_faces, cx.num_tets]
+    return _cached_betti(cx, "absolute", counts, lambda: (cx.D0, cx.D1, cx.D2))
 
 
 def relative_betti(cx: SimplicialComplex3) -> BettiNumbers:
     """Betti numbers of (M, dM) from the quotient chain complex.
 
-    Boundary simplices are deleted; for a closed mesh this returns the
-    absolute homology.  Satisfies beta_k(M) = beta_{3-k}(M, dM).
+    Boundary simplices (the vertices, edges and faces of boundary faces) are
+    deleted; for a closed mesh this returns the absolute homology.  Satisfies
+    beta_k(M) = beta_{3-k}(M, dM).
     """
-    if len(cx.boundary_faces) == 0:
+    bfaces = cx.boundary_faces
+    if len(bfaces) == 0:
         return betti_numbers(cx)
-    surf = boundary_surface(cx)
-    int_verts = np.setdiff1d(np.arange(cx.num_vertices), surf.vertex_ids())
-    int_edges = np.setdiff1d(np.arange(cx.num_edges), surf.parent_edge_ids)
-    int_faces = np.setdiff1d(np.arange(cx.num_faces), cx.boundary_faces)
+    int_verts = np.setdiff1d(np.arange(cx.num_vertices), cx.faces[bfaces])
+    int_edges = np.setdiff1d(np.arange(cx.num_edges), cx.D1[bfaces].indices)
+    int_faces = np.setdiff1d(np.arange(cx.num_faces), bfaces)
 
-    D0r = cx.D0[int_edges][:, int_verts]
-    D1r = cx.D1[int_faces][:, int_edges]
-    D2r = cx.D2[:, int_faces]
+    def boundaries():
+        D0r = cx.D0[int_edges][:, int_verts]
+        D1r = cx.D1[int_faces][:, int_edges]
+        D2r = cx.D2[:, int_faces]
+        return D0r, D1r, D2r
 
     counts = [len(int_verts), len(int_edges), len(int_faces), cx.num_tets]
-    exact = _use_exact(counts)
-    r1, t0 = _rank_and_torsion(D0r, exact)
-    r2, t1 = _rank_and_torsion(D1r, exact)
-    r3, t2 = _rank_and_torsion(D2r, exact)
-    betti = (
-        counts[0] - r1,
-        counts[1] - r1 - r2,
-        counts[2] - r2 - r3,
-        counts[3] - r3,
-    )
-    return BettiNumbers(betti=betti, torsion=[t0, t1, t2, []], exact=exact)
+    return _cached_betti(cx, "relative", counts, boundaries)
 
 
 def _adjacency(edges: np.ndarray) -> dict[int, list[tuple[int, int, int]]]:
@@ -244,44 +261,37 @@ def pairing_loop(
     )
 
 
-def _h1_cocycles(cx: SimplicialComplex3, b1: int) -> list[np.ndarray]:
-    seams = cx.meta.get("seam_crossings") or {}
-    if len(seams) == b1:
-        cocycles = [np.asarray(seams[ax], dtype=np.int64) for ax in sorted(seams)]
-        if all(np.abs(cx.D1 @ c).max(initial=0) == 0 for c in cocycles):
-            return cocycles
-    return tree_gauge_cocycles(cx.edges, cx.D1)
-
-
 def h1_cocycles_auto(cx: SimplicialComplex3) -> list[np.ndarray]:
-    """Integer H^1 basis cocycles without forcing a rank computation.
+    """Integer H^1 basis cocycles, computed once per complex.
 
     Periodic grids carry one closed seam cochain per periodic axis and these
     generate H^1 for every grid product geometry, so the Smith normal form
-    ranks are only computed when no seam data is available.
+    ranks are only computed when no seam data is available; then the tree
+    gauge supplies the basis and b1 checks its size.  Each call returns its
+    own copies of the cocycles.
     """
-    seams = cx.meta.get("seam_crossings")
-    if seams is not None:
-        cocycles = [np.asarray(seams[ax], dtype=np.int64) for ax in sorted(seams)]
-        if all(np.abs(cx.D1 @ c).max(initial=0) == 0 for c in cocycles):
-            return cocycles
-    b1 = betti_numbers(cx).betti[1]
-    if b1 == 0:
-        return []
-    out = tree_gauge_cocycles(cx.edges, cx.D1)
-    if len(out) != b1:
-        raise RuntimeError(f"found {len(out)} cocycles, expected {b1}")
-    return out
+
+    def compute() -> list[np.ndarray]:
+        seams = cx.meta.get("seam_crossings")
+        if seams is not None:
+            cocycles = [np.asarray(seams[ax], dtype=np.int64) for ax in sorted(seams)]
+            if all(np.abs(cx.D1 @ c).max(initial=0) == 0 for c in cocycles):
+                return cocycles
+        b1 = betti_numbers(cx).betti[1]
+        cocycles = tree_gauge_cocycles(cx.edges, cx.D1) if b1 else []
+        if len(cocycles) != b1:
+            raise RuntimeError(f"found {len(cocycles)} cocycles, expected {b1}")
+        return cocycles
+
+    return [c.copy() for c in _memo(cx, "h1_cocycles", compute)]
 
 
 def h1_basis(cx: SimplicialComplex3) -> CohomologyBasis:
     """Integer H^1 basis with dual edge loops; pairing is the identity."""
-    b1 = betti_numbers(cx).betti[1]
+    cocycles = h1_cocycles_auto(cx)
+    b1 = len(cocycles)
     if b1 == 0:
         raise TrivialH1("H^1 is trivial")
-    cocycles = _h1_cocycles(cx, b1)
-    if len(cocycles) != b1:
-        raise RuntimeError(f"found {len(cocycles)} cocycles, expected {b1}")
     cycles = [pairing_loop(cx.edges, cocycles, j) for j in range(b1)]
     pairing = np.array(
         [[int(c @ z.chain) for z in cycles] for c in cocycles], dtype=np.int64

@@ -357,6 +357,14 @@ def integer_kernel_basis(A) -> list[np.ndarray]:
 
     Column elimination to column echelon form with a tracked unimodular
     column transform; columns that reduce to zero yield the kernel basis.
+
+    Pivot rule: the active row first in (entry count, index) order among
+    rows holding a +-1 entry, and in it the +-1 column first in (entry
+    count, index) order.  A min-heap of (entry count, row) keys finds that
+    row; a row's key or unit entries change only when an update touches it,
+    so touched rows are re-queued and stale or unit-free entries skipped.
+    When no unit entry is left, the sparsest row is reduced by Euclidean
+    column steps.
     """
     rows, m, n = _to_int_rows(A)
     cols: list[dict[int, int]] = [dict() for _ in range(n)]
@@ -371,6 +379,7 @@ def integer_kernel_basis(A) -> list[np.ndarray]:
     V: list[dict[int, int]] = [{j: 1} for j in range(n)]
     active_cols = set(range(n))
     active_rows = set(row_cols)
+    touched: set[int] = set()  # rows whose entries changed since the last pivot
 
     def add_col(dst, src, f):
         # col_dst += f * col_src, tracked in V
@@ -384,6 +393,7 @@ def integer_kernel_basis(A) -> list[np.ndarray]:
             elif i in cd:
                 del cd[i]
                 row_cols[i].discard(dst)
+        touched.update(cs)
         vd, vs = V[dst], V[src]
         for k, v in vs.items():
             w = vd.get(k, 0) + f * v
@@ -392,22 +402,20 @@ def integer_kernel_basis(A) -> list[np.ndarray]:
             elif k in vd:
                 del vd[k]
 
-    while True:
-        # prefer unit pivots with a low fill estimate
+    heap = [(len(row_cols[i]), i) for i in active_rows]
+    heapq.heapify(heap)
+
+    while active_rows:
         pivot = None
-        best_score = None
-        for i in sorted(active_rows, key=lambda r: (len(row_cols[r]), r)):
-            for j in sorted(row_cols[i], key=lambda c: (len(cols[c]), c)):
-                v = cols[j][i]
-                score = (len(row_cols[i]) - 1) * (len(cols[j]) - 1)
-                if abs(v) == 1:
-                    pivot = (i, j)
-                    best_score = score
-                    break
-            if pivot is not None and best_score == 0:
+        while heap:
+            length, i = heapq.heappop(heap)
+            if i not in active_rows or length != len(row_cols[i]):
+                continue  # stale: retired, or re-queued under its new length
+            unit = [c for c in row_cols[i] if abs(cols[c][i]) == 1]
+            if unit:
+                pivot = (i, min(unit, key=lambda c: (len(cols[c]), c)))
                 break
-            if pivot is not None:
-                break
+            # no unit entry: the row waits until an update touches it
         if pivot is None:
             # no unit entries left: Euclidean reduction on the sparsest row
             live = [i for i in active_rows if row_cols[i]]
@@ -431,9 +439,12 @@ def integer_kernel_basis(A) -> list[np.ndarray]:
         active_cols.discard(j)
         for r in cols[j]:
             row_cols[r].discard(j)
+        touched.update(cols[j])
         active_rows.discard(i)
-        if not active_rows:
-            break
+        for r in touched:
+            if r in active_rows:
+                heapq.heappush(heap, (len(row_cols[r]), r))
+        touched.clear()
 
     kernel = []
     for j in sorted(active_cols):

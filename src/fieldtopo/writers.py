@@ -6,6 +6,8 @@ produce byte-identical files.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 
 from .cuts import CutSurface
@@ -23,7 +25,8 @@ def dumps_json(obj, indent: int = 0) -> str:
         if not obj:
             return "{}"
         items = [
-            f'{pad}  "{k}": {dumps_json(v, indent + 1)}' for k, v in obj.items()
+            f"{pad}  {dumps_json(str(k))}: {dumps_json(v, indent + 1)}"
+            for k, v in obj.items()
         ]
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
     if isinstance(obj, (list, tuple)):
@@ -43,8 +46,8 @@ def dumps_json(obj, indent: int = 0) -> str:
         return _fmt(obj)
     if obj is None:
         return "null"
-    s = str(obj).replace("\\", "\\\\").replace('"', '\\"')
-    return f'"{s}"'
+    # escapes quotes, backslashes and control characters only
+    return json.dumps(str(obj), ensure_ascii=False)
 
 
 def write_json(path, obj):

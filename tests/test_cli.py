@@ -1,9 +1,15 @@
+import io
 import json
 import os
+import tempfile
+from contextlib import redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fieldtopo.cli import RunConfig, build_geometry, main, run
+from fieldtopo.writers import dumps_json
 
 
 def read_json(path):
@@ -129,6 +135,62 @@ def test_invalid_config_exit_code(tmp_path, capsys):
     assert rc == 2
     doc = json.loads(capsys.readouterr().out)
     assert doc["error"] in ("ValueError", "ConfigError")
+
+
+@pytest.mark.parametrize(
+    "argv,error",
+    [
+        (["gen", "--n", '"'], "ConfigError"),
+        (["gen", "--n", "2", "--config", "{tmp}/missing.cfg"], "ConfigError"),
+        (["gen", "--geometry", "msh:{tmp}/missing.msh"], "FileNotFoundError"),
+        (["gen", "--n", "2", "--level", "1.5"], "ValueError"),
+        (["gen", "--k", "abc"], "ConfigError"),
+        (["nosuch"], "ConfigError"),
+    ],
+)
+def test_error_contract(tmp_path, capsys, argv, error):
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    out = tmp_path / "out"
+    rc = main(argv + ["--out", str(out)])
+    assert rc == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert list(doc) == ["error", "message"]
+    assert doc["error"] == error
+    # flags that parse name an output directory, created if need be
+    if error == "ConfigError":
+        assert not out.exists()
+    else:
+        assert read_json(out / "error.json") == doc
+
+
+def test_homology_runtime_error_contract(tmp_path, capsys, monkeypatch):
+    import fieldtopo.homology as homology
+
+    def no_loop(*args, **kwargs):
+        raise RuntimeError("no dual loop with pairing e_0 within offset bound 4")
+
+    monkeypatch.setattr(homology, "pairing_loop", no_loop)
+    rc = main(["cuts", "--geometry", "solid-torus", "--n", "2,2,8", "--size", "1,1,2",
+               "--out", str(tmp_path)])
+    assert rc == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["error"] == "RuntimeError"
+    assert read_json(tmp_path / "error.json") == doc
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.text(alphabet='"\\\n\t{}[],:ab -.', min_size=1, max_size=12))
+def test_bad_counts_always_give_json(text):
+    buf = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, redirect_stdout(buf):
+        rc = main(["gen", f"--n={text}", "--out", tmp])
+    assert rc == 2
+    assert json.loads(buf.getvalue())["error"] == "ConfigError"
+
+
+def test_dumps_json_escapes_strings():
+    doc = {"message": 'quote " backslash \\ newline \n tab \t bell \x07'}
+    assert json.loads(dumps_json(doc)) == doc
 
 
 def test_gen_emits_valid_vtk(tmp_path):

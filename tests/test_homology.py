@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import fieldtopo.homology as homology
+import fieldtopo.snf as snf
+from fieldtopo import cli
 from fieldtopo.errors import TrivialH1
 from fieldtopo.generators import GridSpec, gen_grid
 from fieldtopo.homology import (
@@ -119,3 +122,59 @@ def test_rational_fallback_warns(monkeypatch, cube4):
         b = betti_numbers(cube4)
     assert b.betti == (1, 0, 0, 0)
     assert not b.exact
+
+
+def test_betti_cache_keyed_by_exactness(monkeypatch):
+    cx = gen_grid(GridSpec(2, 2, 2))
+    assert betti_numbers(cx).exact
+    monkeypatch.setattr(homology, "EXACT_SNF_LIMIT", 10)
+    with pytest.warns(UserWarning, match="GF"):
+        assert not betti_numbers(cx).exact
+    with pytest.warns(UserWarning, match="GF"):  # warns again on a cached record
+        assert not relative_betti(cx).exact
+    monkeypatch.undo()
+    b = betti_numbers(cx)
+    assert b.exact and b.betti == (1, 0, 0, 0)
+
+
+def test_cached_topology_returns_copies(box_ring):
+    first = h1_cocycles_auto(box_ring)
+    expect = first[0].copy()
+    first[0][:] = 7
+    assert np.array_equal(h1_cocycles_auto(box_ring)[0], expect)
+    b = betti_numbers(box_ring)
+    b.torsion[0].append(99)
+    assert betti_numbers(box_ring).torsion[0] == []
+
+
+def test_pipeline_computes_topology_once(tmp_path, monkeypatch, box_ring):
+    """One absolute and one relative Betti computation, one mesh tree gauge."""
+    snf_shapes = []
+    gauge_shapes = []
+    real_snf = snf.smith_normal_form
+    real_gauge = homology.tree_gauge_cocycles
+
+    def counting_snf(A, *args, **kwargs):
+        if sp.issparse(A):
+            snf_shapes.append(A.shape)
+        return real_snf(A, *args, **kwargs)
+
+    def counting_gauge(edges, D1):
+        gauge_shapes.append(D1.shape)
+        return real_gauge(edges, D1)
+
+    monkeypatch.setattr(snf, "smith_normal_form", counting_snf)
+    monkeypatch.setattr(homology, "smith_normal_form", counting_snf)
+    monkeypatch.setattr(homology, "tree_gauge_cocycles", counting_gauge)
+    rc = cli.main(["pipeline", "--geometry", "box-ring", "--n", "5",
+                   "--threads", "1", "--out", str(tmp_path)])
+    assert rc == 0
+    cx = box_ring  # the CLI builds the same n=5 mesh
+    V, E, F, T = cx.num_vertices, cx.num_edges, cx.num_faces, cx.num_tets
+    absolute = [(E, V), (F, E), (T, F)]
+    assert len(snf_shapes) == 6
+    assert snf_shapes[:3] == absolute
+    assert all(shape not in absolute for shape in snf_shapes[3:])
+    # the mesh gauge runs once; the other call gauges the boundary surface
+    assert gauge_shapes.count((F, E)) == 1
+    assert len(gauge_shapes) == 2

@@ -1,0 +1,146 @@
+"""Byte-identity manifests of the fieldtopo CLI outputs.
+
+    python3 tools/golden.py manifest [--checkout DIR] [-o FILE]
+    python3 tools/golden.py diff A.json B.json
+
+``manifest`` runs every case in CASES (gen, homology, cuts, beltrami,
+classify and pipeline at small sizes, each with ``--threads 1``) against the
+package under DIR/src (default: the checkout holding this script) and prints
+a JSON manifest, ``{case: {"argv": [...], "exit": status, "files": {name:
+sha256}}}``, or writes it to FILE.  Outputs go to a temporary directory.
+``diff`` compares two manifests and exits 1 if any case differs in its
+arguments, exit status, file set or file bytes.
+
+To check that a change keeps every output byte for byte, write a manifest
+from a checkout of the parent commit and one from the working tree, then
+diff them.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+TAU = "6.283185307179586"
+
+CASES: dict[str, list[str]] = {
+    "gen-cube": ["gen", "--geometry", "cube", "--n", "3"],
+    "gen-box-ring": ["gen", "--geometry", "box-ring", "--n", "5"],
+    "homology-cube": ["homology", "--geometry", "cube", "--n", "3"],
+    "homology-solid-torus": ["homology", "--geometry", "solid-torus", "--n", "3,3,6"],
+    "homology-t2xi": ["homology", "--geometry", "cube", "--periodic", "xy", "--n", "3,3,2"],
+    "homology-torus3": ["homology", "--geometry", "torus3", "--n", "3"],
+    "homology-box-ring": ["homology", "--geometry", "box-ring", "--n", "5"],
+    "cuts-solid-torus": ["cuts", "--geometry", "solid-torus", "--n", "2,2,8", "--size", "1,1,2"],
+    "cuts-torus3": ["cuts", "--geometry", "torus3", "--n", "4", "--cut-class", "1"],
+    "cuts-box-ring": ["cuts", "--geometry", "box-ring", "--n", "5"],
+    "cuts-cube-trivial": ["cuts", "--geometry", "cube", "--n", "2"],
+    "beltrami-torus3": ["beltrami", "--geometry", "torus3", "--n", "4", "--size", TAU, "--k", "2"],
+    "beltrami-solid-torus-closed-trace": [
+        "beltrami", "--geometry", "solid-torus", "--n", "3,3,8", "--size", "1,1,3",
+        "--bc", "closed-trace:1",
+    ],
+    "beltrami-box-ring": ["beltrami", "--geometry", "box-ring", "--n", "5"],
+    "beltrami-box-ring-closed-trace": [
+        "beltrami", "--geometry", "box-ring", "--n", "5", "--bc", "closed-trace:0",
+    ],
+    "classify-torus3": ["classify", "--geometry", "torus3", "--n", "4", "--size", TAU],
+    "pipeline-solid-torus": [
+        "pipeline", "--geometry", "solid-torus", "--n", "2,2,8", "--size", "1,1,2",
+        "--bc", "zero-trace",
+    ],
+    "pipeline-torus3": ["pipeline", "--geometry", "torus3", "--n", "4", "--size", TAU],
+    "pipeline-box-ring": ["pipeline", "--geometry", "box-ring", "--n", "5"],
+}
+
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
+
+
+def _sha256(path: str) -> str:
+    h = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            h.update(block)
+    return h.hexdigest()
+
+
+def run_case(checkout: str, argv: list[str], outdir: str) -> dict:
+    env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"))
+    env.update({var: "1" for var in THREAD_VARS})
+    full = [*argv, "--threads", "1", "--out", outdir]
+    proc = subprocess.run(
+        [sys.executable, "-m", "fieldtopo.cli", *full],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+    )
+    if proc.returncode not in (0, 2):
+        sys.stderr.write(proc.stderr)
+    files = {}
+    if os.path.isdir(outdir):
+        files = {name: _sha256(os.path.join(outdir, name)) for name in sorted(os.listdir(outdir))}
+    return {"argv": argv, "exit": proc.returncode, "files": files}
+
+
+def manifest(checkout: str) -> dict:
+    with tempfile.TemporaryDirectory() as tmp:
+        out = {}
+        for name, argv in CASES.items():
+            print(f"golden: {name}", file=sys.stderr)
+            out[name] = run_case(checkout, argv, os.path.join(tmp, name))
+        return out
+
+
+def diff(a: dict, b: dict) -> list[str]:
+    problems = []
+    for name in sorted(set(a) | set(b)):
+        if name not in a or name not in b:
+            problems.append(f"{name}: only in {'second' if name not in a else 'first'} manifest")
+            continue
+        ca, cb = a[name], b[name]
+        for key in ("argv", "exit"):
+            if ca[key] != cb[key]:
+                problems.append(f"{name}: {key} {ca[key]!r} != {cb[key]!r}")
+        for fname in sorted(set(ca["files"]) | set(cb["files"])):
+            ha, hb = ca["files"].get(fname), cb["files"].get(fname)
+            if ha != hb:
+                what = "missing" if ha is None or hb is None else "differs"
+                problems.append(f"{name}/{fname}: {what}")
+    return problems
+
+
+def main(argv: list[str] | None = None) -> int:
+    here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    p = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    sub = p.add_subparsers(dest="cmd", required=True)
+    m = sub.add_parser("manifest", help="run the cases and print a sha256 manifest")
+    m.add_argument("--checkout", default=here, help="checkout whose src/ is run")
+    m.add_argument("-o", "--output", default=None, help="write the manifest here")
+    d = sub.add_parser("diff", help="compare two manifests")
+    d.add_argument("a")
+    d.add_argument("b")
+    args = p.parse_args(argv)
+
+    if args.cmd == "manifest":
+        doc = manifest(os.path.abspath(args.checkout))
+        text = json.dumps(doc, indent=1, sort_keys=True) + "\n"
+        if args.output:
+            with open(args.output, "w") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+        return 0
+
+    with open(args.a) as fa, open(args.b) as fb:
+        problems = diff(json.load(fa), json.load(fb))
+    for line in problems:
+        print(line)
+    print(f"golden: {len(problems)} difference(s)", file=sys.stderr)
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
