@@ -27,8 +27,9 @@ import scipy.sparse.linalg as spla
 
 from .errors import IncompatibleBC, NoConvergence
 from .fem import FemMatrices, field_proxies
-from .homology import h1_cocycles_auto, pairing_loop, surface_h1_basis
-from .mesh import SimplicialComplex3
+from .homology import h1_basis, h1_cocycles_auto, surface_h1_basis, tree_gauge_cocycles
+from .mesh import SimplicialComplex3, integrate_potential, spanning_forest
+from .snf import integer_kernel_basis, smith_normal_form
 from .surface import SurfaceComplex, boundary_surface
 
 
@@ -98,11 +99,10 @@ class ReducedPencil:
     bc: BoundaryCondition
     C: sp.csr_matrix            # (E, ndof) embedding of DOFs into edge space
     S: sp.csr_matrix            # symmetrized reduced curl pairing
-    S_raw: sp.csr_matrix        # C^T S C before symmetrization
     M1: sp.csr_matrix           # reduced mass
     interior_edges: np.ndarray
     boundary: BoundaryData | None
-    symmetry_defect: float      # max|S_raw - S_raw^T| / max|S_raw|
+    symmetry_defect: float      # max|R - R^T| / max|R| for R = C^T S C
 
     @property
     def ndof(self) -> int:
@@ -128,7 +128,8 @@ class ReducedPencil:
         rem = trace - sum(
             tl * sig for tl, sig in zip(t, bd.sigma)
         ) if len(t) else trace
-        alpha = _integrate_on_surface(surf, rem, bd.pins)
+        forest = spanning_forest(surf.edges, surf.parent.num_vertices, bd.pins)
+        alpha = integrate_potential(forest, rem)
         x = np.concatenate([h[self.interior_edges], alpha[bd.alpha_verts], t])
         back = self.C @ x
         if np.max(np.abs(back - h)) > 1e-8 * max(1.0, np.max(np.abs(h))):
@@ -136,44 +137,14 @@ class ReducedPencil:
         return x
 
 
-def _integrate_on_surface(surf: SurfaceComplex, cochain: np.ndarray, pins: list[int]):
-    """Potential with d(potential) = cochain on a surface spanning forest."""
-    from collections import deque
-
-    adj: dict[int, list[tuple[int, int, int]]] = {}
-    for k, (a, b) in enumerate(surf.edges):
-        adj.setdefault(int(a), []).append((int(b), k, 1))
-        adj.setdefault(int(b), []).append((int(a), k, -1))
-    for v in adj:
-        adj[v].sort()
-    alpha = np.zeros(surf.parent.num_vertices)
-    seen: set[int] = set()
-    for pin in pins:
-        alpha[pin] = 0.0
-        seen.add(pin)
-        queue = deque([pin])
-        while queue:
-            u = queue.popleft()
-            for v, k, s in adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    alpha[v] = alpha[u] + s * cochain[k]
-                    queue.append(v)
-    return alpha
-
-
 def _boundary_data(cx: SimplicialComplex3, bc: BoundaryCondition) -> BoundaryData:
     surf = boundary_surface(cx)
-    sverts = surf.vertex_ids()
-    comp_of_vertex: dict[int, int] = {}
-    for fidx, comp in enumerate(surf.face_component):
-        for v in surf.oriented_tris[fidx]:
-            comp_of_vertex.setdefault(int(v), int(comp))
-    ncomp = surf.num_components
+    comp_of_vertex = surf.vertex_component
     pins = [
-        min(v for v, c in comp_of_vertex.items() if c == comp) for comp in range(ncomp)
+        min(v for v, c in comp_of_vertex.items() if c == comp)
+        for comp in range(surf.num_components)
     ]
-    alpha_verts = np.array(sorted(set(map(int, sverts)) - set(pins)), dtype=np.int64)
+    alpha_verts = np.array(sorted(set(comp_of_vertex) - set(pins)), dtype=np.int64)
 
     sigma_all: list[np.ndarray] = []
     zeta_all: list[np.ndarray] = []
@@ -233,8 +204,6 @@ def _normalize_boundary_basis(T, sigma_all, zeta_all):
     and P moves zero columns of T V to the front.  Duality <sigma'_i,
     zeta'_j> = delta_ij is preserved.
     """
-    from .snf import smith_normal_form
-
     if T.size == 0:
         return sigma_all, zeta_all, T
     res = smith_normal_form(T, transforms=True)
@@ -310,19 +279,18 @@ def reduce_system(
     else:
         raise IncompatibleBC(f"unknown boundary condition kind {bc.kind}")
 
-    S_raw = (C.T @ fem.S @ C).tocsr()
+    R = (C.T @ fem.S @ C).tocsr()
     M1r = (C.T @ fem.M1 @ C).tocsr()
-    defect_mat = (S_raw - S_raw.T).tocoo()
-    smax = np.abs(S_raw.data).max() if S_raw.nnz else 1.0
+    defect_mat = (R - R.T).tocoo()
+    smax = np.abs(R.data).max() if R.nnz else 1.0
     defect = (np.abs(defect_mat.data).max() / smax) if defect_mat.nnz else 0.0
-    S_sym = ((S_raw + S_raw.T) * 0.5).tocsr()
+    S_sym = ((R + R.T) * 0.5).tocsr()
     return ReducedPencil(
         complex=cx,
         fem=fem,
         bc=bc,
         C=C,
         S=S_sym,
-        S_raw=S_raw,
         M1=M1r,
         interior_edges=interior,
         boundary=bd,
@@ -364,11 +332,7 @@ def _gradient_columns(pencil: ReducedPencil) -> sp.csr_matrix:
         # admissible potentials: free on interior vertices, locally constant
         # on each boundary component; one parameter per mesh component is
         # redundant (global constants) and gets dropped
-        sverts = set(map(int, surf.vertex_ids()))
-        comp_of_vertex: dict[int, int] = {}
-        for fidx, comp in enumerate(surf.face_component):
-            for v in surf.oriented_tris[fidx]:
-                comp_of_vertex.setdefault(int(v), int(comp))
+        comp_of_vertex = surf.vertex_component
         bcomp_rep: dict[int, int] = {}
         for v, c in comp_of_vertex.items():
             bcomp_rep.setdefault(c, v)
@@ -382,7 +346,7 @@ def _gradient_columns(pencil: ReducedPencil) -> sp.csr_matrix:
                 drop_ivert.add(int(np.flatnonzero(labels == mcomp)[0]))
         cols = []
         for v in range(cx.num_vertices):
-            if v in sverts or v in drop_ivert:
+            if v in comp_of_vertex or v in drop_ivert:
                 continue
             cols.append(D0_int[:, v])
         for comp in range(surf.num_components):
@@ -401,10 +365,7 @@ def _gradient_columns(pencil: ReducedPencil) -> sp.csr_matrix:
     nalpha = len(bd.alpha_verts)
     nt = len(bd.sigma)
     alpha_col = {int(v): n_int + i for i, v in enumerate(bd.alpha_verts)}
-    comp_of_vertex = {}
-    for fidx, comp in enumerate(surf.face_component):
-        for v in surf.oriented_tris[fidx]:
-            comp_of_vertex.setdefault(int(v), int(comp))
+    comp_of_vertex = surf.vertex_component
     pins = bd.pins
     rows, cols, vals = [], [], []
     ncol = 0
@@ -436,55 +397,15 @@ def _relative_cocycles(cx: SimplicialComplex3, surf: SurfaceComplex) -> list[np.
     """Integer basis of H^1(M, dM): closed cochains vanishing on the boundary.
 
     Tree gauge on the quotient graph in which the whole boundary is
-    contracted to one node.
+    contracted to node 0 and every other vertex v becomes node v + 1.
     """
     interior = np.setdiff1d(np.arange(cx.num_edges), surf.parent_edge_ids)
-    sverts = set(map(int, surf.vertex_ids()))
-    super_node = -1
-
-    def q(v: int) -> int:
-        return super_node if v in sverts else v
-
-    qedges = np.array(
-        [[q(int(a)), q(int(b))] for a, b in cx.edges[interior]], dtype=np.int64
-    )
-    # spanning forest over the quotient graph; self-loops at the supernode
-    # can never be tree edges
-    from collections import deque
-
-    adj: dict[int, list[tuple[int, int]]] = {}
-    for k, (a, b) in enumerate(qedges):
-        if a == b:
-            continue
-        adj.setdefault(int(a), []).append((int(b), k))
-        adj.setdefault(int(b), []).append((int(a), k))
-    for v in adj:
-        adj[v].sort()
-    tree: set[int] = set()
-    seenv: set[int] = set()
-    for root in sorted(adj):
-        if root in seenv:
-            continue
-        seenv.add(root)
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            for v, k in adj[u]:
-                if v not in seenv:
-                    seenv.add(v)
-                    tree.add(k)
-                    queue.append(v)
-    nontree_local = np.array([k for k in range(len(interior)) if k not in tree], dtype=np.int64)
-    if len(nontree_local) == 0:
-        return []
-    from .snf import integer_kernel_basis
-
-    cols = interior[nontree_local]
-    K = integer_kernel_basis(cx.D1.tocsc()[:, cols])
+    node = np.arange(1, cx.num_vertices + 1)
+    node[list(surf.vertex_component)] = 0
     out = []
-    for vec in K:
+    for vec in tree_gauge_cocycles(node[cx.edges[interior]], cx.D1.tocsc()[:, interior]):
         full = np.zeros(cx.num_edges, dtype=np.int64)
-        full[cols] = vec
+        full[interior] = vec
         out.append(full)
     return out
 
@@ -508,10 +429,9 @@ def _harmonic_columns(pencil: ReducedPencil) -> np.ndarray:
         # keep only representatives with independent absolute classes; the
         # others are gradients of potentials that are constant per boundary
         # component (already in the gradient block)
-        cocycles = h1_cocycles_auto(cx)
-        if not cocycles:
+        if not h1_cocycles_auto(cx):
             return np.zeros((pencil.ndof, 0))
-        duals = [pairing_loop(cx.edges, cocycles, j) for j in range(len(cocycles))]
+        duals = h1_basis(cx).dual_cycles
         classes = np.array([[int(r @ z.chain) for z in duals] for r in reps])
         keep: list[int] = []
         rank = 0
@@ -537,8 +457,6 @@ def _harmonic_columns(pencil: ReducedPencil) -> np.ndarray:
     non_chosen = [j for j in non_chosen if j not in chosen]
     if non_chosen:
         Q = T[:, non_chosen]  # combos a with a @ Q = 0 are admissible
-        from .snf import integer_kernel_basis
-
         combos = integer_kernel_basis(Q.T) if Q.size else []
         if Q.size and not combos:
             return np.zeros((pencil.ndof, 0))

@@ -11,7 +11,6 @@ bookkeeping independent of the periodic unwrapping.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,7 +19,7 @@ import scipy.sparse.linalg as spla
 from .errors import NoGap, NonManifoldCut, NonRegularLevel, SolverFailure
 from .fem import FemMatrices, field_proxies
 from .homology import CohomologyBasis
-from .mesh import EDGE_LOCAL, SimplicialComplex3
+from .mesh import EDGE_LOCAL, SimplicialComplex3, integrate_potential, spanning_forest
 
 VERTEX_CLEARANCE = 1e-9
 
@@ -42,32 +41,11 @@ class HarmonicRep:
         ambiguity along non-tree edges is exactly the period lattice.
         """
         cached = getattr(self, "_phases", None)
-        if cached is not None:
-            return cached
-        cx = self.complex
-        adj: dict[int, list[tuple[int, int, int]]] = {}
-        for k, (a, b) in enumerate(cx.edges):
-            adj.setdefault(int(a), []).append((int(b), k, 1))
-            adj.setdefault(int(b), []).append((int(a), k, -1))
-        for v in adj:
-            adj[v].sort()
-        theta = np.zeros(cx.num_vertices)
-        seen = np.zeros(cx.num_vertices, dtype=bool)
-        for root in range(cx.num_vertices):
-            if seen[root] or root not in adj:
-                seen[root] = True
-                continue
-            seen[root] = True
-            queue = deque([root])
-            while queue:
-                u = queue.popleft()
-                for v, k, s in adj[u]:
-                    if not seen[v]:
-                        seen[v] = True
-                        theta[v] = theta[u] + s * self.omega[k]
-                        queue.append(v)
-        self._phases = theta
-        return theta
+        if cached is None:
+            cx = self.complex
+            forest = spanning_forest(cx.edges, cx.num_vertices)
+            cached = self._phases = integrate_potential(forest, self.omega)
+        return cached
 
 
 def harmonic_representative(
@@ -205,17 +183,11 @@ def _quantize(t: float) -> int:
     return int(round(t * 1e8))
 
 
-def extract_cut(
-    cx_or_rep, rep: HarmonicRep | None = None, level: float | None = None
-) -> CutSurface:
+def extract_cut(cx: SimplicialComplex3, rep: HarmonicRep, level: float) -> CutSurface:
     """Slice the locally integrated phase of every tet at level + Z.
 
-    Accepts (complex, rep, level) or (rep, level); raises NonRegularLevel if
-    the level comes within 1e-9 of a vertex phase.
+    Raises NonRegularLevel if the level comes within 1e-9 of a vertex phase.
     """
-    if isinstance(cx_or_rep, HarmonicRep):
-        rep, level = cx_or_rep, rep if isinstance(rep, (int, float)) else level
-    cx = rep.complex
     theta0 = float(level)
 
     phases = np.mod(rep.vertex_phases(), 1.0)

@@ -16,9 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import SingularGeometry
-from .mesh import EDGE_LOCAL, FACE_LOCAL, SimplicialComplex3
-
-_FACE_TERM_SIGN = np.array([1, -1, 1])
+from .mesh import EDGE_LOCAL, FACE_LOCAL, SimplicialComplex3, memo
 
 
 def tet_geometry(cx: SimplicialComplex3):
@@ -26,10 +24,10 @@ def tet_geometry(cx: SimplicialComplex3):
 
     Cached on the complex; uses per-tet (minimal image) coordinates.
     """
-    cached = cx.meta.get("_tet_geometry")
-    if cached is not None:
-        return cached
-    p = cx.tet_coords
+    return memo(cx, "tet_geometry", lambda: _tet_geometry(cx.tet_coords))
+
+
+def _tet_geometry(p: np.ndarray):
     E = p[:, 1:, :] - p[:, :1, :]
     det = np.linalg.det(E)
     if np.any(det <= 0):
@@ -41,21 +39,16 @@ def tet_geometry(cx: SimplicialComplex3):
     grads = np.empty_like(p)
     grads[:, 1:, :] = np.transpose(G, (0, 2, 1))
     grads[:, 0, :] = -grads[:, 1:, :].sum(axis=1)
-    vols = det / 6.0
-    bary = p.mean(axis=1)
-    cx.meta["_tet_geometry"] = (grads, vols, bary)
-    return grads, vols, bary
+    return grads, det / 6.0, p.mean(axis=1)
 
 
 @dataclass
 class FemMatrices:
     """Assembled sparse matrices for one complex."""
 
-    M0: sp.csr_matrix   # vertex mass
     M1: sp.csr_matrix   # edge (Whitney 1-form) mass
-    M2: sp.csr_matrix   # face (Whitney 2-form) mass
     S: sp.csr_matrix    # curl pairing, S_ij = int (curl w_i) . w_j dV
-    L0: sp.csr_matrix   # scalar stiffness D0^T M1 D0
+    L0: sp.csr_matrix   # scalar stiffness D0^T M1 D0; kernel = constants per component
 
 
 def _scatter(rows, cols, vals, shape):
@@ -64,74 +57,30 @@ def _scatter(rows, cols, vals, shape):
     ).tocsr()
 
 
-def mass_matrix(cx: SimplicialComplex3, k: int) -> sp.csr_matrix:
-    """Whitney k-form mass matrix (k = 0, 1 or 2), symmetric positive definite."""
+def mass_matrix(cx: SimplicialComplex3) -> sp.csr_matrix:
+    """Whitney 1-form (edge) mass matrix, symmetric positive definite."""
     grads, vols, _ = tet_geometry(cx)
     T = cx.num_tets
     g = np.einsum("tic,tjc->tij", grads, grads)  # (T,4,4) gradient Gram
-
-    if k == 0:
-        loc = (np.ones((4, 4)) + np.eye(4)) / 20.0 * vols[:, None, None]
-        idx = cx.tets
-        return _scatter(
-            np.broadcast_to(idx[:, :, None], (T, 4, 4)),
-            np.broadcast_to(idx[:, None, :], (T, 4, 4)),
-            loc,
-            (cx.num_vertices, cx.num_vertices),
-        )
-
-    if k == 1:
-        a, b = EDGE_LOCAL[:, 0], EDGE_LOCAL[:, 1]
-        d = np.eye(4)
-        # int w_ab . w_cd = V/20 [(1+d_ac)g_bd - (1+d_ad)g_bc
-        #                         - (1+d_bc)g_ad + (1+d_bd)g_ac]
-        loc = (
-            (1 + d[a[:, None], a[None, :]]) * g[:, b[:, None], b[None, :]]
-            - (1 + d[a[:, None], b[None, :]]) * g[:, b[:, None], a[None, :]]
-            - (1 + d[b[:, None], a[None, :]]) * g[:, a[:, None], b[None, :]]
-            + (1 + d[b[:, None], b[None, :]]) * g[:, a[:, None], a[None, :]]
-        ) * (vols[:, None, None] / 20.0)
-        s = cx.tet_edge_sign
-        loc = loc * s[:, :, None] * s[:, None, :]
-        idx = cx.tet_to_edge
-        return _scatter(
-            np.broadcast_to(idx[:, :, None], (T, 6, 6)),
-            np.broadcast_to(idx[:, None, :], (T, 6, 6)),
-            loc,
-            (cx.num_edges, cx.num_edges),
-        )
-
-    if k == 2:
-        # W_abc = 2(lam_a n_bc - lam_b n_ac + lam_c n_ab), n_ij = grad_i x grad_j
-        d = np.eye(4)
-        N = np.empty((T, 4, 3, 3))  # per local face, per term, the cross vector
-        for f in range(4):
-            va, vb, vc = FACE_LOCAL[f]
-            N[:, f, 0] = np.cross(grads[:, vb], grads[:, vc])
-            N[:, f, 1] = np.cross(grads[:, va], grads[:, vc])
-            N[:, f, 2] = np.cross(grads[:, va], grads[:, vb])
-        lam_idx = FACE_LOCAL  # (4,3) the lambda index of each term
-        loc = np.zeros((T, 4, 4))
-        for p in range(3):
-            for q in range(3):
-                coeff = _FACE_TERM_SIGN[p] * _FACE_TERM_SIGN[q]
-                lam = (
-                    1 + d[lam_idx[:, p][:, None], lam_idx[:, q][None, :]]
-                ) / 20.0
-                dots = np.einsum("tic,tjc->tij", N[:, :, p], N[:, :, q])
-                loc += coeff * lam[None, :, :] * dots
-        loc *= 4.0 * vols[:, None, None]
-        s = cx.tet_face_sign
-        loc = loc * s[:, :, None] * s[:, None, :]
-        idx = cx.tet_to_face
-        return _scatter(
-            np.broadcast_to(idx[:, :, None], (T, 4, 4)),
-            np.broadcast_to(idx[:, None, :], (T, 4, 4)),
-            loc,
-            (cx.num_faces, cx.num_faces),
-        )
-
-    raise ValueError("k must be 0, 1 or 2")
+    a, b = EDGE_LOCAL[:, 0], EDGE_LOCAL[:, 1]
+    d = np.eye(4)
+    # int w_ab . w_cd = V/20 [(1+d_ac)g_bd - (1+d_ad)g_bc
+    #                         - (1+d_bc)g_ad + (1+d_bd)g_ac]
+    loc = (
+        (1 + d[a[:, None], a[None, :]]) * g[:, b[:, None], b[None, :]]
+        - (1 + d[a[:, None], b[None, :]]) * g[:, b[:, None], a[None, :]]
+        - (1 + d[b[:, None], a[None, :]]) * g[:, a[:, None], b[None, :]]
+        + (1 + d[b[:, None], b[None, :]]) * g[:, a[:, None], a[None, :]]
+    ) * (vols[:, None, None] / 20.0)
+    s = cx.tet_edge_sign
+    loc = loc * s[:, :, None] * s[:, None, :]
+    idx = cx.tet_to_edge
+    return _scatter(
+        np.broadcast_to(idx[:, :, None], (T, 6, 6)),
+        np.broadcast_to(idx[:, None, :], (T, 6, 6)),
+        loc,
+        (cx.num_edges, cx.num_edges),
+    )
 
 
 def curl_pairing(cx: SimplicialComplex3) -> sp.csr_matrix:
@@ -157,32 +106,10 @@ def curl_pairing(cx: SimplicialComplex3) -> sp.csr_matrix:
     )
 
 
-def laplacian0(cx: SimplicialComplex3, M1: sp.spmatrix | None = None) -> sp.csr_matrix:
-    """Scalar stiffness L0 = D0^T M1 D0; kernel = constants per component."""
-    if M1 is None:
-        M1 = mass_matrix(cx, 1)
-    D0 = cx.D0.astype(float)
-    return (D0.T @ M1 @ D0).tocsr()
-
-
 def build_fem(cx: SimplicialComplex3) -> FemMatrices:
-    M1 = mass_matrix(cx, 1)
-    return FemMatrices(
-        M0=mass_matrix(cx, 0),
-        M1=M1,
-        M2=mass_matrix(cx, 2),
-        S=curl_pairing(cx),
-        L0=laplacian0(cx, M1),
-    )
-
-
-@dataclass
-class TetProxy:
-    """Pointwise vectors of an edge cochain in one tet (at the barycenter)."""
-
-    tet: int
-    H_vec: np.ndarray
-    curlH_vec: np.ndarray
+    M1 = mass_matrix(cx)
+    D0 = cx.D0.astype(float)
+    return FemMatrices(M1=M1, S=curl_pairing(cx), L0=(D0.T @ M1 @ D0).tocsr())
 
 
 def field_proxies(cx: SimplicialComplex3, h) -> tuple[np.ndarray, np.ndarray]:
@@ -200,12 +127,6 @@ def field_proxies(cx: SimplicialComplex3, h) -> tuple[np.ndarray, np.ndarray]:
     H = np.einsum("te,tec->tc", coeff, w_bc)
     curlH = np.einsum("te,tec->tc", coeff, curls)
     return H, curlH
-
-
-def proxy_eval(cx: SimplicialComplex3, h, tet: int) -> TetProxy:
-    """Proxy vectors for a single tet."""
-    H, curlH = field_proxies(cx, h)
-    return TetProxy(tet=tet, H_vec=H[tet], curlH_vec=curlH[tet])
 
 
 _GAUSS_5 = np.polynomial.legendre.leggauss(5)
@@ -271,8 +192,3 @@ def face_flux_interpolant(cx: SimplicialComplex3, func) -> np.ndarray:
         vals[fids[tsel]] = sgn * flux
         seen[fids[tsel]] = True
     return vals
-
-
-def vertex_interpolant(cx: SimplicialComplex3, func) -> np.ndarray:
-    """Vertex cochain: point values of a scalar function."""
-    return np.asarray(func(cx.vertices))

@@ -19,7 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import TrivialH1
-from .mesh import SimplicialComplex3
+from .mesh import SimplicialComplex3, memo, spanning_forest
 from .snf import integer_kernel_basis, rank_mod_p, smith_normal_form
 from .surface import SurfaceComplex
 
@@ -59,14 +59,6 @@ class CohomologyBasis:
         return len(self.cocycles)
 
 
-def _memo(cx: SimplicialComplex3, key, compute):
-    """Topology record ``key`` of ``cx``, computed once and kept in ``cx.meta``."""
-    cache = cx.meta.setdefault("_topology", {})
-    if key not in cache:
-        cache[key] = compute()
-    return cache[key]
-
-
 def _use_exact(counts) -> bool:
     if max(counts) <= EXACT_SNF_LIMIT:
         return True
@@ -103,7 +95,7 @@ def _cached_betti(cx, kind: str, counts, boundaries) -> BettiNumbers:
     # the exactness decision (and its warning) is made on every call and is
     # part of the key, so a changed EXACT_SNF_LIMIT never sees a stale record
     exact = _use_exact(counts)
-    b = _memo(cx, (kind, exact), lambda: _chain_betti(counts, boundaries(), exact))
+    b = memo(cx, (kind, exact), lambda: _chain_betti(counts, boundaries(), exact))
     return BettiNumbers(betti=b.betti, torsion=[list(t) for t in b.torsion], exact=b.exact)
 
 
@@ -152,26 +144,6 @@ def _adjacency(edges: np.ndarray) -> dict[int, list[tuple[int, int, int]]]:
     return adj
 
 
-def _spanning_forest(edges: np.ndarray) -> set[int]:
-    """Deterministic BFS spanning forest; returns the set of tree edge ids."""
-    adj = _adjacency(edges)
-    tree: set[int] = set()
-    visited: set[int] = set()
-    for root in sorted(adj):
-        if root in visited:
-            continue
-        visited.add(root)
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            for v, k, _ in adj[u]:
-                if v not in visited:
-                    visited.add(v)
-                    tree.add(k)
-                    queue.append(v)
-    return tree
-
-
 def tree_gauge_cocycles(edges: np.ndarray, D1: sp.spmatrix) -> list[np.ndarray]:
     """Integer basis of H^1(Z) as closed 1-cochains vanishing on a forest.
 
@@ -180,8 +152,7 @@ def tree_gauge_cocycles(edges: np.ndarray, D1: sp.spmatrix) -> list[np.ndarray]:
     D1 restricted to non-tree edge columns.
     """
     ne = D1.shape[1]
-    tree = _spanning_forest(edges)
-    nontree = np.array([k for k in range(ne) if k not in tree], dtype=np.int64)
+    nontree = np.setdiff1d(np.arange(ne), spanning_forest(edges).tree_edges)
     if len(nontree) == 0:
         return []
     K = integer_kernel_basis(D1.tocsc()[:, nontree])
@@ -209,20 +180,7 @@ def pairing_loop(
     adj = _adjacency(edges)
     target = tuple(int(i == target_index) for i in range(b))
 
-    roots = []
-    seen_roots: set[int] = set()
-    for v in sorted(adj):
-        if v not in seen_roots:
-            roots.append(v)
-            comp = {v}
-            queue = deque([v])
-            while queue:
-                u = queue.popleft()
-                for w, _, _ in adj[u]:
-                    if w not in comp:
-                        comp.add(w)
-                        queue.append(w)
-            seen_roots |= comp
+    roots = spanning_forest(edges).roots.tolist()
 
     for bound in range(1, max_offset + 1):
         for root in roots:
@@ -283,22 +241,39 @@ def h1_cocycles_auto(cx: SimplicialComplex3) -> list[np.ndarray]:
             raise RuntimeError(f"found {len(cocycles)} cocycles, expected {b1}")
         return cocycles
 
-    return [c.copy() for c in _memo(cx, "h1_cocycles", compute)]
+    return [c.copy() for c in memo(cx, "h1_cocycles", compute)]
 
 
-def h1_basis(cx: SimplicialComplex3) -> CohomologyBasis:
-    """Integer H^1 basis with dual edge loops; pairing is the identity."""
-    cocycles = h1_cocycles_auto(cx)
-    b1 = len(cocycles)
-    if b1 == 0:
-        raise TrivialH1("H^1 is trivial")
-    cycles = [pairing_loop(cx.edges, cocycles, j) for j in range(b1)]
+def _dual_basis(edges: np.ndarray, cocycles: list[np.ndarray], what: str) -> CohomologyBasis:
+    """Cocycles plus dual loops searched for each; checks the identity pairing."""
+    cycles = [pairing_loop(edges, cocycles, j) for j in range(len(cocycles))]
     pairing = np.array(
         [[int(c @ z.chain) for z in cycles] for c in cocycles], dtype=np.int64
     )
-    if not np.array_equal(pairing, np.eye(b1, dtype=np.int64)):
-        raise RuntimeError(f"period pairing is not the identity:\n{pairing}")
+    if not np.array_equal(pairing, np.eye(len(cocycles), dtype=np.int64)):
+        raise RuntimeError(f"{what} is not the identity:\n{pairing}")
     return CohomologyBasis(cocycles=cocycles, dual_cycles=cycles, pairing=pairing)
+
+
+def h1_basis(cx: SimplicialComplex3) -> CohomologyBasis:
+    """Integer H^1 basis with dual edge loops; pairing is the identity.
+
+    The dual loops are searched once per complex; each call returns its own
+    copy of the basis.
+    """
+
+    def compute() -> CohomologyBasis:
+        cocycles = h1_cocycles_auto(cx)
+        if not cocycles:
+            raise TrivialH1("H^1 is trivial")
+        return _dual_basis(cx.edges, cocycles, "period pairing")
+
+    basis = memo(cx, "h1_basis", compute)
+    return CohomologyBasis(
+        cocycles=[c.copy() for c in basis.cocycles],
+        dual_cycles=[DualCycle(z.chain.copy(), list(z.vertices)) for z in basis.dual_cycles],
+        pairing=basis.pairing.copy(),
+    )
 
 
 def surface_h1_basis(surf: SurfaceComplex) -> CohomologyBasis:
@@ -306,10 +281,4 @@ def surface_h1_basis(surf: SurfaceComplex) -> CohomologyBasis:
     cocycles = tree_gauge_cocycles(surf.edges, surf.D1s)
     if not cocycles:
         raise TrivialH1("surface H^1 is trivial")
-    cycles = [pairing_loop(surf.edges, cocycles, j) for j in range(len(cocycles))]
-    pairing = np.array(
-        [[int(c @ z.chain) for z in cycles] for c in cocycles], dtype=np.int64
-    )
-    if not np.array_equal(pairing, np.eye(len(cocycles), dtype=np.int64)):
-        raise RuntimeError("surface period pairing is not the identity")
-    return CohomologyBasis(cocycles=cocycles, dual_cycles=cycles, pairing=pairing)
+    return _dual_basis(surf.edges, cocycles, "surface period pairing")

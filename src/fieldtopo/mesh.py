@@ -10,6 +10,7 @@ D2@D1 = 0 identically.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -79,9 +80,6 @@ class SimplicialComplex3:
     def num_tets(self) -> int:
         return len(self.tets)
 
-    def simplex_count(self, k: int) -> int:
-        return (self.num_vertices, self.num_edges, self.num_faces, self.num_tets)[k]
-
     @property
     def euler_characteristic(self) -> int:
         return self.num_vertices - self.num_edges + self.num_faces - self.num_tets
@@ -109,29 +107,100 @@ class SimplicialComplex3:
         return lengths
 
 
-@dataclass
-class Cochain:
-    """Coefficient vector indexed by the oriented k-simplices of a complex."""
+def memo(cx: SimplicialComplex3, key, compute):
+    """Record ``key`` of ``cx``, computed once and kept in ``cx.meta``.
 
-    complex: SimplicialComplex3
-    degree: int
-    values: np.ndarray
+    Nothing is stored when ``compute`` raises, so the failure repeats on the
+    next call.
+    """
+    records = cx.meta.setdefault("_records", {})
+    if key not in records:
+        records[key] = compute()
+    return records[key]
 
-    def __post_init__(self):
-        self.values = np.asarray(self.values)
-        n = self.complex.simplex_count(self.degree)
-        if len(self.values) != n:
-            raise ValueError(
-                f"degree-{self.degree} cochain needs {n} values, got {len(self.values)}"
-            )
 
-    def __array__(self, dtype=None, copy=None):
-        return np.asarray(self.values, dtype=dtype)
+class SpanningForest(NamedTuple):
+    """Breadth-first spanning forest of a multigraph on nodes 0..N-1."""
 
-    def d(self) -> "Cochain":
-        """Coboundary: grad (k=0), curl (k=1) or div (k=2)."""
-        op = boundary_operator(self.complex, self.degree + 1)
-        return Cochain(self.complex, self.degree + 1, op @ self.values)
+    order: np.ndarray   # nodes with an edge in visit order, one tree after another
+    parent: np.ndarray  # (N,) tree parent; -1 at roots and at nodes without edges
+    edge: np.ndarray    # (N,) edge id joining a node to its parent, else -1
+    sign: np.ndarray    # (N,) +1 when that edge runs parent -> node, -1 when reversed
+
+    @property
+    def roots(self) -> np.ndarray:
+        return self.order[self.parent[self.order] < 0]
+
+    @property
+    def tree_edges(self) -> np.ndarray:
+        return self.edge[self.edge >= 0]
+
+
+def spanning_forest(edges, num_nodes: int | None = None, roots=()) -> SpanningForest:
+    """Deterministic breadth-first spanning forest of an edge list.
+
+    Trees grow from ``roots`` first, then from the lowest node of every
+    component not reached yet.  Neighbours are visited in ascending order,
+    among parallel edges the lowest edge id joins the tree, and self-loops
+    never do.
+    """
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    if num_nodes is None:
+        num_nodes = int(edges.max()) + 1 if len(edges) else 0
+    # one arc per ordered node pair, carrying its lowest edge id and the sign
+    # of that edge along the arc
+    ids = np.flatnonzero(edges[:, 0] != edges[:, 1])
+    a, b = edges[ids, 0], edges[ids, 1]
+    src, dst = np.concatenate([a, b]), np.concatenate([b, a])
+    eid = np.concatenate([ids, ids])
+    sgn = np.repeat([1, -1], len(ids))
+    perm = np.lexsort((eid, dst, src))
+    src, dst, eid, sgn = src[perm], dst[perm], eid[perm], sgn[perm]
+    first = np.ones(len(src), dtype=bool)
+    first[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
+    src, dst, eid, sgn = src[first], dst[first], eid[first], sgn[first]
+    indptr = np.searchsorted(src, np.arange(num_nodes + 1))
+    graph = sp.csr_matrix((np.ones(len(src)), dst, indptr), shape=(num_nodes, num_nodes))
+
+    candidates = np.unique(edges)  # nodes with an edge, ascending
+    _, labels = sp.csgraph.connected_components(graph, directed=False)
+    _, lowest = np.unique(labels[candidates], return_index=True)
+
+    parent = np.full(num_nodes, -1, dtype=np.int64)
+    seen = np.zeros(num_nodes, dtype=bool)
+    order = []
+    for root in [*roots, *np.sort(candidates[lowest]).tolist()]:
+        if seen[root]:
+            continue
+        nodes, pred = sp.csgraph.breadth_first_order(
+            graph, root, directed=True, return_predecessors=True
+        )
+        seen[nodes] = True
+        parent[nodes[1:]] = pred[nodes[1:]]
+        order.append(nodes)
+
+    child = np.flatnonzero(parent >= 0)
+    arc = np.searchsorted(src * num_nodes + dst, parent[child] * num_nodes + child)
+    edge = np.full(num_nodes, -1, dtype=np.int64)
+    sign = np.zeros(num_nodes, dtype=np.int64)
+    edge[child], sign[child] = eid[arc], sgn[arc]
+    order = np.concatenate(order) if order else np.zeros(0, dtype=np.int64)
+    return SpanningForest(order=order, parent=parent, edge=edge, sign=sign)
+
+
+def integrate_potential(forest: SpanningForest, cochain) -> np.ndarray:
+    """Node potential whose difference along every tree edge is the cochain.
+
+    Roots and nodes without edges get 0.  Values accumulate parent before
+    child in visit order, one addition per node.
+    """
+    c = np.asarray(cochain, dtype=float).tolist()
+    parent, edge, sign = forest.parent.tolist(), forest.edge.tolist(), forest.sign.tolist()
+    phi = [0.0] * len(parent)
+    for v in forest.order.tolist():
+        if parent[v] >= 0:
+            phi[v] = phi[parent[v]] + sign[v] * c[edge[v]]
+    return np.array(phi)
 
 
 def build_complex(vertices, tets, tet_coords=None) -> SimplicialComplex3:
@@ -234,13 +303,6 @@ def build_complex(vertices, tets, tet_coords=None) -> SimplicialComplex3:
         tet_face_sign=tet_face_sign,
         boundary_faces=boundary_faces,
     )
-
-
-def boundary_operator(complex: SimplicialComplex3, k: int) -> sp.csr_matrix:
-    """Signed incidence matrix for degree k: 1 -> D0, 2 -> D1, 3 -> D2."""
-    if k not in (1, 2, 3):
-        raise ValueError("k must be 1, 2 or 3")
-    return (complex.D0, complex.D1, complex.D2)[k - 1]
 
 
 @dataclass

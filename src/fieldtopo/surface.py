@@ -13,7 +13,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import OpenBoundary
-from .mesh import SimplicialComplex3
+from .mesh import SimplicialComplex3, memo
 
 
 @dataclass
@@ -27,30 +27,13 @@ class SurfaceComplex:
     parent_edge_ids: np.ndarray  # (Es,) matching edge index in the parent
     D1s: sp.csr_matrix          # (Fs,Es) face-edge incidence of the surface
     face_component: np.ndarray  # (Fs,) component label per face
+    vertex_component: dict[int, int]  # vertex -> label of the first face holding it
     genus: list[int]            # per component
     oriented: bool              # True when induced orientations are consistent
 
     @property
     def num_components(self) -> int:
         return len(self.genus)
-
-    def vertex_ids(self) -> np.ndarray:
-        return np.unique(self.oriented_tris)
-
-    def euler_characteristics(self) -> list[int]:
-        out = []
-        for comp in range(self.num_components):
-            fmask = self.face_component == comp
-            verts = np.unique(self.oriented_tris[fmask])
-            emask = np.isin(self.edges[:, 0], verts) & np.isin(self.edges[:, 1], verts)
-            out.append(len(verts) - int(emask.sum()) + int(fmask.sum()))
-        return out
-
-    def embed_edge_cochain(self, values: np.ndarray) -> np.ndarray:
-        """Extend a surface edge cochain by zero to the parent edge set."""
-        full = np.zeros(self.parent.num_edges, dtype=np.asarray(values).dtype)
-        full[self.parent_edge_ids] = values
-        return full
 
     def restrict_edge_cochain(self, full: np.ndarray) -> np.ndarray:
         """Pull a parent edge cochain back to the surface edges."""
@@ -80,11 +63,16 @@ class SurfaceComplex:
 
 
 def boundary_surface(complex: SimplicialComplex3) -> SurfaceComplex:
-    """Extract the boundary faces with their induced (outward) orientation.
+    """The boundary faces with their induced (outward) orientation.
 
-    Raises OpenBoundary if the boundary faces do not close up (some edge of a
-    boundary face not shared by exactly two boundary faces).
+    Extracted once per complex and shared by every caller, so the surface is
+    read-only.  Raises OpenBoundary if the boundary faces do not close up
+    (some edge of a boundary face not shared by exactly two boundary faces).
     """
+    return memo(complex, "boundary_surface", lambda: _extract_surface(complex))
+
+
+def _extract_surface(complex: SimplicialComplex3) -> SurfaceComplex:
     face_ids = complex.boundary_faces
     ntris = len(face_ids)
     D2 = complex.D2.tocsc()
@@ -145,6 +133,11 @@ def boundary_surface(complex: SimplicialComplex3) -> SurfaceComplex:
     )
     adj = face_of_edge.T @ face_of_edge
     ncomp, labels = sp.csgraph.connected_components(adj, directed=False)
+    # vertices in order of first appearance (faces in order, then corners)
+    corners = oriented.ravel()
+    _, first = np.unique(corners, return_index=True)
+    first.sort()
+    vertex_component = dict(zip(corners[first].tolist(), np.repeat(labels, 3)[first].tolist()))
 
     genus = []
     for comp in range(ncomp):
@@ -162,6 +155,7 @@ def boundary_surface(complex: SimplicialComplex3) -> SurfaceComplex:
         parent_edge_ids=parent_edge_ids,
         D1s=D1s,
         face_component=labels,
+        vertex_component=vertex_component,
         genus=genus,
         oriented=consistent,
     )

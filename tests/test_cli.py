@@ -1,6 +1,8 @@
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stdout
 
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fieldtopo
 from fieldtopo.cli import RunConfig, build_geometry, main, run
 from fieldtopo.writers import dumps_json
 
@@ -186,6 +189,17 @@ def test_bad_counts_always_give_json(text):
         rc = main(["gen", f"--n={text}", "--out", tmp])
     assert rc == 2
     assert json.loads(buf.getvalue())["error"] == "ConfigError"
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    """--threads pins the BLAS/OpenMP pools, so numpy must load after parsing."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fieldtopo.__file__)))
+    code = "import sys, fieldtopo.cli; print(sorted({'numpy', 'scipy'} & set(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, check=True,
+    )
+    assert proc.stdout.strip() == "[]"
 
 
 def test_dumps_json_escapes_strings():

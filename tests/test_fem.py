@@ -7,7 +7,6 @@ from fieldtopo.fem import (
     face_flux_interpolant,
     field_proxies,
     mass_matrix,
-    proxy_eval,
 )
 from fieldtopo.generators import GridSpec, gen_grid
 from fieldtopo.mesh import build_complex
@@ -19,15 +18,9 @@ REF = build_complex(
 TAU = 2 * np.pi
 
 
-def test_m0_reference_entries():
-    M0 = mass_matrix(REF, 0).toarray()
-    assert M0[0, 0] == pytest.approx(1 / 60, abs=1e-16)
-    assert M0[0, 1] == pytest.approx(1 / 120, abs=1e-16)
-
-
 def test_m1_reference_entry():
     # int |lam0 grad lam1 - lam1 grad lam0|^2 over the reference tet
-    M1 = mass_matrix(REF, 1).toarray()
+    M1 = mass_matrix(REF).toarray()
     assert M1[0, 0] == pytest.approx(1 / 12, abs=1e-15)
 
 
@@ -35,18 +28,18 @@ def test_curl_proxy_reference():
     # edge (1,2) is canonical edge index 3; curl w = 2 e1 x e2 = (0,0,2)
     h = np.zeros(6)
     h[3] = 1.0
-    p = proxy_eval(REF, h, 0)
-    assert np.allclose(p.curlH_vec, [0, 0, 2], atol=1e-15)
+    _, curlH = field_proxies(REF, h)
+    assert np.allclose(curlH[0], [0, 0, 2], atol=1e-15)
 
 
 def test_mass_matrices_spd(cube4, cube4_fem):
     rng = np.random.default_rng(0)
-    for M in (cube4_fem.M0, cube4_fem.M1, cube4_fem.M2):
-        assert abs(M - M.T).max() < 1e-14
-        np.linalg.cholesky(M.toarray())  # SPD iff this succeeds
-        for _ in range(5):
-            x = rng.standard_normal(M.shape[0])
-            assert x @ (M @ x) > 0
+    M = cube4_fem.M1
+    assert abs(M - M.T).max() < 1e-14
+    np.linalg.cholesky(M.toarray())  # SPD iff this succeeds
+    for _ in range(5):
+        x = rng.standard_normal(M.shape[0])
+        assert x @ (M @ x) > 0
 
 
 def test_curl_pairing_symmetric_on_closed_mesh(torus3_coarse, torus3_coarse_fem):

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import fieldtopo.beltrami as beltrami
 import fieldtopo.homology as homology
 import fieldtopo.snf as snf
+import fieldtopo.surface as surface
 from fieldtopo import cli
 from fieldtopo.errors import TrivialH1
 from fieldtopo.generators import GridSpec, gen_grid
@@ -148,11 +150,19 @@ def test_cached_topology_returns_copies(box_ring):
 
 
 def test_pipeline_computes_topology_once(tmp_path, monkeypatch, box_ring):
-    """One absolute and one relative Betti computation, one mesh tree gauge."""
+    """One absolute and one relative Betti computation, one mesh tree gauge,
+    one boundary surface and one dual-loop search per H^1 generator."""
+    cx = box_ring  # the CLI builds the same n=5 mesh
+    V, E, F, T = cx.num_vertices, cx.num_edges, cx.num_faces, cx.num_tets
+    Fs, Es = boundary_surface(cx).D1s.shape  # before extractions are counted
     snf_shapes = []
     gauge_shapes = []
+    loops = []
+    extractions = []
     real_snf = snf.smith_normal_form
     real_gauge = homology.tree_gauge_cocycles
+    real_loop = homology.pairing_loop
+    real_extract = surface._extract_surface
 
     def counting_snf(A, *args, **kwargs):
         if sp.issparse(A):
@@ -163,18 +173,30 @@ def test_pipeline_computes_topology_once(tmp_path, monkeypatch, box_ring):
         gauge_shapes.append(D1.shape)
         return real_gauge(edges, D1)
 
+    def counting_loop(edges, *args, **kwargs):
+        loops.append(len(edges))
+        return real_loop(edges, *args, **kwargs)
+
+    def counting_extract(cx):
+        extractions.append(cx.num_tets)
+        return real_extract(cx)
+
     monkeypatch.setattr(snf, "smith_normal_form", counting_snf)
     monkeypatch.setattr(homology, "smith_normal_form", counting_snf)
     monkeypatch.setattr(homology, "tree_gauge_cocycles", counting_gauge)
+    monkeypatch.setattr(beltrami, "tree_gauge_cocycles", counting_gauge)
+    monkeypatch.setattr(homology, "pairing_loop", counting_loop)
+    monkeypatch.setattr(surface, "_extract_surface", counting_extract)
     rc = cli.main(["pipeline", "--geometry", "box-ring", "--n", "5",
                    "--threads", "1", "--out", str(tmp_path)])
     assert rc == 0
-    cx = box_ring  # the CLI builds the same n=5 mesh
-    V, E, F, T = cx.num_vertices, cx.num_edges, cx.num_faces, cx.num_tets
     absolute = [(E, V), (F, E), (T, F)]
     assert len(snf_shapes) == 6
     assert snf_shapes[:3] == absolute
     assert all(shape not in absolute for shape in snf_shapes[3:])
-    # the mesh gauge runs once; the other call gauges the boundary surface
-    assert gauge_shapes.count((F, E)) == 1
-    assert len(gauge_shapes) == 2
+    # one gauge each: the mesh, the boundary surface, and the interior edges
+    # with the boundary contracted (zero-trace harmonic fields)
+    assert sorted(gauge_shapes) == sorted([(F, E), (Fs, Es), (F, E - Es)])
+    assert extractions == [T]
+    # b1 = 1 mesh loop plus the two loops of the boundary torus
+    assert sorted(loops) == [Es, Es, E]

@@ -1,14 +1,13 @@
+from collections import deque
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fieldtopo.errors import DegenerateTet, NonManifoldFace
 from fieldtopo.generators import GridSpec, gen_grid
-from fieldtopo.mesh import (
-    Cochain,
-    boundary_operator,
-    build_complex,
-    validate_complex,
-)
+from fieldtopo.mesh import build_complex, integrate_potential, spanning_forest, validate_complex
 
 REF_VERTS = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]])
 
@@ -22,7 +21,7 @@ def test_single_tet_counts():
 
 def test_single_tet_d2_entries():
     cx = build_complex(REF_VERTS, [[0, 1, 2, 3]])
-    d2 = boundary_operator(cx, 3).toarray()
+    d2 = cx.D2.toarray()
     assert d2.shape == (1, 4)
     assert sorted(np.abs(d2).ravel()) == [1, 1, 1, 1]
 
@@ -152,11 +151,95 @@ def test_closed_mesh_no_boundary(torus3_coarse):
     assert len(torus3_coarse.boundary_faces) == 0
 
 
-def test_cochain_roundtrip(cube4):
-    phi = np.arange(cube4.num_vertices, dtype=float)
-    c = Cochain(cube4, 0, phi)
-    g = c.d()
-    assert g.degree == 1
-    assert np.allclose(np.asarray(g.d()), 0.0)
-    with pytest.raises(ValueError):
-        Cochain(cube4, 1, phi)
+def reference_forest(edges, num_nodes, roots):
+    """Queue-based BFS with sorted adjacency lists: the visit rules the
+    spanning-forest helper must reproduce."""
+    adj = {}
+    for k, (a, b) in enumerate(edges):
+        adj.setdefault(a, []).append((b, k, 1))
+        adj.setdefault(b, []).append((a, k, -1))
+    for v in adj:
+        adj[v].sort()
+    parent, edge, order, seen = [-1] * num_nodes, [-1] * num_nodes, [], set()
+    for root in [*roots, *sorted(adj)]:
+        if root in seen:
+            continue
+        seen.add(root)
+        queue = deque([root])
+        while queue:
+            u = queue.popleft()
+            order.append(u)
+            for v, k, _ in adj.get(u, []):
+                if v not in seen:
+                    seen.add(v)
+                    parent[v], edge[v] = u, k
+                    queue.append(v)
+    return order, parent, edge
+
+
+@st.composite
+def multigraphs(draw):
+    n = draw(st.integers(1, 12))
+    node = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(node, node), max_size=30))  # loops, parallels
+    roots = draw(st.lists(node, max_size=3, unique=True))
+    return n, edges, roots
+
+
+@settings(max_examples=300, deadline=None)
+@given(multigraphs(), st.data())
+def test_spanning_forest_properties(graph, data):
+    n, edges, roots = graph
+    forest = spanning_forest(np.array(edges, dtype=np.int64).reshape(-1, 2), n, roots)
+    order, parent, edge = reference_forest(edges, n, roots)
+    assert forest.order.tolist() == order
+    assert forest.parent.tolist() == parent
+    assert forest.edge.tolist() == edge
+
+    # (nodes with edges - components) tree edges and no cycle
+    def union_find(pairs):
+        find = list(range(n))
+
+        def top(v):
+            while find[v] != v:
+                v = find[v]
+            return v
+
+        joins = []
+        for a, b in pairs:
+            ra, rb = top(a), top(b)
+            joins.append(ra != rb)
+            find[ra] = rb
+        return [top(v) for v in range(n)], joins
+
+    comp, _ = union_find(edges)
+    touched = {v for e in edges for v in e}
+    tree = forest.tree_edges
+    assert len(tree) == len(touched) - len({comp[v] for v in touched})
+    assert all(union_find([edges[k] for k in tree])[1])
+
+    # each tree edge joins a node to its parent, the lowest id among parallels
+    for v in np.flatnonzero(forest.parent >= 0):
+        p, k = forest.parent[v], forest.edge[v]
+        assert sorted(edges[k]) == sorted((p, v))
+        assert forest.sign[v] == (1 if edges[k][0] == p else -1)
+        assert all(sorted(e) != sorted(edges[k]) for e in edges[:k])
+
+    # explicit roots come first and start a tree unless reached before
+    reached = set()
+    for r in roots:
+        if r not in reached:
+            assert forest.parent[r] == -1
+            reached |= {v for v in range(n) if comp[v] == comp[r]}
+    if roots:
+        assert forest.order[0] == roots[0]
+
+    # the potential of an exact integer cochain recovers phi - phi(root)
+    phi = np.array(data.draw(st.lists(st.integers(-50, 50), min_size=n, max_size=n)))
+    d0phi = np.array([phi[b] - phi[a] for a, b in edges], dtype=float)
+    pot = integrate_potential(forest, d0phi)
+    for v in forest.order:
+        top = v
+        while forest.parent[top] >= 0:
+            top = forest.parent[top]
+        assert pot[v] == phi[v] - phi[top]
