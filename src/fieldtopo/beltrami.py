@@ -153,8 +153,8 @@ def _boundary_data(cx: SimplicialComplex3, bc: BoundaryCondition) -> BoundaryDat
     if sum(surf.genus) > 0:
         sbasis = surface_h1_basis(surf)
         nb = sbasis.rank
-        sigma_all = [c.copy() for c in sbasis.cocycles]
-        zeta_all = [z.chain.copy() for z in sbasis.dual_cycles]
+        sigma_all = sbasis.cocycles
+        zeta_all = sbasis.dual_cycles
 
         omegas = h1_cocycles_auto(cx)
         if omegas:
@@ -432,7 +432,7 @@ def _harmonic_columns(pencil: ReducedPencil) -> np.ndarray:
         if not h1_cocycles_auto(cx):
             return np.zeros((pencil.ndof, 0))
         duals = h1_basis(cx).dual_cycles
-        classes = np.array([[int(r @ z.chain) for z in duals] for r in reps])
+        classes = np.array([[int(r @ z) for z in duals] for r in reps])
         keep: list[int] = []
         rank = 0
         for i in range(len(reps)):

@@ -152,7 +152,7 @@ def _emit_cuts(cx, fem, outdir, cfg: RunConfig):
     cut.validate_manifold()
     crossings = verify_cut(cx, cut, basis)
     flagged = critical_scan(cx, rep)
-    periods = [float(rep.omega @ z.chain) for z in basis.dual_cycles]
+    periods = [float(rep.omega @ z) for z in basis.dual_cycles]
     doc = {
         "schema": SCHEMA_VERSION,
         "kind": "cuts",

@@ -338,8 +338,8 @@ def verify_cut(
     out = []
     for z in basis.dual_cycles:
         total = 0
-        for ge in np.flatnonzero(z.chain):
-            total += int(z.chain[ge]) * crossings_per_edge.get(int(ge), 0)
+        for ge in np.flatnonzero(z):
+            total += int(z[ge]) * crossings_per_edge.get(int(ge), 0)
         out.append(total)
     return np.array(out, dtype=np.int64)
 

@@ -5,32 +5,33 @@ cochains (one per periodic axis) that are closed by construction.  For
 everything else we use a tree gauge: every class of closed 1-cochains has a
 unique representative vanishing on a spanning forest, so H^1(Z) is exactly
 the integer kernel of the curl operator restricted to non-tree edges.  Dual
-cycles are edge loops found by a breadth-first search over (vertex, partial
-pairing) states, constrained to close up with a prescribed pairing vector.
+cycles are integer combinations of the fundamental cycles of a spanning
+forest, chosen so that their pairing with the cocycle basis is the identity.
 """
 
 from __future__ import annotations
 
-import warnings
-from collections import deque
 from dataclasses import dataclass
+from math import prod
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import TrivialH1
-from .mesh import SimplicialComplex3, memo, spanning_forest
-from .snf import integer_kernel_basis, rank_mod_p, smith_normal_form
+from .mesh import SimplicialComplex3, integrate_potential, memo, spanning_forest
+from .snf import integer_kernel_basis, smith_normal_form
 from .surface import SurfaceComplex
-
-EXACT_SNF_LIMIT = 20000
 
 
 @dataclass
 class BettiNumbers:
     betti: tuple[int, int, int, int]
     torsion: list[list[int]]  # invariant factors > 1, per degree
-    exact: bool
+
+    @property
+    def exact(self) -> bool:
+        """Always true: ranks and torsion come from exact Smith normal forms."""
+        return True
 
     @property
     def torsion_free(self) -> bool:
@@ -41,17 +42,9 @@ class BettiNumbers:
 
 
 @dataclass
-class DualCycle:
-    """Integer 1-cycle realized as a closed edge walk."""
-
-    chain: np.ndarray        # signed edge multiplicities
-    vertices: list[int]      # closed vertex walk, first == last
-
-
-@dataclass
 class CohomologyBasis:
     cocycles: list[np.ndarray]     # integer closed 1-cochains
-    dual_cycles: list[DualCycle]   # edge loops with pairing = identity
+    dual_cycles: list[np.ndarray]  # integer 1-cycles with pairing = identity
     pairing: np.ndarray            # integer period matrix
 
     @property
@@ -59,28 +52,13 @@ class CohomologyBasis:
         return len(self.cocycles)
 
 
-def _use_exact(counts) -> bool:
-    if max(counts) <= EXACT_SNF_LIMIT:
-        return True
-    warnings.warn(
-        f"complex exceeds {EXACT_SNF_LIMIT} simplices per degree; "
-        "computing Betti numbers over GF(p), torsion not certified",
-        stacklevel=4,
-    )
-    return False
-
-
-def _chain_betti(counts, boundaries, exact: bool) -> BettiNumbers:
+def _chain_betti(counts, boundaries) -> BettiNumbers:
     """Betti numbers and torsion of a chain complex from its three boundary ranks."""
     ranks, torsion = [], []
     for A in boundaries:
-        if exact:
-            r = smith_normal_form(A)
-            ranks.append(r.rank)
-            torsion.append([int(f) for f in r.invariant_factors if f > 1])
-        else:
-            ranks.append(rank_mod_p(A))
-            torsion.append([])
+        r = smith_normal_form(A)
+        ranks.append(r.rank)
+        torsion.append([int(f) for f in r.invariant_factors if f > 1])
     r1, r2, r3 = ranks
     betti = (
         counts[0] - r1,
@@ -88,22 +66,18 @@ def _chain_betti(counts, boundaries, exact: bool) -> BettiNumbers:
         counts[2] - r2 - r3,
         counts[3] - r3,
     )
-    return BettiNumbers(betti=betti, torsion=torsion + [[]], exact=exact)
+    return BettiNumbers(betti=betti, torsion=torsion + [[]])
 
 
 def _cached_betti(cx, kind: str, counts, boundaries) -> BettiNumbers:
-    # the exactness decision (and its warning) is made on every call and is
-    # part of the key, so a changed EXACT_SNF_LIMIT never sees a stale record
-    exact = _use_exact(counts)
-    b = memo(cx, (kind, exact), lambda: _chain_betti(counts, boundaries(), exact))
-    return BettiNumbers(betti=b.betti, torsion=[list(t) for t in b.torsion], exact=b.exact)
+    b = memo(cx, kind, lambda: _chain_betti(counts, boundaries()))
+    return BettiNumbers(betti=b.betti, torsion=[list(t) for t in b.torsion])
 
 
 def betti_numbers(cx: SimplicialComplex3) -> BettiNumbers:
     """Betti numbers and torsion of H_* from Smith normal form ranks.
 
-    Computed once per complex (and exactness decision); each call returns
-    its own copy.
+    Computed once per complex; each call returns its own copy.
     """
     counts = [cx.num_vertices, cx.num_edges, cx.num_faces, cx.num_tets]
     return _cached_betti(cx, "absolute", counts, lambda: (cx.D0, cx.D1, cx.D2))
@@ -133,17 +107,6 @@ def relative_betti(cx: SimplicialComplex3) -> BettiNumbers:
     return _cached_betti(cx, "relative", counts, boundaries)
 
 
-def _adjacency(edges: np.ndarray) -> dict[int, list[tuple[int, int, int]]]:
-    """vertex -> sorted list of (neighbour, edge index, sign along canonical)."""
-    adj: dict[int, list[tuple[int, int, int]]] = {}
-    for k, (a, b) in enumerate(edges):
-        adj.setdefault(int(a), []).append((int(b), k, 1))
-        adj.setdefault(int(b), []).append((int(a), k, -1))
-    for v in adj:
-        adj[v].sort()
-    return adj
-
-
 def tree_gauge_cocycles(edges: np.ndarray, D1: sp.spmatrix) -> list[np.ndarray]:
     """Integer basis of H^1(Z) as closed 1-cochains vanishing on a forest.
 
@@ -164,59 +127,54 @@ def tree_gauge_cocycles(edges: np.ndarray, D1: sp.spmatrix) -> list[np.ndarray]:
     return out
 
 
-def pairing_loop(
-    edges: np.ndarray,
-    cocycles: list[np.ndarray],
-    target_index: int,
-    max_offset: int = 4,
-) -> DualCycle:
-    """Closed edge walk whose pairing with the cocycle basis is e_j.
+def dual_loops(edges: np.ndarray, cocycles: list[np.ndarray]) -> list[np.ndarray]:
+    """Integer 1-cycles z_j with <c_i, z_j> = delta_ij, one per cocycle.
 
-    Breadth-first search over (vertex, partial pairing offset) states with
-    offsets clamped to |.|_inf <= bound; the bound is widened on failure.
+    Every non-tree edge e of a spanning forest closes a fundamental cycle
+    z_e (e plus the tree path back from its head to its tail), which pairs
+    with c as c[e] - (phi[head] - phi[tail]), phi the integer potential of c
+    along the forest.  Distinct nonzero pairing columns are taken in order
+    of first edge id, each kept only if it enlarges their lattice, until
+    that lattice is all of Z^b; a Smith form then gives the integer right
+    inverse Y with P_S Y = I, and z_j = sum_s Y[s, j] z_{e_s}.  Raises
+    RuntimeError if the cocycles do not span a saturated rank-b lattice.
     """
     b = len(cocycles)
-    q = np.stack(cocycles, axis=1)  # (E, b) pairing increments
-    adj = _adjacency(edges)
-    target = tuple(int(i == target_index) for i in range(b))
+    forest = spanning_forest(edges)
+    C = np.stack(cocycles)
+    phi = np.rint([integrate_potential(forest, c) for c in C]).astype(np.int64)
+    P = C - (phi[:, edges[:, 1]] - phi[:, edges[:, 0]])
 
-    roots = spanning_forest(edges).roots.tolist()
+    nonzero = np.flatnonzero(P.any(axis=0))
+    _, first = np.unique(P[:, nonzero], axis=1, return_index=True)
+    chosen: list[int] = []
+    best = (0, 0)  # (rank, -index of the lattice in its saturation)
+    for e in nonzero[np.sort(first)].tolist():
+        res = smith_normal_form(P[:, chosen + [e]])
+        key = (res.rank, -prod(res.invariant_factors))
+        if key > best:
+            chosen.append(e)
+            best = key
+            if best == (b, -1):
+                break
+    if best != (b, -1):
+        raise RuntimeError(
+            f"cocycles do not span a saturated rank-{b} lattice of periods "
+            f"(rank {best[0]}, index {-best[1]})"
+        )
+    res = smith_normal_form(P[:, chosen], transforms=True)
+    Y = np.array((res.V[:, :b] @ res.U).tolist(), dtype=np.int64)
 
-    for bound in range(1, max_offset + 1):
-        for root in roots:
-            start = (root, (0,) * b)
-            goal = (root, target)
-            parents: dict = {start: None}
-            queue = deque([start])
-            found = False
-            while queue:
-                state = queue.popleft()
-                if state == goal:
-                    found = True
-                    break
-                u, off = state
-                for v, k, s in adj[u]:
-                    noff = tuple(o + s * int(q[k, i]) for i, o in enumerate(off))
-                    if max(abs(o) for o in noff) > bound:
-                        continue
-                    nstate = (v, noff)
-                    if nstate not in parents:
-                        parents[nstate] = (state, k, s)
-                        queue.append(nstate)
-            if found:
-                chain = np.zeros(len(edges), dtype=np.int64)
-                verts = [root]
-                state = goal
-                while parents[state] is not None:
-                    prev, k, s = parents[state]
-                    chain[k] += s
-                    verts.append(prev[0])
-                    state = prev
-                verts.reverse()
-                return DualCycle(chain=chain, vertices=verts)
-    raise RuntimeError(
-        f"no dual loop with pairing e_{target_index} within offset bound {max_offset}"
-    )
+    # column s of Z is the fundamental cycle of edge chosen[s]
+    parent, tree_edge, sign = forest.parent.tolist(), forest.edge.tolist(), forest.sign.tolist()
+    Z = np.zeros((len(edges), len(chosen)), dtype=np.int64)
+    for s, e in enumerate(chosen):
+        Z[e, s] = 1
+        for v, f in ((int(edges[e, 1]), -1), (int(edges[e, 0]), 1)):
+            while parent[v] >= 0:
+                Z[tree_edge[v], s] += f * sign[v]
+                v = parent[v]
+    return [Z @ Y[:, j] for j in range(b)]
 
 
 def h1_cocycles_auto(cx: SimplicialComplex3) -> list[np.ndarray]:
@@ -245,11 +203,9 @@ def h1_cocycles_auto(cx: SimplicialComplex3) -> list[np.ndarray]:
 
 
 def _dual_basis(edges: np.ndarray, cocycles: list[np.ndarray], what: str) -> CohomologyBasis:
-    """Cocycles plus dual loops searched for each; checks the identity pairing."""
-    cycles = [pairing_loop(edges, cocycles, j) for j in range(len(cocycles))]
-    pairing = np.array(
-        [[int(c @ z.chain) for z in cycles] for c in cocycles], dtype=np.int64
-    )
+    """Cocycles plus their dual loops; checks the identity pairing."""
+    cycles = dual_loops(edges, cocycles)
+    pairing = np.array([[int(c @ z) for z in cycles] for c in cocycles], dtype=np.int64)
     if not np.array_equal(pairing, np.eye(len(cocycles), dtype=np.int64)):
         raise RuntimeError(f"{what} is not the identity:\n{pairing}")
     return CohomologyBasis(cocycles=cocycles, dual_cycles=cycles, pairing=pairing)
@@ -258,7 +214,7 @@ def _dual_basis(edges: np.ndarray, cocycles: list[np.ndarray], what: str) -> Coh
 def h1_basis(cx: SimplicialComplex3) -> CohomologyBasis:
     """Integer H^1 basis with dual edge loops; pairing is the identity.
 
-    The dual loops are searched once per complex; each call returns its own
+    The dual loops are built once per complex; each call returns its own
     copy of the basis.
     """
 
@@ -271,7 +227,7 @@ def h1_basis(cx: SimplicialComplex3) -> CohomologyBasis:
     basis = memo(cx, "h1_basis", compute)
     return CohomologyBasis(
         cocycles=[c.copy() for c in basis.cocycles],
-        dual_cycles=[DualCycle(z.chain.copy(), list(z.vertices)) for z in basis.dual_cycles],
+        dual_cycles=[z.copy() for z in basis.dual_cycles],
         pairing=basis.pairing.copy(),
     )
 

@@ -169,7 +169,6 @@ def _dense_snf(M: list[list[int]], want_transforms: bool):
                 g = gcd(a, b)
                 # Euclidean steps on the (i, i+1) block
                 while M[i + 1][i]:
-                    q = M[i][i] // M[i + 1][i] if M[i + 1][i] else 0
                     if abs(M[i][i]) >= abs(M[i + 1][i]):
                         add_row(i, i + 1, -(M[i][i] // M[i + 1][i]))
                     swap_rows(i, i + 1)
@@ -301,55 +300,6 @@ def smith_normal_form(A, transforms: bool = False) -> SnfResult:
     M = _remainder_dense(rows)
     diag, _, _ = _dense_snf(M, False) if M and M[0] else ([], None, None)
     return SnfResult((m, n), [1] * npiv + diag)
-
-
-def integer_rank(A) -> int:
-    return smith_normal_form(A).rank
-
-
-def rank_mod_p(A, p: int = 2147483629) -> int:
-    """Rank over GF(p); used as the fast fallback above the exact-SNF cutoff."""
-    rows, m, n = _to_int_rows(A)
-    rows = [{j: v % p for j, v in r.items() if v % p} for r in rows]
-    col_rows: dict[int, set[int]] = {}
-    for i, r in enumerate(rows):
-        for j in r:
-            col_rows.setdefault(j, set()).add(i)
-    active = set(range(m))
-    heap = [(len(rows[i]), i) for i in active if rows[i]]
-    heapq.heapify(heap)
-    rank = 0
-    while heap:
-        length, pr = heapq.heappop(heap)
-        if pr not in active or not rows[pr] or length != len(rows[pr]):
-            if pr in active and rows[pr]:
-                heapq.heappush(heap, (len(rows[pr]), pr))
-            continue
-        q = min(rows[pr], key=lambda j: (len(col_rows[j]), j))
-        inv = pow(rows[pr][q], p - 2, p)
-        for i in list(col_rows[q]):
-            if i == pr or i not in active:
-                continue
-            f = (rows[i][q] * inv) % p
-            ri, rp = rows[i], rows[pr]
-            for j, v in rp.items():
-                w = (ri.get(j, 0) - f * v) % p
-                if w:
-                    if j not in ri:
-                        col_rows.setdefault(j, set()).add(i)
-                    ri[j] = w
-                elif j in ri:
-                    del ri[j]
-                    col_rows[j].discard(i)
-            if rows[i]:
-                heapq.heappush(heap, (len(rows[i]), i))
-        for j in rows[pr]:
-            col_rows[j].discard(pr)
-        rows[pr] = {}
-        active.discard(pr)
-        col_rows.pop(q, None)
-        rank += 1
-    return rank
 
 
 def integer_kernel_basis(A) -> list[np.ndarray]:

@@ -169,10 +169,10 @@ def test_error_contract(tmp_path, capsys, argv, error):
 def test_homology_runtime_error_contract(tmp_path, capsys, monkeypatch):
     import fieldtopo.homology as homology
 
-    def no_loop(*args, **kwargs):
-        raise RuntimeError("no dual loop with pairing e_0 within offset bound 4")
+    def no_loops(*args, **kwargs):
+        raise RuntimeError("cocycles do not span a saturated rank-1 lattice of periods")
 
-    monkeypatch.setattr(homology, "pairing_loop", no_loop)
+    monkeypatch.setattr(homology, "dual_loops", no_loops)
     rc = main(["cuts", "--geometry", "solid-torus", "--n", "2,2,8", "--size", "1,1,2",
                "--out", str(tmp_path)])
     assert rc == 2

@@ -37,7 +37,7 @@ def test_exact_cocycle_gives_zero(solid_torus, solid_torus_fem):
 
 def test_harmonic_rep_period_and_coclosure(solid_torus, st_basis, st_rep):
     assert st_rep.coclosure_residual <= 1e-10
-    period = st_rep.omega @ st_basis.dual_cycles[0].chain
+    period = st_rep.omega @ st_basis.dual_cycles[0]
     assert period == pytest.approx(1.0, abs=1e-9)
 
 

@@ -1,6 +1,11 @@
+import warnings
+from functools import lru_cache
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fieldtopo.beltrami as beltrami
 import fieldtopo.homology as homology
@@ -8,15 +13,17 @@ import fieldtopo.snf as snf
 import fieldtopo.surface as surface
 from fieldtopo import cli
 from fieldtopo.errors import TrivialH1
-from fieldtopo.generators import GridSpec, gen_grid
+from fieldtopo.generators import GridSpec, gen_box_minus_ring, gen_grid
 from fieldtopo.homology import (
     betti_numbers,
+    dual_loops,
     h1_basis,
     h1_cocycles_auto,
     relative_betti,
     surface_h1_basis,
     tree_gauge_cocycles,
 )
+from fieldtopo.mesh import build_complex
 from fieldtopo.surface import boundary_surface
 
 KNOWN = [
@@ -71,9 +78,10 @@ def test_h1_solid_torus(solid_torus):
     assert set(np.unique(c)) <= {-1, 0, 1}
     assert np.abs(solid_torus.D1 @ c).max() == 0
     assert np.array_equal(basis.pairing, np.eye(1, dtype=np.int64))
-    # the dual loop is a closed vertex walk
+    # the dual loop is a closed integer chain
     z = basis.dual_cycles[0]
-    assert z.vertices[0] == z.vertices[-1]
+    assert z.dtype == np.int64
+    assert not (solid_torus.D0.T @ z).any()
 
 
 def test_h1_torus3(torus3_coarse):
@@ -97,7 +105,7 @@ def test_tree_gauge_matches_seam_rank(solid_torus):
     # both constructions represent the same 1-dimensional lattice: the
     # gauged cocycle pairs +-1 with the seam basis dual loop
     basis = h1_basis(solid_torus)
-    pair = int(gauged[0] @ basis.dual_cycles[0].chain)
+    pair = int(gauged[0] @ basis.dual_cycles[0])
     assert abs(pair) == 1
 
 
@@ -118,25 +126,70 @@ def test_surface_h1_torus(solid_torus):
     assert abs(round(float(np.linalg.det(P)))) == 1
 
 
-def test_rational_fallback_warns(monkeypatch, cube4):
-    monkeypatch.setattr(homology, "EXACT_SNF_LIMIT", 10)
-    with pytest.warns(UserWarning, match="GF"):
-        b = betti_numbers(cube4)
-    assert b.betti == (1, 0, 0, 0)
-    assert not b.exact
+def test_large_mesh_topology_is_exact():
+    """21.6 k faces, above the size where ranks were once taken over GF(p)."""
+    cx = gen_grid(GridSpec(12, 12, 12))
+    assert cx.num_faces > 20000
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        b, r = betti_numbers(cx), relative_betti(cx)
+    assert b.exact and r.exact
+    assert b.betti == (1, 0, 0, 0) and r.betti == (0, 0, 0, 1)
+    assert b.torsion_free and r.torsion_free
 
 
-def test_betti_cache_keyed_by_exactness(monkeypatch):
-    cx = gen_grid(GridSpec(2, 2, 2))
-    assert betti_numbers(cx).exact
-    monkeypatch.setattr(homology, "EXACT_SNF_LIMIT", 10)
-    with pytest.warns(UserWarning, match="GF"):
-        assert not betti_numbers(cx).exact
-    with pytest.warns(UserWarning, match="GF"):  # warns again on a cached record
-        assert not relative_betti(cx).exact
-    monkeypatch.undo()
-    b = betti_numbers(cx)
-    assert b.exact and b.betti == (1, 0, 0, 0)
+def test_dual_loops_reject_unsaturated_basis(solid_torus):
+    c = h1_cocycles_auto(solid_torus)[0]
+    z = dual_loops(solid_torus.edges, [c])[0]
+    assert int(c @ z) == 1
+    with pytest.raises(RuntimeError, match="saturated"):
+        dual_loops(solid_torus.edges, [2 * c])
+    with pytest.raises(RuntimeError, match="saturated"):
+        dual_loops(solid_torus.edges, [c, -c])
+
+
+@lru_cache(maxsize=None)
+def _relabel_source(name):
+    if name == "torus3":
+        return gen_grid(GridSpec(3, 3, 3, periodic=(True, True, True)))
+    if name == "solid torus":
+        return gen_grid(GridSpec(2, 2, 8, 1.0, 1.0, 2.0, periodic=(False, False, True)))
+    return gen_box_minus_ring(5)
+
+
+def _assert_dual(D0, basis):
+    for z in basis.dual_cycles:
+        assert not (D0.T @ z).any()
+    P = [[int(c @ z) for z in basis.dual_cycles] for c in basis.cocycles]
+    assert np.array_equal(P, np.eye(basis.rank, dtype=np.int64))
+
+
+@pytest.mark.parametrize("name,b1", [("torus3", 3), ("solid torus", 1), ("box ring", 1)])
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_topology_invariant_under_relabelling(name, b1, seed):
+    """Random vertex and tet orders carry no seam data, so H^1 takes the
+    tree gauge; Betti numbers, torsion, duality and dual loops must hold."""
+    cx = _relabel_source(name)
+    rng = np.random.default_rng(seed)
+    vp = rng.permutation(cx.num_vertices)
+    tp = rng.permutation(cx.num_tets)
+    inv = np.argsort(vp)
+    rx = build_complex(cx.vertices[vp], inv[cx.tets[tp]], cx.tet_coords[tp])
+    assert "seam_crossings" not in rx.meta
+
+    for f in (betti_numbers, relative_betti):
+        assert (f(rx).betti, f(rx).torsion) == (f(cx).betti, f(cx).torsion)
+    b, r = betti_numbers(rx).betti, relative_betti(rx).betti
+    assert b[1] == b1
+    assert all(b[k] == r[3 - k] for k in range(4))
+
+    basis = h1_basis(rx)
+    assert basis.rank == b1
+    _assert_dual(rx.D0, basis)
+    if len(rx.boundary_faces):
+        surf = boundary_surface(rx)
+        _assert_dual(rx.D0[surf.parent_edge_ids], surface_h1_basis(surf))
 
 
 def test_cached_topology_returns_copies(box_ring):
@@ -151,7 +204,7 @@ def test_cached_topology_returns_copies(box_ring):
 
 def test_pipeline_computes_topology_once(tmp_path, monkeypatch, box_ring):
     """One absolute and one relative Betti computation, one mesh tree gauge,
-    one boundary surface and one dual-loop search per H^1 generator."""
+    one boundary surface and one dual-loop construction per H^1 basis."""
     cx = box_ring  # the CLI builds the same n=5 mesh
     V, E, F, T = cx.num_vertices, cx.num_edges, cx.num_faces, cx.num_tets
     Fs, Es = boundary_surface(cx).D1s.shape  # before extractions are counted
@@ -161,7 +214,7 @@ def test_pipeline_computes_topology_once(tmp_path, monkeypatch, box_ring):
     extractions = []
     real_snf = snf.smith_normal_form
     real_gauge = homology.tree_gauge_cocycles
-    real_loop = homology.pairing_loop
+    real_loops = homology.dual_loops
     real_extract = surface._extract_surface
 
     def counting_snf(A, *args, **kwargs):
@@ -173,9 +226,10 @@ def test_pipeline_computes_topology_once(tmp_path, monkeypatch, box_ring):
         gauge_shapes.append(D1.shape)
         return real_gauge(edges, D1)
 
-    def counting_loop(edges, *args, **kwargs):
-        loops.append(len(edges))
-        return real_loop(edges, *args, **kwargs)
+    def counting_loops(edges, cocycles):
+        out = real_loops(edges, cocycles)
+        loops.append((len(edges), len(out)))
+        return out
 
     def counting_extract(cx):
         extractions.append(cx.num_tets)
@@ -185,7 +239,7 @@ def test_pipeline_computes_topology_once(tmp_path, monkeypatch, box_ring):
     monkeypatch.setattr(homology, "smith_normal_form", counting_snf)
     monkeypatch.setattr(homology, "tree_gauge_cocycles", counting_gauge)
     monkeypatch.setattr(beltrami, "tree_gauge_cocycles", counting_gauge)
-    monkeypatch.setattr(homology, "pairing_loop", counting_loop)
+    monkeypatch.setattr(homology, "dual_loops", counting_loops)
     monkeypatch.setattr(surface, "_extract_surface", counting_extract)
     rc = cli.main(["pipeline", "--geometry", "box-ring", "--n", "5",
                    "--threads", "1", "--out", str(tmp_path)])
@@ -198,5 +252,5 @@ def test_pipeline_computes_topology_once(tmp_path, monkeypatch, box_ring):
     # with the boundary contracted (zero-trace harmonic fields)
     assert sorted(gauge_shapes) == sorted([(F, E), (Fs, Es), (F, E - Es)])
     assert extractions == [T]
-    # b1 = 1 mesh loop plus the two loops of the boundary torus
-    assert sorted(loops) == [Es, Es, E]
+    # one call per basis: the boundary torus (2 loops), the mesh (b1 = 1)
+    assert sorted(loops) == [(Es, 2), (E, 1)]
