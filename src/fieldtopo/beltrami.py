@@ -212,13 +212,12 @@ def _normalize_boundary_basis(T, sigma_all, zeta_all):
     zero_cols = [j for j in range(V.shape[1]) if not TV[:, j].any()]
     nonzero_cols = [j for j in range(V.shape[1]) if TV[:, j].any()]
     perm = zero_cols + nonzero_cols
-    Vinv = np.linalg.inv(V.astype(float))
-    Vinv_int = np.rint(Vinv).astype(np.int64)
-    if not np.array_equal(Vinv_int @ V, np.eye(V.shape[0], dtype=np.int64)):
-        raise RuntimeError("failed to invert unimodular transform exactly")
+    # V is unimodular, so its own Smith form U2 V V2 = I gives V^{-1} = V2 U2
+    inv = smith_normal_form(V, transforms=True)
+    Vinv = np.array((inv.V @ inv.U).tolist(), dtype=np.int64)
     new_zeta = [sum(int(V[l, j]) * zeta_all[l] for l in range(len(zeta_all))) for j in perm]
     new_sigma = [
-        sum(int(Vinv_int[j, l]) * sigma_all[l] for l in range(len(sigma_all)))
+        sum(int(Vinv[j, l]) * sigma_all[l] for l in range(len(sigma_all)))
         for j in perm
     ]
     return new_sigma, new_zeta, TV[:, perm]
@@ -437,7 +436,7 @@ def _harmonic_columns(pencil: ReducedPencil) -> np.ndarray:
         rank = 0
         for i in range(len(reps)):
             sub = classes[keep + [i]]
-            r = np.linalg.matrix_rank(sub.astype(float))
+            r = smith_normal_form(sub).rank
             if r > rank:
                 keep.append(i)
                 rank = r
@@ -453,17 +452,12 @@ def _harmonic_columns(pencil: ReducedPencil) -> np.ndarray:
         return np.zeros((pencil.ndof, 0))
     T = bd.restriction_pairing  # (b1, boundary rank)
     chosen = set(pencil.bc.lagrangian_choice)
-    non_chosen = [j for j in range(T.shape[1])] if T.size else []
-    non_chosen = [j for j in non_chosen if j not in chosen]
+    non_chosen = [j for j in range(T.shape[1]) if j not in chosen]
     if non_chosen:
-        Q = T[:, non_chosen]  # combos a with a @ Q = 0 are admissible
-        combos = integer_kernel_basis(Q.T) if Q.size else []
-        if Q.size and not combos:
-            return np.zeros((pencil.ndof, 0))
-        if not Q.size:
-            combos = [np.eye(b1, dtype=np.int64)[i] for i in range(b1)]
+        # combos a with a @ T[:, non_chosen] = 0 are admissible
+        combos = integer_kernel_basis(T[:, non_chosen].T)
     else:
-        combos = [np.eye(b1, dtype=np.int64)[i] for i in range(b1)]
+        combos = list(np.eye(b1, dtype=np.int64))
     cols = []
     for a in combos:
         c = sum(int(ak) * ck for ak, ck in zip(a, cocycles)).astype(float)

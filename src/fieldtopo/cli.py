@@ -147,7 +147,7 @@ def _emit_cuts(cx, fem, outdir, cfg: RunConfig):
     if not (0 <= j < basis.rank):
         raise ValueError(f"--cut-class {j} out of range (H^1 rank {basis.rank})")
     rep = harmonic_representative(cx, fem, basis.cocycles[j])
-    level = choose_level(rep) if cfg.level == "auto" else float(cfg.level)
+    level = choose_level(rep.vertex_phases()) if cfg.level == "auto" else float(cfg.level)
     cut = extract_cut(cx, rep, level)
     cut.validate_manifold()
     crossings = verify_cut(cx, cut, basis)

@@ -5,8 +5,9 @@ by an integer cocycle class.  The integer cocycle carries the class (periods
 stay exact); the harmonic representative only smooths the geometry.  Level
 sets are extracted per tet from locally integrated phases (a tet is simply
 connected), so no covering space is ever built; intersection vertices are
-keyed by (edge id, parameter) which makes the manifoldness and crossing
-bookkeeping independent of the periodic unwrapping.
+keyed by (edge id, integer level index seen from the edge's tail vertex),
+which makes the manifoldness and crossing bookkeeping exact and independent
+of the periodic unwrapping.
 """
 
 from __future__ import annotations
@@ -87,15 +88,13 @@ def harmonic_representative(
     )
 
 
-def choose_level(rep) -> float:
+def choose_level(vertex_phases: np.ndarray) -> float:
     """Midpoint of the largest gap in the sorted vertex phases mod 1.
 
     Ties go to the lowest midpoint.  Raises NoGap when the phases are so
-    dense that no level keeps the required clearance.  Accepts a HarmonicRep
-    or a raw phase array.
+    dense that no level keeps the required clearance.
     """
-    raw = rep.vertex_phases() if isinstance(rep, HarmonicRep) else np.asarray(rep)
-    phases = np.sort(np.mod(raw, 1.0))
+    phases = np.sort(np.mod(vertex_phases, 1.0))
     if len(phases) == 0:
         return 0.5
     gaps = np.diff(phases, append=phases[0] + 1.0)
@@ -111,16 +110,18 @@ def choose_level(rep) -> float:
 class CutSurface:
     """Oriented triangle soup extracted as a level set of the circle map.
 
-    Vertices are keyed by (edge id, quantized parameter): the same physical
-    intersection point reached from different tets shares a key even when
-    periodic unwrapping gives it different coordinates.
+    Vertices are keyed by (edge id, level index): the index of the level
+    copy theta0 + k that crosses the edge, counted from the global phase of
+    the edge's tail vertex.  The same physical intersection point reached
+    from different tets shares a key even when periodic unwrapping gives it
+    different coordinates.
     """
 
     level: float
     points: np.ndarray              # (P,3) one entry per polygon corner (soup)
     triangles: np.ndarray           # (K,3) indices into points
     source_tet: np.ndarray          # (K,)
-    corner_keys: list[tuple[int, int]]     # per point: (edge id, quantized t)
+    corner_keys: list[tuple[int, int]]     # per point: (edge id, level index)
     crossing_sign: dict[tuple[int, int], int]  # per key: sign of the crossing
     boundary_edges: list[tuple[int, int]]  # triangle corner-key pairs on dM
     boundary_edge_faces: dict[tuple, int] = field(default_factory=dict)  # -> mesh face
@@ -177,10 +178,6 @@ class CutSurface:
                 b = find(k)
                 parent[b] = a
         return len({find(k) for k in parent})
-
-
-def _quantize(t: float) -> int:
-    return int(round(t * 1e8))
 
 
 def extract_cut(cx: SimplicialComplex3, rep: HarmonicRep, level: float) -> CutSurface:
@@ -249,9 +246,11 @@ def extract_cut(cx: SimplicialComplex3, rep: HarmonicRep, level: float) -> CutSu
                     )
                 ge = int(cx.tet_to_edge[t, le])
                 sgn = int(cx.tet_edge_sign[t, le])
-                # parameter along the canonical edge direction
-                tcanon = tloc if sgn > 0 else 1.0 - tloc
-                key = (ge, _quantize(tcanon))
+                # this tet's unwrapping differs from the global phase at the
+                # edge's tail vertex by an integer, so the level index kk
+                # seen from that vertex is exact
+                tail = a if sgn > 0 else b
+                key = (ge, kk - round(th[tail] - base[cx.tets[t, tail]]))
                 pt = p[t, a] + tloc * (p[t, b] - p[t, a])
                 csign = 1 if (th[b] > th[a]) == (sgn > 0) else -1
                 crossing_sign[key] = csign

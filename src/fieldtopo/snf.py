@@ -1,10 +1,11 @@
 """Exact integer matrix reductions: Smith normal form, rank, kernel bases.
 
 All arithmetic uses Python integers, so there is no overflow regardless of
-coefficient growth.  Large sparse matrices go through a unit-pivot
-elimination phase (Markowitz-style fill control) that strips the
-invariant-factor-1 part cheaply; whatever remains is finished with the dense
-textbook algorithm.
+coefficient growth.  One sparse column elimination, ``_Elimination``, takes
+the +-1 pivots for both reductions in the same order.  The Smith form strips
+its unit pivots that way and finishes the unit-free remainder with the dense
+textbook algorithm; the kernel basis alternates unit pivots with Euclidean
+column steps and tracks the column transform.
 """
 
 from __future__ import annotations
@@ -15,9 +16,6 @@ from math import gcd
 
 import numpy as np
 import scipy.sparse as sp
-
-_SPARSE_CUTOFF = 64  # below this, go straight to the dense algorithm
-
 
 def _to_int_rows(A) -> tuple[list[dict[int, int]], int, int]:
     """Matrix as a list of {col: value} dicts with exact Python ints."""
@@ -56,12 +54,6 @@ class SnfResult:
     @property
     def rank(self) -> int:
         return len(self.invariant_factors)
-
-    def diagonal(self) -> np.ndarray:
-        d = np.zeros(self.shape, dtype=object)
-        for k, f in enumerate(self.invariant_factors):
-            d[k, k] = f
-        return d
 
 
 def _dense_snf(M: list[list[int]], want_transforms: bool):
@@ -190,150 +182,41 @@ def _dense_snf(M: list[list[int]], want_transforms: bool):
     return diag, U, V
 
 
-def _unit_pivot_phase(rows: list[dict[int, int]]):
-    """Strip +-1 pivots from a sparse matrix via integer row elimination.
+class _Elimination:
+    """Sparse integer column elimination under the unit-pivot rule.
 
-    Modifies ``rows`` in place; returns the number of eliminated pivots.
-    Remaining entries form a submatrix with no unit entries.
-    """
-    m = len(rows)
-    col_rows: dict[int, set[int]] = {}
-    for i, r in enumerate(rows):
-        for j in r:
-            col_rows.setdefault(j, set()).add(i)
-
-    active = set(range(m))
-    heap = [(len(rows[i]), i) for i in active if rows[i]]
-    heapq.heapify(heap)
-    stash: list[int] = []  # rows with no unit entry, revisited after updates
-    npiv = 0
-
-    def refresh(i):
-        if i in active and rows[i]:
-            heapq.heappush(heap, (len(rows[i]), i))
-
-    while heap or stash:
-        if not heap:
-            # rows without unit pivots may have gained one after updates
-            retry = [s for s in stash if s in active and rows[s]]
-            stash = []
-            found = False
-            for i in retry:
-                if any(abs(v) == 1 for v in rows[i].values()):
-                    heapq.heappush(heap, (len(rows[i]), i))
-                    found = True
-                else:
-                    stash.append(i)
-            if not found:
-                break
-        length, p = heapq.heappop(heap)
-        if p not in active or not rows[p]:
-            continue
-        if length != len(rows[p]):
-            refresh(p)  # stale heap entry; re-queue with the current length
-            continue
-        # pick the unit entry with the fewest other rows in its column
-        unit_cols = [j for j, v in rows[p].items() if abs(v) == 1]
-        if not unit_cols:
-            stash.append(p)
-            continue
-        q = min(unit_cols, key=lambda j: (len(col_rows[j]), j))
-        piv = rows[p][q]
-
-        for i in list(col_rows[q]):
-            if i == p or i not in active:
-                continue
-            f = rows[i][q] * piv  # (value / pivot) since pivot is +-1
-            ri, rp = rows[i], rows[p]
-            for j, v in rp.items():
-                w = ri.get(j, 0) - f * v
-                if w:
-                    if j not in ri:
-                        col_rows.setdefault(j, set()).add(i)
-                    ri[j] = w
-                else:
-                    if j in ri:
-                        del ri[j]
-                        col_rows[j].discard(i)
-            refresh(i)
-
-        # column q now has only the pivot; retire row p and column q
-        for j in rows[p]:
-            col_rows[j].discard(p)
-        rows[p] = {}
-        active.discard(p)
-        col_rows.pop(q, None)
-        npiv += 1
-
-    return npiv
-
-
-def _remainder_dense(rows: list[dict[int, int]]):
-    live_rows = [i for i, r in enumerate(rows) if r]
-    cols = sorted({j for i in live_rows for j in rows[i]})
-    cmap = {j: k for k, j in enumerate(cols)}
-    M = [[0] * len(cols) for _ in live_rows]
-    for a, i in enumerate(live_rows):
-        for j, v in rows[i].items():
-            M[a][cmap[j]] = v
-    return M
-
-
-def smith_normal_form(A, transforms: bool = False) -> SnfResult:
-    """Exact Smith normal form of an integer matrix.
-
-    Invariant factors satisfy the divisibility chain d1 | d2 | ... ; with
-    ``transforms=True`` the unimodular U, V with U @ A @ V diagonal are
-    retained (dense algorithm, intended for small matrices).
-    """
-    rows, m, n = _to_int_rows(A)
-    if transforms or max(m, n) <= _SPARSE_CUTOFF:
-        M = [[rows[i].get(j, 0) for j in range(n)] for i in range(m)]
-        diag, U, V = _dense_snf(M, transforms)
-        result = SnfResult((m, n), diag)
-        if transforms:
-            result.U = np.array(U, dtype=object)
-            result.V = np.array(V, dtype=object)
-        return result
-
-    npiv = _unit_pivot_phase(rows)
-    M = _remainder_dense(rows)
-    diag, _, _ = _dense_snf(M, False) if M and M[0] else ([], None, None)
-    return SnfResult((m, n), [1] * npiv + diag)
-
-
-def integer_kernel_basis(A) -> list[np.ndarray]:
-    """Basis of the integer kernel lattice {x : A @ x = 0}.
-
-    Column elimination to column echelon form with a tracked unimodular
-    column transform; columns that reduce to zero yield the kernel basis.
+    The matrix is held as columns, {row: value} dicts, and ``row_cols``
+    lists the active columns of each row.  With ``transform=True`` the
+    unimodular column transform V is tracked too, one dict per column.
 
     Pivot rule: the active row first in (entry count, index) order among
     rows holding a +-1 entry, and in it the +-1 column first in (entry
     count, index) order.  A min-heap of (entry count, row) keys finds that
     row; a row's key or unit entries change only when an update touches it,
     so touched rows are re-queued and stale or unit-free entries skipped.
-    When no unit entry is left, the sparsest row is reduced by Euclidean
-    column steps.
     """
-    rows, m, n = _to_int_rows(A)
-    cols: list[dict[int, int]] = [dict() for _ in range(n)]
-    for i, r in enumerate(rows):
-        for j, v in r.items():
-            cols[j][i] = v
-    row_cols: dict[int, set[int]] = {}
-    for j, c in enumerate(cols):
-        for i in c:
-            row_cols.setdefault(i, set()).add(j)
 
-    V: list[dict[int, int]] = [{j: 1} for j in range(n)]
-    active_cols = set(range(n))
-    active_rows = set(row_cols)
-    touched: set[int] = set()  # rows whose entries changed since the last pivot
+    def __init__(self, A, transform: bool):
+        rows, self.m, self.n = _to_int_rows(A)
+        self.cols: list[dict[int, int]] = [dict() for _ in range(self.n)]
+        for i, r in enumerate(rows):
+            for j, v in r.items():
+                self.cols[j][i] = v
+        self.row_cols: dict[int, set[int]] = {}
+        for j, c in enumerate(self.cols):
+            for i in c:
+                self.row_cols.setdefault(i, set()).add(j)
+        self.V = [{j: 1} for j in range(self.n)] if transform else None
+        self.active_cols = set(range(self.n))
+        self.active_rows = set(self.row_cols)
+        self.touched: set[int] = set()  # rows whose entries changed since the last pivot
+        self.heap = [(len(self.row_cols[i]), i) for i in self.active_rows]
+        heapq.heapify(self.heap)
 
-    def add_col(dst, src, f):
-        # col_dst += f * col_src, tracked in V
-        cd, cs = cols[dst], cols[src]
+    def add_col(self, dst, src, f):
+        """col_dst += f * col_src, and the same on V when it is tracked."""
+        cd, cs = self.cols[dst], self.cols[src]
+        row_cols = self.row_cols
         for i, v in cs.items():
             w = cd.get(i, 0) + f * v
             if w:
@@ -343,64 +226,114 @@ def integer_kernel_basis(A) -> list[np.ndarray]:
             elif i in cd:
                 del cd[i]
                 row_cols[i].discard(dst)
-        touched.update(cs)
-        vd, vs = V[dst], V[src]
-        for k, v in vs.items():
-            w = vd.get(k, 0) + f * v
-            if w:
-                vd[k] = w
-            elif k in vd:
-                del vd[k]
+        self.touched.update(cs)
+        if self.V is not None:
+            vd, vs = self.V[dst], self.V[src]
+            for k, v in vs.items():
+                w = vd.get(k, 0) + f * v
+                if w:
+                    vd[k] = w
+                elif k in vd:
+                    del vd[k]
 
-    heap = [(len(row_cols[i]), i) for i in active_rows]
-    heapq.heapify(heap)
+    def retire(self, i, j):
+        """Retire pivot row i and column j; re-queue the rows touched since
+        the last pivot."""
+        self.active_cols.discard(j)
+        for r in self.cols[j]:
+            self.row_cols[r].discard(j)
+        self.touched.update(self.cols[j])
+        self.active_rows.discard(i)
+        for r in self.touched:
+            if r in self.active_rows:
+                heapq.heappush(self.heap, (len(self.row_cols[r]), r))
+        self.touched.clear()
 
-    while active_rows:
-        pivot = None
+    def unit_pivots(self) -> int:
+        """Eliminate +-1 pivots until no active row holds one; return how many.
+
+        A pivot's row is cleared by column operations.  That leaves the same
+        Schur complement as clearing its column by row operations, so each
+        pivot contributes one invariant factor 1.
+        """
+        cols, row_cols, active_rows = self.cols, self.row_cols, self.active_rows
+        heap = self.heap
+        count = 0
         while heap:
             length, i = heapq.heappop(heap)
             if i not in active_rows or length != len(row_cols[i]):
                 continue  # stale: retired, or re-queued under its new length
             unit = [c for c in row_cols[i] if abs(cols[c][i]) == 1]
-            if unit:
-                pivot = (i, min(unit, key=lambda c: (len(cols[c]), c)))
-                break
-            # no unit entry: the row waits until an update touches it
-        if pivot is None:
-            # no unit entries left: Euclidean reduction on the sparsest row
-            live = [i for i in active_rows if row_cols[i]]
-            if not live:
-                break
-            i = min(live, key=lambda r: (len(row_cols[r]), r))
-            while len(row_cols[i]) > 1:
-                j = min(row_cols[i], key=lambda c: (abs(cols[c][i]), c))
-                for k in list(row_cols[i]):
-                    if k != j:
-                        add_col(k, j, -(cols[k][i] // cols[j][i]))
-            j = next(iter(row_cols[i]))
-            pivot = (i, j)
-        i, j = pivot
-        piv = cols[j][i]
-        if abs(piv) == 1:
+            if not unit:
+                continue  # the row waits until an update touches it
+            j = min(unit, key=lambda c: (len(cols[c]), c))
+            piv = cols[j][i]
             for k in list(row_cols[i]):
                 if k != j:
-                    add_col(k, j, -cols[k][i] * piv)
-        # retire pivot column and row
-        active_cols.discard(j)
-        for r in cols[j]:
-            row_cols[r].discard(j)
-        touched.update(cols[j])
-        active_rows.discard(i)
-        for r in touched:
-            if r in active_rows:
-                heapq.heappush(heap, (len(row_cols[r]), r))
-        touched.clear()
+                    self.add_col(k, j, -cols[k][i] * piv)
+            self.retire(i, j)
+            count += 1
+        return count
+
+
+def smith_normal_form(A, transforms: bool = False) -> SnfResult:
+    """Exact Smith normal form of an integer matrix.
+
+    Invariant factors satisfy the divisibility chain d1 | d2 | ... .  Unit
+    pivots are stripped by the sparse elimination and the unit-free
+    remainder is finished with the dense algorithm.  With
+    ``transforms=True`` the dense algorithm runs on the whole matrix
+    (intended for small matrices) and retains the unimodular U, V with
+    U @ A @ V diagonal.
+    """
+    if transforms:
+        rows, m, n = _to_int_rows(A)
+        M = [[rows[i].get(j, 0) for j in range(n)] for i in range(m)]
+        diag, U, V = _dense_snf(M, True)
+        return SnfResult((m, n), diag, np.array(U, dtype=object), np.array(V, dtype=object))
+
+    el = _Elimination(A, transform=False)
+    npiv = el.unit_pivots()
+    # active columns hold entries in active rows only: the remainder
+    live = [j for j in sorted(el.active_cols) if el.cols[j]]
+    rmap = {i: a for a, i in enumerate(sorted({i for j in live for i in el.cols[j]}))}
+    M = [[0] * len(live) for _ in rmap]
+    for b, j in enumerate(live):
+        for i, v in el.cols[j].items():
+            M[rmap[i]][b] = v
+    diag, _, _ = _dense_snf(M, False)
+    return SnfResult((el.m, el.n), [1] * npiv + diag)
+
+
+def integer_kernel_basis(A) -> list[np.ndarray]:
+    """Basis of the integer kernel lattice {x : A @ x = 0}.
+
+    Column elimination to column echelon form with a tracked unimodular
+    column transform; columns that reduce to zero yield the kernel basis.
+    Unit pivots follow the rule of ``_Elimination``.  When no unit entry is
+    left, the sparsest row is reduced by Euclidean column steps to a single
+    entry, which becomes the pivot.
+    """
+    el = _Elimination(A, transform=True)
+    cols, row_cols = el.cols, el.row_cols
+    while True:
+        el.unit_pivots()
+        live = [i for i in el.active_rows if row_cols[i]]
+        if not live:
+            break
+        i = min(live, key=lambda r: (len(row_cols[r]), r))
+        while len(row_cols[i]) > 1:
+            j = min(row_cols[i], key=lambda c: (abs(cols[c][i]), c))
+            for k in list(row_cols[i]):
+                if k != j:
+                    el.add_col(k, j, -(cols[k][i] // cols[j][i]))
+        el.retire(i, next(iter(row_cols[i])))
 
     kernel = []
-    for j in sorted(active_cols):
+    for j in sorted(el.active_cols):
         if not cols[j]:
-            vec = np.zeros(n, dtype=np.int64)
-            for k, v in V[j].items():
+            vec = np.zeros(el.n, dtype=np.int64)
+            for k, v in el.V[j].items():
                 vec[k] = v
             kernel.append(vec)
     return kernel

@@ -212,7 +212,7 @@ def test_criterion_04_cuts(solid_torus, solid_torus_fem, box_ring, box_ring_fem)
         basis = h1_basis(cx)
         rep = harmonic_representative(cx, fem, basis.cocycles[0])
         bfaces = set(int(f) for f in cx.boundary_faces)
-        l1 = choose_level(rep)
+        l1 = choose_level(rep.vertex_phases())
         l2 = (l1 + 0.37) % 1.0
         cut1 = extract_cut(cx, rep, l1)
         cut1.validate_manifold()
@@ -222,7 +222,7 @@ def test_criterion_04_cuts(solid_torus, solid_torus_fem, box_ring, box_ring_fem)
         rng = np.random.default_rng(1)
         shifted = basis.cocycles[0] + cx.D0 @ rng.integers(-2, 3, cx.num_vertices)
         rep2 = harmonic_representative(cx, fem, shifted)
-        c3 = verify_cut(cx, extract_cut(cx, rep2, choose_level(rep2)), basis)
+        c3 = verify_cut(cx, extract_cut(cx, rep2, choose_level(rep2.vertex_phases())), basis)
         ident = np.zeros(basis.rank, dtype=np.int64)
         ident[0] = 1
         ok &= (

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,10 @@ from fieldtopo.cuts import (
     verify_cut,
 )
 from fieldtopo.errors import NoGap, NonRegularLevel, SolverFailure
+from fieldtopo.fem import build_fem
+from fieldtopo.generators import gen_box_minus_ring
 from fieldtopo.homology import h1_basis
+from fieldtopo.mesh import build_complex
 
 
 @pytest.fixture(scope="module")
@@ -68,7 +73,7 @@ def test_choose_level_dense_phases_raise(monkeypatch):
 
 
 def test_choose_level_gap_bound(st_rep, solid_torus):
-    theta0 = choose_level(st_rep)
+    theta0 = choose_level(st_rep.vertex_phases())
     phases = np.mod(st_rep.vertex_phases(), 1.0)
     d = np.abs(phases - theta0)
     d = np.minimum(d, 1 - d)
@@ -76,7 +81,7 @@ def test_choose_level_gap_bound(st_rep, solid_torus):
 
 
 def test_solid_torus_cut_is_disk(solid_torus, st_rep, st_basis):
-    cut = extract_cut(solid_torus, st_rep, choose_level(st_rep))
+    cut = extract_cut(solid_torus, st_rep, choose_level(st_rep.vertex_phases()))
     cut.validate_manifold()
     assert cut.num_components() == 1
     assert cut.euler_characteristic() == 1  # meridian disk
@@ -85,7 +90,7 @@ def test_solid_torus_cut_is_disk(solid_torus, st_rep, st_basis):
 
 
 def test_cut_boundary_edges_on_boundary_faces(solid_torus, st_rep):
-    cut = extract_cut(solid_torus, st_rep, choose_level(st_rep))
+    cut = extract_cut(solid_torus, st_rep, choose_level(st_rep.vertex_phases()))
     bfaces = set(int(f) for f in solid_torus.boundary_faces)
     assert set(cut.boundary_edge_faces.values()) <= bfaces
 
@@ -105,7 +110,7 @@ def test_nonregular_level_rejected(st_rep, solid_torus):
 
 
 def test_crossing_vector_level_independent(solid_torus, st_rep, st_basis):
-    l1 = choose_level(st_rep)
+    l1 = choose_level(st_rep.vertex_phases())
     l2 = (l1 + 0.37) % 1.0
     c1 = verify_cut(solid_torus, extract_cut(solid_torus, st_rep, l1), st_basis)
     c2 = verify_cut(solid_torus, extract_cut(solid_torus, st_rep, l2), st_basis)
@@ -119,7 +124,7 @@ def test_crossing_vector_representative_independent(
     psi = rng.integers(-3, 4, size=solid_torus.num_vertices)
     shifted = st_basis.cocycles[0] + solid_torus.D0 @ psi
     rep = harmonic_representative(solid_torus, solid_torus_fem, shifted)
-    cut = extract_cut(solid_torus, rep, choose_level(rep))
+    cut = extract_cut(solid_torus, rep, choose_level(rep.vertex_phases()))
     assert np.array_equal(verify_cut(solid_torus, cut, st_basis), [1])
 
 
@@ -129,7 +134,7 @@ def test_torus3_crossings_identity(torus3_coarse, torus3_coarse_fem):
         rep = harmonic_representative(
             torus3_coarse, torus3_coarse_fem, basis.cocycles[j]
         )
-        cut = extract_cut(torus3_coarse, rep, choose_level(rep))
+        cut = extract_cut(torus3_coarse, rep, choose_level(rep.vertex_phases()))
         cut.validate_manifold()
         crossings = verify_cut(torus3_coarse, cut, basis)
         expect = np.zeros(3, dtype=np.int64)
@@ -142,7 +147,7 @@ def test_torus3_crossings_identity(torus3_coarse, torus3_coarse_fem):
 def test_box_ring_cut(box_ring, box_ring_fem):
     basis = h1_basis(box_ring)
     rep = harmonic_representative(box_ring, box_ring_fem, basis.cocycles[0])
-    cut = extract_cut(box_ring, rep, choose_level(rep))
+    cut = extract_cut(box_ring, rep, choose_level(rep.vertex_phases()))
     cut.validate_manifold()
     assert cut.num_components() == 1
     assert len(cut.boundary_edges) > 0
@@ -150,6 +155,38 @@ def test_box_ring_cut(box_ring, box_ring_fem):
     # all claimed boundary polygon edges lie on the mesh boundary
     bfaces = set(int(f) for f in box_ring.boundary_faces)
     assert set(cut.boundary_edge_faces.values()) <= bfaces
+
+
+@pytest.fixture(scope="module")
+def jittered_ring_rep():
+    """Class-0 harmonic representative on a box-ring n=7 with jittered
+    vertices: no seam data and no grid-aligned phases."""
+    grid = gen_box_minus_ring(7)
+    rng = np.random.default_rng(0)
+    verts = grid.vertices + rng.uniform(-0.15 / 7, 0.15 / 7, grid.vertices.shape)
+    cx = build_complex(verts, grid.tets)
+    basis = h1_basis(cx)
+    return cx, basis, harmonic_representative(cx, build_fem(cx), basis.cocycles[0])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_cut_keys_independent_of_phase_lift(jittered_ring_rep, seed):
+    """Phases are defined mod 1, so adding an integer per vertex is another
+    lift of the same circle map.  Large shifts move the per-tet unwrapped
+    phases far from the level, where rounding the edge parameter gave the
+    same point different keys in different tets."""
+    cx, basis, rep = jittered_ring_rep
+    shift = np.random.default_rng(seed).integers(-(10**6), 10**6, cx.num_vertices)
+    lifted = dataclasses.replace(rep)
+    phases = rep.vertex_phases() + shift
+    lifted.vertex_phases = lambda: phases
+    for level in (0.02, 0.05, 0.95, 0.98):
+        ref = extract_cut(cx, rep, level)
+        cut = extract_cut(cx, lifted, level)
+        assert np.array_equal(verify_cut(cx, cut, basis), [1])
+        assert cut.num_triangles == ref.num_triangles
+        assert cut.euler_characteristic() == ref.euler_characteristic()
+        assert cut.num_components() == ref.num_components()
 
 
 def test_critical_scan_certificate(solid_torus, st_rep):

@@ -90,7 +90,9 @@ def test_transforms_unimodular_and_diagonal():
         A = rng.integers(-9, 10, size=(m, n))
         r = smith_normal_form(A, transforms=True)
         D = r.U @ A.astype(object) @ r.V
-        expect = r.diagonal()
+        expect = np.zeros((m, n), dtype=object)
+        for k, f in enumerate(r.invariant_factors):
+            expect[k, k] = f
         assert np.array_equal(D, expect)
         # divisibility chain
         f = r.invariant_factors
@@ -98,18 +100,6 @@ def test_transforms_unimodular_and_diagonal():
         # unimodular transforms
         assert abs(bareiss_det(r.U.tolist())) == 1
         assert abs(bareiss_det(r.V.tolist())) == 1
-
-
-def test_sparse_path_matches_dense():
-    rng = np.random.default_rng(3)
-    A = np.zeros((90, 70), dtype=np.int64)
-    for _ in range(300):
-        A[rng.integers(0, 90), rng.integers(0, 70)] = rng.integers(-5, 6)
-    import scipy.sparse as sp
-
-    dense = smith_normal_form(A.tolist()).invariant_factors
-    sparse = smith_normal_form(sp.csr_matrix(A)).invariant_factors
-    assert dense == sparse
 
 
 def test_rank_helpers():
@@ -277,6 +267,38 @@ def sparse_int_matrices(draw):
 )
 def test_kernel_pivot_order_matches_reference(A):
     assert_same_saturated_kernel(A, integer_kernel_basis(sp.csr_matrix(A)))
+
+
+@st.composite
+def torsion_rich_matrices(draw):
+    """At least 65 rows, few unit entries: the sparse elimination leaves a
+    remainder with torsion for the dense algorithm."""
+    m = draw(st.integers(65, 80))
+    n = draw(st.integers(20, 40))
+    entries = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, m - 1),
+                st.integers(0, n - 1),
+                st.sampled_from([-6, -4, -3, -2, -1, 1, 2, 3, 4, 6]),
+            ),
+            min_size=m,
+            max_size=2 * m,
+        )
+    )
+    A = np.zeros((m, n), dtype=np.int64)
+    for i, j, v in entries:
+        A[i, j] = v
+    return A
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(sparse_int_matrices(), torsion_rich_matrices()))
+def test_sparse_path_matches_dense(A):
+    # transforms=True runs the dense algorithm on the whole matrix
+    dense = smith_normal_form(A, transforms=True).invariant_factors
+    assert smith_normal_form(A).invariant_factors == dense
+    assert smith_normal_form(sp.csr_matrix(A)).invariant_factors == dense
 
 
 def test_kernel_pivot_order_on_tree_gauge_matrix(box_ring):
