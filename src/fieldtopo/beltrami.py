@@ -10,10 +10,12 @@ which the boundary pairing vanishes:
   harmonic boundary cochains; the choice is the Lagrangian data of the
   self-adjoint extension.
 
-The huge curl kernel (gradients plus harmonic fields) is deflated
-structurally: an explicit basis is assembled and the Krylov iteration is
-projected onto its M1-orthogonal complement at every application of the
-shift-inverted operator.
+The huge curl kernel (gradients plus harmonic fields) is kept out of the
+eigensolver in two ways.  Inside the Krylov iteration a polynomial filter of
+the shift-inverted operator maps every null vector of the curl pairing to
+exactly zero, so each step costs two solves on one factor.  An explicit
+kernel basis gives the M1-orthogonal projector that is applied to the start
+vector and to the returned eigenvectors.
 """
 
 from __future__ import annotations
@@ -468,33 +470,39 @@ def _harmonic_columns(pencil: ReducedPencil) -> np.ndarray:
 class KernelProjector:
     """M1-orthogonal projector onto the complement of the curl kernel.
 
-    P v = v - W (W^T M1 W)^{-1} W^T M1 v with W = [gradients | harmonic].
-    Idempotent and M1-self-adjoint by construction; applied at every
-    iteration of the eigensolver.
+    P v = v - W (W^T M1 W)^{-1} W^T M1 v with W = [G | H], gradients and
+    harmonic fields.  The harmonic columns are M1-orthogonal to G, so the
+    Gram matrix is block-diagonal: the sparse G^T M1 G, whose factor
+    ``gradient_gram`` is passed in, next to a dense nh x nh block.
+    Idempotent and M1-self-adjoint by construction.  The eigensolver applies
+    it to its start vector and to the vectors it returns.
     """
 
-    def __init__(self, pencil: ReducedPencil, basis: KernelBasis):
+    def __init__(self, pencil: ReducedPencil, basis: KernelBasis, gradient_gram):
         self.pencil = pencil
         self.basis = basis
-        G = basis.gradient
-        H = sp.csr_matrix(basis.harmonic)
-        self.W = sp.hstack([G, H], format="csr") if H.shape[1] else G.tocsr()
-        gram = (self.W.T @ pencil.M1 @ self.W).tocsc()
-        self._gram_lu = spla.splu(gram)
+        self._gram_lu = gradient_gram
+        H = basis.harmonic
         self._M1 = pencil.M1
+        self._harmonic_gram = H.T @ (self._M1 @ H)
 
     @property
     def harmonic_dimension(self) -> int:
         return self.basis.harmonic_dimension
 
+    def _kernel_part(self, x: np.ndarray) -> np.ndarray:
+        """Kernel component W (W^T M1 W)^{-1} W^T x of the momentum x = M1 v."""
+        G, H = self.basis.gradient, self.basis.harmonic
+        return G @ self._gram_lu.solve(G.T @ x) + H @ np.linalg.solve(
+            self._harmonic_gram, H.T @ x
+        )
+
     def apply(self, v: np.ndarray) -> np.ndarray:
-        coeff = self._gram_lu.solve(self.W.T @ (self._M1 @ v))
-        return v - self.W @ coeff
+        return v - self._kernel_part(self._M1 @ v)
 
     def apply_dual(self, x: np.ndarray) -> np.ndarray:
         """Adjoint projector on momentum vectors: P_dual(M v) = M (P v)."""
-        coeff = self._gram_lu.solve(self.W.T @ x)
-        return x - self._M1 @ (self.W @ coeff)
+        return x - self._M1 @ self._kernel_part(x)
 
     __call__ = apply
 
@@ -510,10 +518,11 @@ def kernel_projector(
         pencil = reduce_system(cx, fem, bc)
     G = _gradient_columns(pencil)
     H = _harmonic_columns(pencil)
-    # harmonic columns may contain gradient components; M1-orthogonalize and
-    # drop anything that projects to (numerically) nothing
+    gram = spla.splu((G.T @ pencil.M1 @ G).tocsc())
+    # harmonic columns may contain gradient components; M1-orthogonalize
+    # (which leaves the projector one factor, of the gradient Gram) and drop
+    # anything that projects to (numerically) nothing
     if H.shape[1]:
-        gram = spla.splu((G.T @ pencil.M1 @ G).tocsc())
         Hp = H - G @ gram.solve(G.T @ (pencil.M1 @ H))
         keep = []
         for j in range(Hp.shape[1]):
@@ -523,7 +532,7 @@ def kernel_projector(
                 keep.append(j)
         H = Hp[:, keep]
     basis = KernelBasis(gradient=G, harmonic=H)
-    return KernelProjector(pencil, basis)
+    return KernelProjector(pencil, basis, gram)
 
 
 @dataclass
@@ -559,6 +568,25 @@ def default_shift(cx: SimplicialComplex3) -> float:
     return 0.1 * (2.0 * np.pi / extent)
 
 
+def _shift_side_order(lams: np.ndarray, sigma: float, tol: float) -> np.ndarray:
+    """Indices that sort ``lams`` by |lambda|.
+
+    Values whose |lambda| agree within tol * max(1, |lambda|) are tied, and a
+    tie lists the shift's sign first, so that rounding cannot pick the sign
+    of a +-lambda pair.
+    """
+    mag = np.abs(lams)
+    order = np.argsort(mag, kind="stable")
+    tie = np.empty(len(order))
+    head = -np.inf
+    for pos, m in enumerate(mag[order]):
+        if m - head > tol * max(1.0, head):
+            head = m
+        tie[pos] = head
+    away = np.sign(lams[order]) != np.sign(sigma)
+    return order[np.lexsort((away, tie))]
+
+
 def smallest_beltrami(
     pencil: ReducedPencil,
     projector: KernelProjector,
@@ -568,11 +596,21 @@ def smallest_beltrami(
     seed: int = 0,
     maxiter: int | None = None,
 ) -> BeltramiSolution:
-    """k eigenpairs of smallest nonzero |lambda| of S x = lambda M1 x.
+    """k eigenpairs of smallest nonzero |lambda| on the shift's side of
+    S x = lambda M1 x.
 
-    Shift-inverted implicitly-restarted Lanczos on range(P): the kernel is
-    removed from every operator application, so the zero eigenvalue of the
-    pencil is invisible to the iteration.  Deterministic for a fixed seed.
+    Implicitly-restarted Lanczos (ARPACK's shift-invert mode) on the filter
+    f(OP) = OP^2 + OP/sigma of OP = (S - sigma M1)^{-1} M1: two solves on one
+    factor per step.  f vanishes on the whole curl kernel, so the zero
+    eigenvalue of the pencil is invisible to the iteration; the kernel
+    projector is applied only to the start vector and to the Ritz vectors.
+
+    The filter damps eigenvalues of the sign opposite to the shift, so the
+    contract is the smallest |lambda| on the shift's side: where the
+    spectrum is not sign-symmetric (closed-trace conditions), a smaller
+    |lambda| of the other sign needs a shift of that sign.  Pairs come sorted
+    by |lambda|; values tied within tol * max(1, |lambda|) list the shift's
+    sign first.  Deterministic for a fixed seed.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -588,31 +626,19 @@ def smallest_beltrami(
         permc_spec="MMD_AT_PLUS_A",
         options=dict(SymmetricMode=True, DiagPivotThresh=0.01),
     )
-    # the Whitney mass matrix is uniformly well conditioned: Jacobi-CG
-    # replaces a (costly) factorization for every M^{-1} application
-    m_diag_inv = 1.0 / M.diagonal()
-    m_pre = spla.LinearOperator(M.shape, matvec=lambda x: m_diag_inv * x)
 
-    def m_solve(x):
-        y, info = spla.cg(M, x, rtol=1e-13, atol=0.0, maxiter=500, M=m_pre)
-        if info != 0:
-            raise NoConvergence(f"mass solve CG failed (info={info})")
-        return y
-
-    def op_apply(v):
-        # shift-inverted pencil operator restricted to range(P):
-        # OP v = P (A - sigma M)^{-1} M P v; eigenvalue nu = 1/(lambda-sigma)
-        return projector.apply(op_lu.solve(M @ projector.apply(v)))
-
-    def filtered(v):
-        # The mixed curl pairing has zero modes beyond gradients+harmonic
-        # (curls falling in the dead space of the edge/face pairing), all
-        # sharing pencil eigenvalue 0, i.e. OP eigenvalue -1/sigma.  The
-        # polynomial OP^2 + OP/sigma sends that entire space to exactly 0
-        # while boosting eigenvalues near sigma; with sigma well below
-        # |lambda|_min, distinct lambdas cannot collide under the filter.
-        u = op_apply(v)
-        return op_apply(u) + u / sigma
+    def filtered(y):
+        # ARPACK passes y = M v and wants f(OP) v with OP = (A - sigma M)^{-1} M
+        # (eigenvalue nu = 1/(lambda - sigma)) and f(nu) = nu^2 + nu/sigma.
+        # Gradients, harmonic fields and curls in the dead space of the mixed
+        # edge/face pairing all have A x = 0, i.e. lambda = 0 or
+        # nu = -1/sigma, where f vanishes: the filter removes the whole kernel
+        # exactly, with no projection inside the loop (rounding leaves below
+        # 1e-12, in M-norm, of kernel in the Ritz vectors, which the final
+        # projection removes).  f boosts eigenvalues near sigma, and with
+        # sigma well below |lambda|_min distinct lambdas cannot collide.
+        u = op_lu.solve(y)
+        return op_lu.solve(M @ u) + u / sigma
 
     n_req = min(n - 2, max(2 * k + 4, 12))
     if n_req < k:
@@ -620,16 +646,14 @@ def smallest_beltrami(
     rng = np.random.default_rng(seed)
     v0 = projector.apply(rng.standard_normal(n))
 
-    # euclidean-symmetric form of the filtered operator: M @ f(OP)
-    A_lop = spla.LinearOperator((n, n), matvec=lambda v: M @ filtered(v))
-    Minv = spla.LinearOperator((n, n), matvec=m_solve)
     ncv = min(n, max(4 * n_req, 40))
     try:
         _, vecs = spla.eigsh(
-            A_lop,
+            A,
             k=n_req,
             M=M,
-            Minv=Minv,
+            sigma=sigma,
+            OPinv=spla.LinearOperator((n, n), matvec=filtered),
             which="LM",
             v0=v0,
             ncv=ncv,
@@ -642,32 +666,31 @@ def smallest_beltrami(
         else:
             raise NoConvergence(f"ARPACK did not converge: {exc}") from exc
 
-    rayleigh = np.array([v @ (A @ v) / (v @ (M @ v)) for v in vecs.T])
-    order = np.argsort(np.abs(rayleigh))
-    vecs = vecs[:, order]
+    X = projector.apply(vecs)
+    nrm = np.sqrt(np.einsum("ik,ik->k", X, M @ X))
+    usable = nrm >= 1e-12
+    X = X[:, usable] / nrm[usable]
+    lams = np.einsum("ik,ik->k", X, A @ X)  # Rayleigh quotients; M-norms are 1
+    chosen = _shift_side_order(lams, sigma, tol)[:k]
+    X, lams = X[:, chosen], lams[chosen]
+    # sign convention: largest-magnitude component positive
+    X = X * np.sign(X[np.argmax(np.abs(X), axis=0), np.arange(X.shape[1])])
 
-    lams, xs, res, divs = [], [], [], []
-    for i in range(vecs.shape[1]):
-        x = projector.apply(vecs[:, i])
-        nrm = np.sqrt(x @ (M @ x))
-        if nrm < 1e-12:
-            continue
-        x = x / nrm
-        # sign convention: largest-magnitude component positive
-        jmax = int(np.argmax(np.abs(x)))
-        if x[jmax] < 0:
-            x = -x
-        lam = float(x @ (A @ x))  # Rayleigh quotient; M-norm is 1
-        r = A @ x - lam * (M @ x)
-        rnorm = float(np.sqrt(r @ m_solve(r)))
-        G = projector.basis.gradient
-        div = float(np.linalg.norm(G.T @ (M @ x))) if G.shape[1] else 0.0
-        lams.append(lam)
-        xs.append(x)
-        res.append(rnorm)
-        divs.append(div)
-        if len(lams) == k:
-            break
+    # the Whitney mass matrix is uniformly well conditioned: Jacobi-CG
+    # replaces a factorization for the M^{-1}-norm of each residual
+    m_diag_inv = 1.0 / M.diagonal()
+    m_pre = spla.LinearOperator(M.shape, matvec=lambda x: m_diag_inv * x)
+
+    def m_solve(x):
+        y, info = spla.cg(M, x, rtol=1e-13, atol=0.0, maxiter=500, M=m_pre)
+        if info != 0:
+            raise NoConvergence(f"mass solve CG failed (info={info})")
+        return y
+
+    R = A @ X - (M @ X) * lams
+    res = [float(np.sqrt(r @ m_solve(r))) for r in R.T]
+    G = projector.basis.gradient
+    divs = np.linalg.norm(G.T @ (M @ X), axis=0) if G.shape[1] else np.zeros(len(lams))
 
     if len(lams) < k:
         raise NoConvergence(
@@ -680,18 +703,17 @@ def smallest_beltrami(
             f"eigen residual {worst:.3e} above tol {tol:.1e}", best_residual=worst
         )
 
-    X = np.column_stack(xs)
     H = pencil.C @ X
     Sfull = pencil.fem.S
     M1full = pencil.fem.M1
     hel = 0.5 * np.einsum("ek,ek->k", H, Sfull @ H)
     ene = 0.5 * np.einsum("ek,ek->k", H, M1full @ H)
     return BeltramiSolution(
-        lambdas=np.array(lams),
+        lambdas=lams,
         cochains=H,
         dof_vectors=X,
         residuals=np.array(res),
-        div_residuals=np.array(divs),
+        div_residuals=divs,
         helicities=hel,
         energies=ene,
         bc=pencil.bc,

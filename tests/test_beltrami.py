@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from fieldtopo.beltrami import (
     BCKind,
@@ -13,7 +14,7 @@ from fieldtopo.beltrami import (
 )
 from fieldtopo.errors import IncompatibleBC
 from fieldtopo.fem import build_fem, edge_interpolant
-from fieldtopo.generators import GridSpec, gen_grid
+from fieldtopo.generators import GridSpec, gen_box_minus_ring, gen_grid
 
 TAU = 2 * np.pi
 
@@ -143,6 +144,54 @@ def test_spectrum_sign_symmetry(torus8_beltrami):
     pen, proj, sol = torus8_beltrami
     neg = smallest_beltrami(pen, proj, k=2, tol=1e-8, shift=-default_shift(pen.complex))
     assert neg.lambdas[0] == pytest.approx(-sol.lambdas[0], abs=1e-8)
+
+
+def _solid_torus_338():
+    return gen_grid(GridSpec(3, 3, 8, 1.0, 1.0, 3.0, periodic=(False, False, True)))
+
+
+def test_sign_tie_goes_to_shift_side():
+    """The closed-trace solid torus has both +-1.7949518 in its Ritz set;
+    the tie rule, not rounding, picks the one on the shift's side."""
+    cx = _solid_torus_338()
+    fem = build_fem(cx)
+    bc = BoundaryCondition.closed_trace(1)
+    pen = reduce_system(cx, fem, bc)
+    proj = kernel_projector(cx, fem, bc, pen)
+    for sign in (1.0, -1.0):
+        sol = smallest_beltrami(pen, proj, k=1, tol=1e-8, shift=sign * default_shift(cx))
+        assert sol.lambdas[0] == pytest.approx(sign * 1.7949518, rel=1e-7)
+
+
+DENSE_CASES = {
+    "torus3-3": (
+        lambda: gen_grid(GridSpec(3, 3, 3, TAU, TAU, TAU, periodic=(True, True, True))),
+        BoundaryCondition.closed_mesh(),
+    ),
+    "box-ring-zero-trace": (lambda: gen_box_minus_ring(5), BoundaryCondition.zero_trace()),
+    "box-ring-closed-trace-0": (lambda: gen_box_minus_ring(5), BoundaryCondition.closed_trace(0)),
+    "box-ring-closed-trace-1": (lambda: gen_box_minus_ring(5), BoundaryCondition.closed_trace(1)),
+    "solid-torus-closed-trace-1": (_solid_torus_338, BoundaryCondition.closed_trace(1)),
+    "cube-zero-trace": (lambda: gen_grid(GridSpec(3, 3, 3)), BoundaryCondition.zero_trace()),
+}
+
+
+@pytest.mark.parametrize("case", list(DENSE_CASES))
+def test_matches_dense_spectrum(case):
+    """Every returned lambda is an eigenvalue of the dense pencil, and the
+    first is the nonzero one of least magnitude on the shift's side."""
+    make, bc = DENSE_CASES[case]
+    cx = make()
+    fem = build_fem(cx)
+    pen = reduce_system(cx, fem, bc)
+    proj = kernel_projector(cx, fem, bc, pen)
+    dense = sla.eigh(pen.S.toarray(), pen.M1.toarray(), eigvals_only=True)
+    nonzero = dense[np.abs(dense) > 1e-6 * np.abs(dense).max()]
+    for sign, side in ((1.0, nonzero[nonzero > 0]), (-1.0, nonzero[nonzero < 0])):
+        sol = smallest_beltrami(pen, proj, k=2, tol=1e-8, shift=sign * default_shift(cx))
+        for lam in sol.lambdas:
+            assert np.abs(dense - lam).min() <= 1e-9 * abs(lam)
+        assert sol.lambdas[0] == pytest.approx(side[np.argmin(np.abs(side))], rel=1e-9)
 
 
 def test_eigenvalue_scaling():
