@@ -110,9 +110,6 @@ class ReducedPencil:
     def ndof(self) -> int:
         return self.C.shape[1]
 
-    def to_full(self, x: np.ndarray) -> np.ndarray:
-        return self.C @ x
-
     def full_to_dof(self, h: np.ndarray) -> np.ndarray:
         """Coordinates of an admissible edge cochain; exact for exact input."""
         h = np.asarray(h)
@@ -141,12 +138,10 @@ class ReducedPencil:
 
 def _boundary_data(cx: SimplicialComplex3, bc: BoundaryCondition) -> BoundaryData:
     surf = boundary_surface(cx)
-    comp_of_vertex = surf.vertex_component
-    pins = [
-        min(v for v, c in comp_of_vertex.items() if c == comp)
-        for comp in range(surf.num_components)
-    ]
-    alpha_verts = np.array(sorted(set(comp_of_vertex) - set(pins)), dtype=np.int64)
+    on_boundary = np.flatnonzero(surf.vertex_component >= 0)
+    _, first = np.unique(surf.vertex_component[on_boundary], return_index=True)
+    pins = on_boundary[first].tolist()
+    alpha_verts = np.setdiff1d(on_boundary, pins)
 
     sigma_all: list[np.ndarray] = []
     zeta_all: list[np.ndarray] = []
@@ -251,21 +246,10 @@ def reduce_system(
         ncols = n_int
         if bc.kind is BCKind.CLOSED_TRACE:
             # alpha columns: gradient of a boundary vertex potential
-            col_of_vertex = {int(v): ncols + i for i, v in enumerate(bd.alpha_verts)}
-            r, c, v = [], [], []
-            for k, (a, b) in enumerate(surf.edges):
-                pe = surf.parent_edge_ids[k]
-                if int(a) in col_of_vertex:
-                    r.append(pe)
-                    c.append(col_of_vertex[int(a)])
-                    v.append(-1.0)
-                if int(b) in col_of_vertex:
-                    r.append(pe)
-                    c.append(col_of_vertex[int(b)])
-                    v.append(1.0)
-            rows.append(np.array(r, dtype=np.int64))
-            cols.append(np.array(c, dtype=np.int64))
-            vals.append(np.array(v))
+            alpha = cx.D0[surf.parent_edge_ids][:, bd.alpha_verts].tocoo()
+            rows.append(surf.parent_edge_ids[alpha.row])
+            cols.append(ncols + alpha.col)
+            vals.append(alpha.data.astype(float))
             ncols += len(bd.alpha_verts)
             for sig in bd.sigma:
                 nz = np.flatnonzero(sig)
@@ -312,86 +296,44 @@ class KernelBasis:
 
 
 def _gradient_columns(pencil: ReducedPencil) -> sp.csr_matrix:
-    """Injection of every BC-admissible potential into the DOF space."""
+    """Injection of every BC-admissible potential into the DOF space.
+
+    G = P @ Phi[:, keep].  P maps a vertex potential to DOF coordinates: its
+    gradient on the DOF edges, then under CLOSED_TRACE the boundary potential
+    relative to the component pins and zero sigma coordinates.  Phi holds the
+    admissible potentials, one per vertex, except that under ZERO_TRACE each
+    boundary component moves as one block.  One column per mesh component is
+    a global constant and gets dropped: its first boundary block if it has
+    one, else its lowest vertex.
+    """
     cx = pencil.complex
     bc = pencil.bc
-    labels = cx.vertex_components()
-    drop: set[int] = set()
-    for comp in range(labels.max() + 1):
-        drop.add(int(np.flatnonzero(labels == comp)[0]))
-
-    D0 = cx.D0.tocsc()
-    if bc.kind is BCKind.CLOSED_MESH:
-        keep = [v for v in range(cx.num_vertices) if v not in drop]
-        return D0[:, keep].tocsr()
-
-    surf = pencil.boundary.surface
-    interior_edges = pencil.interior_edges
-    D0_int = D0[interior_edges, :]
-
-    if bc.kind is BCKind.ZERO_TRACE:
-        # admissible potentials: free on interior vertices, locally constant
-        # on each boundary component; one parameter per mesh component is
-        # redundant (global constants) and gets dropped
-        comp_of_vertex = surf.vertex_component
-        bcomp_rep: dict[int, int] = {}
-        for v, c in comp_of_vertex.items():
-            bcomp_rep.setdefault(c, v)
-        drop_bcomp: set[int] = set()
-        drop_ivert: set[int] = set()
-        for mcomp in range(labels.max() + 1):
-            owned = sorted(c for c, v in bcomp_rep.items() if labels[v] == mcomp)
-            if owned:
-                drop_bcomp.add(owned[0])
-            else:
-                drop_ivert.add(int(np.flatnonzero(labels == mcomp)[0]))
-        cols = []
-        for v in range(cx.num_vertices):
-            if v in comp_of_vertex or v in drop_ivert:
-                continue
-            cols.append(D0_int[:, v])
-        for comp in range(surf.num_components):
-            if comp in drop_bcomp:
-                continue
-            verts = [v for v, c in comp_of_vertex.items() if c == comp]
-            combined = sum(D0_int[:, v] for v in verts)
-            cols.append(sp.csc_matrix(combined))
-        if not cols:
-            return sp.csr_matrix((len(interior_edges), 0))
-        return sp.hstack(cols, format="csr")
-
-    # CLOSED_TRACE: phi on all vertices except one drop per mesh component
+    V = cx.num_vertices
     bd = pencil.boundary
-    n_int = len(interior_edges)
-    nalpha = len(bd.alpha_verts)
-    nt = len(bd.sigma)
-    alpha_col = {int(v): n_int + i for i, v in enumerate(bd.alpha_verts)}
-    comp_of_vertex = surf.vertex_component
-    pins = bd.pins
-    rows, cols, vals = [], [], []
-    ncol = 0
-    for u in range(cx.num_vertices):
-        if u in drop:
-            continue
-        block = D0_int[:, u].tocoo()
-        rows.extend(block.row.tolist())
-        cols.extend([ncol] * block.nnz)
-        vals.extend(block.data.tolist())
-        if u in comp_of_vertex:
-            if u in pins:
-                comp = comp_of_vertex[u]
-                for v, c in comp_of_vertex.items():
-                    if c == comp and v not in pins:
-                        rows.append(alpha_col[v])
-                        cols.append(ncol)
-                        vals.append(-1.0)
-            else:
-                rows.append(alpha_col[u])
-                cols.append(ncol)
-                vals.append(1.0)
-        ncol += 1
-    ndof = n_int + nalpha + nt
-    return sp.coo_matrix((vals, (rows, cols)), shape=(ndof, ncol)).tocsr()
+    rows = [cx.D0[pencil.interior_edges]]
+    block = np.full(V, -1)
+    if bc.kind is BCKind.ZERO_TRACE:
+        block = bd.surface.vertex_component
+    elif bc.kind is BCKind.CLOSED_TRACE:
+        alpha = bd.alpha_verts
+        pin = np.asarray(bd.pins)[bd.surface.vertex_component[alpha]]
+        k = np.arange(len(alpha))
+        rows.append(sp.csr_matrix(
+            (np.repeat([1, -1], len(alpha)), (np.tile(k, 2), np.concatenate([alpha, pin]))),
+            shape=(len(alpha), V),
+        ))
+        rows.append(sp.csr_matrix((len(bd.sigma), V), dtype=np.int64))
+    P = sp.vstack(rows, format="csr")
+
+    free = block < 0
+    nfree = int(free.sum())
+    column = np.where(free, np.cumsum(free) - 1, nfree + block)
+    Phi = sp.csr_matrix((np.ones(V, dtype=np.int64), (np.arange(V), column)))
+    key = np.where(free, V + np.arange(V), block)
+    order = np.argsort(key, kind="stable")
+    _, first = np.unique(cx.vertex_components()[order], return_index=True)
+    keep = np.setdiff1d(np.arange(Phi.shape[1]), column[order[first]])
+    return (P @ Phi[:, keep]).sorted_indices()
 
 
 def _relative_cocycles(cx: SimplicialComplex3, surf: SurfaceComplex) -> list[np.ndarray]:
@@ -402,7 +344,7 @@ def _relative_cocycles(cx: SimplicialComplex3, surf: SurfaceComplex) -> list[np.
     """
     interior = np.setdiff1d(np.arange(cx.num_edges), surf.parent_edge_ids)
     node = np.arange(1, cx.num_vertices + 1)
-    node[list(surf.vertex_component)] = 0
+    node[surf.vertex_component >= 0] = 0
     out = []
     for vec in tree_gauge_cocycles(node[cx.edges[interior]], cx.D1.tocsc()[:, interior]):
         full = np.zeros(cx.num_edges, dtype=np.int64)
@@ -504,8 +446,6 @@ class KernelProjector:
         """Adjoint projector on momentum vectors: P_dual(M v) = M (P v)."""
         return x - self._M1 @ self._kernel_part(x)
 
-    __call__ = apply
-
 
 def kernel_projector(
     cx: SimplicialComplex3,
@@ -549,12 +489,6 @@ class BeltramiSolution:
     bc: BoundaryCondition
     shift: float
     pencil: ReducedPencil
-
-    @property
-    def pairs(self) -> list[tuple[float, np.ndarray]]:
-        return [
-            (float(l), self.cochains[:, i]) for i, l in enumerate(self.lambdas)
-        ]
 
 
 def default_shift(cx: SimplicialComplex3) -> float:

@@ -128,10 +128,6 @@ class SpanningForest(NamedTuple):
     sign: np.ndarray    # (N,) +1 when that edge runs parent -> node, -1 when reversed
 
     @property
-    def roots(self) -> np.ndarray:
-        return self.order[self.parent[self.order] < 0]
-
-    @property
     def tree_edges(self) -> np.ndarray:
         return self.edge[self.edge >= 0]
 
@@ -270,13 +266,11 @@ def build_complex(vertices, tets, tet_coords=None) -> SimplicialComplex3:
     D0 = sp.csr_matrix((data, (rows, cols)), shape=(E, V), dtype=np.int64)
 
     # boundary of sorted face (a,b,c): +(b,c) -(a,c) +(a,b), all keys sorted
+    # edges are in lexicographic order, so their integer keys are sorted
+    keys = edges[:, 0] * V + edges[:, 1]
     fa, fb, fc = faces[:, 0], faces[:, 1], faces[:, 2]
-    edge_lookup = {tuple(e): i for i, e in enumerate(edges)}
-    e_bc = np.array([edge_lookup[(b, c)] for b, c in zip(fb, fc)])
-    e_ac = np.array([edge_lookup[(a, c)] for a, c in zip(fa, fc)])
-    e_ab = np.array([edge_lookup[(a, b)] for a, b in zip(fa, fb)])
     rows = np.repeat(np.arange(F), 3)
-    cols = np.column_stack([e_bc, e_ac, e_ab]).ravel()
+    cols = np.searchsorted(keys, np.column_stack([fb * V + fc, fa * V + fc, fa * V + fb])).ravel()
     data = np.tile([1, -1, 1], F)
     D1 = sp.csr_matrix((data, (rows, cols)), shape=(F, E), dtype=np.int64)
 

@@ -1,7 +1,9 @@
 """Boundary surface of a tetrahedral complex, with induced orientation.
 
-The surface keeps its own canonical edge enumeration plus incidence
-operators, so the homology machinery can run on it directly (needed for
+The surface is a signed slice of the parent incidence: its edges are the
+parent edges of the boundary faces, and its face-edge operator is the
+parent's D1 restricted to those faces and edges, each row multiplied by the
+face's D2 sign.  The homology machinery runs on it directly (needed for
 trace boundary conditions on meshes whose boundary has genus >= 1).
 """
 
@@ -21,13 +23,10 @@ class SurfaceComplex:
     """Closed oriented triangulated surface extracted from a parent complex."""
 
     parent: SimplicialComplex3
-    face_ids: np.ndarray        # (Fs,) parent face indices
-    oriented_tris: np.ndarray   # (Fs,3) vertex triples with induced orientation
     edges: np.ndarray           # (Es,2) sorted vertex pairs (parent vertex ids)
     parent_edge_ids: np.ndarray  # (Es,) matching edge index in the parent
     D1s: sp.csr_matrix          # (Fs,Es) face-edge incidence of the surface
-    face_component: np.ndarray  # (Fs,) component label per face
-    vertex_component: dict[int, int]  # vertex -> label of the first face holding it
+    vertex_component: np.ndarray  # (V,) component label per parent vertex, -1 off the boundary
     genus: list[int]            # per component
     oriented: bool              # True when induced orientations are consistent
 
@@ -50,16 +49,11 @@ class SurfaceComplex:
         (antisymmetric, zero on the diagonal), independent of
         representatives.
         """
-        a = np.asarray(a)
-        b = np.asarray(b)
-        edge_lookup = {tuple(e): i for i, e in enumerate(self.edges)}
-
-        total = 0
-        for tri in self.oriented_tris:
-            v0, v1, v2 = sorted(tri)
-            sign = 1 if (tuple(tri) in ((v0, v1, v2), (v1, v2, v0), (v2, v0, v1))) else -1
-            total += sign * a[edge_lookup[(v0, v1)]] * b[edge_lookup[(v1, v2)]]
-        return int(total)
+        # each row of D1s holds the edges (v0,v1), (v0,v2), (v1,v2) in this
+        # order, and its (v0,v1) entry is the face's orientation sign
+        edges = self.D1s.indices.reshape(-1, 3)
+        sign = self.D1s.data[::3]
+        return int(np.sum(sign * np.asarray(a)[edges[:, 0]] * np.asarray(b)[edges[:, 2]]))
 
 
 def boundary_surface(complex: SimplicialComplex3) -> SurfaceComplex:
@@ -74,88 +68,49 @@ def boundary_surface(complex: SimplicialComplex3) -> SurfaceComplex:
 
 def _extract_surface(complex: SimplicialComplex3) -> SurfaceComplex:
     face_ids = complex.boundary_faces
-    ntris = len(face_ids)
-    D2 = complex.D2.tocsc()
-    tris = complex.faces[face_ids]
-
     # induced orientation: the sorted triple enters the tet boundary with the
-    # sign D2[t, f]; flip the triple when that sign is -1
-    oriented = tris.copy()
-    for k, f in enumerate(face_ids):
-        sign = D2.data[D2.indptr[f]:D2.indptr[f + 1]]
-        if len(sign) != 1:
-            raise OpenBoundary(f"face {f} marked boundary but not in exactly one tet")
-        if sign[0] < 0:
-            oriented[k, 1], oriented[k, 2] = oriented[k, 2], oriented[k, 1]
+    # sign D2[t, f]
+    D2 = complex.D2.tocsc()[:, face_ids]
+    single = np.diff(D2.indptr) == 1
+    if not single.all():
+        f = face_ids[np.argmin(single)]
+        raise OpenBoundary(f"face {f} marked boundary but not in exactly one tet")
 
-    # surface edges, canonical sorted pairs
-    pair_local = np.array([(0, 1), (0, 2), (1, 2)])
-    raw = tris[:, pair_local].reshape(-1, 2)
-    edges, inv = np.unique(np.sort(raw, axis=1), axis=0, return_inverse=True)
-    counts = np.bincount(inv, minlength=len(edges))
-    if len(edges) and not np.all(counts == 2):
+    D1 = complex.D1[face_ids]
+    parent_edge_ids = np.unique(D1.indices).astype(np.int64)
+    Es = len(parent_edge_ids)
+    D1s = D1[:, parent_edge_ids]
+    D1s.data *= np.repeat(D2.data, 3)
+    if not np.all(np.bincount(D1s.indices, minlength=Es) == 2):
         raise OpenBoundary("boundary faces do not close up into a surface")
-
-    # directed traversal check: each edge must be run once in each direction
-    dir_pairs = {}
-    consistent = True
-    for v0, v1, v2 in oriented:
-        for u, v in ((v0, v1), (v1, v2), (v2, v0)):
-            key = (min(u, v), max(u, v))
-            dir_pairs.setdefault(key, []).append(u < v)
-    for runs in dir_pairs.values():
-        if len(runs) != 2 or runs[0] == runs[1]:
-            consistent = False
-            break
-
-    parent_edge_lookup = {tuple(e): i for i, e in enumerate(complex.edges)}
-    parent_edge_ids = np.array(
-        [parent_edge_lookup[tuple(e)] for e in edges], dtype=np.int64
-    )
-
-    # face-edge incidence with parity signs, per oriented triple:
-    # boundary of [w0,w1,w2] = (w1,w2) - (w0,w2) + (w0,w1), keys sorted
-    rows, cols, data = [], [], []
-    edge_lookup = {tuple(e): i for i, e in enumerate(edges)}
-    for k, (w0, w1, w2) in enumerate(oriented):
-        for verts, coeff in (((w1, w2), 1), ((w0, w2), -1), ((w0, w1), 1)):
-            key = (min(verts), max(verts))
-            s = 1 if verts[0] < verts[1] else -1
-            rows.append(k)
-            cols.append(edge_lookup[key])
-            data.append(coeff * s)
-    D1s = sp.csr_matrix((data, (rows, cols)), shape=(ntris, len(edges)), dtype=np.int64)
+    # each edge is run once in each direction by consistently oriented faces
+    oriented = not np.any(np.bincount(D1s.indices, weights=D1s.data, minlength=Es))
 
     # components by face adjacency through shared edges
-    face_of_edge = sp.csr_matrix(
-        (np.ones(3 * ntris), (inv, np.repeat(np.arange(ntris), 3))),
-        shape=(len(edges), ntris),
-    )
-    adj = face_of_edge.T @ face_of_edge
-    ncomp, labels = sp.csgraph.connected_components(adj, directed=False)
-    # vertices in order of first appearance (faces in order, then corners)
-    corners = oriented.ravel()
+    incidence = abs(D1s)
+    ncomp, labels = sp.csgraph.connected_components(incidence @ incidence.T, directed=False)
+    edge_label = np.empty(Es, dtype=np.int64)
+    edge_label[D1s.indices] = np.repeat(labels, 3)
+    # a vertex takes the label of the first face holding it
+    V = complex.num_vertices
+    corners = complex.faces[face_ids].ravel()
+    corner_label = np.repeat(labels, 3)
+    vertex_component = np.full(V, -1, dtype=np.int64)
     _, first = np.unique(corners, return_index=True)
-    first.sort()
-    vertex_component = dict(zip(corners[first].tolist(), np.repeat(labels, 3)[first].tolist()))
-
-    genus = []
-    for comp in range(ncomp):
-        fmask = labels == comp
-        verts = np.unique(tris[fmask])
-        emask = np.isin(edges[:, 0], verts) & np.isin(edges[:, 1], verts)
-        chi = len(verts) - int(emask.sum()) + int(fmask.sum())
-        genus.append((2 - chi) // 2)
+    vertex_component[corners[first]] = corner_label[first]
+    comp_vertices = np.unique(corner_label * V + corners) // V
+    chi = (
+        np.bincount(comp_vertices, minlength=ncomp)
+        - np.bincount(edge_label, minlength=ncomp)
+        + np.bincount(labels, minlength=ncomp)
+    )
 
     return SurfaceComplex(
         parent=complex,
-        face_ids=face_ids,
-        oriented_tris=oriented,
-        edges=edges,
+        edges=complex.edges[parent_edge_ids],
         parent_edge_ids=parent_edge_ids,
         D1s=D1s,
-        face_component=labels,
         vertex_component=vertex_component,
-        genus=genus,
-        oriented=consistent,
+        genus=((2 - chi) // 2).tolist(),
+        oriented=oriented,
     )

@@ -15,6 +15,7 @@ from fieldtopo.beltrami import (
 from fieldtopo.errors import IncompatibleBC
 from fieldtopo.fem import build_fem, edge_interpolant
 from fieldtopo.generators import GridSpec, gen_box_minus_ring, gen_grid
+from fieldtopo.mesh import build_complex
 
 TAU = 2 * np.pi
 
@@ -76,9 +77,35 @@ def test_dof_map_roundtrip(solid_torus, solid_torus_fem):
     pen = reduce_system(solid_torus, solid_torus_fem, bc)
     rng = np.random.default_rng(0)
     x = rng.standard_normal(pen.ndof)
-    h = pen.to_full(x)
+    h = pen.C @ x
     back = pen.full_to_dof(h)
-    assert np.abs(pen.to_full(back) - h).max() < 1e-10
+    assert np.abs(pen.C @ back - h).max() < 1e-10
+
+
+def test_gradients_with_closed_component():
+    """A torus next to a cube: the torus component has no boundary, so it
+    drops its lowest vertex from the gradient columns, and the cube drops
+    its boundary block (zero-trace) or its lowest vertex (closed-trace)."""
+    a = gen_grid(GridSpec(3, 3, 3, periodic=(True, True, True)))
+    b = gen_grid(GridSpec(2, 2, 2))
+    cx = build_complex(
+        np.vstack([a.vertices, b.vertices + 5.0]),
+        np.vstack([a.tets, b.tets + a.num_vertices]),
+        np.concatenate([a.tet_coords, b.tet_coords + 5.0]),
+    )
+    fem = build_fem(cx)
+    on_boundary = np.unique(cx.faces[cx.boundary_faces])
+    rng = np.random.default_rng(4)
+    for bc, ncols in ((BoundaryCondition.zero_trace(), 27), (BoundaryCondition.closed_trace(), 52)):
+        pen = reduce_system(cx, fem, bc)
+        proj = kernel_projector(cx, fem, bc, pen)
+        assert proj.basis.gradient.shape == (pen.ndof, ncols)
+        assert proj.harmonic_dimension == 3
+        phi = rng.standard_normal(cx.num_vertices)
+        if bc.kind is BCKind.ZERO_TRACE:
+            phi[on_boundary] = 0.7
+        x = pen.full_to_dof(cx.D0 @ phi)
+        assert np.linalg.norm(proj.apply(x)) <= 1e-12 * np.linalg.norm(x)
 
 
 def test_projector_properties(torus8_beltrami, torus3_8):

@@ -189,7 +189,13 @@ def test_topology_invariant_under_relabelling(name, b1, seed):
     _assert_dual(rx.D0, basis)
     if len(rx.boundary_faces):
         surf = boundary_surface(rx)
-        _assert_dual(rx.D0[surf.parent_edge_ids], surface_h1_basis(surf))
+        assert surf.oriented
+        assert sorted(surf.genus) == sorted(boundary_surface(cx).genus)
+        sb = surface_h1_basis(surf)
+        _assert_dual(rx.D0[surf.parent_edge_ids], sb)
+        P = np.array([[surf.cup_integral(a, b) for b in sb.cocycles] for a in sb.cocycles])
+        assert np.array_equal(P, -P.T)
+        assert abs(round(float(np.linalg.det(P)))) == 1
 
 
 def test_cached_topology_returns_copies(box_ring):

@@ -136,6 +136,17 @@ def test_boundary_surface_oriented_flag(cube4):
     assert surf.genus == [0]
 
 
+def test_boundary_surface_flipped_face_not_oriented():
+    from fieldtopo.surface import boundary_surface
+
+    cx = gen_grid(GridSpec(2, 2, 2))
+    D2 = cx.D2.tocsc()
+    f = cx.boundary_faces[0]
+    D2.data[D2.indptr[f]:D2.indptr[f + 1]] *= -1
+    cx.D2 = D2.tocsr()
+    assert boundary_surface(cx).oriented is False
+
+
 def test_open_boundary_detected(cube4):
     from fieldtopo.errors import OpenBoundary
     from fieldtopo.surface import boundary_surface

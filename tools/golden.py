@@ -49,6 +49,15 @@ CASES: dict[str, list[str]] = {
     "beltrami-box-ring-closed-trace": [
         "beltrami", "--geometry", "box-ring", "--n", "5", "--bc", "closed-trace:0",
     ],
+    "beltrami-box-ring-closed-trace-1": [
+        "beltrami", "--geometry", "box-ring", "--n", "5", "--bc", "closed-trace:1",
+    ],
+    "beltrami-box-ring-not-isotropic": [
+        "beltrami", "--geometry", "box-ring", "--n", "5", "--bc", "closed-trace:0,1",
+    ],
+    "beltrami-cube-closed-trace": [
+        "beltrami", "--geometry", "cube", "--n", "3", "--bc", "closed-trace",
+    ],
     "classify-torus3": ["classify", "--geometry", "torus3", "--n", "4", "--size", TAU],
     "pipeline-solid-torus": [
         "pipeline", "--geometry", "solid-torus", "--n", "2,2,8", "--size", "1,1,2",
