@@ -11,11 +11,14 @@ which the boundary pairing vanishes:
   self-adjoint extension.
 
 The huge curl kernel (gradients plus harmonic fields) is kept out of the
-eigensolver in two ways.  Inside the Krylov iteration a polynomial filter of
-the shift-inverted operator maps every null vector of the curl pairing to
-exactly zero, so each step costs two solves on one factor.  An explicit
-kernel basis gives the M1-orthogonal projector that is applied to the start
-vector and to the returned eigenvectors.
+eigensolver in two ways.  A polynomial filter of the shift-inverted operator
+maps every null vector of the curl pairing to exactly zero, so the iteration
+never sees it, and an explicit kernel basis gives the M1-orthogonal
+projector that is applied to the start block and to the returned
+eigenvectors.  The iteration is a thick-restart block Krylov method with
+b = k columns per block: each step is two k-column solves on one factor, it
+stops once the k leading pairs of the filter have converged, and a cluster
+of multiplicity up to k comes out complete.
 """
 
 from __future__ import annotations
@@ -521,6 +524,29 @@ def _shift_side_order(lams: np.ndarray, sigma: float, tol: float) -> np.ndarray:
     return order[np.lexsort((away, tie))]
 
 
+def _m_orthonormalize(W: np.ndarray, V: np.ndarray, M) -> np.ndarray:
+    """M-orthonormal basis of the part of span W that is M-orthogonal to the
+    M-orthonormal columns of V.
+
+    Two passes of block Gram-Schmidt, each followed by an eigendecomposition
+    of the small Gram matrix.  Directions whose norm is below 1e-10 of the
+    largest are dropped, so the result may have fewer columns than W.
+    """
+    for _ in range(2):
+        W = W - V @ (V.T @ (M @ W))
+        s, U = np.linalg.eigh(W.T @ (M @ W))
+        keep = s > 1e-20 * s.max(initial=0.0)
+        W = W @ (U[:, keep] / np.sqrt(s[keep]))
+    return W
+
+
+# Krylov basis of 20 blocks, restarted on its leading half; the step cap only
+# bounds a stagnating iteration, whose vectors then meet the residual gate.
+_BASIS_BLOCKS = 20
+_MAX_STEPS = 500
+_RITZ_RTOL = 1e-12
+
+
 def smallest_beltrami(
     pencil: ReducedPencil,
     projector: KernelProjector,
@@ -528,27 +554,35 @@ def smallest_beltrami(
     tol: float = 1e-8,
     shift: float | None = None,
     seed: int = 0,
-    maxiter: int | None = None,
 ) -> BeltramiSolution:
     """k eigenpairs of smallest nonzero |lambda| on the shift's side of
     S x = lambda M1 x.
 
-    Implicitly-restarted Lanczos (ARPACK's shift-invert mode) on the filter
-    f(OP) = OP^2 + OP/sigma of OP = (S - sigma M1)^{-1} M1: two solves on one
-    factor per step.  f vanishes on the whole curl kernel, so the zero
-    eigenvalue of the pencil is invisible to the iteration; the kernel
-    projector is applied only to the start vector and to the Ritz vectors.
+    Thick-restart block Krylov iteration, in the M1 inner product, on the
+    filter f(OP) = OP^2 + OP/sigma of OP = (S - sigma M1)^{-1} M1.  The block
+    has b = k columns, so each step is two solves with k right-hand sides on
+    one factor.  Each step adds the M1-orthonormalized residual block of the
+    k leading Ritz pairs to the basis; a full basis restarts from its leading
+    Ritz vectors.  The iteration stops when the k leading pairs of f have
+    residual ||f x - mu x||_M1 <= 1e-12 |mu|.  A block of k columns holds up
+    to k copies of one eigenvalue, so a cluster of multiplicity up to k
+    comes out complete, not through rounding.
 
-    The filter damps eigenvalues of the sign opposite to the shift, so the
-    contract is the smallest |lambda| on the shift's side: where the
-    spectrum is not sign-symmetric (closed-trace conditions), a smaller
-    |lambda| of the other sign needs a shift of that sign.  Pairs come sorted
-    by |lambda|; values tied within tol * max(1, |lambda|) list the shift's
-    sign first.  Deterministic for a fixed seed.
+    f vanishes on the whole curl kernel, so the zero eigenvalue of the pencil
+    is invisible to the iteration; the kernel projector is applied only to
+    the start block and to the Ritz vectors.  The filter damps eigenvalues
+    of the sign opposite to the shift, so the contract is the smallest
+    |lambda| on the shift's side: where the spectrum is not sign-symmetric
+    (closed-trace conditions), a smaller |lambda| of the other sign needs a
+    shift of that sign.  Pairs come sorted by |lambda|; values tied within
+    tol * max(1, |lambda|) list the shift's sign first.  Deterministic for a
+    fixed seed.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     n = pencil.ndof
+    if k > n - 2:
+        raise NoConvergence(f"system too small for k={k} pairs")
     sigma = default_shift(pencil.complex) if shift is None else float(shift)
 
     A = pencil.S
@@ -561,44 +595,51 @@ def smallest_beltrami(
         options=dict(SymmetricMode=True, DiagPivotThresh=0.01),
     )
 
-    def filtered(y):
-        # ARPACK passes y = M v and wants f(OP) v with OP = (A - sigma M)^{-1} M
-        # (eigenvalue nu = 1/(lambda - sigma)) and f(nu) = nu^2 + nu/sigma.
-        # Gradients, harmonic fields and curls in the dead space of the mixed
-        # edge/face pairing all have A x = 0, i.e. lambda = 0 or
-        # nu = -1/sigma, where f vanishes: the filter removes the whole kernel
-        # exactly, with no projection inside the loop (rounding leaves below
-        # 1e-12, in M-norm, of kernel in the Ritz vectors, which the final
-        # projection removes).  f boosts eigenvalues near sigma, and with
-        # sigma well below |lambda|_min distinct lambdas cannot collide.
-        u = op_lu.solve(y)
-        return op_lu.solve(M @ u) + u / sigma
+    def filtered(Y):
+        # f(OP) Y with OP = (A - sigma M)^{-1} M (eigenvalue nu = 1/(lambda -
+        # sigma)) and f(nu) = nu^2 + nu/sigma.  Gradients, harmonic fields and
+        # curls in the dead space of the mixed edge/face pairing all have
+        # A x = 0, i.e. lambda = 0 or nu = -1/sigma, where f vanishes: the
+        # filter removes the whole kernel exactly, with no projection inside
+        # the loop (rounding leaves below 1e-12, in M-norm, of kernel in the
+        # Ritz vectors, which the final projection removes).  f is largest
+        # for the lambdas nearest sigma on its side, and with sigma well
+        # below |lambda|_min distinct lambdas cannot collide.
+        U = op_lu.solve(M @ Y)
+        return op_lu.solve(M @ U) + U / sigma
 
-    n_req = min(n - 2, max(2 * k + 4, 12))
-    if n_req < k:
-        raise NoConvergence(f"system too small for k={k} pairs")
+    # the basis V (M-orthonormal), its image F V = f(OP) V and the projected
+    # T = V^T M F V live in preallocated arrays; j columns are in use
+    m = _BASIS_BLOCKS * k
+    V, FV, T = np.empty((n, m), order="F"), np.empty((n, m), order="F"), np.empty((m, m))
     rng = np.random.default_rng(seed)
-    v0 = projector.apply(rng.standard_normal(n))
-
-    ncv = min(n, max(4 * n_req, 40))
-    try:
-        _, vecs = spla.eigsh(
-            A,
-            k=n_req,
-            M=M,
-            sigma=sigma,
-            OPinv=spla.LinearOperator((n, n), matvec=filtered),
-            which="LM",
-            v0=v0,
-            ncv=ncv,
-            maxiter=maxiter,
-            tol=1e-12,
-        )
-    except spla.ArpackNoConvergence as exc:
-        if getattr(exc, "eigenvectors", None) is not None and exc.eigenvectors.shape[1] >= k:
-            vecs = exc.eigenvectors
-        else:
-            raise NoConvergence(f"ARPACK did not converge: {exc}") from exc
+    Q = projector.apply(rng.standard_normal((n, k)))
+    j = 0
+    for _ in range(_MAX_STEPS):
+        Q = _m_orthonormalize(Q, V[:, :j], M)
+        q = Q.shape[1]
+        if not q:
+            break
+        V[:, j : j + q] = Q
+        FV[:, j : j + q] = filtered(Q)
+        T[: j + q, j : j + q] = FV[:, : j + q].T @ (M @ Q)
+        T[j : j + q, :j] = T[:j, j : j + q].T
+        j += q
+        # Rayleigh-Ritz, leading (largest) mu first
+        mu, Y = np.linalg.eigh(T[:j, :j])
+        mu, Y = mu[::-1], Y[:, ::-1]
+        vecs = V[:, :j] @ Y[:, :k]
+        Q = FV[:, :j] @ Y[:, :k] - vecs * mu[:k]  # residual block
+        rnorm = np.sqrt(np.einsum("ik,ik->k", Q, M @ Q))
+        if np.all(rnorm <= _RITZ_RTOL * np.abs(mu[:k])):
+            break
+        if j + k > m:
+            # thick restart on the leading half of the Ritz vectors
+            p = m // 2
+            V[:, :p] = V[:, :j] @ Y[:, :p]
+            FV[:, :p] = FV[:, :j] @ Y[:, :p]
+            T[:p, :p] = np.diag(mu[:p])
+            j = p
 
     X = projector.apply(vecs)
     nrm = np.sqrt(np.einsum("ik,ik->k", X, M @ X))

@@ -17,6 +17,10 @@ class OpenBoundary(FieldTopoError):
     """Boundary faces do not close up into a surface."""
 
 
+class InvalidComplex(FieldTopoError):
+    """The complex fails a structural check of ``validate_complex``."""
+
+
 class RingTouchesBoundary(FieldTopoError):
     """Ring cells touch the outer wall of the box."""
 

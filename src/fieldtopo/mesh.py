@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DegenerateTet, NonManifoldFace
+from .errors import DegenerateTet, InvalidComplex, NonManifoldFace
 
 # local vertex pairs/triples of a tet, in canonical local order
 EDGE_LOCAL = np.array([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
@@ -314,7 +314,7 @@ class ValidationReport:
 
     def raise_if_failed(self):
         if self.failures:
-            raise AssertionError("; ".join(self.failures))
+            raise InvalidComplex("; ".join(self.failures))
 
 
 def validate_complex(complex: SimplicialComplex3) -> ValidationReport:

@@ -56,6 +56,13 @@ def write_json(path, obj):
         fh.write("\n")
 
 
+def _rows(fmt: str, values) -> str:
+    """One ``fmt`` line per row of ``values``; ``%.17g`` prints a float as
+    ``_fmt`` does."""
+    values = np.asarray(values)
+    return (fmt * len(values)) % tuple(values.ravel().tolist())
+
+
 def write_mesh_vtk(
     path,
     cx: SimplicialComplex3,
@@ -76,26 +83,20 @@ def write_mesh_vtk(
         fh.write("ASCII\n")
         fh.write("DATASET UNSTRUCTURED_GRID\n")
         fh.write(f"POINTS {len(pts)} double\n")
-        for p in pts:
-            fh.write(f"{_fmt(p[0])} {_fmt(p[1])} {_fmt(p[2])}\n")
+        fh.write(_rows("%.17g %.17g %.17g\n", pts))
         fh.write(f"CELLS {T} {5 * T}\n")
-        for t in range(T):
-            b = 4 * t
-            fh.write(f"4 {b} {b + 1} {b + 2} {b + 3}\n")
+        fh.write(_rows("4 %d %d %d %d\n", np.arange(4 * T).reshape(T, 4)))
         fh.write(f"CELL_TYPES {T}\n")
-        for _ in range(T):
-            fh.write("10\n")
+        fh.write("10\n" * T)
         if cell_scalars or cell_vectors:
             fh.write(f"CELL_DATA {T}\n")
             for name, data in (cell_scalars or {}).items():
                 fh.write(f"SCALARS {name} double 1\n")
                 fh.write("LOOKUP_TABLE default\n")
-                for v in data:
-                    fh.write(_fmt(v) + "\n")
+                fh.write(_rows("%.17g\n", data))
             for name, data in (cell_vectors or {}).items():
                 fh.write(f"VECTORS {name} double\n")
-                for v in data:
-                    fh.write(f"{_fmt(v[0])} {_fmt(v[1])} {_fmt(v[2])}\n")
+                fh.write(_rows("%.17g %.17g %.17g\n", data))
 
 
 def write_cut_vtk(path, cut: CutSurface, title: str = "fieldtopo cut"):
@@ -108,14 +109,11 @@ def write_cut_vtk(path, cut: CutSurface, title: str = "fieldtopo cut"):
         fh.write("ASCII\n")
         fh.write("DATASET POLYDATA\n")
         fh.write(f"POINTS {P} double\n")
-        for p in cut.points:
-            fh.write(f"{_fmt(p[0])} {_fmt(p[1])} {_fmt(p[2])}\n")
+        fh.write(_rows("%.17g %.17g %.17g\n", cut.points))
         fh.write(f"POLYGONS {K} {4 * K}\n")
-        for tri in cut.triangles:
-            fh.write(f"3 {tri[0]} {tri[1]} {tri[2]}\n")
+        fh.write(_rows("3 %d %d %d\n", cut.triangles))
         if K:
             fh.write(f"CELL_DATA {K}\n")
             fh.write("SCALARS source_tet int 1\n")
             fh.write("LOOKUP_TABLE default\n")
-            for t in cut.source_tet:
-                fh.write(f"{int(t)}\n")
+            fh.write(_rows("%d\n", cut.source_tet))

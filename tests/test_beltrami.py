@@ -12,7 +12,7 @@ from fieldtopo.beltrami import (
     residual_report,
     smallest_beltrami,
 )
-from fieldtopo.errors import IncompatibleBC
+from fieldtopo.errors import IncompatibleBC, NoConvergence
 from fieldtopo.fem import build_fem, edge_interpolant
 from fieldtopo.generators import GridSpec, gen_box_minus_ring, gen_grid
 from fieldtopo.mesh import build_complex
@@ -178,8 +178,8 @@ def _solid_torus_338():
 
 
 def test_sign_tie_goes_to_shift_side():
-    """The closed-trace solid torus has both +-1.7949518 in its Ritz set;
-    the tie rule, not rounding, picks the one on the shift's side."""
+    """The closed-trace solid torus has both +-1.7949518 in its spectrum;
+    each shift returns the one on its own side."""
     cx = _solid_torus_338()
     fem = build_fem(cx)
     bc = BoundaryCondition.closed_trace(1)
@@ -205,8 +205,9 @@ DENSE_CASES = {
 
 @pytest.mark.parametrize("case", list(DENSE_CASES))
 def test_matches_dense_spectrum(case):
-    """Every returned lambda is an eigenvalue of the dense pencil, and the
-    first is the nonzero one of least magnitude on the shift's side."""
+    """The k returned lambdas are the k nonzero eigenvalues of the dense
+    pencil of least magnitude on the shift's side, counted with
+    multiplicity."""
     make, bc = DENSE_CASES[case]
     cx = make()
     fem = build_fem(cx)
@@ -214,11 +215,21 @@ def test_matches_dense_spectrum(case):
     proj = kernel_projector(cx, fem, bc, pen)
     dense = sla.eigh(pen.S.toarray(), pen.M1.toarray(), eigvals_only=True)
     nonzero = dense[np.abs(dense) > 1e-6 * np.abs(dense).max()]
+    k = 2
     for sign, side in ((1.0, nonzero[nonzero > 0]), (-1.0, nonzero[nonzero < 0])):
-        sol = smallest_beltrami(pen, proj, k=2, tol=1e-8, shift=sign * default_shift(cx))
-        for lam in sol.lambdas:
-            assert np.abs(dense - lam).min() <= 1e-9 * abs(lam)
-        assert sol.lambdas[0] == pytest.approx(side[np.argmin(np.abs(side))], rel=1e-9)
+        sol = smallest_beltrami(pen, proj, k=k, tol=1e-8, shift=sign * default_shift(cx))
+        expected = side[np.argsort(np.abs(side))[:k]]
+        np.testing.assert_allclose(sol.lambdas, expected, rtol=1e-9, atol=0.0)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_degenerate_cluster_complete(torus8_beltrami, seed):
+    """The smallest |lambda| on the n=8 3-torus is an exactly 6-fold
+    cluster; k=6 returns all six copies for any start block, with no
+    member of the next cluster among them."""
+    pen, proj, _ = torus8_beltrami
+    sol = smallest_beltrami(pen, proj, k=6, tol=1e-8, seed=seed)
+    np.testing.assert_allclose(sol.lambdas, np.full(6, 0.9526012254), rtol=1e-9, atol=0.0)
 
 
 def test_eigenvalue_scaling():
@@ -299,3 +310,17 @@ def test_bc_describe():
     assert BoundaryCondition.closed_mesh().describe() == "closed-mesh"
     assert BoundaryCondition.zero_trace().kind is BCKind.ZERO_TRACE
     assert BoundaryCondition.closed_trace(0, 2).describe() == "closed-trace:0,2"
+
+
+def test_step_cap_ends_in_no_convergence(torus3_coarse, torus3_coarse_fem, monkeypatch):
+    """An iteration stopped early hands its Ritz vectors to the residual
+    gate, which raises NoConvergence with the worst residual."""
+    import fieldtopo.beltrami as beltrami
+
+    bc = BoundaryCondition.closed_mesh()
+    pen = reduce_system(torus3_coarse, torus3_coarse_fem, bc)
+    proj = kernel_projector(torus3_coarse, torus3_coarse_fem, bc, pen)
+    monkeypatch.setattr(beltrami, "_MAX_STEPS", 2)
+    with pytest.raises(NoConvergence) as exc:
+        smallest_beltrami(pen, proj, k=2, tol=1e-8)
+    assert exc.value.best_residual > 1e-8

@@ -166,6 +166,39 @@ def test_error_contract(tmp_path, capsys, argv, error):
         assert read_json(out / "error.json") == doc
 
 
+TWO_TETS_SHARING_AN_EDGE = """$MeshFormat
+2.2 0 8
+$EndMeshFormat
+$Nodes
+6
+1 0 0 0
+2 1 0 0
+3 0 1 0
+4 0 0 1
+5 0 -1 0
+6 0 0 -1
+$EndNodes
+$Elements
+2
+1 4 2 0 1 1 2 3 4
+2 4 2 0 1 1 2 5 6
+$EndElements
+"""
+
+
+def test_failed_validation_error_contract(tmp_path, capsys):
+    """A mesh that parses but fails validate_complex exits 2 with JSON."""
+    path = tmp_path / "edge.msh"
+    path.write_text(TWO_TETS_SHARING_AN_EDGE)
+    out = tmp_path / "out"
+    rc = main(["gen", "--geometry", f"msh:{path}", "--out", str(out)])
+    assert rc == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["error"] == "InvalidComplex"
+    assert "do not close up into a surface" in doc["message"]
+    assert read_json(out / "error.json") == doc
+
+
 def test_homology_runtime_error_contract(tmp_path, capsys, monkeypatch):
     import fieldtopo.homology as homology
 
@@ -215,6 +248,32 @@ def test_gen_emits_valid_vtk(tmp_path):
     assert info["cells"] == 48
     assert info["points"] == 4 * 48
     assert set(info["cell_types"]) == {10}
+
+
+def test_mesh_vtk_matches_line_by_line_format(tmp_path):
+    """Block formatting writes the bytes of one `_fmt` line per row."""
+    import numpy as np
+
+    from fieldtopo.generators import GridSpec, gen_grid
+    from fieldtopo.writers import _fmt, write_mesh_vtk
+
+    cx = gen_grid(GridSpec(2, 2, 2, 1.0, 0.3, 7.0))
+    T = cx.num_tets
+    rng = np.random.default_rng(3)
+    s = rng.standard_normal(T) * 10.0 ** rng.integers(-300, 300, T)
+    s[:3] = [-0.0, 1.0, 2**-1074]
+    v = rng.standard_normal((T, 3))
+    write_mesh_vtk(tmp_path / "m.vtk", cx, cell_scalars={"s": s, "i": np.arange(T)},
+                   cell_vectors={"v": v}, title="t")
+    lines = ["# vtk DataFile Version 3.0", "t", "ASCII", "DATASET UNSTRUCTURED_GRID",
+             f"POINTS {4 * T} double"]
+    lines += [" ".join(_fmt(c) for c in p) for p in cx.tet_coords.reshape(-1, 3)]
+    lines += [f"CELLS {T} {5 * T}"] + [f"4 {4 * t} {4 * t + 1} {4 * t + 2} {4 * t + 3}" for t in range(T)]
+    lines += [f"CELL_TYPES {T}"] + ["10"] * T + [f"CELL_DATA {T}"]
+    for name, data in (("s", s), ("i", np.arange(T))):
+        lines += [f"SCALARS {name} double 1", "LOOKUP_TABLE default"] + [_fmt(x) for x in data]
+    lines += ["VECTORS v double"] + [" ".join(_fmt(c) for c in row) for row in v]
+    assert (tmp_path / "m.vtk").read_text() == "\n".join(lines) + "\n"
 
 
 def test_modes_vtk_consistent(tmp_path):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fieldtopo.errors import DegenerateTet, NonManifoldFace
+from fieldtopo.errors import DegenerateTet, InvalidComplex, NonManifoldFace
 from fieldtopo.generators import GridSpec, gen_grid
 from fieldtopo.mesh import build_complex, integrate_potential, spanning_forest, validate_complex
 
@@ -111,7 +111,7 @@ def test_validate_flags_corrupted_d1():
     r = validate_complex(cx)
     assert not r.ok
     assert any("D2@D1" in f or "D1@D0" in f for f in r.failures)
-    with pytest.raises(AssertionError):
+    with pytest.raises(InvalidComplex):
         r.raise_if_failed()
 
 
