@@ -11,14 +11,14 @@ which the boundary pairing vanishes:
   self-adjoint extension.
 
 The huge curl kernel (gradients plus harmonic fields) is kept out of the
-eigensolver in two ways.  A polynomial filter of the shift-inverted operator
-maps every null vector of the curl pairing to exactly zero, so the iteration
-never sees it, and an explicit kernel basis gives the M1-orthogonal
-projector that is applied to the start block and to the returned
-eigenvectors.  The iteration is a thick-restart block Krylov method with
-b = k columns per block: each step is two k-column solves on one factor, it
-stops once the k leading pairs of the filter have converged, and a cluster
-of multiplicity up to k comes out complete.
+eigensolver in two ways.  The Cayley transform (S - sigma M1)^{-1} S maps
+every null vector of the curl pairing to exactly zero, so the iteration never
+sees it, and an explicit kernel basis gives the M1-orthogonal projector that
+is applied to the start block and to the returned eigenvectors.  The
+iteration is a thick-restart block Krylov method with b = k columns per
+block: each step is one k-column solve on one factor, it stops once the k
+leading pairs have converged, and a cluster of multiplicity up to k comes out
+complete.
 """
 
 from __future__ import annotations
@@ -559,22 +559,28 @@ def smallest_beltrami(
     S x = lambda M1 x.
 
     Thick-restart block Krylov iteration, in the M1 inner product, on the
-    filter f(OP) = OP^2 + OP/sigma of OP = (S - sigma M1)^{-1} M1.  The block
-    has b = k columns, so each step is two solves with k right-hand sides on
-    one factor.  Each step adds the M1-orthonormalized residual block of the
-    k leading Ritz pairs to the basis; a full basis restarts from its leading
-    Ritz vectors.  The iteration stops when the k leading pairs of f have
-    residual ||f x - mu x||_M1 <= 1e-12 |mu|.  A block of k columns holds up
-    to k copies of one eigenvalue, so a cluster of multiplicity up to k
-    comes out complete, not through rounding.
+    Cayley transform g(OP) = OP + I/sigma = (S - sigma M1)^{-1} S / sigma of
+    OP = (S - sigma M1)^{-1} M1.  g spans the same Krylov space as OP.  The
+    block has b = k columns, so each step is one solve with k right-hand
+    sides on one factor.  Each step adds the M1-orthonormalized residual
+    block of the k leading Ritz pairs to the basis; a full basis restarts
+    from its leading Ritz vectors.  A Ritz value theta of g stands for nu =
+    theta - 1/sigma = 1/(lambda - sigma), and the leading pairs are those of
+    largest f(nu) = nu^2 + nu/sigma = theta (theta - 1/sigma).  The
+    iteration stops when the k leading pairs have residual
+    ||g x - theta x||_M1 <= 1e-12 |theta|.  A block of k columns holds up to
+    k copies of one eigenvalue, so a cluster of multiplicity up to k comes
+    out complete, not through rounding.
 
-    f vanishes on the whole curl kernel, so the zero eigenvalue of the pencil
-    is invisible to the iteration; the kernel projector is applied only to
-    the start block and to the Ritz vectors.  The filter damps eigenvalues
-    of the sign opposite to the shift, so the contract is the smallest
-    |lambda| on the shift's side: where the spectrum is not sign-symmetric
-    (closed-trace conditions), a smaller |lambda| of the other sign needs a
-    shift of that sign.  Pairs come sorted by |lambda|; values tied within
+    g, and so f, vanishes on the whole curl kernel, so the zero eigenvalue
+    of the pencil is invisible to the iteration; the kernel projector is
+    applied only to the start block and to the Ritz vectors.  f damps
+    eigenvalues of the sign opposite to the shift, so with the shift below
+    the smallest |lambda| the contract is the smallest |lambda| on the
+    shift's side: where the spectrum is not sign-symmetric (closed-trace
+    conditions), a smaller |lambda| of the other sign needs a shift of that
+    sign.  A shift above the smallest |lambda| returns the k lambdas of
+    largest f.  Pairs come sorted by |lambda|; values tied within
     tol * max(1, |lambda|) list the shift's sign first.  Deterministic for a
     fixed seed.
     """
@@ -596,19 +602,17 @@ def smallest_beltrami(
     )
 
     def filtered(Y):
-        # f(OP) Y with OP = (A - sigma M)^{-1} M (eigenvalue nu = 1/(lambda -
-        # sigma)) and f(nu) = nu^2 + nu/sigma.  Gradients, harmonic fields and
-        # curls in the dead space of the mixed edge/face pairing all have
-        # A x = 0, i.e. lambda = 0 or nu = -1/sigma, where f vanishes: the
-        # filter removes the whole kernel exactly, with no projection inside
-        # the loop (rounding leaves below 1e-12, in M-norm, of kernel in the
-        # Ritz vectors, which the final projection removes).  f is largest
-        # for the lambdas nearest sigma on its side, and with sigma well
-        # below |lambda|_min distinct lambdas cannot collide.
-        U = op_lu.solve(M @ Y)
-        return op_lu.solve(M @ U) + U / sigma
+        # g(OP) Y = (OP + I/sigma) Y = (A - sigma M)^{-1} A Y / sigma, the
+        # Cayley transform, with OP = (A - sigma M)^{-1} M (eigenvalue nu =
+        # 1/(lambda - sigma)) and theta = nu + 1/sigma.  Gradients, harmonic
+        # fields and curls in the dead space of the mixed edge/face pairing
+        # all have A x = 0, where g vanishes: the filter removes the whole
+        # kernel exactly, with no projection inside the loop (rounding leaves
+        # below 1e-12, in M-norm, of kernel in the Ritz vectors, which the
+        # final projection removes).
+        return op_lu.solve(M @ Y) + Y / sigma
 
-    # the basis V (M-orthonormal), its image F V = f(OP) V and the projected
+    # the basis V (M-orthonormal), its image F V = g(OP) V and the projected
     # T = V^T M F V live in preallocated arrays; j columns are in use
     m = _BASIS_BLOCKS * k
     V, FV, T = np.empty((n, m), order="F"), np.empty((n, m), order="F"), np.empty((m, m))
@@ -625,20 +629,24 @@ def smallest_beltrami(
         T[: j + q, j : j + q] = FV[:, : j + q].T @ (M @ Q)
         T[j : j + q, :j] = T[:j, j : j + q].T
         j += q
-        # Rayleigh-Ritz, leading (largest) mu first
-        mu, Y = np.linalg.eigh(T[:j, :j])
-        mu, Y = mu[::-1], Y[:, ::-1]
+        # Rayleigh-Ritz; the leading pairs are those of largest f(nu) =
+        # nu^2 + nu/sigma = theta (theta - 1/sigma), which is largest for the
+        # lambdas nearest sigma on its side (with sigma well below
+        # |lambda|_min distinct lambdas cannot collide) and zero on the kernel
+        theta, Y = np.linalg.eigh(T[:j, :j])
+        lead = np.argsort(-theta * (theta - 1.0 / sigma), kind="stable")
+        theta, Y = theta[lead], Y[:, lead]
         vecs = V[:, :j] @ Y[:, :k]
-        Q = FV[:, :j] @ Y[:, :k] - vecs * mu[:k]  # residual block
+        Q = FV[:, :j] @ Y[:, :k] - vecs * theta[:k]  # residual block
         rnorm = np.sqrt(np.einsum("ik,ik->k", Q, M @ Q))
-        if np.all(rnorm <= _RITZ_RTOL * np.abs(mu[:k])):
+        if np.all(rnorm <= _RITZ_RTOL * np.abs(theta[:k])):
             break
         if j + k > m:
             # thick restart on the leading half of the Ritz vectors
             p = m // 2
             V[:, :p] = V[:, :j] @ Y[:, :p]
             FV[:, :p] = FV[:, :j] @ Y[:, :p]
-            T[:p, :p] = np.diag(mu[:p])
+            T[:p, :p] = np.diag(theta[:p])
             j = p
 
     X = projector.apply(vecs)
@@ -697,47 +705,17 @@ def smallest_beltrami(
     )
 
 
-def cluster_align(
-    solution: BeltramiSolution, target, rtol: float = 1e-6
-) -> np.ndarray:
-    """Combination of the leading (numerically degenerate) eigencluster that
-    best matches a target edge cochain, M1-normalized.
-
-    Any combination of eigenvectors sharing an eigenvalue is itself an
-    eigenvector; this picks a well-conditioned representative (e.g. one with
-    uniform magnitude) out of a cluster whose individual Ritz vectors are an
-    arbitrary rotation of the eigenspace.
-    """
-    target = np.asarray(target, dtype=float)
-    lam0 = solution.lambdas[0]
-    members = [
-        i
-        for i, lam in enumerate(solution.lambdas)
-        if abs(lam - lam0) <= rtol * max(abs(lam0), 1.0)
-    ]
-    B = solution.cochains[:, members]
-    M1 = solution.pencil.fem.M1
-    coeff = np.linalg.lstsq(B.T @ (M1 @ B), B.T @ (M1 @ target), rcond=None)[0]
-    h = B @ coeff
-    nrm = np.sqrt(h @ (M1 @ h))
-    if nrm == 0:
-        raise ValueError("target has no component in the leading cluster")
-    return h / nrm
-
-
 @dataclass
 class PairDiagnostics:
     lam: float
     eigen_residual: float
     proxy_curl_residual: float   # ||curlH - lam H||_{L2 proxy} / ||H||_{L2 proxy}
     div_residual: float
-    div_full: float              # ||D0^T M1 h||_2 on the full edge space
     helicity: float
     energy: float
-    helicity_over_energy: float
 
 
-def residual_report(solution: BeltramiSolution, fem: FemMatrices) -> list[PairDiagnostics]:
+def residual_report(solution: BeltramiSolution) -> list[PairDiagnostics]:
     """Per-pair strong-form and constraint diagnostics."""
     cx = solution.pencil.complex
     from .fem import tet_geometry
@@ -749,17 +727,14 @@ def residual_report(solution: BeltramiSolution, fem: FemMatrices) -> list[PairDi
         H, curlH = field_proxies(cx, h)
         num = np.sqrt(np.sum(np.sum((curlH - lam * H) ** 2, axis=1) * vols))
         den = np.sqrt(np.sum(np.sum(H**2, axis=1) * vols))
-        div_full = float(np.linalg.norm(cx.D0.T @ (fem.M1 @ h)))
         out.append(
             PairDiagnostics(
                 lam=float(lam),
                 eigen_residual=float(solution.residuals[i]),
                 proxy_curl_residual=float(num / den) if den else 0.0,
                 div_residual=float(solution.div_residuals[i]),
-                div_full=div_full,
                 helicity=float(solution.helicities[i]),
                 energy=float(solution.energies[i]),
-                helicity_over_energy=float(solution.helicities[i] / solution.energies[i]),
             )
         )
     return out

@@ -187,7 +187,7 @@ def _emit_beltrami(cx, fem, outdir, cfg: RunConfig):
     sol = smallest_beltrami(
         pencil, projector, k=cfg.k, tol=cfg.tol, shift=cfg.shift, seed=cfg.seed
     )
-    report = residual_report(sol, fem)
+    report = residual_report(sol)
     doc = {
         "schema": SCHEMA_VERSION,
         "kind": "spectrum",

@@ -204,9 +204,9 @@ def gen_box_minus_ring(n: int, ring=None, l: float = 1.0) -> SimplicialComplex3:
 def read_msh(path) -> SimplicialComplex3:
     """Read a Gmsh MSH 2.2 ASCII file; tets only (element type 4).
 
-    Non-tet elements are skipped with a warning.  Raises ParseError with the
-    offending line number on malformed input and EmptyMesh when no tets are
-    present.
+    Non-tet elements, and nodes that no tet uses, are skipped with a warning.
+    Raises ParseError with the offending line number on malformed input and
+    EmptyMesh when no tets are present.
     """
     with open(path) as fh:
         lines = fh.read().splitlines()
@@ -307,7 +307,11 @@ def read_msh(path) -> SimplicialComplex3:
     if not tets:
         raise EmptyMesh("no tetrahedra (element type 4) in file")
 
-    ids = sorted(nodes)
+    # a node that no tet uses would be a connected component of its own
+    used = nodes.keys() & {v for t in tets for v in t}
+    if len(used) < len(nodes):
+        warnings.warn(f"ignored {len(nodes) - len(used)} nodes used by no tet", stacklevel=2)
+    ids = sorted(used)
     remap = {nid: k for k, nid in enumerate(ids)}
     vertices = np.array([nodes[nid] for nid in ids])
     try:

@@ -1,3 +1,11 @@
+import os
+
+# k-column LU solves go through level-3 BLAS, which is many times slower per
+# column with one thread per core on a loaded machine; pin the pools before
+# numpy loads them
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import numpy as np
 import pytest
 

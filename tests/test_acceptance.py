@@ -33,7 +33,6 @@ from fieldtopo.analysis import (
 )
 from fieldtopo.beltrami import (
     BoundaryCondition,
-    cluster_align,
     kernel_projector,
     reduce_system,
     smallest_beltrami,
@@ -50,6 +49,7 @@ from fieldtopo.generators import GridSpec, gen_box_minus_ring, gen_grid
 from fieldtopo.homology import betti_numbers, h1_basis, relative_betti
 from fieldtopo.snf import smith_normal_form
 
+from fields import cluster_align
 from test_snf import minor_gcd_factors
 
 TAU = 2.0 * np.pi

@@ -14,9 +14,10 @@ from fieldtopo.analysis import (
     twist_density,
     twist_noise_floor,
 )
-from fieldtopo.beltrami import cluster_align, default_shift, smallest_beltrami
+from fieldtopo.beltrami import default_shift, smallest_beltrami
 from fieldtopo.errors import EmptySupport
 from fieldtopo.fem import edge_interpolant
+from fields import cluster_align
 
 
 @pytest.fixture(scope="module")

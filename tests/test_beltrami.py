@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse.linalg as spla
 
 from fieldtopo.beltrami import (
     BCKind,
     BoundaryCondition,
-    cluster_align,
     default_shift,
     kernel_projector,
     reduce_system,
@@ -16,6 +16,7 @@ from fieldtopo.errors import IncompatibleBC, NoConvergence
 from fieldtopo.fem import build_fem, edge_interpolant
 from fieldtopo.generators import GridSpec, gen_box_minus_ring, gen_grid
 from fieldtopo.mesh import build_complex
+from fields import cluster_align
 
 TAU = 2 * np.pi
 
@@ -222,6 +223,75 @@ def test_matches_dense_spectrum(case):
         np.testing.assert_allclose(sol.lambdas, expected, rtol=1e-9, atol=0.0)
 
 
+@pytest.mark.parametrize(
+    "shift, expected", [(1.1, [1.0206986]), (2.0, [1.9819987, 2.0167224])]
+)
+def test_shift_above_smallest_selects_by_filter(shift, expected):
+    """With the shift above the smallest |lambda|, the k returned lambdas are
+    the dense eigenvalues of largest f(nu) = nu^2 + nu/sigma, nu = 1/(lambda -
+    sigma).  At sigma = 1.1 that is 1.0206986, not the smaller 1.0204927."""
+    cx = gen_box_minus_ring(5)
+    fem = build_fem(cx)
+    bc = BoundaryCondition.closed_trace(0)
+    pen = reduce_system(cx, fem, bc)
+    proj = kernel_projector(cx, fem, bc, pen)
+    dense = sla.eigh(pen.S.toarray(), pen.M1.toarray(), eigvals_only=True)
+    nonzero = dense[np.abs(dense) > 1e-6 * np.abs(dense).max()]
+    nu = 1.0 / (nonzero - shift)
+    k = len(expected)
+    leading = np.sort(nonzero[np.argsort(-(nu * nu + nu / shift))[:k]])
+    np.testing.assert_allclose(leading, expected, rtol=1e-7, atol=0.0)
+    sol = smallest_beltrami(pen, proj, k=k, tol=1e-8, shift=shift)
+    np.testing.assert_allclose(np.sort(sol.lambdas), leading, rtol=1e-9, atol=0.0)
+
+
+@pytest.mark.parametrize(
+    "make, bc, k, two_solve_columns",
+    [
+        (lambda: gen_box_minus_ring(7), BoundaryCondition.zero_trace(), 1, 42),
+        (
+            lambda: gen_grid(GridSpec(4, 4, 4, TAU, TAU, TAU, periodic=(True, True, True))),
+            BoundaryCondition.closed_mesh(),
+            2,
+            136,
+        ),
+    ],
+    ids=["box-ring-7", "torus3-4"],
+)
+def test_one_solve_per_step(make, bc, k, two_solve_columns, monkeypatch):
+    """Each Krylov step is one solve with k right-hand sides on the shifted
+    factor, and the iteration solves fewer columns than the two-solve
+    filter OP^2 + OP/sigma did."""
+    import fieldtopo.beltrami as beltrami
+
+    cx = make()
+    fem = build_fem(cx)
+    pen = reduce_system(cx, fem, bc)
+    proj = kernel_projector(cx, fem, bc, pen)
+
+    solves, steps = [], []
+    splu, orthonormalize = spla.splu, beltrami._m_orthonormalize
+
+    class Recorder:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, b):
+            solves.append(b.shape)
+            return self.lu.solve(b)
+
+    def counted(*args):
+        steps.append(1)
+        return orthonormalize(*args)
+
+    monkeypatch.setattr(spla, "splu", lambda *a, **kw: Recorder(splu(*a, **kw)))
+    monkeypatch.setattr(beltrami, "_m_orthonormalize", counted)
+    smallest_beltrami(pen, proj, k=k, tol=1e-8)
+    assert solves and set(solves) == {(pen.ndof, k)}
+    assert len(solves) == len(steps)
+    assert len(solves) * k < two_solve_columns
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_degenerate_cluster_complete(torus8_beltrami, seed):
     """The smallest |lambda| on the n=8 3-torus is an exactly 6-fold
@@ -246,13 +316,14 @@ def test_eigenvalue_scaling():
     assert sols[1].lambdas[0] * 2.0 == pytest.approx(sols[0].lambdas[0], rel=1e-9)
 
 
-def test_residual_report(torus8_beltrami, torus3_8_fem):
+def test_residual_report(torus8_beltrami, torus3_8, torus3_8_fem):
     _, _, sol = torus8_beltrami
-    report = residual_report(sol, torus3_8_fem)
-    for d in report:
-        assert d.helicity_over_energy == pytest.approx(d.lam, rel=1e-10)
+    report = residual_report(sol)
+    for i, d in enumerate(report):
+        assert d.helicity / d.energy == pytest.approx(d.lam, rel=1e-10)
         assert d.eigen_residual <= 1e-8
-        assert d.div_full <= 1e-9
+        h = sol.cochains[:, i]
+        assert np.linalg.norm(torus3_8.D0.T @ (torus3_8_fem.M1 @ h)) <= 1e-9
     # strong-form proxy residual is a discretization-level quantity (O(h))
     assert report[0].proxy_curl_residual < 1.0
 
@@ -265,8 +336,8 @@ def test_proxy_residual_tightens_under_refinement(torus8_beltrami):
     pen = reduce_system(cx, fem, bc)
     proj = kernel_projector(cx, fem, bc, pen)
     sol12 = smallest_beltrami(pen, proj, k=1, tol=1e-8)
-    r8 = residual_report(sol8, sol8.pencil.fem)[0].proxy_curl_residual
-    r12 = residual_report(sol12, fem)[0].proxy_curl_residual
+    r8 = residual_report(sol8)[0].proxy_curl_residual
+    r12 = residual_report(sol12)[0].proxy_curl_residual
     assert r12 < r8
 
 

@@ -132,6 +132,20 @@ def test_read_msh_ignores_non_tets(tmp_path):
     assert cx.num_tets == 1
 
 
+def test_read_msh_drops_orphan_nodes(tmp_path):
+    """A node that no tet uses is dropped with a warning; kept, it would
+    count as a second connected component."""
+    text = MSH_MINIMAL.replace("$Nodes\n4\n", "$Nodes\n5\n").replace(
+        "4 0 0 1\n", "4 0 0 1\n5 2 2 2\n"
+    )
+    path = tmp_path / "orphan.msh"
+    path.write_text(text)
+    with pytest.warns(UserWarning, match="ignored 1 nodes used by no tet"):
+        cx = read_msh(path)
+    assert cx.num_vertices == 4
+    assert betti_numbers(cx).betti[0] == 1
+
+
 @pytest.mark.filterwarnings("ignore:ignored 1 non-tet")
 def test_read_msh_triangles_only_empty(tmp_path):
     text = MSH_MINIMAL.replace(
