@@ -5,6 +5,10 @@ permeability), J = curl H, twist density m = H . curl H per tet.  Pointwise
 the Lagrange identity |J|^2|B|^2 = |JxB|^2 + (J.B)^2 holds to round-off for
 any cochain; the sign structure of m distinguishes foliations (m = 0),
 contact structures (one strict sign) and confoliations (one weak sign).
+A tet has zero twist when |m| <= tau = max(1e-9 max|m|, noise floor): the
+labels and the near-force-free check read this one tolerance.  The per-tet
+functions take an edge cochain or its (H, curl H) proxies, so
+``analyze_field`` evaluates the proxies once.
 """
 
 from __future__ import annotations
@@ -53,18 +57,24 @@ def energy(fem: FemMatrices, h) -> float:
     return float(0.5 * h @ (fem.M1 @ h))
 
 
+def _proxies(cx: SimplicialComplex3, h) -> tuple[np.ndarray, np.ndarray]:
+    """(H, curl H) of an edge cochain, or ``h`` itself when it is that pair."""
+    return h if isinstance(h, tuple) else field_proxies(cx, h)
+
+
+def _sq(v: np.ndarray) -> np.ndarray:
+    return np.einsum("tc,tc->t", v, v)
+
+
 def twist_density(cx: SimplicialComplex3, fem: FemMatrices, h) -> np.ndarray:
     """Per-tet twist m = H . curl H from the barycenter proxies."""
-    H, curlH = field_proxies(cx, h)
+    H, curlH = _proxies(cx, h)
     return np.einsum("tc,tc->t", H, curlH)
 
 
-def support_mask(
-    cx: SimplicialComplex3, h, eps: float = DEFAULT_SUPPORT_EPS
-) -> np.ndarray:
+def support_mask(cx: SimplicialComplex3, h, eps: float = DEFAULT_SUPPORT_EPS) -> np.ndarray:
     """Tets where |H|^2 >= eps x mean |H|^2 (FEM fields never vanish exactly)."""
-    H, _ = field_proxies(cx, h)
-    mag2 = np.einsum("tc,tc->t", H, H)
+    mag2 = _sq(_proxies(cx, h)[0])
     return mag2 >= eps * mag2.mean()
 
 
@@ -75,10 +85,12 @@ def twist_noise_floor(cx: SimplicialComplex3, h) -> float:
     the shortest edge, far above accumulated round-off of an exact foliation
     but far below any physical twist at desk scale.
     """
-    H, _ = field_proxies(cx, h)
     hmin = float(cx.edge_lengths().min(initial=1.0)) or 1.0
-    mag2 = np.einsum("tc,tc->t", H, H).max(initial=0.0)
-    return 1e-12 * mag2 / hmin
+    return 1e-12 * _sq(_proxies(cx, h)[0]).max(initial=0.0) / hmin
+
+
+def _twist_tolerance(m: np.ndarray, tau_floor: float) -> float:
+    return max(LABEL_TOL_FACTOR * np.abs(m).max(initial=0.0), tau_floor)
 
 
 def classify(
@@ -98,15 +110,12 @@ def classify(
     would compare noise against noise.
     """
     m = np.asarray(m, dtype=float)
-    tau = max(LABEL_TOL_FACTOR * np.abs(m).max(initial=0.0), tau_floor)
-    labels = []
-    for mt, on in zip(m, support):
-        if abs(mt) <= tau:
-            labels.append(TetLabel.FOLIATION if on else TetLabel.DEGENERATE)
-        elif mt > 0:
-            labels.append(TetLabel.CONTACT_POS)
-        else:
-            labels.append(TetLabel.CONTACT_NEG)
+    tau = _twist_tolerance(m, tau_floor)
+    labels = np.where(
+        np.abs(m) <= tau,
+        np.where(support, TetLabel.FOLIATION, TetLabel.DEGENERATE),
+        np.where(m > 0, TetLabel.CONTACT_POS, TetLabel.CONTACT_NEG),
+    ).tolist()
 
     on_labels = {lab for lab, on in zip(labels, support) if on}
     if not on_labels or on_labels == {TetLabel.FOLIATION}:
@@ -144,33 +153,27 @@ def masked_components(cx: SimplicialComplex3, mask: np.ndarray) -> list[np.ndarr
 
 
 def near_forcefree_check(
-    cx: SimplicialComplex3,
-    fem: FemMatrices,
-    h,
-    eps_support: float = DEFAULT_SUPPORT_EPS,
+    cx: SimplicialComplex3, fem: FemMatrices, h, eps_support: float = DEFAULT_SUPPORT_EPS
 ) -> list[bool]:
-    """Strict inequality |J|^2|B|^2 > |JxB|^2 on the joint support of B and J.
+    """Nonvanishing twist on every component of the joint support of B and J.
 
-    Evaluated tetwise on every face-connected component of
-    Supp(B) & Supp(J); a component passes only if all of its tets pass.
-    The squared cross term keeps the comparison dimensionally consistent
-    with the pointwise Lagrange identity.
+    Evaluated on every face-connected component of Supp(B) & Supp(J); a
+    component passes only if none of its tets has zero twist, |m| <= tau,
+    with the tolerance and noise floor that ``analyze_field`` hands to
+    ``classify``.  So a passing component holds no FOLIATION or DEGENERATE
+    tet.  By the Lagrange identity, which ``identity_check`` audits, m != 0
+    is |J|^2|B|^2 > |JxB|^2.
     """
-    H, curlH = field_proxies(cx, h)
-    B2 = np.einsum("tc,tc->t", H, H)
-    J2 = np.einsum("tc,tc->t", curlH, curlH)
+    H, curlH = proxies = _proxies(cx, h)
+    B2, J2 = _sq(H), _sq(curlH)
     maskB = B2 >= eps_support * B2.mean() if B2.any() else np.zeros(len(B2), bool)
     maskJ = J2 >= eps_support * J2.mean() if J2.any() else np.zeros(len(J2), bool)
-    V = maskB & maskJ
-    comps = masked_components(cx, V)
+    comps = masked_components(cx, maskB & maskJ)
     if not comps:
         raise EmptySupport("joint support of B and J is empty")
-    cross2 = np.einsum("tc,tc->t", np.cross(curlH, H), np.cross(curlH, H))
-    out = []
-    for comp in comps:
-        ok = bool(np.all(J2[comp] * B2[comp] > cross2[comp]))
-        out.append(ok)
-    return out
+    m = twist_density(cx, fem, proxies)
+    twisted = np.abs(m) > _twist_tolerance(m, twist_noise_floor(cx, proxies))
+    return [bool(twisted[comp].all()) for comp in comps]
 
 
 def identity_check(cx: SimplicialComplex3, fem: FemMatrices, h) -> float:
@@ -179,12 +182,9 @@ def identity_check(cx: SimplicialComplex3, fem: FemMatrices, h) -> float:
     An exact algebraic identity of the proxy 3-vectors; the return value is
     floating-point noise (<= 1e-12) for any cochain.
     """
-    H, curlH = field_proxies(cx, h)
-    B2 = np.einsum("tc,tc->t", H, H)
-    J2 = np.einsum("tc,tc->t", curlH, curlH)
-    cross = np.cross(curlH, H)
-    lhs = J2 * B2
-    rhs = np.einsum("tc,tc->t", cross, cross) + np.einsum("tc,tc->t", curlH, H) ** 2
+    H, curlH = _proxies(cx, h)
+    lhs = _sq(curlH) * _sq(H)
+    rhs = _sq(np.cross(curlH, H)) + np.einsum("tc,tc->t", curlH, H) ** 2
     scale = np.maximum(np.maximum(lhs, rhs), 1e-300)
     viol = np.abs(lhs - rhs) / scale
     viol[(lhs == 0.0) & (rhs == 0.0)] = 0.0
@@ -222,18 +222,16 @@ class FieldReport:
 
 
 def analyze_field(
-    cx: SimplicialComplex3,
-    fem: FemMatrices,
-    h,
-    eps_support: float = DEFAULT_SUPPORT_EPS,
+    cx: SimplicialComplex3, fem: FemMatrices, h, eps_support: float = DEFAULT_SUPPORT_EPS
 ) -> FieldReport:
     """Assemble the complete FieldReport for one edge cochain."""
     h = np.asarray(h, dtype=float)
-    m = twist_density(cx, fem, h)
-    support = support_mask(cx, h, eps_support)
-    labels, verdict = classify(cx, m, support, tau_floor=twist_noise_floor(cx, h))
+    proxies = field_proxies(cx, h)
+    m = twist_density(cx, fem, proxies)
+    support = support_mask(cx, proxies, eps_support)
+    labels, verdict = classify(cx, m, support, tau_floor=twist_noise_floor(cx, proxies))
     try:
-        nff = near_forcefree_check(cx, fem, h, eps_support)
+        nff = near_forcefree_check(cx, fem, proxies, eps_support)
     except EmptySupport:
         nff = []
     return FieldReport(
@@ -244,5 +242,5 @@ def analyze_field(
         verdict=verdict,
         support=support,
         near_forcefree=nff,
-        identity_max_violation=identity_check(cx, fem, h),
+        identity_max_violation=identity_check(cx, fem, proxies),
     )

@@ -10,11 +10,16 @@ which the boundary pairing vanishes:
   harmonic boundary cochains; the choice is the Lagrangian data of the
   self-adjoint extension.
 
-The huge curl kernel (gradients plus harmonic fields) is kept out of the
-eigensolver in two ways.  The Cayley transform (S - sigma M1)^{-1} S maps
-every null vector of the curl pairing to exactly zero, so the iteration never
-sees it, and an explicit kernel basis gives the M1-orthogonal projector that
-is applied to the start block and to the returned eigenvectors.  The
+The curl kernel holds the admissible gradients and the harmonic fields.
+The harmonic fields follow one rule for every condition: the classes of
+H^1(M) whose boundary trace lies in the span of the chosen classes.  With no
+class chosen (ZERO_TRACE) that is the kernel of restriction to H^1(dM).
+
+The huge curl kernel is kept out of the eigensolver in two ways.  The
+Cayley transform (S - sigma M1)^{-1} S maps every null vector of the curl
+pairing to exactly zero, so the iteration never sees it, and an explicit
+kernel basis gives the M1-orthogonal projector that is applied to the start
+block and to the returned eigenvectors.  The
 iteration is a thick-restart block Krylov method with b = k columns per
 block: each step is one k-column solve on one factor, it stops once the k
 leading pairs have converged, and a cluster of multiplicity up to k comes out
@@ -32,7 +37,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import IncompatibleBC, NoConvergence
 from .fem import FemMatrices, field_proxies
-from .homology import h1_basis, h1_cocycles_auto, surface_h1_basis, tree_gauge_cocycles
+from .homology import h1_cocycles_auto, surface_h1_basis
 from .mesh import SimplicialComplex3, integrate_potential, spanning_forest
 from .snf import integer_kernel_basis, smith_normal_form
 from .surface import SurfaceComplex, boundary_surface
@@ -92,7 +97,7 @@ class BoundaryData:
     sigma_all: list[np.ndarray]          # normalized H^1 basis cocycles (surface edges)
     zeta_all: list[np.ndarray]           # dual 1-cycles as surface edge chains
     sigma: list[np.ndarray]              # the chosen subset
-    restriction_pairing: np.ndarray      # <trace of M cocycles, zeta_all>
+    restriction_pairing: np.ndarray      # (b1, rank) <trace of M cocycles, zeta_all>
 
 
 @dataclass
@@ -114,25 +119,30 @@ class ReducedPencil:
         return self.C.shape[1]
 
     def full_to_dof(self, h: np.ndarray) -> np.ndarray:
-        """Coordinates of an admissible edge cochain; exact for exact input."""
-        h = np.asarray(h)
-        cx = self.complex
+        """Coordinates of an admissible edge cochain; exact for exact input.
+
+        The trace left after the chosen sigma classes is integrated to a
+        potential alpha on the pin-rooted surface forest.  Under CLOSED_TRACE
+        alpha is part of the coordinates; under ZERO_TRACE the exact trace is
+        stripped, and the coordinates are those of h - D0 alpha, which
+        differs from h by a gradient.  Raises ValueError when what is left is
+        not admissible (a trace class that the condition does not admit).
+        """
+        h = np.asarray(h, dtype=float)
         if self.bc.kind is BCKind.CLOSED_MESH:
             return h.copy()
-        if self.bc.kind is BCKind.ZERO_TRACE:
-            return h[self.interior_edges].copy()
         bd = self.boundary
         surf = bd.surface
         trace = surf.restrict_edge_cochain(h)
-        t = np.array(
-            [trace @ bd.zeta_all[l] for l in self.bc.lagrangian_choice]
-        ) if bd.sigma else np.zeros(0)
-        rem = trace - sum(
-            tl * sig for tl, sig in zip(t, bd.sigma)
-        ) if len(t) else trace
+        t = np.array([trace @ bd.zeta_all[l] for l in self.bc.lagrangian_choice])
+        rem = trace - sum(tl * sig for tl, sig in zip(t, bd.sigma))
         forest = spanning_forest(surf.edges, surf.parent.num_vertices, bd.pins)
         alpha = integrate_potential(forest, rem)
-        x = np.concatenate([h[self.interior_edges], alpha[bd.alpha_verts], t])
+        if self.bc.kind is BCKind.ZERO_TRACE:
+            h = h - self.complex.D0 @ alpha
+            x = h[self.interior_edges]
+        else:
+            x = np.concatenate([h[self.interior_edges], alpha[bd.alpha_verts], t])
         back = self.C @ x
         if np.max(np.abs(back - h)) > 1e-8 * max(1.0, np.max(np.abs(h))):
             raise ValueError("cochain is not admissible under this boundary condition")
@@ -149,25 +159,21 @@ def _boundary_data(cx: SimplicialComplex3, bc: BoundaryCondition) -> BoundaryDat
     sigma_all: list[np.ndarray] = []
     zeta_all: list[np.ndarray] = []
     sigma: list[np.ndarray] = []
-    pairing = np.zeros((0, 0), dtype=np.int64)
+    omegas = h1_cocycles_auto(cx)
+    pairing = np.zeros((len(omegas), 0), dtype=np.int64)
     if sum(surf.genus) > 0:
         sbasis = surface_h1_basis(surf)
         nb = sbasis.rank
-        sigma_all = sbasis.cocycles
-        zeta_all = sbasis.dual_cycles
-
-        omegas = h1_cocycles_auto(cx)
-        if omegas:
-            T = np.array(
-                [
-                    [int(surf.restrict_edge_cochain(w) @ z) for z in zeta_all]
-                    for w in omegas
-                ],
-                dtype=np.int64,
-            )
-            sigma_all, zeta_all, pairing = _normalize_boundary_basis(
-                T, sigma_all, zeta_all
-            )
+        T = np.array(
+            [
+                [int(surf.restrict_edge_cochain(w) @ z) for z in sbasis.dual_cycles]
+                for w in omegas
+            ],
+            dtype=np.int64,
+        ).reshape(len(omegas), nb)
+        sigma_all, zeta_all, pairing = _normalize_boundary_basis(
+            T, sbasis.cocycles, sbasis.dual_cycles
+        )
 
         for l in bc.lagrangian_choice:
             if not (0 <= l < nb):
@@ -339,85 +345,40 @@ def _gradient_columns(pencil: ReducedPencil) -> sp.csr_matrix:
     return (P @ Phi[:, keep]).sorted_indices()
 
 
-def _relative_cocycles(cx: SimplicialComplex3, surf: SurfaceComplex) -> list[np.ndarray]:
-    """Integer basis of H^1(M, dM): closed cochains vanishing on the boundary.
-
-    Tree gauge on the quotient graph in which the whole boundary is
-    contracted to node 0 and every other vertex v becomes node v + 1.
-    """
-    interior = np.setdiff1d(np.arange(cx.num_edges), surf.parent_edge_ids)
-    node = np.arange(1, cx.num_vertices + 1)
-    node[surf.vertex_component >= 0] = 0
-    out = []
-    for vec in tree_gauge_cocycles(node[cx.edges[interior]], cx.D1.tocsc()[:, interior]):
-        full = np.zeros(cx.num_edges, dtype=np.int64)
-        full[interior] = vec
-        out.append(full)
-    return out
-
-
 def _harmonic_columns(pencil: ReducedPencil) -> np.ndarray:
-    """Curl-free non-gradient representatives in DOF coordinates."""
-    cx = pencil.complex
-    bc = pencil.bc
+    """Curl-free non-gradient representatives in DOF coordinates.
 
-    if bc.kind is BCKind.CLOSED_MESH:
-        cocycles = h1_cocycles_auto(cx)
-        if not cocycles:
-            return np.zeros((pencil.ndof, 0))
-        return np.column_stack([c.astype(float) for c in cocycles])
-
-    surf = pencil.boundary.surface
-    if bc.kind is BCKind.ZERO_TRACE:
-        reps = _relative_cocycles(cx, surf)
-        if not reps:
-            return np.zeros((pencil.ndof, 0))
-        # keep only representatives with independent absolute classes; the
-        # others are gradients of potentials that are constant per boundary
-        # component (already in the gradient block)
-        if not h1_cocycles_auto(cx):
-            return np.zeros((pencil.ndof, 0))
-        duals = h1_basis(cx).dual_cycles
-        classes = np.array([[int(r @ z) for z in duals] for r in reps])
-        keep: list[int] = []
-        rank = 0
-        for i in range(len(reps)):
-            sub = classes[keep + [i]]
-            r = smith_normal_form(sub).rank
-            if r > rank:
-                keep.append(i)
-                rank = r
-        cols = [pencil.full_to_dof(reps[i].astype(float)) for i in keep]
-        return np.column_stack(cols) if cols else np.zeros((pencil.ndof, 0))
-
-    # CLOSED_TRACE: combinations of absolute classes whose trace class lies
-    # in the span of the chosen boundary classes
-    bd = pencil.boundary
-    cocycles = h1_cocycles_auto(cx)
+    One rule for every boundary condition: the integer combinations a of the
+    H^1(M) basis cocycles with a @ T[:, unchosen] = 0, where T is the
+    restriction pairing and unchosen are the boundary classes outside the
+    Lagrangian choice, mapped through ``full_to_dof``.  Their traces lie in
+    the span of the chosen classes.  ZERO_TRACE chooses none, so it keeps
+    the kernel of restriction to H^1(dM), which by exactness of H^1(M, dM)
+    -> H^1(M) -> H^1(dM) is the zero-trace harmonic space.  Without a
+    boundary of genus >= 1, T has no columns and every class is kept.
+    """
+    cocycles = h1_cocycles_auto(pencil.complex)
     b1 = len(cocycles)
-    if b1 == 0:
-        return np.zeros((pencil.ndof, 0))
-    T = bd.restriction_pairing  # (b1, boundary rank)
-    chosen = set(pencil.bc.lagrangian_choice)
-    non_chosen = [j for j in range(T.shape[1]) if j not in chosen]
-    if non_chosen:
-        # combos a with a @ T[:, non_chosen] = 0 are admissible
-        combos = integer_kernel_basis(T[:, non_chosen].T)
-    else:
-        combos = list(np.eye(b1, dtype=np.int64))
-    cols = []
-    for a in combos:
-        c = sum(int(ak) * ck for ak, ck in zip(a, cocycles)).astype(float)
-        cols.append(pencil.full_to_dof(c))
+    T = pencil.boundary.restriction_pairing if pencil.boundary else np.zeros((b1, 0))
+    unchosen = np.setdiff1d(np.arange(T.shape[1]), pencil.bc.lagrangian_choice)
+    combos = integer_kernel_basis(T[:, unchosen].T) if len(unchosen) else np.eye(b1)
+    cols = [
+        pencil.full_to_dof(sum(int(ak) * ck for ak, ck in zip(a, cocycles)).astype(float))
+        for a in combos
+    ]
     return np.column_stack(cols) if cols else np.zeros((pencil.ndof, 0))
 
 
 class KernelProjector:
     """M1-orthogonal projector onto the complement of the curl kernel.
 
-    P v = v - W (W^T M1 W)^{-1} W^T M1 v with W = [G | H], gradients and
-    harmonic fields.  The harmonic columns are M1-orthogonal to G, so the
-    Gram matrix is block-diagonal: the sparse G^T M1 G, whose factor
+    P v = v - W (W^T M1 W)^{-1} W^T M1 v with W = [G | H]: G the gradients
+    of every BC-admissible potential, H the harmonic fields of the one rule
+    in ``_harmonic_columns``, the H^1(M) classes whose trace lies in the
+    span of the chosen boundary classes (none under ZERO_TRACE, so the
+    kernel of restriction to H^1(dM)).  The harmonic columns are
+    M1-orthogonal to G, so the Gram matrix is block-diagonal: the sparse
+    G^T M1 G, whose factor
     ``gradient_gram`` is passed in, next to a dense nh x nh block.
     Idempotent and M1-self-adjoint by construction.  The eigensolver applies
     it to its start vector and to the vectors it returns.
@@ -450,15 +411,8 @@ class KernelProjector:
         return x - self._M1 @ self._kernel_part(x)
 
 
-def kernel_projector(
-    cx: SimplicialComplex3,
-    fem: FemMatrices,
-    bc: BoundaryCondition,
-    pencil: ReducedPencil | None = None,
-) -> KernelProjector:
-    """Build the structural kernel deflation for the given boundary condition."""
-    if pencil is None:
-        pencil = reduce_system(cx, fem, bc)
+def kernel_projector(pencil: ReducedPencil) -> KernelProjector:
+    """Build the structural kernel deflation of a reduced pencil."""
     G = _gradient_columns(pencil)
     H = _harmonic_columns(pencil)
     gram = spla.splu((G.T @ pencil.M1 @ G).tocsc())

@@ -149,7 +149,6 @@ def _emit_cuts(cx, fem, outdir, cfg: RunConfig):
     rep = harmonic_representative(cx, fem, basis.cocycles[j])
     level = choose_level(rep.vertex_phases()) if cfg.level == "auto" else float(cfg.level)
     cut = extract_cut(cx, rep, level)
-    cut.validate_manifold()
     crossings = verify_cut(cx, cut, basis)
     flagged = critical_scan(cx, rep)
     periods = [float(rep.omega @ z) for z in basis.dual_cycles]
@@ -183,7 +182,7 @@ def _emit_beltrami(cx, fem, outdir, cfg: RunConfig):
 
     bc = _parse_bc(cfg.bc, cx)
     pencil = reduce_system(cx, fem, bc)
-    projector = kernel_projector(cx, fem, bc, pencil)
+    projector = kernel_projector(pencil)
     sol = smallest_beltrami(
         pencil, projector, k=cfg.k, tol=cfg.tol, shift=cfg.shift, seed=cfg.seed
     )

@@ -12,7 +12,7 @@ of the periodic unwrapping.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse.linalg as spla
@@ -124,7 +124,6 @@ class CutSurface:
     corner_keys: list[tuple[int, int]]     # per point: (edge id, level index)
     crossing_sign: dict[tuple[int, int], int]  # per key: sign of the crossing
     boundary_edges: list[tuple[int, int]]  # triangle corner-key pairs on dM
-    boundary_edge_faces: dict[tuple, int] = field(default_factory=dict)  # -> mesh face
 
     @property
     def num_triangles(self) -> int:
@@ -221,7 +220,6 @@ def extract_cut(cx: SimplicialComplex3, rep: HarmonicRep, level: float) -> CutSu
     tri_tet: list[int] = []
     crossing_sign: dict[tuple[int, int], int] = {}
     boundary_edges: list[tuple[int, int]] = []
-    boundary_edge_faces: dict[tuple, int] = {}
     bface_set = set(int(f) for f in cx.boundary_faces)
 
     for t in range(T):
@@ -300,13 +298,10 @@ def extract_cut(cx: SimplicialComplex3, rep: HarmonicRep, level: float) -> CutSu
                             edge_faces_local[les[j]]
                         )
                         for lf in common:
-                            gf = int(cx.tet_to_face[t, lf])
-                            if gf in bface_set:
+                            if int(cx.tet_to_face[t, lf]) in bface_set:
                                 ka = cut_pts[les[i]][0]
                                 kb = cut_pts[les[j]][0]
-                                key = (min(ka, kb), max(ka, kb))
-                                boundary_edges.append(key)
-                                boundary_edge_faces[key] = gf
+                                boundary_edges.append((min(ka, kb), max(ka, kb)))
 
     cut = CutSurface(
         level=theta0,
@@ -316,7 +311,6 @@ def extract_cut(cx: SimplicialComplex3, rep: HarmonicRep, level: float) -> CutSu
         corner_keys=keys,
         crossing_sign=crossing_sign,
         boundary_edges=sorted(set(boundary_edges)),
-        boundary_edge_faces=boundary_edge_faces,
     )
     return cut
 

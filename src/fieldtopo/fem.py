@@ -16,7 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import SingularGeometry
-from .mesh import EDGE_LOCAL, FACE_LOCAL, SimplicialComplex3, memo
+from .mesh import EDGE_LOCAL, SimplicialComplex3, memo
 
 
 def tet_geometry(cx: SimplicialComplex3):
@@ -127,68 +127,3 @@ def field_proxies(cx: SimplicialComplex3, h) -> tuple[np.ndarray, np.ndarray]:
     H = np.einsum("te,tec->tc", coeff, w_bc)
     curlH = np.einsum("te,tec->tc", coeff, curls)
     return H, curlH
-
-
-_GAUSS_5 = np.polynomial.legendre.leggauss(5)
-
-
-def edge_interpolant(cx: SimplicialComplex3, func) -> np.ndarray:
-    """Edge cochain of a vector field: line integral along each canonical edge.
-
-    5-point Gauss quadrature per edge (exact for polynomial fields up to
-    degree 9; near-exact for smooth benchmark fields at mesh scale).
-    Periodic meshes integrate along the minimal-image segment of the first
-    tet containing each edge.
-    """
-    xi, wi = _GAUSS_5
-    p = cx.tet_coords
-    vals = np.zeros(cx.num_edges)
-    seen = np.zeros(cx.num_edges, dtype=bool)
-    for k in range(6):
-        a, b = EDGE_LOCAL[k]
-        eids = cx.tet_to_edge[:, k]
-        first = ~seen[eids]
-        if not np.any(first):
-            continue
-        tsel = np.flatnonzero(first)
-        # keep only the first occurrence of each edge id
-        _, keep = np.unique(eids[tsel], return_index=True)
-        tsel = tsel[keep]
-        pa, pb = p[tsel, a], p[tsel, b]
-        sgn = cx.tet_edge_sign[tsel, k]
-        acc = np.zeros(len(tsel))
-        for x, w in zip(xi, wi):
-            pts = pa + (x + 1) / 2 * (pb - pa)
-            acc += w * np.einsum("ic,ic->i", np.asarray(func(pts)), pb - pa) / 2
-        vals[eids[tsel]] = sgn * acc
-        seen[eids[tsel]] = True
-    return vals
-
-
-def face_flux_interpolant(cx: SimplicialComplex3, func) -> np.ndarray:
-    """Face cochain of a vector field: flux through each canonical face.
-
-    Centroid rule on each face (exact for affine fields), using the geometry
-    of the first tet containing the face.
-    """
-    p = cx.tet_coords
-    vals = np.zeros(cx.num_faces)
-    seen = np.zeros(cx.num_faces, dtype=bool)
-    for k in range(4):
-        va, vb, vc = FACE_LOCAL[k]
-        fids = cx.tet_to_face[:, k]
-        first = ~seen[fids]
-        if not np.any(first):
-            continue
-        tsel = np.flatnonzero(first)
-        _, keep = np.unique(fids[tsel], return_index=True)
-        tsel = tsel[keep]
-        pa, pb, pc = p[tsel, va], p[tsel, vb], p[tsel, vc]
-        # normal area vector of the local (ordered) triple, mapped to canonical
-        normal = 0.5 * np.cross(pb - pa, pc - pa)
-        centroid = (pa + pb + pc) / 3.0
-        sgn = cx.tet_face_sign[tsel, k]
-        flux = np.einsum("ic,ic->i", np.asarray(func(centroid)), normal)
-        vals[fids[tsel]] = sgn * flux
-        seen[fids[tsel]] = True
-    return vals

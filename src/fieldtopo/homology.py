@@ -33,10 +33,6 @@ class BettiNumbers:
         """Always true: ranks and torsion come from exact Smith normal forms."""
         return True
 
-    @property
-    def torsion_free(self) -> bool:
-        return not any(self.torsion)
-
     def flat_torsion(self) -> list[int]:
         return [f for deg in self.torsion for f in deg]
 

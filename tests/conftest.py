@@ -78,6 +78,6 @@ def torus8_beltrami(torus3_8, torus3_8_fem):
 
     bc = BoundaryCondition.closed_mesh()
     pencil = reduce_system(torus3_8, torus3_8_fem, bc)
-    projector = kernel_projector(torus3_8, torus3_8_fem, bc, pencil)
+    projector = kernel_projector(pencil)
     solution = smallest_beltrami(pencil, projector, k=6, tol=1e-8)
     return pencil, projector, solution

@@ -9,6 +9,7 @@ from fieldtopo.analysis import (
     energy,
     helicity,
     identity_check,
+    masked_components,
     near_forcefree_check,
     support_mask,
     twist_density,
@@ -16,8 +17,8 @@ from fieldtopo.analysis import (
 )
 from fieldtopo.beltrami import default_shift, smallest_beltrami
 from fieldtopo.errors import EmptySupport
-from fieldtopo.fem import edge_interpolant
-from fields import cluster_align
+from fieldtopo.fem import field_proxies
+from fields import cluster_align, edge_interpolant
 
 
 @pytest.fixture(scope="module")
@@ -49,8 +50,6 @@ def test_twist_of_gradient_is_roundoff(torus3_coarse, torus3_coarse_fem):
 def test_twist_of_beltrami_eigenfield(aligned_eigenfield, torus3_8, torus3_8_fem):
     h, lam = aligned_eigenfield
     m = twist_density(torus3_8, torus3_8_fem, h)
-    from fieldtopo.fem import field_proxies
-
     H, _ = field_proxies(torus3_8, h)
     mag2 = np.einsum("tc,tc->t", H, H)
     strong = mag2 >= 0.1 * mag2.mean()
@@ -150,6 +149,33 @@ def test_near_forcefree_perpendicular_field(torus3_coarse, torus3_coarse_fem):
     assert near_forcefree_check(torus3_coarse, torus3_coarse_fem, h) == [False]
 
 
+def test_near_forcefree_reads_the_labels(aligned_eigenfield, torus3_8, torus3_8_fem,
+                                        torus3_coarse, torus3_coarse_fem):
+    """A component of the joint support reads True exactly when it holds no
+    FOLIATION or DEGENERATE tet: both read |m| <= tau with one tolerance."""
+    def perpendicular(P):
+        return np.column_stack([np.ones(len(P)), np.zeros(len(P)), P[:, 0]])
+
+    rng = np.random.default_rng(5)
+    cases = [
+        (torus3_8, torus3_8_fem, aligned_eigenfield[0]),
+        (torus3_coarse, torus3_coarse_fem, edge_interpolant(torus3_coarse, perpendicular)),
+        (torus3_coarse, torus3_coarse_fem, rng.standard_normal(torus3_coarse.num_edges)),
+    ]
+    zero = {TetLabel.FOLIATION, TetLabel.DEGENERATE}
+    seen = set()
+    for cx, fem, h in cases:
+        rep = analyze_field(cx, fem, h)
+        H, curlH = field_proxies(cx, h)
+        B2, J2 = (np.einsum("tc,tc->t", v, v) for v in (H, curlH))
+        comps = masked_components(cx, (B2 >= 1e-3 * B2.mean()) & (J2 >= 1e-3 * J2.mean()))
+        assert len(comps) == len(rep.near_forcefree) > 0
+        for comp, ok in zip(comps, rep.near_forcefree):
+            assert ok == all(rep.labels[t] not in zero for t in comp)
+            seen.add(ok)
+    assert seen == {True, False}
+
+
 def test_near_forcefree_empty_support(torus3_coarse, torus3_coarse_fem):
     with pytest.raises(EmptySupport):
         near_forcefree_check(
@@ -177,8 +203,6 @@ def test_identity_eigenfield_cross_term_small(
 ):
     h, _ = aligned_eigenfield
     assert identity_check(torus3_8, torus3_8_fem, h) <= 1e-12
-    from fieldtopo.fem import field_proxies
-
     H, curlH = field_proxies(torus3_8, h)
     cross2 = np.einsum("tc,tc->t", np.cross(curlH, H), np.cross(curlH, H))
     dot2 = np.einsum("tc,tc->t", curlH, H) ** 2

@@ -13,10 +13,12 @@ from fieldtopo.beltrami import (
     smallest_beltrami,
 )
 from fieldtopo.errors import IncompatibleBC, NoConvergence
-from fieldtopo.fem import build_fem, edge_interpolant
+from fieldtopo.fem import build_fem
 from fieldtopo.generators import GridSpec, gen_box_minus_ring, gen_grid
+from fieldtopo.homology import betti_numbers, h1_cocycles_auto
 from fieldtopo.mesh import build_complex
-from fields import cluster_align
+from fieldtopo.surface import boundary_surface
+from fields import cluster_align, edge_interpolant
 
 TAU = 2 * np.pi
 
@@ -48,14 +50,10 @@ def test_closed_trace_normalized_restriction(solid_torus, solid_torus_fem):
     R = pen0.boundary.restriction_pairing
     assert R.shape == (1, 2)
     assert R[0, 0] == 0 and abs(R[0, 1]) == 1
-    proj0 = kernel_projector(
-        solid_torus, solid_torus_fem, BoundaryCondition.closed_trace(0), pen0
-    )
+    proj0 = kernel_projector(pen0)
     assert proj0.harmonic_dimension == 0
     pen1 = reduce_system(solid_torus, solid_torus_fem, BoundaryCondition.closed_trace(1))
-    proj1 = kernel_projector(
-        solid_torus, solid_torus_fem, BoundaryCondition.closed_trace(1), pen1
-    )
+    proj1 = kernel_projector(pen1)
     assert proj1.harmonic_dimension == 1
 
 
@@ -99,7 +97,7 @@ def test_gradients_with_closed_component():
     rng = np.random.default_rng(4)
     for bc, ncols in ((BoundaryCondition.zero_trace(), 27), (BoundaryCondition.closed_trace(), 52)):
         pen = reduce_system(cx, fem, bc)
-        proj = kernel_projector(cx, fem, bc, pen)
+        proj = kernel_projector(pen)
         assert proj.basis.gradient.shape == (pen.ndof, ncols)
         assert proj.harmonic_dimension == 3
         phi = rng.standard_normal(cx.num_vertices)
@@ -129,7 +127,7 @@ def test_harmonic_dimensions(torus8_beltrami, cube4, cube4_fem):
     _, proj, _ = torus8_beltrami
     assert proj.harmonic_dimension == 3
     pz = reduce_system(cube4, cube4_fem, BoundaryCondition.zero_trace())
-    projz = kernel_projector(cube4, cube4_fem, BoundaryCondition.zero_trace(), pz)
+    projz = kernel_projector(pz)
     assert projz.harmonic_dimension == 0
 
 
@@ -185,10 +183,20 @@ def test_sign_tie_goes_to_shift_side():
     fem = build_fem(cx)
     bc = BoundaryCondition.closed_trace(1)
     pen = reduce_system(cx, fem, bc)
-    proj = kernel_projector(cx, fem, bc, pen)
+    proj = kernel_projector(pen)
     for sign in (1.0, -1.0):
         sol = smallest_beltrami(pen, proj, k=1, tol=1e-8, shift=sign * default_shift(cx))
         assert sol.lambdas[0] == pytest.approx(sign * 1.7949518, rel=1e-7)
+
+
+def _torus3_minus_cell():
+    """The 3-torus grid n=4 with the 6 tets of cell (1, 1, 1) removed:
+    Betti (1, 3, 3, 0) and one sphere boundary, so every H^1 class has an
+    exact boundary trace, which the tree-gauge cocycles do not all avoid."""
+    cx = gen_grid(GridSpec(4, 4, 4, TAU, TAU, TAU, periodic=(True, True, True)))
+    cell = np.floor(cx.tet_coords.mean(axis=1) / (TAU / 4)).astype(int)
+    keep = ~np.all(cell == 1, axis=1)
+    return build_complex(cx.vertices, cx.tets[keep], cx.tet_coords[keep])
 
 
 DENSE_CASES = {
@@ -201,7 +209,34 @@ DENSE_CASES = {
     "box-ring-closed-trace-1": (lambda: gen_box_minus_ring(5), BoundaryCondition.closed_trace(1)),
     "solid-torus-closed-trace-1": (_solid_torus_338, BoundaryCondition.closed_trace(1)),
     "cube-zero-trace": (lambda: gen_grid(GridSpec(3, 3, 3)), BoundaryCondition.zero_trace()),
+    "torus3-minus-cell-zero-trace": (_torus3_minus_cell, BoundaryCondition.zero_trace()),
 }
+
+
+def test_zero_trace_strips_exact_traces():
+    """Zero-trace harmonic fields are the kernel of restriction to H^1(dM).
+    With a sphere boundary that is all of H^1(M): the cocycles' exact traces
+    are stripped by a boundary potential, and all 3 classes stay."""
+    cx = _torus3_minus_cell()
+    assert betti_numbers(cx).betti == (1, 3, 3, 0)
+    assert boundary_surface(cx).genus == [0]
+    traces = [np.abs(c[boundary_surface(cx).parent_edge_ids]).max() for c in h1_cocycles_auto(cx)]
+    assert max(traces) == 1
+    pen = reduce_system(cx, build_fem(cx), BoundaryCondition.zero_trace())
+    assert pen.boundary.restriction_pairing.shape == (3, 0)
+    proj = kernel_projector(pen)
+    assert proj.harmonic_dimension == 3
+    H = proj.basis.harmonic
+    assert np.abs(pen.S @ H).max() <= 1e-12 * np.abs(H).max()
+
+
+def test_zero_trace_rejects_non_exact_trace(box_ring, box_ring_fem):
+    """The box ring's H^1 class has a trace that is not exact on the inner
+    torus, so it has no zero-trace representative."""
+    pen = reduce_system(box_ring, box_ring_fem, BoundaryCondition.zero_trace())
+    assert kernel_projector(pen).harmonic_dimension == 0
+    with pytest.raises(ValueError, match="not admissible"):
+        pen.full_to_dof(h1_cocycles_auto(box_ring)[0])
 
 
 @pytest.mark.parametrize("case", list(DENSE_CASES))
@@ -213,7 +248,7 @@ def test_matches_dense_spectrum(case):
     cx = make()
     fem = build_fem(cx)
     pen = reduce_system(cx, fem, bc)
-    proj = kernel_projector(cx, fem, bc, pen)
+    proj = kernel_projector(pen)
     dense = sla.eigh(pen.S.toarray(), pen.M1.toarray(), eigvals_only=True)
     nonzero = dense[np.abs(dense) > 1e-6 * np.abs(dense).max()]
     k = 2
@@ -234,7 +269,7 @@ def test_shift_above_smallest_selects_by_filter(shift, expected):
     fem = build_fem(cx)
     bc = BoundaryCondition.closed_trace(0)
     pen = reduce_system(cx, fem, bc)
-    proj = kernel_projector(cx, fem, bc, pen)
+    proj = kernel_projector(pen)
     dense = sla.eigh(pen.S.toarray(), pen.M1.toarray(), eigvals_only=True)
     nonzero = dense[np.abs(dense) > 1e-6 * np.abs(dense).max()]
     nu = 1.0 / (nonzero - shift)
@@ -267,7 +302,7 @@ def test_one_solve_per_step(make, bc, k, two_solve_columns, monkeypatch):
     cx = make()
     fem = build_fem(cx)
     pen = reduce_system(cx, fem, bc)
-    proj = kernel_projector(cx, fem, bc, pen)
+    proj = kernel_projector(pen)
 
     solves, steps = [], []
     splu, orthonormalize = spla.splu, beltrami._m_orthonormalize
@@ -311,7 +346,7 @@ def test_eigenvalue_scaling():
         fem = build_fem(cx)
         bc = BoundaryCondition.closed_mesh()
         pen = reduce_system(cx, fem, bc)
-        proj = kernel_projector(cx, fem, bc, pen)
+        proj = kernel_projector(pen)
         sols.append(smallest_beltrami(pen, proj, k=1, tol=1e-8))
     assert sols[1].lambdas[0] * 2.0 == pytest.approx(sols[0].lambdas[0], rel=1e-9)
 
@@ -334,7 +369,7 @@ def test_proxy_residual_tightens_under_refinement(torus8_beltrami):
     fem = build_fem(cx)
     bc = BoundaryCondition.closed_mesh()
     pen = reduce_system(cx, fem, bc)
-    proj = kernel_projector(cx, fem, bc, pen)
+    proj = kernel_projector(pen)
     sol12 = smallest_beltrami(pen, proj, k=1, tol=1e-8)
     r8 = residual_report(sol8)[0].proxy_curl_residual
     r12 = residual_report(sol12)[0].proxy_curl_residual
@@ -390,7 +425,7 @@ def test_step_cap_ends_in_no_convergence(torus3_coarse, torus3_coarse_fem, monke
 
     bc = BoundaryCondition.closed_mesh()
     pen = reduce_system(torus3_coarse, torus3_coarse_fem, bc)
-    proj = kernel_projector(torus3_coarse, torus3_coarse_fem, bc, pen)
+    proj = kernel_projector(pen)
     monkeypatch.setattr(beltrami, "_MAX_STEPS", 2)
     with pytest.raises(NoConvergence) as exc:
         smallest_beltrami(pen, proj, k=2, tol=1e-8)

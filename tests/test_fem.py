@@ -1,15 +1,10 @@
 import numpy as np
 import pytest
 
-from fieldtopo.fem import (
-    curl_pairing,
-    edge_interpolant,
-    face_flux_interpolant,
-    field_proxies,
-    mass_matrix,
-)
+from fieldtopo.fem import curl_pairing, field_proxies, mass_matrix
 from fieldtopo.generators import GridSpec, gen_grid
 from fieldtopo.mesh import build_complex
+from fields import edge_interpolant, face_flux_interpolant
 
 # unit right-corner reference tet, volume 1/6
 REF = build_complex(

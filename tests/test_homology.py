@@ -7,7 +7,6 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import fieldtopo.beltrami as beltrami
 import fieldtopo.homology as homology
 import fieldtopo.snf as snf
 import fieldtopo.surface as surface
@@ -41,7 +40,7 @@ def test_betti_tables(name, spec, absolute, relative):
     r = relative_betti(cx)
     assert b.betti == absolute
     assert r.betti == relative
-    assert b.torsion_free and r.torsion_free
+    assert not b.flat_torsion() and not r.flat_torsion()
     assert b.exact
 
 
@@ -135,7 +134,7 @@ def test_large_mesh_topology_is_exact():
         b, r = betti_numbers(cx), relative_betti(cx)
     assert b.exact and r.exact
     assert b.betti == (1, 0, 0, 0) and r.betti == (0, 0, 0, 1)
-    assert b.torsion_free and r.torsion_free
+    assert not b.flat_torsion() and not r.flat_torsion()
 
 
 def test_dual_loops_reject_unsaturated_basis(solid_torus):
@@ -244,7 +243,6 @@ def test_pipeline_computes_topology_once(tmp_path, monkeypatch, box_ring):
     monkeypatch.setattr(snf, "smith_normal_form", counting_snf)
     monkeypatch.setattr(homology, "smith_normal_form", counting_snf)
     monkeypatch.setattr(homology, "tree_gauge_cocycles", counting_gauge)
-    monkeypatch.setattr(beltrami, "tree_gauge_cocycles", counting_gauge)
     monkeypatch.setattr(homology, "dual_loops", counting_loops)
     monkeypatch.setattr(surface, "_extract_surface", counting_extract)
     rc = cli.main(["pipeline", "--geometry", "box-ring", "--n", "5",
@@ -254,9 +252,10 @@ def test_pipeline_computes_topology_once(tmp_path, monkeypatch, box_ring):
     assert len(snf_shapes) == 6
     assert snf_shapes[:3] == absolute
     assert all(shape not in absolute for shape in snf_shapes[3:])
-    # one gauge each: the mesh, the boundary surface, and the interior edges
-    # with the boundary contracted (zero-trace harmonic fields)
-    assert sorted(gauge_shapes) == sorted([(F, E), (Fs, Es), (F, E - Es)])
+    # one gauge each: the mesh and the boundary surface; the zero-trace
+    # harmonic fields come from the restriction pairing, with no gauge of
+    # their own
+    assert sorted(gauge_shapes) == sorted([(F, E), (Fs, Es)])
     assert extractions == [T]
     # one call per basis: the boundary torus (2 loops), the mesh (b1 = 1)
     assert sorted(loops) == [(Es, 2), (E, 1)]

@@ -59,6 +59,10 @@ CASES: dict[str, list[str]] = {
         "beltrami", "--geometry", "cube", "--n", "3", "--bc", "closed-trace",
     ],
     "classify-torus3": ["classify", "--geometry", "torus3", "--n", "4", "--size", TAU],
+    "classify-solid-torus-closed-trace": [
+        "classify", "--geometry", "solid-torus", "--n", "2,2,8", "--size", "1,1,2",
+        "--bc", "closed-trace:1",
+    ],
     "pipeline-solid-torus": [
         "pipeline", "--geometry", "solid-torus", "--n", "2,2,8", "--size", "1,1,2",
         "--bc", "zero-trace",
