@@ -292,18 +292,6 @@ def reduce_system(
     )
 
 
-@dataclass
-class KernelBasis:
-    """Explicit basis of the curl kernel in DOF coordinates."""
-
-    gradient: sp.csr_matrix      # (ndof, ng) constrained gradient injections
-    harmonic: np.ndarray         # (ndof, nh) harmonic representatives
-
-    @property
-    def harmonic_dimension(self) -> int:
-        return self.harmonic.shape[1]
-
-
 def _gradient_columns(pencil: ReducedPencil) -> sp.csr_matrix:
     """Injection of every BC-admissible potential into the DOF space.
 
@@ -372,33 +360,32 @@ def _harmonic_columns(pencil: ReducedPencil) -> np.ndarray:
 class KernelProjector:
     """M1-orthogonal projector onto the complement of the curl kernel.
 
-    P v = v - W (W^T M1 W)^{-1} W^T M1 v with W = [G | H]: G the gradients
-    of every BC-admissible potential, H the harmonic fields of the one rule
-    in ``_harmonic_columns``, the H^1(M) classes whose trace lies in the
-    span of the chosen boundary classes (none under ZERO_TRACE, so the
-    kernel of restriction to H^1(dM)).  The harmonic columns are
-    M1-orthogonal to G, so the Gram matrix is block-diagonal: the sparse
-    G^T M1 G, whose factor
+    P v = v - W (W^T M1 W)^{-1} W^T M1 v with W = [G | H], both held in
+    DOF coordinates: ``gradient`` G, the gradients of every BC-admissible
+    potential, and ``harmonic`` H, the harmonic fields of the one rule in
+    ``_harmonic_columns``, the H^1(M) classes whose trace lies in the span
+    of the chosen boundary classes (none under ZERO_TRACE, so the kernel of
+    restriction to H^1(dM)).  The harmonic columns are M1-orthogonal to G,
+    so the Gram matrix is block-diagonal: the sparse G^T M1 G, whose factor
     ``gradient_gram`` is passed in, next to a dense nh x nh block.
     Idempotent and M1-self-adjoint by construction.  The eigensolver applies
     it to its start vector and to the vectors it returns.
     """
 
-    def __init__(self, pencil: ReducedPencil, basis: KernelBasis, gradient_gram):
-        self.pencil = pencil
-        self.basis = basis
+    def __init__(self, gradient: sp.csr_matrix, harmonic: np.ndarray, M1, gradient_gram):
+        self.gradient = gradient    # (ndof, ng)
+        self.harmonic = harmonic    # (ndof, nh)
+        self._M1 = M1
         self._gram_lu = gradient_gram
-        H = basis.harmonic
-        self._M1 = pencil.M1
-        self._harmonic_gram = H.T @ (self._M1 @ H)
+        self._harmonic_gram = harmonic.T @ (M1 @ harmonic)
 
     @property
     def harmonic_dimension(self) -> int:
-        return self.basis.harmonic_dimension
+        return self.harmonic.shape[1]
 
     def _kernel_part(self, x: np.ndarray) -> np.ndarray:
         """Kernel component W (W^T M1 W)^{-1} W^T x of the momentum x = M1 v."""
-        G, H = self.basis.gradient, self.basis.harmonic
+        G, H = self.gradient, self.harmonic
         return G @ self._gram_lu.solve(G.T @ x) + H @ np.linalg.solve(
             self._harmonic_gram, H.T @ x
         )
@@ -428,8 +415,7 @@ def kernel_projector(pencil: ReducedPencil) -> KernelProjector:
             if nrm > 1e-8 * max(ref, 1.0):
                 keep.append(j)
         H = Hp[:, keep]
-    basis = KernelBasis(gradient=G, harmonic=H)
-    return KernelProjector(pencil, basis, gram)
+    return KernelProjector(G, H, pencil.M1, gram)
 
 
 @dataclass
@@ -626,7 +612,7 @@ def smallest_beltrami(
 
     R = A @ X - (M @ X) * lams
     res = [float(np.sqrt(r @ m_solve(r))) for r in R.T]
-    G = projector.basis.gradient
+    G = projector.gradient
     divs = np.linalg.norm(G.T @ (M @ X), axis=0) if G.shape[1] else np.zeros(len(lams))
 
     if len(lams) < k:

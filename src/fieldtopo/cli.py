@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 COMMANDS = ("gen", "homology", "cuts", "beltrami", "classify", "pipeline")
 SCHEMA_VERSION = "fieldtopo/1"
@@ -69,14 +69,18 @@ def _parse_periodic(mask: str):
 def build_geometry(cfg: RunConfig):
     from .generators import GridSpec, gen_box_minus_ring, gen_grid, read_msh
 
-    if cfg.geometry.startswith("msh:"):
-        return read_msh(cfg.geometry[4:])
     presets = {
         "cube": (False, False, False),
         "solid-torus": (False, False, True),
         "torus3": (True, True, True),
     }
+    if cfg.periodic is not None and cfg.geometry not in presets:
+        raise ValueError(f"--periodic applies to {', '.join(presets)}, not {cfg.geometry!r}")
+    if cfg.geometry.startswith("msh:"):
+        return read_msh(cfg.geometry[4:])
     if cfg.geometry == "box-ring":
+        if len(set(cfg.n)) > 1 or len(set(cfg.size)) > 1:
+            raise ValueError("box-ring takes one --n and one --size for all three axes")
         return gen_box_minus_ring(int(cfg.n[0]), l=float(cfg.size[0]))
     if cfg.geometry not in presets:
         raise ValueError(f"unknown geometry {cfg.geometry!r}")
@@ -353,7 +357,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="cube | solid-torus | torus3 | box-ring | msh:PATH")
     p.add_argument("--n", default=None, help="NX[,NY,NZ] cell counts")
     p.add_argument("--size", default=None, help="LX[,LY,LZ] edge lengths")
-    p.add_argument("--periodic", default=None, help="axis mask, e.g. xy / 110 / none")
+    p.add_argument("--periodic", default=None,
+                   help="axis mask for cube | solid-torus | torus3, e.g. xy / 110 / none")
     p.add_argument("--bc", default=None,
                    help="closed-mesh | zero-trace | closed-trace:I[,J...]")
     p.add_argument("--k", type=int, default=None, help="number of eigenpairs")
@@ -383,6 +388,9 @@ def _config_from_args(argv) -> RunConfig:
     environment variables before numpy is loaded."""
     args = build_parser().parse_args(argv)
     filecfg = _read_config_file(args.config) if args.config else {}
+    unknown = sorted(set(filecfg) - {f.name for f in fields(RunConfig)} - {"command"})
+    if unknown:
+        raise ValueError(f"unknown config keys {unknown} in {args.config}")
 
     def pick(name, default, cast=None):
         val = getattr(args, name, None)

@@ -4,17 +4,22 @@ A cut is the inverse image of a regular value of the circle map determined
 by an integer cocycle class.  The integer cocycle carries the class (periods
 stay exact); the harmonic representative only smooths the geometry.  Level
 sets are extracted per tet from locally integrated phases (a tet is simply
-connected), so no covering space is ever built; intersection vertices are
-keyed by (edge id, integer level index seen from the edge's tail vertex),
-which makes the manifoldness and crossing bookkeeping exact and independent
-of the periodic unwrapping.
+connected), so no covering space is ever built.  Every (tet, level copy)
+pair is sliced at once: the bitmask of its vertices above the level selects
+the triangles and polygon sides from a 16-entry table.  Intersection
+vertices are keyed by (edge id, integer level index seen from the edge's
+tail vertex) in one int64 array, and one ``np.unique`` numbers them, which
+makes the manifoldness and crossing bookkeeping exact and independent of
+the periodic unwrapping.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import NoGap, NonManifoldCut, NonRegularLevel, SolverFailure
@@ -106,77 +111,119 @@ def choose_level(vertex_phases: np.ndarray) -> float:
     return float(np.min(mids))
 
 
+def _slice_table():
+    """How the level plane cuts a tet, for each bitmask of vertices above it.
+
+    Corners are positions in the mask's list of cut edges (EDGE_LOCAL
+    order).  A slice with 3 cut edges is one triangle; with 4 it is the quad
+    (first, lower adjacent, opposite, higher adjacent edge) split along
+    first-opposite.  ``flip`` marks triangles whose corner order points
+    down the phase gradient in a positively oriented tet, read off the
+    midpoint slice of the unit tet: the orientation is affine invariant.
+    Sides are the cut-edge pairs sharing a vertex, with the local face that
+    holds them (the one omitting the vertex in neither edge).
+    """
+    ref = np.vstack([np.zeros(3), np.eye(3)])
+    tris = np.zeros((16, 2, 3), dtype=np.int64)
+    flip = np.zeros((16, 2), dtype=bool)
+    sides = np.zeros((16, 4, 3), dtype=np.int64)
+    ntri = np.zeros(16, dtype=np.int64)
+    nside = np.zeros(16, dtype=np.int64)
+    for mask in range(1, 15):
+        above = (mask >> np.arange(4)) & 1
+        cut = EDGE_LOCAL[above[EDGE_LOCAL[:, 0]] != above[EDGE_LOCAL[:, 1]]]
+        pairs = [
+            (i, j, ({0, 1, 2, 3} - {*cut[i], *cut[j]}).pop())
+            for i in range(len(cut)) for j in range(i + 1, len(cut))
+            if {*cut[i]} & {*cut[j]}
+        ]
+        if len(cut) == 3:
+            poly = np.array([[0, 1, 2]])
+        else:  # the two edges next to the first come first among the sides
+            (_, lower, _), (_, higher, _) = pairs[:2]
+            opposite = 6 - lower - higher
+            poly = np.array([[0, lower, opposite], [0, opposite, higher]])
+        mid = ref[cut].mean(axis=1)[poly]
+        normal = np.cross(mid[:, 1] - mid[:, 0], mid[:, 2] - mid[:, 0])
+        ntri[mask], nside[mask] = len(poly), len(pairs)
+        tris[mask, : len(poly)] = poly
+        flip[mask, : len(poly)] = normal @ (above[1:] - above[0]) < 0
+        sides[mask, : len(pairs)] = pairs
+    return tris, flip, ntri, sides, nside
+
+
+_TRIS, _FLIP, _NTRI, _SIDES, _NSIDE = _slice_table()
+
+
+def _expand(counts):
+    """Owner and rank of each item when item i of a list brings counts[i]."""
+    owner = np.repeat(np.arange(len(counts)), counts)
+    start = np.cumsum(counts) - counts
+    return owner, np.arange(len(owner)) - start[owner]
+
+
 @dataclass
 class CutSurface:
     """Oriented triangle soup extracted as a level set of the circle map.
 
-    Vertices are keyed by (edge id, level index): the index of the level
-    copy theta0 + k that crosses the edge, counted from the global phase of
-    the edge's tail vertex.  The same physical intersection point reached
-    from different tets shares a key even when periodic unwrapping gives it
-    different coordinates.
+    Surface vertices are keyed by (edge id, level index): the index of the
+    level copy theta0 + k that crosses the edge, counted from the global
+    phase of the edge's tail vertex.  The same physical intersection point
+    reached from different tets shares a key even when periodic unwrapping
+    gives it different coordinates.  ``keys`` holds the distinct keys in
+    lexicographic order, and every vertex reference below indexes it.
     """
 
     level: float
-    points: np.ndarray              # (P,3) one entry per polygon corner (soup)
-    triangles: np.ndarray           # (K,3) indices into points
-    source_tet: np.ndarray          # (K,)
-    corner_keys: list[tuple[int, int]]     # per point: (edge id, level index)
-    crossing_sign: dict[tuple[int, int], int]  # per key: sign of the crossing
-    boundary_edges: list[tuple[int, int]]  # triangle corner-key pairs on dM
+    points: np.ndarray          # (P,3) one entry per triangle corner (soup)
+    triangles: np.ndarray       # (K,3) indices into points
+    source_tet: np.ndarray      # (K,)
+    keys: np.ndarray            # (N,2) distinct (edge id, level index)
+    corner_vertex: np.ndarray   # (P,) key index of each point
+    crossing_sign: np.ndarray   # (N,) +1 where the phase rises along the edge, else -1
+    boundary_edges: np.ndarray  # (B,2) key-index pairs, low first, of sides on dM
 
     @property
     def num_triangles(self) -> int:
         return len(self.triangles)
 
-    def edge_multiplicity(self) -> dict[tuple, list[int]]:
-        """Directed traversals per undirected polygon edge (by corner keys)."""
-        runs: dict[tuple, list[int]] = {}
-        for t in range(len(self.triangles)):
-            ka, kb, kc = (self.corner_keys[i] for i in self.triangles[t])
-            for u, v in ((ka, kb), (kb, kc), (kc, ka)):
-                key = (min(u, v), max(u, v))
-                runs.setdefault(key, []).append(1 if u < v else -1)
-        return runs
+    @cached_property
+    def _edges(self):
+        """Distinct undirected polygon edges, coded low * N + high over the N
+        keys, with the number of triangles using each and the sum of their
+        directions (+1 from low to high)."""
+        u = self.corner_vertex[self.triangles]
+        v = u[:, [1, 2, 0]]
+        n = len(self.keys)
+        code, inv, count = np.unique(
+            np.minimum(u, v) * n + np.maximum(u, v), return_inverse=True, return_counts=True
+        )
+        net = np.bincount(inv.ravel(), weights=np.where(u < v, 1, -1).ravel(), minlength=len(code))
+        return code, count, net.astype(np.int64)
 
-    def validate_manifold(self, boundary_keys: set[tuple] | None = None):
+    def validate_manifold(self):
         """Interior polygon edges must be shared by exactly two triangles with
         opposite induced orientation; remaining edges must lie on dM."""
-        bset = set(self.boundary_edges)
-        for key, runs in self.edge_multiplicity().items():
-            if len(runs) == 2 and sum(runs) == 0:
-                continue
-            if len(runs) == 1 and key in bset:
-                continue
+        code, count, net = self._edges
+        n = len(self.keys)
+        on_boundary = np.isin(code, self.boundary_edges @ [n, 1])
+        bad = np.flatnonzero(~(((count == 2) & (net == 0)) | ((count == 1) & on_boundary)))
+        if len(bad):
+            i = bad[0]
             raise NonManifoldCut(
-                f"polygon edge {key} has traversals {runs} "
-                f"({'boundary' if key in bset else 'interior'})"
+                f"polygon edge {self.keys[list(divmod(code[i], n))].tolist()} used by "
+                f"{count[i]} triangles with net direction {net[i]} "
+                f"({'boundary' if on_boundary[i] else 'interior'})"
             )
 
     def euler_characteristic(self) -> int:
-        nv = len(set(self.corner_keys))
-        ne = len(self.edge_multiplicity())
-        return nv - ne + len(self.triangles)
+        return len(self.keys) - len(self._edges[0]) + len(self.triangles)
 
     def num_components(self) -> int:
-        keys = {}
-        parent = {}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for t in range(len(self.triangles)):
-            ks = [self.corner_keys[i] for i in self.triangles[t]]
-            for k in ks:
-                parent.setdefault(k, k)
-            a = find(ks[0])
-            for k in ks[1:]:
-                b = find(k)
-                parent[b] = a
-        return len({find(k) for k in parent})
+        n = len(self.keys)
+        low, high = np.divmod(self._edges[0], n)
+        graph = sp.csr_matrix((np.ones(len(low)), (low, high)), shape=(n, n))
+        return int(sp.csgraph.connected_components(graph, directed=False)[0])
 
 
 def extract_cut(cx: SimplicialComplex3, rep: HarmonicRep, level: float) -> CutSurface:
@@ -185,134 +232,75 @@ def extract_cut(cx: SimplicialComplex3, rep: HarmonicRep, level: float) -> CutSu
     Raises NonRegularLevel if the level comes within 1e-9 of a vertex phase.
     """
     theta0 = float(level)
-
-    phases = np.mod(rep.vertex_phases(), 1.0)
-    dist = np.abs(phases - theta0)
+    base = rep.vertex_phases()
+    dist = np.abs(np.mod(base, 1.0) - theta0)
     dist = np.minimum(dist, 1.0 - dist)
     if len(dist) and np.min(dist) < VERTEX_CLEARANCE:
         raise NonRegularLevel(
             f"level {theta0} within {np.min(dist):.2e} of a vertex phase"
         )
 
-    base = rep.vertex_phases()
-    omega = rep.omega
-    p = cx.tet_coords
-
     # per-tet unwrapped phases from the local base vertex: theta_j = theta(t0)
-    # + omega on the in-tet edge (t0 -> tj); edge 0,1,2 of EDGE_LOCAL are
+    # + omega on the in-tet edge (t0 -> tj); edges 0,1,2 of EDGE_LOCAL are
     # exactly (0,j)
-    T = cx.num_tets
-    theta = np.empty((T, 4))
-    theta[:, 0] = base[cx.tets[:, 0]]
-    for j in (1, 2, 3):
-        k = j - 1  # EDGE_LOCAL rows (0,1),(0,2),(0,3)
-        theta[:, j] = theta[:, 0] + cx.tet_edge_sign[:, k] * omega[cx.tet_to_edge[:, k]]
+    theta = np.empty((cx.num_tets, 4))
+    theta[:, :1] = base[cx.tets[:, :1]]
+    theta[:, 1:] = theta[:, :1] + cx.tet_edge_sign[:, :3] * rep.omega[cx.tet_to_edge[:, :3]]
 
-    # tet-local edge -> the two local faces containing it (FACE_LOCAL omits i)
-    edge_faces_local = []
-    for a, b in EDGE_LOCAL:
-        fs = [i for i in range(4) if a != i and b != i]
-        edge_faces_local.append(fs)
+    # one slice per (tet, level copy theta0 + kk inside its phase range)
+    lo = np.ceil(theta.min(axis=1) - theta0).astype(np.int64)
+    hi = np.floor(theta.max(axis=1) - theta0).astype(np.int64)
+    tet, rank = _expand(np.maximum(hi - lo + 1, 0))
+    kk = lo[tet] + rank
+    ell = theta0 + kk
+    th = theta[tet]
+    above = th > ell[:, None]
+    mask = above @ (1 << np.arange(4))
 
-    points: list[np.ndarray] = []
-    keys: list[tuple[int, int]] = []
-    tris: list[tuple[int, int, int]] = []
-    tri_tet: list[int] = []
-    crossing_sign: dict[tuple[int, int], int] = {}
-    boundary_edges: list[tuple[int, int]] = []
-    bface_set = set(int(f) for f in cx.boundary_faces)
-
-    for t in range(T):
-        th = theta[t]
-        lo = np.ceil(np.min(th) - theta0)
-        hi = np.floor(np.max(th) - theta0)
-        for kk in range(int(lo), int(hi) + 1):
-            ell = theta0 + kk
-            above = th > ell
-            nab = int(above.sum())
-            if nab in (0, 4):
-                continue
-            # intersection points on sign-change edges
-            cut_pts = {}
-            for le, (a, b) in enumerate(EDGE_LOCAL):
-                if above[a] == above[b]:
-                    continue
-                tloc = (ell - th[a]) / (th[b] - th[a])
-                if min(tloc, 1 - tloc) < 1e-12:
-                    raise NonRegularLevel(
-                        f"level {ell} passes through a vertex of tet {t}"
-                    )
-                ge = int(cx.tet_to_edge[t, le])
-                sgn = int(cx.tet_edge_sign[t, le])
-                # this tet's unwrapping differs from the global phase at the
-                # edge's tail vertex by an integer, so the level index kk
-                # seen from that vertex is exact
-                tail = a if sgn > 0 else b
-                key = (ge, kk - round(th[tail] - base[cx.tets[t, tail]]))
-                pt = p[t, a] + tloc * (p[t, b] - p[t, a])
-                csign = 1 if (th[b] > th[a]) == (sgn > 0) else -1
-                crossing_sign[key] = csign
-                cut_pts[le] = (key, pt)
-
-            # affine phase gradient orients the polygon toward increasing phase
-            E = p[t, 1:] - p[t, :1]
-            g = np.linalg.solve(E, th[1:] - th[0])
-
-            if len(cut_pts) == 3:
-                polys = [list(cut_pts.keys())]
-            elif len(cut_pts) == 4:
-                les = list(cut_pts.keys())
-                # order the quad: pick the two edges sharing the lone vertex
-                # side; opposite edges of the quad do not share a tet face
-                first = les[0]
-                shared = [
-                    le for le in les[1:]
-                    if set(edge_faces_local[first]) & set(edge_faces_local[le])
-                ]
-                lone = [le for le in les[1:] if le not in shared]
-                order = [first, shared[0], lone[0], shared[1]]
-                polys = [[order[0], order[1], order[2]], [order[0], order[2], order[3]]]
-            else:
-                raise NonRegularLevel(f"degenerate slice in tet {t}")
-
-            for poly in polys:
-                idx = []
-                for le in poly:
-                    key, pt = cut_pts[le]
-                    points.append(pt)
-                    keys.append(key)
-                    idx.append(len(points) - 1)
-                v0, v1, v2 = (points[i] for i in idx)
-                nrm = np.cross(v1 - v0, v2 - v0)
-                if nrm @ g < 0:
-                    idx[1], idx[2] = idx[2], idx[1]
-                tris.append(tuple(idx))
-                tri_tet.append(t)
-
-            # boundary edges: polygon edges lying in a boundary face of the tet
-            if len(cut_pts) >= 3:
-                les = list(cut_pts.keys())
-                for i in range(len(les)):
-                    for j in range(i + 1, len(les)):
-                        common = set(edge_faces_local[les[i]]) & set(
-                            edge_faces_local[les[j]]
-                        )
-                        for lf in common:
-                            if int(cx.tet_to_face[t, lf]) in bface_set:
-                                ka = cut_pts[les[i]][0]
-                                kb = cut_pts[les[j]][0]
-                                boundary_edges.append((min(ka, kb), max(ka, kb)))
-
-    cut = CutSurface(
-        level=theta0,
-        points=np.array(points).reshape(-1, 3),
-        triangles=np.array(tris, dtype=np.int64).reshape(-1, 3),
-        source_tet=np.array(tri_tet, dtype=np.int64),
-        corner_keys=keys,
-        crossing_sign=crossing_sign,
-        boundary_edges=sorted(set(boundary_edges)),
+    # one corner per cut edge of each slice, in (slice, local edge) order
+    s, le = np.nonzero(above[:, EDGE_LOCAL[:, 0]] != above[:, EDGE_LOCAL[:, 1]])
+    t = tet[s]
+    a, b = EDGE_LOCAL[le].T
+    tha, thb = th[s, a], th[s, b]
+    tloc = (ell[s] - tha) / (thb - tha)
+    near = np.flatnonzero(np.minimum(tloc, 1 - tloc) < 1e-12)
+    if len(near):
+        i = near[0]
+        raise NonRegularLevel(f"level {ell[s[i]]} passes through a vertex of tet {t[i]}")
+    sgn = cx.tet_edge_sign[t, le]
+    # this tet's unwrapping differs from the global phase at the edge's tail
+    # vertex by an integer, so the level index kk seen from that vertex is
+    # exact
+    tail = np.where(sgn > 0, a, b)
+    lift = np.rint(th[s, tail] - base[cx.tets[t, tail]]).astype(np.int64)
+    keys, first, vertex = np.unique(
+        np.column_stack([cx.tet_to_edge[t, le], kk[s] - lift]),
+        axis=0, return_index=True, return_inverse=True,
     )
-    return cut
+    vertex = vertex.ravel()
+    pts = cx.tet_coords[t, a] + tloc[:, None] * (cx.tet_coords[t, b] - cx.tet_coords[t, a])
+    crossing = np.where((thb > tha) == (sgn > 0), 1, -1)
+    first_corner = np.searchsorted(s, np.arange(len(tet)))
+
+    ts, j = _expand(_NTRI[mask])
+    corners = (first_corner[ts, None] + _TRIS[mask[ts], j]).ravel()
+    order = np.where(_FLIP[mask[ts], j, None], [0, 2, 1], [0, 1, 2])
+
+    ss, j = _expand(_NSIDE[mask])
+    side = _SIDES[mask[ss], j]
+    on = np.isin(cx.tet_to_face[tet[ss], side[:, 2]], cx.boundary_faces)
+    ends = vertex[first_corner[ss[on], None] + side[on, :2]]
+
+    return CutSurface(
+        level=theta0,
+        points=pts[corners],
+        triangles=3 * np.arange(len(ts))[:, None] + order,
+        source_tet=tet[ts],
+        keys=keys,
+        corner_vertex=vertex[corners],
+        crossing_sign=crossing[first],
+        boundary_edges=np.unique(np.sort(ends, axis=1), axis=0),
+    )
 
 
 def verify_cut(
@@ -325,16 +313,9 @@ def verify_cut(
     fails.
     """
     cut.validate_manifold()
-    crossings_per_edge: dict[int, int] = {}
-    for (ge, _), s in cut.crossing_sign.items():
-        crossings_per_edge[ge] = crossings_per_edge.get(ge, 0) + s
-    out = []
-    for z in basis.dual_cycles:
-        total = 0
-        for ge in np.flatnonzero(z):
-            total += int(z[ge]) * crossings_per_edge.get(int(ge), 0)
-        out.append(total)
-    return np.array(out, dtype=np.int64)
+    per_edge = np.zeros(cx.num_edges, dtype=np.int64)
+    np.add.at(per_edge, cut.keys[:, 0], cut.crossing_sign)
+    return np.array([int(z @ per_edge) for z in basis.dual_cycles], dtype=np.int64)
 
 
 def critical_scan(

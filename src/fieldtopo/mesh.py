@@ -299,6 +299,49 @@ def build_complex(vertices, tets, tet_coords=None) -> SimplicialComplex3:
     )
 
 
+# local faces at each local vertex: those omitting one of the other three
+VERTEX_FACES_LOCAL = np.array([np.setdiff1d(np.arange(4), [i]) for i in range(4)])
+
+
+def _link_failures(cx: SimplicialComplex3) -> list[str]:
+    """Vertices whose link is not a sphere or a disk, with no per-vertex loop.
+
+    The link of a vertex v has a triangle per tet, an edge per face and a
+    node per edge at v; its edges lie in at most two triangles because
+    faces lie in at most two tets.  Such a link is a sphere (v inside) or a
+    disk (v on the boundary) exactly when its triangles are connected across
+    shared edges and its Euler characteristic deg_E - deg_F + deg_T is 2 or
+    1: splitting each pinched node raises the Euler characteristic and
+    leaves a connected surface, whose Euler characteristic is at most 2,
+    or 1 with boundary.  Every edge link, the link of a node in a vertex
+    link, is then one cycle (interior edge) or one path (boundary edge).
+    The triangles are joined in one sparse graph: a node per (tet, local
+    vertex) links to a hub per (face, vertex of it) for each of its three
+    faces at that vertex.
+    """
+    V, F, T = cx.num_vertices, cx.num_faces, cx.num_tets
+    # hub 4 T + 3 f + k for the vertex of face f with k lower ones
+    below = cx.tets[:, :, None] > cx.tets[:, None, :]
+    k = below.sum(axis=2)[:, :, None] - below[:, np.arange(4)[:, None], VERTEX_FACES_LOCAL]
+    hub = 4 * T + 3 * cx.tet_to_face[:, VERTEX_FACES_LOCAL] + k
+    n = 4 * T + 3 * F
+    indptr = np.concatenate([np.arange(0, 12 * T, 3), np.full(3 * F + 1, 12 * T)])
+    graph = sp.csr_matrix((np.ones(12 * T), hub.ravel(), indptr), shape=(n, n))
+    ncomp, labels = sp.csgraph.connected_components(graph, directed=False)
+    owner = np.zeros(ncomp, dtype=np.int64)
+    owner[labels[: 4 * T]] = cx.tets.ravel()  # every hub is linked from a corner
+    count = np.bincount(owner, minlength=V)
+    chi = (
+        np.bincount(cx.edges.ravel(), minlength=V)
+        - np.bincount(cx.faces.ravel(), minlength=V)
+        + np.bincount(cx.tets.ravel(), minlength=V)
+    )
+    on_boundary = np.zeros(V, dtype=bool)
+    on_boundary[cx.faces[cx.boundary_faces]] = True
+    bad = np.flatnonzero((count != 1) | (chi != np.where(on_boundary, 1, 2)))[:10].tolist()
+    return [f"vertex links not a sphere or disk at vertices {bad}"] if bad else []
+
+
 @dataclass
 class ValidationReport:
     counts: tuple[int, int, int, int]
@@ -341,6 +384,8 @@ def validate_complex(complex: SimplicialComplex3) -> ValidationReport:
     d0_rowsum = np.asarray(complex.D0.sum(axis=1)).ravel()
     if np.any(d0_rowsum != 0):
         failures.append("D0 row without one -1 and one +1")
+
+    failures += _link_failures(complex)
 
     # boundary faces must close up: every boundary edge in exactly two of them
     bgenus: list[int] = []

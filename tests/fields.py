@@ -1,8 +1,13 @@
-"""Test helpers: interpolants of vector fields, eigencluster alignment and
-the mesh faces under a cut's boundary polygon edges."""
+"""Test helpers: interpolants of vector fields, eigencluster alignment, the
+per-tet reference slicer for cut surfaces and the mesh faces under a cut's
+boundary polygon edges, and a mesh that is a manifold except at one
+vertex."""
+
+import itertools
 
 import numpy as np
 
+from fieldtopo.generators import GridSpec, gen_grid
 from fieldtopo.mesh import EDGE_LOCAL, FACE_LOCAL, SimplicialComplex3
 
 
@@ -97,13 +102,83 @@ def face_flux_interpolant(cx: SimplicialComplex3, func) -> np.ndarray:
     return vals
 
 
+def reference_cut(cx, rep, level: float) -> dict:
+    """Level set of ``rep`` at level + Z, sliced one tet and one level copy
+    at a time, with the same arithmetic as ``cuts.extract_cut`` but the
+    orientation read off each tet's phase gradient.  Returns the corner
+    points, triangles, source tets and corner keys, the crossing sign per
+    key and the boundary polygon edges as sorted key pairs."""
+    base = rep.vertex_phases()
+    p = cx.tet_coords
+    faces_of = [{i for i in range(4) if i not in e} for e in EDGE_LOCAL.tolist()]
+    bfaces = set(cx.boundary_faces.tolist())
+    points, keys, tris, tets, crossing, bedges = [], [], [], [], {}, set()
+    for t in range(cx.num_tets):
+        th = np.empty(4)
+        th[0] = base[cx.tets[t, 0]]
+        for j in (1, 2, 3):
+            th[j] = th[0] + cx.tet_edge_sign[t, j - 1] * rep.omega[cx.tet_to_edge[t, j - 1]]
+        grad = np.linalg.solve(p[t, 1:] - p[t, :1], th[1:] - th[0])
+        for kk in range(int(np.ceil(th.min() - level)), int(np.floor(th.max() - level)) + 1):
+            ell = level + kk
+            cut = {}
+            for le, (a, b) in enumerate(EDGE_LOCAL.tolist()):
+                if (th[a] > ell) == (th[b] > ell):
+                    continue
+                tloc = (ell - th[a]) / (th[b] - th[a])
+                sgn = int(cx.tet_edge_sign[t, le])
+                tail = a if sgn > 0 else b
+                key = (int(cx.tet_to_edge[t, le]), kk - int(round(th[tail] - base[cx.tets[t, tail]])))
+                crossing[key] = 1 if (th[b] > th[a]) == (sgn > 0) else -1
+                cut[le] = (key, p[t, a] + tloc * (p[t, b] - p[t, a]))
+            les = list(cut)
+            polys = [les] if len(les) == 3 else []
+            if len(les) == 4:
+                near = [le for le in les[1:] if faces_of[les[0]] & faces_of[le]]
+                far = [le for le in les[1:] if le not in near]
+                polys = [[les[0], near[0], far[0]], [les[0], far[0], near[1]]]
+            for poly in polys:
+                idx = [len(points), len(points) + 1, len(points) + 2]
+                points += [cut[le][1] for le in poly]
+                keys += [cut[le][0] for le in poly]
+                v0, v1, v2 = points[-3:]
+                if np.cross(v1 - v0, v2 - v0) @ grad < 0:
+                    idx[1], idx[2] = idx[2], idx[1]
+                tris.append(idx)
+                tets.append(t)
+            for i, j in itertools.combinations(les, 2):
+                if any(int(cx.tet_to_face[t, lf]) in bfaces for lf in faces_of[i] & faces_of[j]):
+                    bedges.add(tuple(sorted((cut[i][0], cut[j][0]))))
+    return {
+        "points": np.array(points).reshape(-1, 3),
+        "triangles": np.array(tris, dtype=np.int64).reshape(-1, 3),
+        "source_tet": np.array(tets, dtype=np.int64),
+        "corner_keys": keys,
+        "crossing": crossing,
+        "boundary_edges": sorted(bedges),
+    }
+
+
 def boundary_edge_faces(cx, cut) -> set[int]:
     """Mesh faces holding the cut's boundary polygon edges: for each, the one
     face whose boundary contains both mesh edges that its corners lie on."""
     D1 = cx.D1.tocsc()
     out = set()
-    for (ea, _), (eb, _) in cut.boundary_edges:
+    for ea, eb in cut.keys[cut.boundary_edges, 0].tolist():
         faces = np.intersect1d(D1[:, ea].indices, D1[:, eb].indices)
         assert len(faces) == 1, f"corner edges {ea}, {eb} share {len(faces)} faces"
         out.add(int(faces[0]))
     return out
+
+
+def cubes_glued_at_a_corner():
+    """Vertices and tets of two unit 3x3x3 cubes whose only common point is
+    the first cube's corner (1, 1, 1), the second cube's origin."""
+    cube = gen_grid(GridSpec(3, 3, 3))
+    corner = int(np.flatnonzero((cube.vertices == 1).all(axis=1))[0])
+    origin = int(np.flatnonzero((cube.vertices == 0).all(axis=1))[0])
+    V = len(cube.vertices)
+    relabel = V + np.arange(V) - (np.arange(V) > origin)
+    relabel[origin] = corner
+    verts = np.vstack([cube.vertices, np.delete(cube.vertices, origin, axis=0) + 1.0])
+    return verts, np.vstack([cube.tets, relabel[cube.tets]])

@@ -6,6 +6,7 @@ import sys
 import tempfile
 from contextlib import redirect_stdout
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 import fieldtopo
 from fieldtopo.cli import RunConfig, build_geometry, main, run
 from fieldtopo.writers import dumps_json
+from fields import cubes_glued_at_a_corner
 
 
 def read_json(path):
@@ -196,6 +198,74 @@ def test_failed_validation_error_contract(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["error"] == "InvalidComplex"
     assert "do not close up into a surface" in doc["message"]
+    assert read_json(out / "error.json") == doc
+
+
+def write_msh(path, vertices, tets):
+    """Gmsh 2.2 ASCII file with one linear tet element per row of ``tets``."""
+    lines = ["$MeshFormat", "2.2 0 8", "$EndMeshFormat", "$Nodes", str(len(vertices))]
+    lines += [f"{i + 1} {x!r} {y!r} {z!r}" for i, (x, y, z) in enumerate(vertices.tolist())]
+    lines += ["$EndNodes", "$Elements", str(len(tets))]
+    lines += [f"{i + 1} 4 2 0 1 " + " ".join(str(v + 1) for v in t) for i, t in enumerate(tets.tolist())]
+    lines += ["$EndElements"]
+    path.write_text("\n".join(lines) + "\n")
+
+
+def tets_sharing_a_vertex():
+    ref = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    return np.vstack([ref, -ref[1:]]), np.array([[0, 1, 2, 3], [0, 4, 5, 6]])
+
+
+@pytest.mark.parametrize("mesh", [cubes_glued_at_a_corner, tets_sharing_a_vertex])
+@pytest.mark.parametrize("command", ["gen", "homology"])
+def test_pinched_vertex_error_contract(tmp_path, capsys, mesh, command):
+    """Meshes that are manifolds except at one vertex exit 2 with JSON."""
+    path = tmp_path / "pinched.msh"
+    write_msh(path, *mesh())
+    out = tmp_path / "out"
+    rc = main([command, "--geometry", f"msh:{path}", "--out", str(out)])
+    assert rc == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["error"] == "InvalidComplex"
+    assert "vertex links not a sphere or disk" in doc["message"]
+    assert read_json(out / "error.json") == doc
+    assert sorted(os.listdir(out)) == ["error.json"]
+
+
+def test_unknown_config_key_error_contract(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("bcc=zero-trace\n")
+    rc = main(["gen", "--n", "2", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["error"] == "ConfigError"
+    assert "'bcc'" in doc["message"]
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [["--n", "5,9,9", "--periodic", "xyz"], ["--n", "5,9,9"], ["--n", "5", "--size", "1,2,1"],
+     ["--n", "5", "--periodic", "xyz"]],
+)
+def test_box_ring_rejects_per_axis_options(tmp_path, capsys, extra):
+    """The box-ring is one cube: per-axis counts, sizes and periodicity would be dropped."""
+    out = tmp_path / "out"
+    rc = main(["gen", "--geometry", "box-ring", *extra, "--out", str(out)])
+    assert rc == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["error"] == "ValueError"
+    assert read_json(out / "error.json") == doc
+
+
+def test_msh_rejects_periodic(tmp_path, capsys):
+    path = tmp_path / "tets.msh"
+    write_msh(path, *tets_sharing_a_vertex())
+    out = tmp_path / "out"
+    rc = main(["gen", "--geometry", f"msh:{path}", "--periodic", "xy", "--out", str(out)])
+    assert rc == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["error"] == "ValueError"
+    assert "--periodic" in doc["message"]
     assert read_json(out / "error.json") == doc
 
 

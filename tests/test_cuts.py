@@ -4,18 +4,19 @@ import numpy as np
 import pytest
 
 from fieldtopo.cuts import (
+    HarmonicRep,
     choose_level,
     critical_scan,
     extract_cut,
     harmonic_representative,
     verify_cut,
 )
-from fieldtopo.errors import NoGap, NonRegularLevel, SolverFailure
+from fieldtopo.errors import NoGap, NonManifoldCut, NonRegularLevel, SolverFailure
 from fieldtopo.fem import build_fem
 from fieldtopo.generators import gen_box_minus_ring
 from fieldtopo.homology import h1_basis
 from fieldtopo.mesh import build_complex
-from fields import boundary_edge_faces
+from fields import boundary_edge_faces, reference_cut
 
 
 @pytest.fixture(scope="module")
@@ -158,6 +159,71 @@ def test_box_ring_cut(box_ring, box_ring_fem):
     assert boundary_edge_faces(box_ring, cut) <= bfaces
 
 
+SKEW_TET = np.array([[0.0, 0.0, 0.0], [1.0, 0.2, 0.1], [0.3, 1.0, 0.2], [0.1, 0.4, 1.3]])
+
+
+@pytest.mark.parametrize("order", [[0, 1, 2, 3], [1, 0, 2, 3]])
+@pytest.mark.parametrize("above", range(1, 15))
+def test_single_tet_slice(above, order):
+    """Each of the 14 patterns of vertices above the level, on one skewed tet
+    given in either orientation: a triangle or a quad split in two, facing up
+    the phase gradient, bounded by the tet's faces."""
+    cx = build_complex(SKEW_TET, [order])
+    bits = (above >> np.arange(4)) & 1
+    phases = 0.4 * bits + 0.01 * np.arange(4)
+    rep = HarmonicRep(
+        complex=cx,
+        source_cocycle=np.zeros(cx.num_edges, dtype=np.int64),
+        phi=phases,
+        omega=cx.D0 @ phases,
+        coclosure_residual=0.0,
+    )
+    # vertex phases are integrated from vertex 0, so shift the level with them
+    cut = extract_cut(cx, rep, (0.2 - phases[0]) % 1.0)
+
+    num_cut = int(np.sum(bits[cx.edges[:, 0]] != bits[cx.edges[:, 1]]))
+    assert num_cut in (3, 4)
+    assert len(cut.keys) == num_cut
+    assert cut.num_triangles == num_cut - 2
+    corners = cut.points[cut.triangles]
+    normals = np.cross(corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0])
+    gradient = np.linalg.solve(SKEW_TET[1:] - SKEW_TET[0], phases[1:] - phases[0])
+    assert np.all(normals @ gradient > 0)
+    tri = cut.corner_vertex[cut.triangles]
+    sides = np.sort(np.stack([tri, np.roll(tri, -1, axis=1)], axis=2), axis=2).reshape(-1, 2)
+    edges, uses = np.unique(sides, axis=0, return_counts=True)
+    assert sorted(uses) == [1] * num_cut + [2] * (num_cut - 3)  # the quad's diagonal
+    assert np.array_equal(cut.boundary_edges, edges[uses == 1])
+    assert cut.euler_characteristic() == 1
+    assert cut.num_components() == 1
+    cut.validate_manifold()
+
+
+@pytest.mark.parametrize("defect", ["drop", "flip"])
+def test_verify_cut_rejects_broken_surface(defect):
+    """Dropping a triangle opens a hole at interior polygon edges; flipping
+    one makes its neighbours traverse shared edges the same way."""
+    cx = gen_box_minus_ring(7)
+    basis = h1_basis(cx)
+    rep = harmonic_representative(cx, build_fem(cx), basis.cocycles[0])
+    cut = extract_cut(cx, rep, choose_level(rep.vertex_phases()))
+    assert np.array_equal(verify_cut(cx, cut, basis), [1])
+    # a triangle with a side off dM
+    tri = cut.corner_vertex[cut.triangles]
+    sides = np.sort(np.stack([tri, np.roll(tri, -1, axis=1)], axis=2), axis=2)
+    on_dM = (sides[:, :, None] == cut.boundary_edges[None, None]).all(axis=3).any(axis=2)
+    k = np.flatnonzero(~on_dM.all(axis=1))[0]
+    if defect == "drop":
+        keep = np.arange(cut.num_triangles) != k
+        broken = dataclasses.replace(cut, triangles=cut.triangles[keep], source_tet=cut.source_tet[keep])
+    else:
+        triangles = cut.triangles.copy()
+        triangles[k] = triangles[k, [0, 2, 1]]
+        broken = dataclasses.replace(cut, triangles=triangles)
+    with pytest.raises(NonManifoldCut):
+        verify_cut(cx, broken, basis)
+
+
 @pytest.fixture(scope="module")
 def jittered_ring_rep():
     """Class-0 harmonic representative on a box-ring n=7 with jittered
@@ -168,6 +234,33 @@ def jittered_ring_rep():
     cx = build_complex(verts, grid.tets)
     basis = h1_basis(cx)
     return cx, basis, harmonic_representative(cx, build_fem(cx), basis.cocycles[0])
+
+
+@pytest.mark.parametrize("mesh", ["solid_torus", "box_ring", "torus3_coarse", "jittered_lifted"])
+def test_extract_cut_matches_per_tet_reference(request, mesh):
+    """The table-driven slicer reproduces the per-tet loop bit for bit."""
+    if mesh == "jittered_lifted":
+        cx, _, rep = request.getfixturevalue("jittered_ring_rep")
+        shift = np.random.default_rng(5).integers(-(10**6), 10**6, cx.num_vertices)
+        phases = rep.vertex_phases() + shift
+        rep = dataclasses.replace(rep)
+        rep.vertex_phases = lambda: phases
+    else:
+        cx = request.getfixturevalue(mesh)
+        basis = h1_basis(cx)
+        rep = harmonic_representative(cx, build_fem(cx), basis.cocycles[basis.rank - 1])
+    auto = choose_level(rep.vertex_phases())
+    for level in (auto, (auto + 0.37) % 1.0):
+        cut = extract_cut(cx, rep, level)
+        ref = reference_cut(cx, rep, level)
+        assert cut.num_triangles > 0
+        assert cut.points.tobytes() == ref["points"].tobytes()
+        assert np.array_equal(cut.triangles, ref["triangles"])
+        assert np.array_equal(cut.source_tet, ref["source_tet"])
+        assert cut.keys[cut.corner_vertex].tolist() == [list(k) for k in ref["corner_keys"]]
+        assert dict(zip(map(tuple, cut.keys.tolist()), cut.crossing_sign.tolist())) == ref["crossing"]
+        pairs = [tuple(map(tuple, e)) for e in cut.keys[cut.boundary_edges].tolist()]
+        assert pairs == ref["boundary_edges"]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -202,8 +295,6 @@ def test_critical_scan_flags_plateau_saddle(cube4, cube4_fem):
         return np.maximum(np.abs(t - 0.5) - 0.25, 0.0) ** 2
 
     phi = ramp(v[:, 0]) - ramp(v[:, 1])
-    from fieldtopo.cuts import HarmonicRep
-
     omega = cube4.D0 @ phi
     rep = HarmonicRep(
         complex=cube4,

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from fieldtopo.errors import DegenerateTet, InvalidComplex, NonManifoldFace
 from fieldtopo.generators import GridSpec, gen_grid
 from fieldtopo.mesh import build_complex, integrate_potential, spanning_forest, validate_complex
+from fields import cubes_glued_at_a_corner
 
 REF_VERTS = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]])
 
@@ -113,6 +114,44 @@ def test_validate_flags_corrupted_d1():
     assert any("D2@D1" in f or "D1@D0" in f for f in r.failures)
     with pytest.raises(InvalidComplex):
         r.raise_if_failed()
+
+
+def test_validate_flags_pinched_vertex():
+    """Two tets sharing only a vertex: its link is two triangles."""
+    verts = np.vstack([REF_VERTS, -REF_VERTS[1:]])
+    r = validate_complex(build_complex(verts, [[0, 1, 2, 3], [0, 4, 5, 6]]))
+    assert r.failures == ["vertex links not a sphere or disk at vertices [0]"]
+    with pytest.raises(InvalidComplex):
+        r.raise_if_failed()
+
+
+def test_validate_flags_pinched_edge():
+    """Two tets sharing only an edge: both its ends have a pinched link."""
+    verts = np.vstack([REF_VERTS, [[0, -1, 0], [0, 0, -1]]])
+    r = validate_complex(build_complex(verts, [[0, 1, 2, 3], [0, 1, 4, 5]]))
+    assert "vertex links not a sphere or disk at vertices [0, 1]" in r.failures
+
+
+def test_validate_flags_cone_over_annulus():
+    """The apex's link is an annulus: connected, but with Euler
+    characteristic 0 where a disk has 1."""
+    ring = np.column_stack([np.cos(np.arange(4) * np.pi / 2), np.sin(np.arange(4) * np.pi / 2), np.zeros(4)])
+    verts = np.vstack([[0.0, 0.0, 1.0], ring, 2 * ring])
+    inner, outer = 1 + np.arange(4), 5 + np.arange(4)
+    tets = [
+        tet
+        for k, k1 in zip(range(4), np.roll(range(4), -1))
+        for tet in ([0, inner[k], outer[k], outer[k1]], [0, inner[k], outer[k1], inner[k1]])
+    ]
+    r = validate_complex(build_complex(verts, tets))
+    assert r.failures == ["vertex links not a sphere or disk at vertices [0]"]
+
+
+def test_validate_flags_cubes_glued_at_a_corner():
+    verts, tets = cubes_glued_at_a_corner()
+    corner = int(np.flatnonzero((verts == 1).all(axis=1))[0])
+    r = validate_complex(build_complex(verts, tets))
+    assert r.failures == [f"vertex links not a sphere or disk at vertices [{corner}]"]
 
 
 def test_two_disjoint_tets_two_components():

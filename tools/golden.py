@@ -40,6 +40,7 @@ CASES: dict[str, list[str]] = {
     "cuts-torus3": ["cuts", "--geometry", "torus3", "--n", "4", "--cut-class", "1"],
     "cuts-box-ring": ["cuts", "--geometry", "box-ring", "--n", "5"],
     "cuts-cube-trivial": ["cuts", "--geometry", "cube", "--n", "2"],
+    "cuts-t2xi": ["cuts", "--geometry", "cube", "--periodic", "xy", "--n", "5,5,4", "--cut-class", "1"],
     "beltrami-torus3": ["beltrami", "--geometry", "torus3", "--n", "4", "--size", TAU, "--k", "2"],
     "beltrami-solid-torus-closed-trace": [
         "beltrami", "--geometry", "solid-torus", "--n", "3,3,8", "--size", "1,1,3",
