@@ -20,8 +20,8 @@ SCHEMA_VERSION = "fieldtopo/1"
 class RunConfig:
     command: str
     geometry: str = "cube"
-    n: tuple[int, ...] = (4,)
-    size: tuple[float, ...] = (1.0,)
+    n: tuple[int, ...] | None = None  # None: (4,) for generated meshes
+    size: tuple[float, ...] | None = None  # None: (1.0,) for generated meshes
     periodic: str | None = None
     bc: str | None = None
     k: int = 1
@@ -77,18 +77,23 @@ def build_geometry(cfg: RunConfig):
     if cfg.periodic is not None and cfg.geometry not in presets:
         raise ValueError(f"--periodic applies to {', '.join(presets)}, not {cfg.geometry!r}")
     if cfg.geometry.startswith("msh:"):
+        for flag, value in (("--n", cfg.n), ("--size", cfg.size)):
+            if value is not None:
+                raise ValueError(f"{flag} applies to generated meshes, not {cfg.geometry!r}")
         return read_msh(cfg.geometry[4:])
+    n = cfg.n or (4,)
+    size = cfg.size or (1.0,)
     if cfg.geometry == "box-ring":
-        if len(set(cfg.n)) > 1 or len(set(cfg.size)) > 1:
+        if len(set(n)) > 1 or len(set(size)) > 1:
             raise ValueError("box-ring takes one --n and one --size for all three axes")
-        return gen_box_minus_ring(int(cfg.n[0]), l=float(cfg.size[0]))
+        return gen_box_minus_ring(int(n[0]), l=float(size[0]))
     if cfg.geometry not in presets:
         raise ValueError(f"unknown geometry {cfg.geometry!r}")
     periodic = presets[cfg.geometry]
     if cfg.periodic is not None:
         periodic = _parse_periodic(cfg.periodic)
-    n = cfg.n if len(cfg.n) == 3 else cfg.n * 3
-    size = cfg.size if len(cfg.size) == 3 else cfg.size * 3
+    n = n if len(n) == 3 else n * 3
+    size = size if len(size) == 3 else size * 3
     return gen_grid(GridSpec(*n, *size, periodic=periodic))
 
 
@@ -413,8 +418,8 @@ def _config_from_args(argv) -> RunConfig:
     return RunConfig(
         command=args.command,
         geometry=pick("geometry", "cube"),
-        n=_parse_tuple(pick("n", "4"), 3, int),
-        size=_parse_tuple(pick("size", "1.0"), 3, float),
+        n=pick("n", None, lambda text: _parse_tuple(text, 3, int)),
+        size=pick("size", None, lambda text: _parse_tuple(text, 3, float)),
         periodic=pick("periodic", None),
         bc=pick("bc", None),
         k=int(pick("k", 1)),

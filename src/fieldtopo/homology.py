@@ -49,10 +49,23 @@ class CohomologyBasis:
 
 
 def _chain_betti(counts, boundaries) -> BettiNumbers:
-    """Betti numbers and torsion of a chain complex from its three boundary ranks."""
+    """Betti numbers and torsion of a chain complex from its three boundary ranks.
+
+    The outer maps D0 and D2 are reduced first.  Their unit pivots form
+    unimodular blocks, which certify dependences in D1 (clearing; Chen-Kerber
+    2011): D1 D0 = 0 makes the columns of D1 at D0's pivot rows integer
+    combinations of the other columns, and D2 D1 = 0 does the same for the
+    rows at D2's pivot columns.  D1 without them has the same rank and
+    invariant factors, and it is all that ``smith_normal_form`` sees.
+    """
+    D0, D1, D2 = boundaries
+    s0, s2 = smith_normal_form(D0), smith_normal_form(D2)
+    rows, cols = np.ones(D1.shape[0], dtype=bool), np.ones(D1.shape[1], dtype=bool)
+    rows[s2.unit_cols] = False
+    cols[s0.unit_rows] = False
+    s1 = smith_normal_form(D1[rows][:, cols])
     ranks, torsion = [], []
-    for A in boundaries:
-        r = smith_normal_form(A)
+    for r in (s0, s1, s2):
         ranks.append(r.rank)
         torsion.append([int(f) for f in r.invariant_factors if f > 1])
     r1, r2, r3 = ranks

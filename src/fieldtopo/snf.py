@@ -2,20 +2,32 @@
 
 All arithmetic uses Python integers, so there is no overflow regardless of
 coefficient growth.  One sparse column elimination, ``_Elimination``, takes
-the +-1 pivots for both reductions in the same order.  The Smith form strips
-its unit pivots that way and finishes the unit-free remainder with the dense
-textbook algorithm; the kernel basis alternates unit pivots with Euclidean
-column steps and tracks the column transform.
+the +-1 pivots for both reductions in the same order.  The kernel basis
+alternates its unit pivots with Euclidean column steps and tracks the
+column transform.  The Smith form first removes, in numpy, what needs no
+elimination at all, in three stages:
+
+1. In each connected block of the matrix whose columns sum to exactly zero,
+   adding the others to the lowest column zeroes it, so that column is
+   dropped; likewise for rows.  For a graph's incidence matrix this is the
+   augmentation, for a mesh's top map a component's fundamental class.
+2. A +-1 entry that is the only live entry of its row or column is a pivot
+   that causes no fill: its Schur complement is the matrix without its row
+   and column.  Such pivots are taken in vectorized rounds, at most one per
+   row and per column in a round (coreductions, Mrozek-Batko, DCG 2009).
+3. Only the leftover core goes to ``_Elimination``, and its unit-free
+   remainder to the dense textbook algorithm.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd
 
 import numpy as np
 import scipy.sparse as sp
+
 
 def _to_int_rows(A) -> tuple[list[dict[int, int]], int, int]:
     """Matrix as a list of {col: value} dicts with exact Python ints."""
@@ -43,13 +55,17 @@ class SnfResult:
     """Diagonal invariant factors of an integer matrix.
 
     When transforms are retained, U @ A @ V equals the diagonal form, with U
-    and V unimodular.
+    and V unimodular.  Without them, ``unit_rows[k], unit_cols[k]`` is the
+    k-th unit pivot of the sparse path; A restricted to those rows and
+    columns has determinant +-1.
     """
 
     shape: tuple[int, int]
     invariant_factors: list[int]
     U: np.ndarray | None = None
     V: np.ndarray | None = None
+    unit_rows: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
+    unit_cols: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
 
     @property
     def rank(self) -> int:
@@ -249,8 +265,9 @@ class _Elimination:
                 heapq.heappush(self.heap, (len(self.row_cols[r]), r))
         self.touched.clear()
 
-    def unit_pivots(self) -> int:
-        """Eliminate +-1 pivots until no active row holds one; return how many.
+    def unit_pivots(self) -> list[tuple[int, int]]:
+        """Eliminate +-1 pivots until no active row holds one; return them as
+        (row, column) pairs in elimination order.
 
         A pivot's row is cleared by column operations.  That leaves the same
         Schur complement as clearing its column by row operations, so each
@@ -258,7 +275,7 @@ class _Elimination:
         """
         cols, row_cols, active_rows = self.cols, self.row_cols, self.active_rows
         heap = self.heap
-        count = 0
+        pivots = []
         while heap:
             length, i = heapq.heappop(heap)
             if i not in active_rows or length != len(row_cols[i]):
@@ -272,19 +289,84 @@ class _Elimination:
                 if k != j:
                     self.add_col(k, j, -cols[k][i] * piv)
             self.retire(i, j)
-            count += 1
-        return count
+            pivots.append((i, j))
+        return pivots
+
+
+def _lowest_members(label, nblocks, keep) -> np.ndarray:
+    """Mask of the lowest-index member of each block that is not kept."""
+    low = np.full(nblocks, len(label))
+    np.minimum.at(low, label, np.arange(len(label)))
+    drop = np.zeros(len(label), dtype=bool)
+    drop[low[(low < len(label)) & ~keep]] = True
+    return drop
+
+
+def _zero_sum_drops(r, c, v, m, n) -> tuple[np.ndarray, np.ndarray]:
+    """Rows and columns that one unimodular operation per block zeroes.
+
+    A connected block's columns sum to zero exactly when each of its rows
+    does; then its lowest column is a combination of the others.  Returns
+    boolean masks of the rows and columns to drop.  The float sums are
+    exact for entries this small.
+    """
+    if not len(v) or float(np.abs(v).max()) * len(v) >= 2**52:
+        return np.zeros(m, dtype=bool), np.zeros(n, dtype=bool)
+    graph = sp.coo_matrix((np.ones(len(r), dtype=np.int8), (r, m + c)), shape=(m + n, m + n))
+    nblocks, label = sp.csgraph.connected_components(graph, directed=False)
+    rlab, clab = label[:m], label[m:]
+    w = v.astype(float)
+    # a block keeps its columns if one of its rows has a nonzero sum, and
+    # its rows if one of its columns does
+    keep_cols = np.bincount(rlab[np.bincount(r, w, m) != 0], minlength=nblocks) > 0
+    keep_rows = np.bincount(clab[np.bincount(c, w, n) != 0], minlength=nblocks) > 0
+    return _lowest_members(rlab, nblocks, keep_rows), _lowest_members(clab, nblocks, keep_cols)
+
+
+def _fill_free_pivots(r, c, v, m, n):
+    """Take +-1 entries alone in their row or column, in rounds.
+
+    Each round takes at most one such entry per row and per column; none of
+    them causes fill, so they are all pivots of one another's Schur
+    complements and nothing but their rows and columns is removed.  Returns
+    the pivot rows, the pivot columns and the entries left over.
+    """
+    none = np.zeros(0, dtype=np.int64)
+    prows, pcols = [none], [none]
+    dead_row, dead_col = np.zeros(m, dtype=bool), np.zeros(n, dtype=bool)
+    while True:
+        alone = (np.bincount(r, minlength=m)[r] == 1) | (np.bincount(c, minlength=n)[c] == 1)
+        cand = np.flatnonzero(alone & (np.abs(v) == 1))
+        if not len(cand):
+            return np.concatenate(prows), np.concatenate(pcols), (r, c, v)
+        cand = cand[np.unique(c[cand], return_index=True)[1]]
+        cand = cand[np.unique(r[cand], return_index=True)[1]]
+        prows.append(r[cand])
+        pcols.append(c[cand])
+        dead_row[r[cand]] = True
+        dead_col[c[cand]] = True
+        keep = ~(dead_row[r] | dead_col[c])
+        r, c, v = r[keep], c[keep], v[keep]
+
+
+def _compact(idx, size) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct values of idx, and idx renumbered into them."""
+    present = np.zeros(size, dtype=bool)
+    present[idx] = True
+    return np.flatnonzero(present), (np.cumsum(present) - 1)[idx]
 
 
 def smith_normal_form(A, transforms: bool = False) -> SnfResult:
     """Exact Smith normal form of an integer matrix.
 
-    Invariant factors satisfy the divisibility chain d1 | d2 | ... .  Unit
-    pivots are stripped by the sparse elimination and the unit-free
-    remainder is finished with the dense algorithm.  With
-    ``transforms=True`` the dense algorithm runs on the whole matrix
-    (intended for small matrices) and retains the unimodular U, V with
-    U @ A @ V diagonal.
+    Invariant factors satisfy the divisibility chain d1 | d2 | ... .  The
+    sparse path runs the three stages of the module docstring: zero-sum
+    blocks lose a column or row, fill-free unit pivots are peeled in rounds,
+    and the core left over goes to ``_Elimination`` and then to the dense
+    algorithm.  The unit pivots of the last two stages are reported as
+    ``unit_rows`` and ``unit_cols``.  With ``transforms=True`` the dense
+    algorithm runs on the whole matrix (intended for small matrices) and
+    retains the unimodular U, V with U @ A @ V diagonal.
     """
     if transforms:
         rows, m, n = _to_int_rows(A)
@@ -292,17 +374,32 @@ def smith_normal_form(A, transforms: bool = False) -> SnfResult:
         diag, U, V = _dense_snf(M, True)
         return SnfResult((m, n), diag, np.array(U, dtype=object), np.array(V, dtype=object))
 
-    el = _Elimination(A, transform=False)
-    npiv = el.unit_pivots()
+    coo = sp.coo_matrix(A if sp.issparse(A) else np.asarray(A), dtype=np.int64)
+    coo.sum_duplicates()
+    coo.eliminate_zeros()
+    m, n = coo.shape
+    r, c, v = coo.row.astype(np.int64), coo.col.astype(np.int64), coo.data
+    drop_row, drop_col = _zero_sum_drops(r, c, v, m, n)
+    keep = ~(drop_row[r] | drop_col[c])
+    prows, pcols, (r, c, v) = _fill_free_pivots(r[keep], c[keep], v[keep], m, n)
+
+    core_rows, r = _compact(r, m)
+    core_cols, c = _compact(c, n)
+    el = _Elimination(sp.coo_matrix((v, (r, c)), shape=(len(core_rows), len(core_cols))), transform=False)
+    pivots = np.array(el.unit_pivots(), dtype=np.int64).reshape(-1, 2)
     # active columns hold entries in active rows only: the remainder
     live = [j for j in sorted(el.active_cols) if el.cols[j]]
     rmap = {i: a for a, i in enumerate(sorted({i for j in live for i in el.cols[j]}))}
     M = [[0] * len(live) for _ in rmap]
     for b, j in enumerate(live):
-        for i, v in el.cols[j].items():
-            M[rmap[i]][b] = v
+        for i, val in el.cols[j].items():
+            M[rmap[i]][b] = val
     diag, _, _ = _dense_snf(M, False)
-    return SnfResult((el.m, el.n), [1] * npiv + diag)
+    return SnfResult(
+        (m, n), [1] * (len(prows) + len(pivots)) + diag,
+        unit_rows=np.concatenate([prows, core_rows[pivots[:, 0]]]),
+        unit_cols=np.concatenate([pcols, core_cols[pivots[:, 1]]]),
+    )
 
 
 def integer_kernel_basis(A) -> list[np.ndarray]:
@@ -312,7 +409,10 @@ def integer_kernel_basis(A) -> list[np.ndarray]:
     column transform; columns that reduce to zero yield the kernel basis.
     Unit pivots follow the rule of ``_Elimination``.  When no unit entry is
     left, the sparsest row is reduced by Euclidean column steps to a single
-    entry, which becomes the pivot.
+    entry, which becomes the pivot.  None of the Smith form's numpy stages
+    run here: ranks and invariant factors do not depend on the pivot order,
+    but the kernel vectors do, and the cocycles and cut surfaces are built
+    from them, so the order stays ``_Elimination``'s.
     """
     el = _Elimination(A, transform=True)
     cols, row_cols = el.cols, el.row_cols

@@ -269,6 +269,23 @@ def test_msh_rejects_periodic(tmp_path, capsys):
     assert read_json(out / "error.json") == doc
 
 
+@pytest.mark.parametrize("extra", [["--n", "9,9,9"], ["--size", "3"], ["--n", "9", "--size", "3"]])
+def test_msh_rejects_grid_options(tmp_path, capsys, extra):
+    """A read mesh has its own size and cell count: --n and --size would be dropped."""
+    path = tmp_path / "one.msh"
+    vertices, tets = tets_sharing_a_vertex()
+    write_msh(path, vertices[:4], tets[:1])
+    assert main(["gen", "--geometry", f"msh:{path}", "--out", str(tmp_path / "ok")]) == 0
+    capsys.readouterr()
+    out = tmp_path / "out"
+    rc = main(["gen", "--geometry", f"msh:{path}", *extra, "--out", str(out)])
+    assert rc == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["error"] == "ValueError"
+    assert extra[0] in doc["message"]
+    assert read_json(out / "error.json") == doc
+
+
 def test_homology_runtime_error_contract(tmp_path, capsys, monkeypatch):
     import fieldtopo.homology as homology
 

@@ -24,6 +24,7 @@ from fieldtopo.homology import (
 )
 from fieldtopo.mesh import build_complex
 from fieldtopo.surface import boundary_surface
+from test_snf import minor_gcd_factors
 
 KNOWN = [
     ("cube", GridSpec(2, 2, 2), (1, 0, 0, 0), (0, 0, 0, 1)),
@@ -248,10 +249,17 @@ def test_pipeline_computes_topology_once(tmp_path, monkeypatch, box_ring):
     rc = cli.main(["pipeline", "--geometry", "box-ring", "--n", "5",
                    "--threads", "1", "--out", str(tmp_path)])
     assert rc == 0
-    absolute = [(E, V), (F, E), (T, F)]
-    assert len(snf_shapes) == 6
-    assert snf_shapes[:3] == absolute
-    assert all(shape not in absolute for shape in snf_shapes[3:])
+    # D0, D2, then D1 cleared by their unit pivots: rank D0 = V - b0 = V - 1
+    # and rank D2 = T - b3 = T absolutely; relatively (no boundary cells)
+    # rank D0 = Vr - 0 and rank D2 = T - 1
+    bfaces = cx.boundary_faces
+    Vr = V - len(np.unique(cx.faces[bfaces]))
+    Er = E - len(np.unique(cx.D1[bfaces].indices))
+    Fr = F - len(bfaces)
+    assert snf_shapes == [
+        (E, V), (T, F), (F - T, E - (V - 1)),
+        (Er, Vr), (T, Fr), (Fr - (T - 1), Er - Vr),
+    ]
     # one gauge each: the mesh and the boundary surface; the zero-trace
     # harmonic fields come from the restriction pairing, with no gauge of
     # their own
@@ -259,3 +267,126 @@ def test_pipeline_computes_topology_once(tmp_path, monkeypatch, box_ring):
     assert extractions == [T]
     # one call per basis: the boundary torus (2 loops), the mesh (b1 = 1)
     assert sorted(loops) == [(Es, 2), (E, 1)]
+
+
+def simplicial_surface(triangles):
+    """Boundary maps D0 (edges x vertices) and D1 (triangles x edges) of a
+    2-complex, each simplex oriented by increasing vertex index."""
+    tris = np.sort(np.asarray(triangles), axis=1)
+    edges = np.unique(np.concatenate([tris[:, [1, 2]], tris[:, [0, 2]], tris[:, [0, 1]]]), axis=0)
+    eid = {tuple(e): k for k, e in enumerate(edges.tolist())}
+    D0 = np.zeros((len(edges), tris.max() + 1), dtype=np.int64)
+    D0[np.arange(len(edges)), edges[:, 0]] = -1
+    D0[np.arange(len(edges)), edges[:, 1]] = 1
+    D1 = np.zeros((len(tris), len(edges)), dtype=np.int64)
+    for f, (a, b, c) in enumerate(tris.tolist()):
+        D1[f, [eid[b, c], eid[a, c], eid[a, b]]] = [1, -1, 1]
+    return D0, D1
+
+
+def klein_bottle_squares(a, b):
+    """Boundary maps of a cellular Klein bottle: an a x b grid of squares,
+    periodic in x, with (x, b) glued to (-x, 0)."""
+
+    def vertex(x, y):
+        return (-x % a) if y == b else (x % a) + a * y
+
+    def h(x, y):  # (x, y) -> (x + 1, y)
+        return (x % a) + a * y
+
+    def v(x, y):  # (x, y) -> (x, y + 1)
+        return a * b + (x % a) + a * y
+
+    D0 = np.zeros((2 * a * b, a * b), dtype=np.int64)
+    D1 = np.zeros((a * b, 2 * a * b), dtype=np.int64)
+    for x in range(a):
+        for y in range(b):
+            square = x + a * y
+            D0[h(x, y), vertex(x, y)] -= 1
+            D0[h(x, y), vertex(x + 1, y)] += 1
+            D0[v(x, y), vertex(x, y)] -= 1
+            D0[v(x, y), vertex(x, y + 1)] += 1
+            # the top side of the last row runs from (-x-1, 0) to (-x, 0)
+            top = [(h(x, y + 1), -1)] if y + 1 < b else [(h(-x - 1, 0), 1)]
+            for e, sign in [(h(x, y), 1), (v(x + 1, y), 1), *top, (v(x, y), -1)]:
+                D1[square, e] += sign
+    return D0, D1
+
+
+# the 6-vertex real projective plane (hemi-icosahedron)
+RP2 = [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1, 5),
+       (1, 2, 4), (2, 3, 5), (1, 3, 4), (2, 4, 5), (1, 3, 5)]
+
+
+@pytest.mark.parametrize(
+    "maps,betti,torsion",
+    [
+        (simplicial_surface(RP2), (1, 0, 0, 0), [[], [2], [], []]),
+        (klein_bottle_squares(3, 2), (1, 1, 0, 0), [[], [2], [], []]),
+    ],
+    ids=["RP2", "Klein bottle"],
+)
+def test_torsion_survives_clearing(maps, betti, torsion):
+    """Surfaces as 2-complexes with an empty top map: clearing D1 by D0's
+    pivots keeps the Z/2 of H_1, and every map agrees with the minor oracle."""
+    D0, D1 = maps
+    assert not (D1 @ D0).any()
+    D2 = np.zeros((0, D1.shape[0]), dtype=np.int64)
+    counts = [D0.shape[1], D0.shape[0], D1.shape[0], 0]
+    got = homology._chain_betti(counts, [sp.csr_matrix(D) for D in (D0, D1, D2)])
+    f0, f1 = minor_gcd_factors(D0), minor_gcd_factors(D1)
+    r1, r2 = len(f0), len(f1)
+    assert got.betti == (counts[0] - r1, counts[1] - r1 - r2, counts[2] - r2, 0) == betti
+    assert got.torsion == [[f for f in fs if f > 1] for fs in (f0, f1, [], [])] == torsion
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_betti_invariant_under_cell_permutations_and_flips(seed):
+    """Relabel and reorient every cell of the box-ring: flipping cell i of
+    dimension k negates row i of D_(k-1) and column i of D_k.  The flips
+    break the zero-sum blocks, so the Betti numbers rest on the other stages."""
+    cx = gen_box_minus_ring(5)
+    rng = np.random.default_rng(seed)
+    counts = [cx.num_vertices, cx.num_edges, cx.num_faces, cx.num_tets]
+    perm = [rng.permutation(k) for k in counts]
+    flip = [sp.diags(rng.choice([-1, 1], size=k), dtype=np.int64) for k in counts]
+    maps = [
+        flip[k + 1] @ D[perm[k + 1]][:, perm[k]] @ flip[k]
+        for k, D in enumerate((cx.D0, cx.D1, cx.D2))
+    ]
+    for D in maps:
+        coo = D.tocoo()
+        drops = snf._zero_sum_drops(coo.row.astype(np.int64), coo.col.astype(np.int64),
+                                    coo.data.astype(np.int64), *D.shape)
+        assert not any(mask.any() for mask in drops)
+    b = homology._chain_betti(counts, maps)
+    assert b.betti == (1, 1, 1, 0)
+    assert b.torsion == [[], [], [], []]
+
+
+def test_betti_cores_are_small(monkeypatch):
+    """Structural guard: on box-ring n=5 the outer maps reduce with no
+    elimination at all, and cleared D1 leaves under 5% of its columns."""
+    snf_shapes, core_shapes = [], []
+    real_snf, real_elimination = snf.smith_normal_form, snf._Elimination
+
+    def counting_snf(A, *args, **kwargs):
+        snf_shapes.append(A.shape)
+        return real_snf(A, *args, **kwargs)
+
+    class CountingElimination(real_elimination):
+        def __init__(self, A, transform):
+            if not transform:
+                core_shapes.append(A.shape)
+            super().__init__(A, transform)
+
+    monkeypatch.setattr(homology, "smith_normal_form", counting_snf)
+    monkeypatch.setattr(snf, "_Elimination", CountingElimination)
+    cx = gen_box_minus_ring(5)
+    assert betti_numbers(cx).betti == (1, 1, 1, 0)
+    assert relative_betti(cx).betti == (0, 1, 1, 1)
+    assert len(snf_shapes) == len(core_shapes) == 6
+    for (D0, D2, D1), (c0, c2, c1) in zip((snf_shapes[:3], snf_shapes[3:]),
+                                          (core_shapes[:3], core_shapes[3:])):
+        assert c0 == c2 == (0, 0)
+        assert c1[1] < 0.05 * D1[1]

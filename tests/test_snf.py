@@ -306,3 +306,30 @@ def test_kernel_pivot_order_on_tree_gauge_matrix(box_ring):
     nontree = np.setdiff1d(np.arange(box_ring.num_edges), tree)
     A = box_ring.D1.tocsc()[:, nontree]
     assert_same_saturated_kernel(A, integer_kernel_basis(A))
+
+
+@st.composite
+def incidence_matrices(draw):
+    """Signed incidence matrices of random multigraphs, edges x vertices or
+    transposed: every block sums to zero one way, so the zero-sum drop fires."""
+    n = draw(st.integers(2, 8))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+        lambda p: p[0] != p[1]), min_size=1, max_size=10))
+    A = np.zeros((len(pairs), n), dtype=np.int64)
+    for e, (u, v) in enumerate(pairs):
+        A[e, u], A[e, v] = -1, 1
+    return A.T if draw(st.booleans()) else A
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(sparse_int_matrices(), incidence_matrices()))
+def test_unit_pivots_form_unimodular_block(A):
+    """The reported unit pivots sit in distinct rows and columns and span a
+    block of determinant +-1: what clearing a neighbouring map relies on."""
+    r = smith_normal_form(sp.csr_matrix(A))
+    assert r.invariant_factors == smith_normal_form(A, transforms=True).invariant_factors
+    rows, cols = r.unit_rows.tolist(), r.unit_cols.tolist()
+    assert len(set(rows)) == len(rows) == len(cols) == len(set(cols))
+    assert len(rows) <= r.invariant_factors.count(1)
+    if rows:
+        assert abs(bareiss_det(A[np.ix_(rows, cols)])) == 1
