@@ -199,6 +199,26 @@ def integrate_potential(forest: SpanningForest, cochain) -> np.ndarray:
     return np.array(phi)
 
 
+def _canonical_rows(rows: np.ndarray, num_vertices: int) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct sorted rows in lexicographic order, and the index of each
+    input row among them.
+
+    Each sorted row (a, b) or (a, b, c) of vertex ids below V is ranked by
+    one int64 key, a·V + b or (a·V + b)·V + c, which orders rows as
+    lexicographic order does, so one flat sort replaces a row-wise one.
+    Where V**width overflows int64 (V > 2097151 for faces) the rows are
+    sorted row-wise.
+    """
+    rows = np.sort(rows, axis=1)
+    if num_vertices ** rows.shape[1] > np.iinfo(np.int64).max:
+        return np.unique(rows, axis=0, return_inverse=True)
+    key = rows[:, 0]
+    for col in rows.T[1:]:
+        key = key * num_vertices + col
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    return rows[first], inverse
+
+
 def build_complex(vertices, tets, tet_coords=None) -> SimplicialComplex3:
     """Build a validated complex from vertex coordinates and tet connectivity.
 
@@ -210,8 +230,15 @@ def build_complex(vertices, tets, tet_coords=None) -> SimplicialComplex3:
     tets = np.array(tets, dtype=np.int64).reshape(-1, 4)
     if tets.size and (tets.min() < 0 or tets.max() >= len(vertices)):
         raise ValueError("tet vertex index out of range")
+    # a flat key of four ids overflows int64 above V = 55108; two keys per
+    # sorted tet, (a·V + b, c·V + d), fit up to V = 3.03e9
+    V = len(vertices)
     sorted_tets = np.sort(tets, axis=1)
-    if len(np.unique(sorted_tets, axis=0)) != len(tets):
+    hi = sorted_tets[:, 0] * V + sorted_tets[:, 1]
+    lo = sorted_tets[:, 2] * V + sorted_tets[:, 3]
+    order = np.lexsort((lo, hi))
+    hi, lo = hi[order], lo[order]
+    if np.any((hi[1:] == hi[:-1]) & (lo[1:] == lo[:-1])):
         raise ValueError("duplicate tets")
 
     if tet_coords is None:
@@ -239,14 +266,14 @@ def build_complex(vertices, tets, tet_coords=None) -> SimplicialComplex3:
     # edges: canonical sorted pairs, deduplicated in lexicographic order
     raw_edges = tets[:, EDGE_LOCAL].reshape(-1, 2)          # (T*6,2) local order
     edge_sign_flat = _parity_sorting(raw_edges)
-    edges, edge_inv = np.unique(np.sort(raw_edges, axis=1), axis=0, return_inverse=True)
+    edges, edge_inv = _canonical_rows(raw_edges, V)
     tet_to_edge = edge_inv.reshape(T, 6)
     tet_edge_sign = edge_sign_flat.reshape(T, 6)
 
     # faces: canonical sorted triples
     raw_faces = tets[:, FACE_LOCAL].reshape(-1, 3)
     face_sign_flat = _parity_sorting(raw_faces)
-    faces, face_inv = np.unique(np.sort(raw_faces, axis=1), axis=0, return_inverse=True)
+    faces, face_inv = _canonical_rows(raw_faces, V)
     tet_to_face = face_inv.reshape(T, 4)
     tet_face_sign = face_sign_flat.reshape(T, 4)
 
@@ -258,7 +285,6 @@ def build_complex(vertices, tets, tet_coords=None) -> SimplicialComplex3:
     boundary_faces = np.flatnonzero(face_count == 1)
 
     E, F = len(edges), len(faces)
-    V = len(vertices)
 
     rows = np.repeat(np.arange(E), 2)
     cols = edges.ravel()

@@ -1,7 +1,7 @@
 """Test helpers: interpolants of vector fields, eigencluster alignment, the
 per-tet reference slicer for cut surfaces and the mesh faces under a cut's
-boundary polygon edges, and a mesh that is a manifold except at one
-vertex."""
+boundary polygon edges, a mesh that is a manifold except at one vertex,
+and a Gmsh file writer."""
 
 import itertools
 
@@ -182,3 +182,13 @@ def cubes_glued_at_a_corner():
     relabel[origin] = corner
     verts = np.vstack([cube.vertices, np.delete(cube.vertices, origin, axis=0) + 1.0])
     return verts, np.vstack([cube.tets, relabel[cube.tets]])
+
+
+def write_msh(path, vertices, tets):
+    """Gmsh 2.2 ASCII file with one linear tet element per row of ``tets``."""
+    lines = ["$MeshFormat", "2.2 0 8", "$EndMeshFormat", "$Nodes", str(len(vertices))]
+    lines += [f"{i + 1} {x!r} {y!r} {z!r}" for i, (x, y, z) in enumerate(vertices.tolist())]
+    lines += ["$EndNodes", "$Elements", str(len(tets))]
+    lines += [f"{i + 1} 4 2 0 1 " + " ".join(str(v + 1) for v in t) for i, t in enumerate(tets.tolist())]
+    lines += ["$EndElements"]
+    path.write_text("\n".join(lines) + "\n")

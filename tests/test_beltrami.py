@@ -81,17 +81,22 @@ def test_dof_map_roundtrip(solid_torus, solid_torus_fem):
     assert np.abs(pen.C @ back - h).max() < 1e-10
 
 
-def test_gradients_with_closed_component():
-    """A torus next to a cube: the torus component has no boundary, so it
-    drops its lowest vertex from the gradient columns, and the cube drops
-    its boundary block (zero-trace) or its lowest vertex (closed-trace)."""
+def torus_next_to_cube():
+    """A 3x3x3 periodic torus and a 2x2x2 cube as two components of one mesh."""
     a = gen_grid(GridSpec(3, 3, 3, periodic=(True, True, True)))
     b = gen_grid(GridSpec(2, 2, 2))
-    cx = build_complex(
+    return build_complex(
         np.vstack([a.vertices, b.vertices + 5.0]),
         np.vstack([a.tets, b.tets + a.num_vertices]),
         np.concatenate([a.tet_coords, b.tet_coords + 5.0]),
     )
+
+
+def test_gradients_with_closed_component():
+    """A torus next to a cube: the torus component has no boundary, so it
+    drops its lowest vertex from the gradient columns, and the cube drops
+    its boundary block (zero-trace) or its lowest vertex (closed-trace)."""
+    cx = torus_next_to_cube()
     fem = build_fem(cx)
     on_boundary = np.unique(cx.faces[cx.boundary_faces])
     rng = np.random.default_rng(4)
@@ -107,20 +112,34 @@ def test_gradients_with_closed_component():
         assert np.linalg.norm(proj.apply(x)) <= 1e-12 * np.linalg.norm(x)
 
 
+def jittered_torus3(n: int, seed: int = 7):
+    """The n^3 3-torus with every vertex moved by at most 0.1 h, the move
+    added to each tet corner that holds the vertex."""
+    cx = gen_grid(GridSpec(n, n, n, TAU, TAU, TAU, periodic=(True, True, True)))
+    step = 0.1 * (TAU / n) / np.sqrt(3.0)
+    move = np.random.default_rng(seed).uniform(-step, step, (cx.num_vertices, 3))
+    return build_complex(cx.vertices + move, cx.tets, cx.tet_coords + move[cx.tets])
+
+
 def test_projector_properties(torus8_beltrami, torus3_8):
-    pen, proj, _ = torus8_beltrami
-    rng = np.random.default_rng(2)
-    v = rng.standard_normal(pen.ndof)
-    Pv = proj.apply(v)
-    assert np.abs(proj.apply(Pv) - Pv).max() <= 1e-12 * np.abs(Pv).max()
-    # annihilates gradients
-    g = torus3_8.D0 @ rng.standard_normal(torus3_8.num_vertices)
-    assert np.linalg.norm(proj.apply(g)) <= 1e-10 * np.linalg.norm(g)
-    # M1-self-adjoint: <Pu, v>_M = <u, Pv>_M
-    u = rng.standard_normal(pen.ndof)
-    lhs = proj.apply(u) @ (pen.M1 @ v)
-    rhs = u @ (pen.M1 @ proj.apply(v))
-    assert abs(lhs - rhs) <= 1e-10 * abs(lhs)
+    """Idempotent, zero on gradients and M1-self-adjoint, on a Freudenthal
+    grid and on a jittered one."""
+    jittered = jittered_torus3(6)
+    pen_j = reduce_system(jittered, build_fem(jittered), BoundaryCondition.closed_mesh())
+    cases = [(torus3_8, *torus8_beltrami[:2]), (jittered, pen_j, kernel_projector(pen_j))]
+    for cx, pen, proj in cases:
+        rng = np.random.default_rng(2)
+        v = rng.standard_normal(pen.ndof)
+        Pv = proj.apply(v)
+        assert np.abs(proj.apply(Pv) - Pv).max() <= 1e-12 * np.abs(Pv).max()
+        # annihilates gradients
+        g = cx.D0 @ rng.standard_normal(cx.num_vertices)
+        assert np.linalg.norm(proj.apply(g)) <= 1e-10 * np.linalg.norm(g)
+        # M1-self-adjoint: <Pu, v>_M = <u, Pv>_M
+        u = rng.standard_normal(pen.ndof)
+        lhs = proj.apply(u) @ (pen.M1 @ v)
+        rhs = u @ (pen.M1 @ proj.apply(v))
+        assert abs(lhs - rhs) <= 1e-10 * abs(lhs)
 
 
 def test_harmonic_dimensions(torus8_beltrami, cube4, cube4_fem):
@@ -325,6 +344,38 @@ def test_one_solve_per_step(make, bc, k, two_solve_columns, monkeypatch):
     assert solves and set(solves) == {(pen.ndof, k)}
     assert len(solves) == len(steps)
     assert len(solves) * k < two_solve_columns
+
+
+@pytest.mark.parametrize(
+    "make,bc",
+    [
+        (lambda: gen_grid(GridSpec(4, 4, 4, TAU, TAU, TAU, periodic=(True, True, True))),
+         BoundaryCondition.closed_mesh()),
+        (lambda: gen_box_minus_ring(5), BoundaryCondition.zero_trace()),
+        (lambda: gen_box_minus_ring(5), BoundaryCondition.closed_trace(1)),
+        (torus_next_to_cube, BoundaryCondition.zero_trace()),
+        (torus_next_to_cube, BoundaryCondition.closed_trace()),
+    ],
+    ids=["torus3-4", "box-ring-5-zero-trace", "box-ring-5-closed-trace-1",
+         "torus-cube-zero-trace", "torus-cube-closed-trace"],
+)
+def test_one_factorization_per_solve(make, bc, monkeypatch):
+    """The projector and the eigensolver together factor one matrix, the
+    shifted pencil; the gradient Gram and the mass matrix go to CG."""
+    import fieldtopo.beltrami as beltrami
+
+    cx = make()
+    pen = reduce_system(cx, build_fem(cx), bc)
+    factored, splu = [], beltrami.spla.splu
+
+    def counted(A, *args, **kwargs):
+        factored.append(A.shape)
+        return splu(A, *args, **kwargs)
+
+    monkeypatch.setattr(beltrami.spla, "splu", counted)
+    sol = smallest_beltrami(pen, kernel_projector(pen), k=1, tol=1e-8)
+    assert factored == [(pen.ndof, pen.ndof)]
+    assert sol.residuals.max() <= 1e-8
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import fieldtopo
 from fieldtopo.cli import RunConfig, build_geometry, main, run
 from fieldtopo.writers import dumps_json
-from fields import cubes_glued_at_a_corner
+from fields import cubes_glued_at_a_corner, write_msh
 
 
 def read_json(path):
@@ -201,16 +201,6 @@ def test_failed_validation_error_contract(tmp_path, capsys):
     assert read_json(out / "error.json") == doc
 
 
-def write_msh(path, vertices, tets):
-    """Gmsh 2.2 ASCII file with one linear tet element per row of ``tets``."""
-    lines = ["$MeshFormat", "2.2 0 8", "$EndMeshFormat", "$Nodes", str(len(vertices))]
-    lines += [f"{i + 1} {x!r} {y!r} {z!r}" for i, (x, y, z) in enumerate(vertices.tolist())]
-    lines += ["$EndNodes", "$Elements", str(len(tets))]
-    lines += [f"{i + 1} 4 2 0 1 " + " ".join(str(v + 1) for v in t) for i, t in enumerate(tets.tolist())]
-    lines += ["$EndElements"]
-    path.write_text("\n".join(lines) + "\n")
-
-
 def tets_sharing_a_vertex():
     ref = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]])
     return np.vstack([ref, -ref[1:]]), np.array([[0, 1, 2, 3], [0, 4, 5, 6]])
@@ -298,6 +288,26 @@ def test_homology_runtime_error_contract(tmp_path, capsys, monkeypatch):
     assert rc == 2
     doc = json.loads(capsys.readouterr().out)
     assert doc["error"] == "RuntimeError"
+    assert read_json(tmp_path / "error.json") == doc
+
+
+@pytest.mark.parametrize("system,size", [("gradient Gram", 63), ("mass", 448)])
+def test_cg_failure_error_contract(tmp_path, capsys, monkeypatch, system, size):
+    """A Jacobi-CG solve that stops short exits 2 with JSON; torus3 n=4 has
+    a 63 x 63 gradient Gram and a 448 x 448 mass matrix."""
+    import scipy.sparse.linalg as spla
+
+    cg = spla.cg
+
+    def failing(A, b, **kwargs):
+        return (np.zeros_like(b), 1) if A.shape[0] == size else cg(A, b, **kwargs)
+
+    monkeypatch.setattr(spla, "cg", failing)
+    rc = main(["beltrami", "--geometry", "torus3", "--n", "4", "--size", "6.283185307179586",
+               "--out", str(tmp_path)])
+    assert rc == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc == {"error": "NoConvergence", "message": f"{system} CG failed (info=1)"}
     assert read_json(tmp_path / "error.json") == doc
 
 

@@ -1,3 +1,4 @@
+import itertools
 from collections import deque
 
 import numpy as np
@@ -6,9 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fieldtopo.errors import DegenerateTet, InvalidComplex, NonManifoldFace
-from fieldtopo.generators import GridSpec, gen_grid
-from fieldtopo.mesh import build_complex, integrate_potential, spanning_forest, validate_complex
-from fields import cubes_glued_at_a_corner
+from fieldtopo.generators import GridSpec, gen_box_minus_ring, gen_grid, read_msh
+from fieldtopo.mesh import (
+    EDGE_LOCAL,
+    FACE_LOCAL,
+    _canonical_rows,
+    build_complex,
+    integrate_potential,
+    spanning_forest,
+    validate_complex,
+)
+from fields import cubes_glued_at_a_corner, write_msh
 
 REF_VERTS = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]])
 
@@ -65,6 +74,72 @@ def test_nonmanifold_face_rejected():
 def test_duplicate_tets_rejected():
     with pytest.raises(ValueError):
         build_complex(REF_VERTS, [[0, 1, 2, 3], [1, 0, 3, 2]])
+
+
+def test_duplicate_tets_rejected_beyond_flat_key_range():
+    """Past V = 55108 a flat key of four vertex ids would overflow int64."""
+    V = 60_000
+    verts = np.zeros((V, 3))
+    verts[-5:] = [[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, -1]]
+    a, b, c, d, e = range(V - 5, V)
+    # distinct tets that share their three lowest vertices
+    assert build_complex(verts, [[a, b, c, d], [e, c, b, a]]).num_tets == 2
+    with pytest.raises(ValueError):
+        build_complex(verts, [[a, b, c, d], [e, c, b, a], [d, c, a, b]])
+
+
+def rowwise_reference(tets):
+    """Edges, faces, tet maps and their signs by row-wise np.unique."""
+    out = {}
+    for name, local in (("edge", EDGE_LOCAL), ("face", FACE_LOCAL)):
+        raw = tets[:, local].reshape(-1, local.shape[1])
+        rows, inverse = np.unique(np.sort(raw, axis=1), axis=0, return_inverse=True)
+        inversions = sum(raw[:, i] > raw[:, j] for i, j in itertools.combinations(range(raw.shape[1]), 2))
+        out[f"{name}s"] = rows
+        out[f"tet_to_{name}"] = inverse.reshape(len(tets), -1)
+        out[f"tet_{name}_sign"] = (1 - 2 * (inversions % 2)).reshape(len(tets), -1)
+    return out
+
+
+def relabelled_torus3(_tmp_path):
+    cx = gen_grid(GridSpec(4, 4, 4, periodic=(True, True, True)))
+    perm = np.random.default_rng(3).permutation(cx.num_vertices)
+    verts = np.empty_like(cx.vertices)
+    verts[perm] = cx.vertices
+    return build_complex(verts, perm[cx.tets], cx.tet_coords)
+
+
+def msh_round_trip(tmp_path):
+    cx = gen_box_minus_ring(5)
+    tets = np.random.default_rng(5).permutation(cx.tets)[:, [2, 0, 1, 3]]
+    write_msh(tmp_path / "box-ring.msh", cx.vertices, tets)
+    return read_msh(tmp_path / "box-ring.msh")
+
+
+@pytest.mark.parametrize(
+    "make",
+    [relabelled_torus3, lambda _: gen_box_minus_ring(5), msh_round_trip],
+    ids=["relabelled-torus3", "box-ring", "msh-round-trip"],
+)
+def test_flat_keys_match_rowwise_unique(make, tmp_path):
+    """Flat int64 keys give the canonical edges and faces byte for byte."""
+    cx = make(tmp_path)
+    for name, want in rowwise_reference(cx.tets).items():
+        got = getattr(cx, name)
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
+
+
+def test_canonical_rows_beyond_flat_key_range():
+    """Past V = 2097151 a face key overflows int64; rows sort row-wise."""
+    V = 3_000_000
+    rng = np.random.default_rng(1)
+    rows = rng.integers(0, V, size=(100, 3))[rng.integers(0, 100, size=300)]
+    rows = rng.permuted(rows, axis=1)
+    got, inverse = _canonical_rows(rows, V)
+    want, want_inverse = np.unique(np.sort(rows, axis=1), axis=0, return_inverse=True)
+    assert np.array_equal(got, want)
+    assert np.array_equal(inverse.ravel(), want_inverse.ravel())
 
 
 def test_negative_orientation_fixed():

@@ -7,9 +7,12 @@
 classify and pipeline at small sizes, each with ``--threads 1``) against the
 package under DIR/src (default: the checkout holding this script) and prints
 a JSON manifest, ``{case: {"argv": [...], "exit": status, "files": {name:
-sha256}}}``, or writes it to FILE.  Outputs go to a temporary directory.
+sha256}, "json": {name: content}}}``, or writes it to FILE; "json" holds the
+parsed content of every JSON output.  Outputs go to a temporary directory.
 ``diff`` compares two manifests and exits 1 if any case differs in its
-arguments, exit status, file set or file bytes.
+arguments, exit status, file set or file bytes.  For a JSON output whose
+bytes differ it also prints every changed leaf, as ``case/file/path: old ->
+new``, with the relative change of numbers.
 
 To check that a change keeps every output byte for byte, write a manifest
 from a checkout of the parent commit and one from the working tree, then
@@ -93,10 +96,15 @@ def run_case(checkout: str, argv: list[str], outdir: str) -> dict:
     )
     if proc.returncode not in (0, 2):
         sys.stderr.write(proc.stderr)
-    files = {}
+    files, contents = {}, {}
     if os.path.isdir(outdir):
-        files = {name: _sha256(os.path.join(outdir, name)) for name in sorted(os.listdir(outdir))}
-    return {"argv": argv, "exit": proc.returncode, "files": files}
+        for name in sorted(os.listdir(outdir)):
+            path = os.path.join(outdir, name)
+            files[name] = _sha256(path)
+            if name.endswith(".json"):
+                with open(path) as fh:
+                    contents[name] = json.load(fh)
+    return {"argv": argv, "exit": proc.returncode, "files": files, "json": contents}
 
 
 def manifest(checkout: str) -> dict:
@@ -106,6 +114,39 @@ def manifest(checkout: str) -> dict:
             print(f"golden: {name}", file=sys.stderr)
             out[name] = run_case(checkout, argv, os.path.join(tmp, name))
         return out
+
+
+def _leaves(doc, path: str = "") -> dict:
+    """Scalars (and empty containers) of a JSON document, keyed by their path."""
+    if isinstance(doc, dict) and doc:
+        items = doc.items()
+    elif isinstance(doc, list) and doc:
+        items = enumerate(doc)
+    else:
+        return {path: doc}
+    out = {}
+    for key, value in items:
+        out.update(_leaves(value, f"{path}/{key}"))
+    return out
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def leaf_changes(old, new) -> list[str]:
+    """One line per leaf that differs between two JSON documents."""
+    a, b = _leaves(old), _leaves(new)
+    lines = []
+    for path in sorted(set(a) | set(b)):
+        if path in a and path in b and a[path] == b[path] and type(a[path]) is type(b[path]):
+            continue
+        x, y = a.get(path), b.get(path)
+        line = f"{path}: {repr(x) if path in a else '<absent>'} -> {repr(y) if path in b else '<absent>'}"
+        if _is_number(x) and _is_number(y):
+            line += f" (rel {(y - x) / abs(x):+.3e})" if x else " (rel inf)"
+        lines.append(line)
+    return lines
 
 
 def diff(a: dict, b: dict) -> list[str]:
@@ -123,6 +164,9 @@ def diff(a: dict, b: dict) -> list[str]:
             if ha != hb:
                 what = "missing" if ha is None or hb is None else "differs"
                 problems.append(f"{name}/{fname}: {what}")
+                ja, jb = ca.get("json", {}), cb.get("json", {})
+                if what == "differs" and fname in ja and fname in jb:
+                    problems += [f"  {name}/{fname}{line}" for line in leaf_changes(ja[fname], jb[fname])]
     return problems
 
 
@@ -152,7 +196,8 @@ def main(argv: list[str] | None = None) -> int:
         problems = diff(json.load(fa), json.load(fb))
     for line in problems:
         print(line)
-    print(f"golden: {len(problems)} difference(s)", file=sys.stderr)
+    files = sum(not line.startswith(" ") for line in problems)
+    print(f"golden: {files} difference(s)", file=sys.stderr)
     return 1 if problems else 0
 
 
