@@ -30,7 +30,7 @@ def tet_geometry(cx: SimplicialComplex3):
 def _tet_geometry(p: np.ndarray):
     E = p[:, 1:, :] - p[:, :1, :]
     det = np.linalg.det(E)
-    if np.any(det <= 0):
+    if not np.all(det > 0):
         raise SingularGeometry("non-positive tet Jacobian")
     try:
         G = np.linalg.inv(E)

@@ -40,8 +40,8 @@ class GridSpec:
         counts = (self.nx, self.ny, self.nz)
         if min(counts) < 1:
             raise ValueError("cell counts must be >= 1")
-        if min(self.lx, self.ly, self.lz) <= 0:
-            raise ValueError("edge lengths must be > 0")
+        if not all(0 < length < np.inf for length in self.lengths):
+            raise ValueError("edge lengths must be finite and > 0")
         for n, per in zip(counts, self.periodic):
             if per and n < 3:
                 # n <= 2 wraps two distinct grid edges onto one vertex pair,
@@ -186,6 +186,7 @@ def gen_box_minus_ring(n: int, ring=None, l: float = 1.0) -> SimplicialComplex3:
             raise ValueError(f"ring cell {c} has {nbrs} ring neighbours, not a closed loop")
 
     spec = GridSpec(n, n, n, l, l, l)
+    spec.validate()
 
     def keep(cells):
         return np.array([tuple(c) not in ring_set for c in cells])
@@ -224,6 +225,7 @@ def read_msh(path) -> SimplicialComplex3:
 
     nodes = {}
     tets = []
+    tet_lines = []
     skipped = 0
     saw_nodes = saw_elements = False
 
@@ -257,10 +259,14 @@ def read_msh(path) -> SimplicialComplex3:
                 if parts[0].startswith("$"):
                     raise ParseError("node list shorter than declared count", line=ln)
                 try:
+                    if len(parts) != 4:
+                        raise ValueError
                     nid = int(parts[0])
-                    xyz = [float(v) for v in parts[1:4]]
-                except (ValueError, IndexError):
+                    xyz = [float(v) for v in parts[1:]]
+                except ValueError:
                     raise ParseError(f"bad node line {row!r}", line=ln) from None
+                if nid in nodes:
+                    raise ParseError(f"repeated node id {nid}", line=ln)
                 nodes[nid] = xyz
             end, ln = next_line()
             if end != "$EndNodes":
@@ -287,6 +293,7 @@ def read_msh(path) -> SimplicialComplex3:
                     if len(conn) != 4:
                         raise ParseError(f"tet with {len(conn)} nodes", line=ln)
                     tets.append(conn)
+                    tet_lines.append(ln)
                 else:
                     skipped += 1
             end, ln = next_line()
@@ -307,17 +314,18 @@ def read_msh(path) -> SimplicialComplex3:
     if not tets:
         raise EmptyMesh("no tetrahedra (element type 4) in file")
 
+    for t, ln in zip(tets, tet_lines):
+        for v in t:
+            if v not in nodes:
+                raise ParseError(f"element references unknown node {v}", line=ln)
     # a node that no tet uses would be a connected component of its own
-    used = nodes.keys() & {v for t in tets for v in t}
+    used = {v for t in tets for v in t}
     if len(used) < len(nodes):
         warnings.warn(f"ignored {len(nodes) - len(used)} nodes used by no tet", stacklevel=2)
     ids = sorted(used)
     remap = {nid: k for k, nid in enumerate(ids)}
     vertices = np.array([nodes[nid] for nid in ids])
-    try:
-        conn = np.array([[remap[v] for v in t] for t in tets])
-    except KeyError as exc:
-        raise ParseError(f"element references unknown node {exc}") from None
+    conn = np.array([[remap[v] for v in t] for t in tets])
     cx = build_complex(vertices, conn)
     cx.meta["source"] = str(path)
     return cx

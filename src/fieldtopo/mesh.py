@@ -223,8 +223,9 @@ def build_complex(vertices, tets, tet_coords=None) -> SimplicialComplex3:
     """Build a validated complex from vertex coordinates and tet connectivity.
 
     Negative-volume tets are reoriented by swapping two vertices.  Raises
-    DegenerateTet for tets below the relative volume threshold and
-    NonManifoldFace if a face lies in more than two tets.
+    ValueError for non-finite coordinates, DegenerateTet for tets below the
+    relative volume threshold and NonManifoldFace if a face lies in more
+    than two tets.
     """
     vertices = np.asarray(vertices, dtype=float).reshape(-1, 3)
     tets = np.array(tets, dtype=np.int64).reshape(-1, 4)
@@ -245,6 +246,9 @@ def build_complex(vertices, tets, tet_coords=None) -> SimplicialComplex3:
         tet_coords = vertices[tets]
     else:
         tet_coords = np.array(tet_coords, dtype=float).reshape(len(tets), 4, 3)
+    # NaN compares False with the volume threshold, so it must be caught here
+    if not (np.isfinite(vertices).all() and np.isfinite(tet_coords).all()):
+        raise ValueError("non-finite vertex coordinates")
 
     vols = signed_volumes(tet_coords)
     mean_vol = np.mean(np.abs(vols)) if len(vols) else 0.0

@@ -276,6 +276,33 @@ def test_msh_rejects_grid_options(tmp_path, capsys, extra):
     assert read_json(out / "error.json") == doc
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--geometry", "cube", "--n", "2", "--size", "nan"],
+        ["gen", "--geometry", "box-ring", "--n", "5", "--size", "inf"],
+        ["homology", "--size", "nan"],
+        ["gen", "--geometry", "msh:{msh}"],
+    ],
+)
+def test_non_finite_geometry_error_contract(tmp_path, capsys, argv):
+    """NaN passes every `<= 0` test and inf every size test; neither may
+    reach mesh.vtk."""
+    path = tmp_path / "nan.msh"
+    vertices, tets = tets_sharing_a_vertex()
+    vertices = vertices[:4].copy()
+    vertices[3, 2] = np.nan
+    write_msh(path, vertices, tets[:1])
+    out = tmp_path / "out"
+    rc = main([a.replace("{msh}", str(path)) for a in argv] + ["--out", str(out)])
+    assert rc == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["error"] == "ValueError"
+    assert "finite" in doc["message"]
+    assert sorted(os.listdir(out)) == ["error.json"]
+    assert read_json(out / "error.json") == doc
+
+
 def test_homology_runtime_error_contract(tmp_path, capsys, monkeypatch):
     import fieldtopo.homology as homology
 

@@ -175,6 +175,24 @@ def test_read_msh_short_node_list(tmp_path):
         read_msh(path)
 
 
+@pytest.mark.parametrize(
+    "old,new,line,message",
+    [
+        ("3 0 1 0\n", "3 0 1\n", 8, "bad node line"),
+        ("3 0 1 0\n", "2 0 1 0\n", 8, "repeated node id 2"),
+        ("1 2 3 4\n", "1 2 3 9\n", 13, "unknown node 9"),
+    ],
+)
+def test_read_msh_bad_node_reference(tmp_path, old, new, line, message):
+    """A short node line, a repeated node id and a tet naming a missing node
+    each point at their own line."""
+    path = tmp_path / "bad.msh"
+    path.write_text(MSH_MINIMAL.replace(old, new))
+    with pytest.raises(ParseError, match=message) as err:
+        read_msh(path)
+    assert err.value.line == line
+
+
 def test_read_msh_binary_rejected(tmp_path):
     text = MSH_MINIMAL.replace("2.2 0 8", "2.2 1 8")
     path = tmp_path / "bin.msh"

@@ -73,6 +73,7 @@ CASES: dict[str, list[str]] = {
     ],
     "pipeline-torus3": ["pipeline", "--geometry", "torus3", "--n", "4", "--size", TAU],
     "pipeline-box-ring": ["pipeline", "--geometry", "box-ring", "--n", "5"],
+    "pipeline-box-ring-7": ["pipeline", "--geometry", "box-ring", "--n", "7"],
 }
 
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
