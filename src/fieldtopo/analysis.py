@@ -7,8 +7,10 @@ any cochain; the sign structure of m distinguishes foliations (m = 0),
 contact structures (one strict sign) and confoliations (one weak sign).
 A tet has zero twist when |m| <= tau = max(1e-9 max|m|, noise floor): the
 labels and the near-force-free check read this one tolerance.  The per-tet
-functions take an edge cochain or its (H, curl H) proxies, so
-``analyze_field`` evaluates the proxies once.
+functions take the proxies (H, curl H), not a cochain: ``analyze_field``
+evaluates them once per field, and a caller may pass any other per-tet
+current in place of curl H.  Helicity and energy are ``fem.helicity`` and
+``fem.energy``, the definitions the eigensolver reports.
 """
 
 from __future__ import annotations
@@ -20,10 +22,10 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import EmptySupport
-from .fem import FemMatrices, field_proxies
+from .fem import FemMatrices, energy, field_proxies, helicity
 from .mesh import SimplicialComplex3
 
-DEFAULT_SUPPORT_EPS = 1e-3
+SUPPORT_EPS = 1e-3
 LABEL_TOL_FACTOR = 1e-9
 
 
@@ -42,43 +44,22 @@ class Verdict(Enum):
     MIXED = "mixed"
 
 
-def helicity(fem: FemMatrices, h) -> float:
-    """Current helicity 0.5 int H . curl H dV = 0.5 h^T S h.
-
-    Gauge invariant on closed meshes: adding a gradient changes nothing.
-    """
-    h = np.asarray(h, dtype=float)
-    return float(0.5 * h @ (fem.S @ h))
-
-
-def energy(fem: FemMatrices, h) -> float:
-    """Field energy 0.5 int |H|^2 dV = 0.5 h^T M1 h."""
-    h = np.asarray(h, dtype=float)
-    return float(0.5 * h @ (fem.M1 @ h))
-
-
-def _proxies(cx: SimplicialComplex3, h) -> tuple[np.ndarray, np.ndarray]:
-    """(H, curl H) of an edge cochain, or ``h`` itself when it is that pair."""
-    return h if isinstance(h, tuple) else field_proxies(cx, h)
-
-
 def _sq(v: np.ndarray) -> np.ndarray:
     return np.einsum("tc,tc->t", v, v)
 
 
-def twist_density(cx: SimplicialComplex3, fem: FemMatrices, h) -> np.ndarray:
+def twist_density(H: np.ndarray, curlH: np.ndarray) -> np.ndarray:
     """Per-tet twist m = H . curl H from the barycenter proxies."""
-    H, curlH = _proxies(cx, h)
     return np.einsum("tc,tc->t", H, curlH)
 
 
-def support_mask(cx: SimplicialComplex3, h, eps: float = DEFAULT_SUPPORT_EPS) -> np.ndarray:
-    """Tets where |H|^2 >= eps x mean |H|^2 (FEM fields never vanish exactly)."""
-    mag2 = _sq(_proxies(cx, h)[0])
-    return mag2 >= eps * mag2.mean()
+def support_mask(H: np.ndarray) -> np.ndarray:
+    """Tets where |H|^2 >= SUPPORT_EPS x mean |H|^2 (FEM fields never vanish exactly)."""
+    mag2 = _sq(H)
+    return mag2 >= SUPPORT_EPS * mag2.mean()
 
 
-def twist_noise_floor(cx: SimplicialComplex3, h) -> float:
+def twist_noise_floor(cx: SimplicialComplex3, H: np.ndarray) -> float:
     """Round-off scale of the twist density for this field and mesh.
 
     m carries units field^2/length; the floor is 1e-12 x max|H|^2 divided by
@@ -86,7 +67,7 @@ def twist_noise_floor(cx: SimplicialComplex3, h) -> float:
     but far below any physical twist at desk scale.
     """
     hmin = float(cx.edge_lengths().min(initial=1.0)) or 1.0
-    return 1e-12 * _sq(_proxies(cx, h)[0]).max(initial=0.0) / hmin
+    return 1e-12 * _sq(H).max(initial=0.0) / hmin
 
 
 def _twist_tolerance(m: np.ndarray, tau_floor: float) -> float:
@@ -94,10 +75,7 @@ def _twist_tolerance(m: np.ndarray, tau_floor: float) -> float:
 
 
 def classify(
-    cx: SimplicialComplex3,
-    m: np.ndarray,
-    support: np.ndarray,
-    tau_floor: float = 0.0,
+    m: np.ndarray, support: np.ndarray, tau_floor: float = 0.0
 ) -> tuple[list[TetLabel], Verdict]:
     """Label each tet by the sign of m and reduce to a global verdict.
 
@@ -153,36 +131,36 @@ def masked_components(cx: SimplicialComplex3, mask: np.ndarray) -> list[np.ndarr
 
 
 def near_forcefree_check(
-    cx: SimplicialComplex3, fem: FemMatrices, h, eps_support: float = DEFAULT_SUPPORT_EPS
+    cx: SimplicialComplex3, H: np.ndarray, curlH: np.ndarray
 ) -> list[bool]:
     """Nonvanishing twist on every component of the joint support of B and J.
 
-    Evaluated on every face-connected component of Supp(B) & Supp(J); a
-    component passes only if none of its tets has zero twist, |m| <= tau,
-    with the tolerance and noise floor that ``analyze_field`` hands to
-    ``classify``.  So a passing component holds no FOLIATION or DEGENERATE
-    tet.  By the Lagrange identity, which ``identity_check`` audits, m != 0
-    is |J|^2|B|^2 > |JxB|^2.
+    B = H and J = curlH are per-tet proxies.  Evaluated on every
+    face-connected component of Supp(B) & Supp(J), each the tets where the
+    squared magnitude reaches SUPPORT_EPS x its mean (empty for a zero
+    field); a component passes only if none of its tets has zero twist,
+    |m| <= tau, with the tolerance and noise floor that ``analyze_field``
+    hands to ``classify``.  So a passing component holds no FOLIATION or
+    DEGENERATE tet.  By the Lagrange identity, which ``identity_check``
+    audits, m != 0 is |J|^2|B|^2 > |JxB|^2.
     """
-    H, curlH = proxies = _proxies(cx, h)
     B2, J2 = _sq(H), _sq(curlH)
-    maskB = B2 >= eps_support * B2.mean() if B2.any() else np.zeros(len(B2), bool)
-    maskJ = J2 >= eps_support * J2.mean() if J2.any() else np.zeros(len(J2), bool)
+    maskB = B2 >= SUPPORT_EPS * B2.mean() if B2.any() else np.zeros(len(B2), bool)
+    maskJ = J2 >= SUPPORT_EPS * J2.mean() if J2.any() else np.zeros(len(J2), bool)
     comps = masked_components(cx, maskB & maskJ)
     if not comps:
         raise EmptySupport("joint support of B and J is empty")
-    m = twist_density(cx, fem, proxies)
-    twisted = np.abs(m) > _twist_tolerance(m, twist_noise_floor(cx, proxies))
+    m = twist_density(H, curlH)
+    twisted = np.abs(m) > _twist_tolerance(m, twist_noise_floor(cx, H))
     return [bool(twisted[comp].all()) for comp in comps]
 
 
-def identity_check(cx: SimplicialComplex3, fem: FemMatrices, h) -> float:
+def identity_check(H: np.ndarray, curlH: np.ndarray) -> float:
     """Max relative violation of |J|^2|B|^2 = |JxB|^2 + (J.B)^2 over tets.
 
     An exact algebraic identity of the proxy 3-vectors; the return value is
-    floating-point noise (<= 1e-12) for any cochain.
+    floating-point noise (<= 1e-12) for any pair of proxies.
     """
-    H, curlH = _proxies(cx, h)
     lhs = _sq(curlH) * _sq(H)
     rhs = _sq(np.cross(curlH, H)) + np.einsum("tc,tc->t", curlH, H) ** 2
     scale = np.maximum(np.maximum(lhs, rhs), 1e-300)
@@ -221,26 +199,24 @@ class FieldReport:
         }
 
 
-def analyze_field(
-    cx: SimplicialComplex3, fem: FemMatrices, h, eps_support: float = DEFAULT_SUPPORT_EPS
-) -> FieldReport:
+def analyze_field(cx: SimplicialComplex3, fem: FemMatrices, h) -> FieldReport:
     """Assemble the complete FieldReport for one edge cochain."""
     h = np.asarray(h, dtype=float)
-    proxies = field_proxies(cx, h)
-    m = twist_density(cx, fem, proxies)
-    support = support_mask(cx, proxies, eps_support)
-    labels, verdict = classify(cx, m, support, tau_floor=twist_noise_floor(cx, proxies))
+    H, curlH = field_proxies(cx, h)
+    m = twist_density(H, curlH)
+    support = support_mask(H)
+    labels, verdict = classify(m, support, tau_floor=twist_noise_floor(cx, H))
     try:
-        nff = near_forcefree_check(cx, fem, proxies, eps_support)
+        nff = near_forcefree_check(cx, H, curlH)
     except EmptySupport:
         nff = []
     return FieldReport(
-        helicity=helicity(fem, h),
-        energy=energy(fem, h),
+        helicity=float(helicity(fem, h)),
+        energy=float(energy(fem, h)),
         twist=m,
         labels=labels,
         verdict=verdict,
         support=support,
         near_forcefree=nff,
-        identity_max_violation=identity_check(cx, fem, proxies),
+        identity_max_violation=identity_check(H, curlH),
     )

@@ -41,7 +41,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import IncompatibleBC, NoConvergence
-from .fem import FemMatrices, field_proxies
+from .fem import FemMatrices, energy, helicity, tet_geometry
 from .homology import h1_cocycles_auto, surface_h1_basis
 from .mesh import SimplicialComplex3, integrate_potential, spanning_forest
 from .snf import integer_kernel_basis, smith_normal_form
@@ -653,54 +653,26 @@ def smallest_beltrami(
         )
 
     H = pencil.C @ X
-    Sfull = pencil.fem.S
-    M1full = pencil.fem.M1
-    hel = 0.5 * np.einsum("ek,ek->k", H, Sfull @ H)
-    ene = 0.5 * np.einsum("ek,ek->k", H, M1full @ H)
     return BeltramiSolution(
         lambdas=lams,
         cochains=H,
         dof_vectors=X,
         residuals=np.array(res),
         div_residuals=divs,
-        helicities=hel,
-        energies=ene,
+        helicities=helicity(pencil.fem, H),
+        energies=energy(pencil.fem, H),
         bc=pencil.bc,
         shift=sigma,
         pencil=pencil,
     )
 
 
-@dataclass
-class PairDiagnostics:
-    lam: float
-    eigen_residual: float
-    proxy_curl_residual: float   # ||curlH - lam H||_{L2 proxy} / ||H||_{L2 proxy}
-    div_residual: float
-    helicity: float
-    energy: float
-
-
-def residual_report(solution: BeltramiSolution) -> list[PairDiagnostics]:
-    """Per-pair strong-form and constraint diagnostics."""
-    cx = solution.pencil.complex
-    from .fem import tet_geometry
-
-    _, vols, _ = tet_geometry(cx)
-    out = []
-    for i, lam in enumerate(solution.lambdas):
-        h = solution.cochains[:, i]
-        H, curlH = field_proxies(cx, h)
-        num = np.sqrt(np.sum(np.sum((curlH - lam * H) ** 2, axis=1) * vols))
-        den = np.sqrt(np.sum(np.sum(H**2, axis=1) * vols))
-        out.append(
-            PairDiagnostics(
-                lam=float(lam),
-                eigen_residual=float(solution.residuals[i]),
-                proxy_curl_residual=float(num / den) if den else 0.0,
-                div_residual=float(solution.div_residuals[i]),
-                helicity=float(solution.helicities[i]),
-                energy=float(solution.energies[i]),
-            )
-        )
-    return out
+def proxy_curl_residual(
+    cx: SimplicialComplex3, H: np.ndarray, curlH: np.ndarray, lam: float
+) -> float:
+    """Strong-form residual ||curlH - lam H|| / ||H|| of one eigenpair's
+    barycenter proxies, in the volume-weighted L2 norm over tets."""
+    _, vols = tet_geometry(cx)
+    num = np.sqrt(np.sum(np.sum((curlH - lam * H) ** 2, axis=1) * vols))
+    den = np.sqrt(np.sum(np.sum(H**2, axis=1) * vols))
+    return float(num / den) if den else 0.0

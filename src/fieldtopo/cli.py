@@ -38,21 +38,31 @@ class RunConfig:
             raise ValueError(f"unknown command {self.command!r}")
         if self.k < 1:
             raise ValueError("--k must be >= 1")
-        if self.tol <= 0:
-            raise ValueError("--tol must be > 0")
+        if not 0 < self.tol < float("inf"):
+            raise ValueError(f"--tol must be finite and > 0, got {self.tol!r}")
+        if self.shift is not None and not 0 < abs(self.shift) < float("inf"):
+            raise ValueError(f"--shift must be finite and nonzero, got {self.shift!r}")
         if self.level != "auto":
             lv = float(self.level)
             if not (0.0 <= lv < 1.0):
                 raise ValueError("--level must be in [0,1) or 'auto'")
 
 
-def _parse_tuple(text, count, cast):
-    parts = [cast(p) for p in str(text).split(",")]
-    if len(parts) == 1:
-        parts = parts * count
-    if len(parts) != count:
-        raise ValueError(f"expected 1 or {count} comma-separated values, got {text!r}")
-    return tuple(parts)
+def _triple(cast):
+    """Argparse type: 1 or 3 comma-separated values, as a 3-tuple."""
+
+    def parse(text):
+        try:
+            parts = [cast(p) for p in text.split(",")]
+        except ValueError:
+            parts = []
+        if len(parts) not in (1, 3):
+            raise argparse.ArgumentTypeError(
+                f"expected 1 or 3 comma-separated {cast.__name__} values, got {text!r}"
+            )
+        return tuple(parts * (3 // len(parts)))
+
+    return parse
 
 
 def _parse_periodic(mask: str):
@@ -185,7 +195,7 @@ def _emit_cuts(cx, fem, outdir, cfg: RunConfig):
 
 
 def _emit_beltrami(cx, fem, outdir, cfg: RunConfig):
-    from .beltrami import kernel_projector, reduce_system, residual_report, smallest_beltrami
+    from .beltrami import kernel_projector, proxy_curl_residual, reduce_system, smallest_beltrami
     from .fem import field_proxies
     from .writers import write_json, write_mesh_vtk
 
@@ -195,7 +205,18 @@ def _emit_beltrami(cx, fem, outdir, cfg: RunConfig):
     sol = smallest_beltrami(
         pencil, projector, k=cfg.k, tol=cfg.tol, shift=cfg.shift, seed=cfg.seed
     )
-    report = residual_report(sol)
+    pairs, vectors = [], {}
+    for i, lam in enumerate(sol.lambdas):
+        H, curlH = field_proxies(cx, sol.cochains[:, i])
+        vectors[f"H_{i}"], vectors[f"curlH_{i}"] = H, curlH
+        pairs.append({
+            "lambda": float(lam),
+            "residual": float(sol.residuals[i]),
+            "proxy_curl_residual": proxy_curl_residual(cx, H, curlH, lam),
+            "div_residual": float(sol.div_residuals[i]),
+            "helicity": float(sol.helicities[i]),
+            "energy": float(sol.energies[i]),
+        })
     doc = {
         "schema": SCHEMA_VERSION,
         "kind": "spectrum",
@@ -205,24 +226,9 @@ def _emit_beltrami(cx, fem, outdir, cfg: RunConfig):
         "dofs": pencil.ndof,
         "symmetry_defect": pencil.symmetry_defect,
         "harmonic_dimension": projector.harmonic_dimension,
-        "pairs": [
-            {
-                "lambda": d.lam,
-                "residual": d.eigen_residual,
-                "proxy_curl_residual": d.proxy_curl_residual,
-                "div_residual": d.div_residual,
-                "helicity": d.helicity,
-                "energy": d.energy,
-            }
-            for d in report
-        ],
+        "pairs": pairs,
     }
     write_json(os.path.join(outdir, "spectrum.json"), doc)
-    vectors = {}
-    for i in range(sol.cochains.shape[1]):
-        H, curlH = field_proxies(cx, sol.cochains[:, i])
-        vectors[f"H_{i}"] = H
-        vectors[f"curlH_{i}"] = curlH
     write_mesh_vtk(os.path.join(outdir, "modes.vtk"), cx, cell_vectors=vectors)
     return sol, doc
 
@@ -360,8 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("command", choices=COMMANDS)
     p.add_argument("--geometry", default=None,
                    help="cube | solid-torus | torus3 | box-ring | msh:PATH")
-    p.add_argument("--n", default=None, help="NX[,NY,NZ] cell counts")
-    p.add_argument("--size", default=None, help="LX[,LY,LZ] edge lengths")
+    p.add_argument("--n", type=_triple(int), default=None, help="NX[,NY,NZ] cell counts")
+    p.add_argument("--size", type=_triple(float), default=None, help="LX[,LY,LZ] edge lengths")
     p.add_argument("--periodic", default=None,
                    help="axis mask for cube | solid-torus | torus3, e.g. xy / 110 / none")
     p.add_argument("--bc", default=None,
@@ -390,47 +396,31 @@ def main(argv=None) -> int:
 
 def _config_from_args(argv) -> RunConfig:
     """Parse flags and the --config file (flags win); sets the thread
-    environment variables before numpy is loaded."""
-    args = build_parser().parse_args(argv)
-    filecfg = _read_config_file(args.config) if args.config else {}
-    unknown = sorted(set(filecfg) - {f.name for f in fields(RunConfig)} - {"command"})
-    if unknown:
-        raise ValueError(f"unknown config keys {unknown} in {args.config}")
+    environment variables before numpy is loaded.
 
-    def pick(name, default, cast=None):
-        val = getattr(args, name, None)
-        if val is None:
-            val = filecfg.get(name)
-        if val is None:
-            return default
-        return cast(val) if cast else val
-
-    threads = int(pick("threads", 0))
-    if threads > 0:
+    The file's values become the parser's defaults, so argparse converts
+    them with each flag's own type; an option set nowhere keeps the
+    RunConfig default.
+    """
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.config:
+        filecfg = _read_config_file(args.config)
+        unknown = sorted(set(filecfg) - {f.name for f in fields(RunConfig)})
+        if unknown:
+            raise ValueError(f"unknown config keys {unknown} in {args.config}")
+        parser.set_defaults(**filecfg)
+        args = parser.parse_args(argv)
+    cfg = RunConfig(**{k: v for k, v in vars(args).items() if v is not None and k != "config"})
+    if cfg.threads > 0:
         for var in (
             "OMP_NUM_THREADS",
             "OPENBLAS_NUM_THREADS",
             "MKL_NUM_THREADS",
             "NUMEXPR_NUM_THREADS",
         ):
-            os.environ[var] = str(threads)
-
-    return RunConfig(
-        command=args.command,
-        geometry=pick("geometry", "cube"),
-        n=pick("n", None, lambda text: _parse_tuple(text, 3, int)),
-        size=pick("size", None, lambda text: _parse_tuple(text, 3, float)),
-        periodic=pick("periodic", None),
-        bc=pick("bc", None),
-        k=int(pick("k", 1)),
-        tol=float(pick("tol", 1e-8)),
-        level=str(pick("level", "auto")),
-        cut_class=int(pick("cut_class", 0)),
-        shift=pick("shift", None, float),
-        seed=int(pick("seed", 0)),
-        out=pick("out", "."),
-        threads=threads,
-    )
+            os.environ[var] = str(cfg.threads)
+    return cfg
 
 
 if __name__ == "__main__":

@@ -28,6 +28,7 @@ from .homology import CohomologyBasis
 from .mesh import EDGE_LOCAL, SimplicialComplex3, integrate_potential, spanning_forest
 
 VERTEX_CLEARANCE = 1e-9
+CRITICAL_EPS = 1e-6
 
 
 @dataclass
@@ -36,7 +37,6 @@ class HarmonicRep:
 
     complex: SimplicialComplex3
     source_cocycle: np.ndarray    # integer closed 1-cochain
-    phi: np.ndarray               # vertex potential, omega = source + D0 phi
     omega: np.ndarray             # harmonic real 1-cochain
     coclosure_residual: float     # ||D0^T M1 omega|| / ||M1 omega||
 
@@ -87,7 +87,6 @@ def harmonic_representative(
     return HarmonicRep(
         complex=cx,
         source_cocycle=c.copy(),
-        phi=phi,
         omega=omega,
         coclosure_residual=float(resid),
     )
@@ -318,10 +317,8 @@ def verify_cut(
     return np.array([int(z @ per_edge) for z in basis.dual_cycles], dtype=np.int64)
 
 
-def critical_scan(
-    cx: SimplicialComplex3, rep: HarmonicRep, eps: float = 1e-6
-) -> np.ndarray:
-    """Tets where the field proxy magnitude drops to eps x median.
+def critical_scan(cx: SimplicialComplex3, rep: HarmonicRep) -> np.ndarray:
+    """Tets where the field proxy magnitude drops to CRITICAL_EPS x median.
 
     An empty result certifies that every regular level set is a leaf of a
     foliation (no critical points at proxy resolution).
@@ -329,4 +326,4 @@ def critical_scan(
     H, _ = field_proxies(cx, rep.omega)
     mag = np.linalg.norm(H, axis=1)
     med = float(np.median(mag))
-    return np.flatnonzero(mag <= eps * med)
+    return np.flatnonzero(mag <= CRITICAL_EPS * med)

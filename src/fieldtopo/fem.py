@@ -20,7 +20,7 @@ from .mesh import EDGE_LOCAL, SimplicialComplex3, memo
 
 
 def tet_geometry(cx: SimplicialComplex3):
-    """Barycentric gradients (T,4,3), volumes (T,) and barycenters (T,3).
+    """Barycentric gradients (T,4,3) and volumes (T,).
 
     Cached on the complex; uses per-tet (minimal image) coordinates.
     """
@@ -39,7 +39,7 @@ def _tet_geometry(p: np.ndarray):
     grads = np.empty_like(p)
     grads[:, 1:, :] = np.transpose(G, (0, 2, 1))
     grads[:, 0, :] = -grads[:, 1:, :].sum(axis=1)
-    return grads, det / 6.0, p.mean(axis=1)
+    return grads, det / 6.0
 
 
 @dataclass
@@ -59,7 +59,7 @@ def _scatter(rows, cols, vals, shape):
 
 def mass_matrix(cx: SimplicialComplex3) -> sp.csr_matrix:
     """Whitney 1-form (edge) mass matrix, symmetric positive definite."""
-    grads, vols, _ = tet_geometry(cx)
+    grads, vols = tet_geometry(cx)
     T = cx.num_tets
     g = np.einsum("tic,tjc->tij", grads, grads)  # (T,4,4) gradient Gram
     a, b = EDGE_LOCAL[:, 0], EDGE_LOCAL[:, 1]
@@ -89,7 +89,7 @@ def curl_pairing(cx: SimplicialComplex3) -> sp.csr_matrix:
     S - S^T equals the discrete boundary pairing, which vanishes on closed
     meshes; S^T annihilates gradients exactly (curl of a gradient is zero).
     """
-    grads, vols, _ = tet_geometry(cx)
+    grads, vols = tet_geometry(cx)
     T = cx.num_tets
     a, b = EDGE_LOCAL[:, 0], EDGE_LOCAL[:, 1]
     n = 2.0 * np.cross(grads[:, a], grads[:, b])       # (T,6,3) curls
@@ -112,6 +112,20 @@ def build_fem(cx: SimplicialComplex3) -> FemMatrices:
     return FemMatrices(M1=M1, S=curl_pairing(cx), L0=(D0.T @ M1 @ D0).tocsr())
 
 
+def helicity(fem: FemMatrices, h: np.ndarray):
+    """Current helicity 0.5 int H . curl H dV = 0.5 h^T S h of a cochain h,
+    or of each column of a 2-D h.
+
+    Gauge invariant on closed meshes: adding a gradient changes nothing.
+    """
+    return 0.5 * np.einsum("e...,e...->...", h, fem.S @ h)
+
+
+def energy(fem: FemMatrices, h: np.ndarray):
+    """Field energy 0.5 int |H|^2 dV = 0.5 h^T M1 h, per column like ``helicity``."""
+    return 0.5 * np.einsum("e...,e...->...", h, fem.M1 @ h)
+
+
 def field_proxies(cx: SimplicialComplex3, h) -> tuple[np.ndarray, np.ndarray]:
     """Barycenter field vector and (constant) curl vector in every tet.
 
@@ -119,7 +133,7 @@ def field_proxies(cx: SimplicialComplex3, h) -> tuple[np.ndarray, np.ndarray]:
     curl H = sum h_e 2 grad_a x grad_b.
     """
     h = np.asarray(h, dtype=float)
-    grads, _, _ = tet_geometry(cx)
+    grads, _ = tet_geometry(cx)
     a, b = EDGE_LOCAL[:, 0], EDGE_LOCAL[:, 1]
     coeff = h[cx.tet_to_edge] * cx.tet_edge_sign  # (T,6)
     w_bc = (grads[:, b] - grads[:, a]) / 4.0

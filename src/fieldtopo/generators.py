@@ -198,7 +198,6 @@ def gen_box_minus_ring(n: int, ring=None, l: float = 1.0) -> SimplicialComplex3:
     remap[used] = np.arange(len(used))
     cx = build_complex(vertices[used], remap[tets], tet_coords=coords)
     cx.meta["gridspec"] = spec
-    cx.meta["ring"] = ring
     return cx
 
 
@@ -326,6 +325,4 @@ def read_msh(path) -> SimplicialComplex3:
     remap = {nid: k for k, nid in enumerate(ids)}
     vertices = np.array([nodes[nid] for nid in ids])
     conn = np.array([[remap[v] for v in t] for t in tets])
-    cx = build_complex(vertices, conn)
-    cx.meta["source"] = str(path)
-    return cx
+    return build_complex(vertices, conn)

@@ -68,7 +68,6 @@ def write_mesh_vtk(
     cx: SimplicialComplex3,
     cell_scalars: dict[str, np.ndarray] | None = None,
     cell_vectors: dict[str, np.ndarray] | None = None,
-    title: str = "fieldtopo mesh",
 ):
     """UNSTRUCTURED_GRID with per-tet data.
 
@@ -79,7 +78,7 @@ def write_mesh_vtk(
     pts = cx.tet_coords.reshape(-1, 3)
     with open(path, "w") as fh:
         fh.write("# vtk DataFile Version 3.0\n")
-        fh.write(title + "\n")
+        fh.write("fieldtopo mesh\n")
         fh.write("ASCII\n")
         fh.write("DATASET UNSTRUCTURED_GRID\n")
         fh.write(f"POINTS {len(pts)} double\n")
@@ -99,13 +98,13 @@ def write_mesh_vtk(
                 fh.write(_rows("%.17g %.17g %.17g\n", data))
 
 
-def write_cut_vtk(path, cut: CutSurface, title: str = "fieldtopo cut"):
+def write_cut_vtk(path, cut: CutSurface):
     """POLYDATA with the oriented triangle soup and source-tet provenance."""
     P = len(cut.points)
     K = cut.num_triangles
     with open(path, "w") as fh:
         fh.write("# vtk DataFile Version 3.0\n")
-        fh.write(title + "\n")
+        fh.write("fieldtopo cut\n")
         fh.write("ASCII\n")
         fh.write("DATASET POLYDATA\n")
         fh.write(f"POINTS {P} double\n")

@@ -43,14 +43,15 @@ def test_helicity_of_eigenpair(torus8_beltrami, torus3_8_fem):
 
 def test_twist_of_gradient_is_roundoff(torus3_coarse, torus3_coarse_fem):
     g = torus3_coarse.D0 @ np.sin(torus3_coarse.vertices[:, 0])
-    m = twist_density(torus3_coarse, torus3_coarse_fem, g)
-    assert np.abs(m).max() <= twist_noise_floor(torus3_coarse, g)
+    H, curlH = field_proxies(torus3_coarse, g)
+    m = twist_density(H, curlH)
+    assert np.abs(m).max() <= twist_noise_floor(torus3_coarse, H)
 
 
 def test_twist_of_beltrami_eigenfield(aligned_eigenfield, torus3_8, torus3_8_fem):
     h, lam = aligned_eigenfield
-    m = twist_density(torus3_8, torus3_8_fem, h)
-    H, _ = field_proxies(torus3_8, h)
+    H, curlH = field_proxies(torus3_8, h)
+    m = twist_density(H, curlH)
     mag2 = np.einsum("tc,tc->t", H, H)
     strong = mag2 >= 0.1 * mag2.mean()
     # m = lambda |H|^2 up to discretization error; strict sign on the support
@@ -62,8 +63,8 @@ def test_twist_of_beltrami_eigenfield(aligned_eigenfield, torus3_8, torus3_8_fem
 def test_twist_flips_sign(torus3_coarse, torus3_coarse_fem):
     rng = np.random.default_rng(0)
     h = rng.standard_normal(torus3_coarse.num_edges)
-    m = twist_density(torus3_coarse, torus3_coarse_fem, h)
-    mneg = twist_density(torus3_coarse, torus3_coarse_fem, -h)
+    m = twist_density(*field_proxies(torus3_coarse, h))
+    mneg = twist_density(*field_proxies(torus3_coarse, -h))
     assert np.allclose(mneg, m)  # quadratic: both H and curlH flip
     # odd under flipping only one factor is covered by the identity below
 
@@ -115,8 +116,8 @@ def test_classify_sign_branches_swap_under_m_negation(cube4):
     """The sign branches do swap when the twist itself changes sign."""
     m = np.ones(cube4.num_tets)
     support = np.ones(cube4.num_tets, dtype=bool)
-    la, va = classify(cube4, m, support)
-    lb, vb = classify(cube4, -m, support)
+    la, va = classify(m, support)
+    lb, vb = classify(-m, support)
     assert va is Verdict.CONTACT and vb is Verdict.CONTACT
     assert all(x is TetLabel.CONTACT_POS for x in la)
     assert all(x is TetLabel.CONTACT_NEG for x in lb)
@@ -127,15 +128,15 @@ def test_classify_confoliation_branch(cube4):
     m = np.zeros(cube4.num_tets)
     m[::2] = 1.0
     support = np.ones(cube4.num_tets, dtype=bool)
-    labels, verdict = classify(cube4, m, support)
+    labels, verdict = classify(m, support)
     assert verdict is Verdict.CONFOLIATION_POS
-    labels, verdict = classify(cube4, -m, support)
+    labels, verdict = classify(-m, support)
     assert verdict is Verdict.CONFOLIATION_NEG
 
 
 def test_near_forcefree_eigenfield(aligned_eigenfield, torus3_8, torus3_8_fem):
     h, _ = aligned_eigenfield
-    assert near_forcefree_check(torus3_8, torus3_8_fem, h) == [True]
+    assert near_forcefree_check(torus3_8, *field_proxies(torus3_8, h)) == [True]
 
 
 def test_near_forcefree_perpendicular_field(torus3_coarse, torus3_coarse_fem):
@@ -146,7 +147,7 @@ def test_near_forcefree_perpendicular_field(torus3_coarse, torus3_coarse_fem):
         )
 
     h = edge_interpolant(torus3_coarse, v)
-    assert near_forcefree_check(torus3_coarse, torus3_coarse_fem, h) == [False]
+    assert near_forcefree_check(torus3_coarse, *field_proxies(torus3_coarse, h)) == [False]
 
 
 def test_near_forcefree_reads_the_labels(aligned_eigenfield, torus3_8, torus3_8_fem,
@@ -179,7 +180,7 @@ def test_near_forcefree_reads_the_labels(aligned_eigenfield, torus3_8, torus3_8_
 def test_near_forcefree_empty_support(torus3_coarse, torus3_coarse_fem):
     with pytest.raises(EmptySupport):
         near_forcefree_check(
-            torus3_coarse, torus3_coarse_fem, np.zeros(torus3_coarse.num_edges)
+            torus3_coarse, *field_proxies(torus3_coarse, np.zeros(torus3_coarse.num_edges))
         )
 
 
@@ -188,13 +189,13 @@ def test_identity_random_cochains(torus3_coarse, torus3_coarse_fem):
     worst = 0.0
     for _ in range(50):
         h = rng.standard_normal(torus3_coarse.num_edges)
-        worst = max(worst, identity_check(torus3_coarse, torus3_coarse_fem, h))
+        worst = max(worst, identity_check(*field_proxies(torus3_coarse, h)))
     assert worst <= 1e-12
 
 
 def test_identity_zero_field(torus3_coarse, torus3_coarse_fem):
     assert identity_check(
-        torus3_coarse, torus3_coarse_fem, np.zeros(torus3_coarse.num_edges)
+        *field_proxies(torus3_coarse, np.zeros(torus3_coarse.num_edges))
     ) == 0.0
 
 
@@ -202,8 +203,8 @@ def test_identity_eigenfield_cross_term_small(
     aligned_eigenfield, torus3_8, torus3_8_fem
 ):
     h, _ = aligned_eigenfield
-    assert identity_check(torus3_8, torus3_8_fem, h) <= 1e-12
     H, curlH = field_proxies(torus3_8, h)
+    assert identity_check(H, curlH) <= 1e-12
     cross2 = np.einsum("tc,tc->t", np.cross(curlH, H), np.cross(curlH, H))
     dot2 = np.einsum("tc,tc->t", curlH, H) ** 2
     # force-free up to discretization: the cross term is a small fraction of
@@ -224,5 +225,5 @@ def test_field_report_shape(aligned_eigenfield, torus3_8, torus3_8_fem):
 def test_support_mask_threshold(torus3_coarse):
     h = np.zeros(torus3_coarse.num_edges)
     h[0] = 1.0
-    sup = support_mask(torus3_coarse, h)
+    sup = support_mask(field_proxies(torus3_coarse, h)[0])
     assert 0 < sup.sum() < torus3_coarse.num_tets

@@ -151,6 +151,13 @@ def test_invalid_config_exit_code(tmp_path, capsys):
         (["gen", "--n", "2", "--level", "1.5"], "ValueError"),
         (["gen", "--k", "abc"], "ConfigError"),
         (["nosuch"], "ConfigError"),
+        # NaN passes `tol <= 0` and would switch the residual gate off
+        (["beltrami", "--n", "2", "--tol", "nan"], "ValueError"),
+        (["beltrami", "--n", "2", "--tol", "inf"], "ValueError"),
+        # a zero or non-finite shift leaves nothing to factor
+        (["beltrami", "--n", "2", "--shift", "0"], "ValueError"),
+        (["beltrami", "--n", "2", "--shift", "nan"], "ValueError"),
+        (["beltrami", "--n", "2", "--shift", "inf"], "ValueError"),
     ],
 )
 def test_error_contract(tmp_path, capsys, argv, error):
@@ -388,8 +395,8 @@ def test_mesh_vtk_matches_line_by_line_format(tmp_path):
     s[:3] = [-0.0, 1.0, 2**-1074]
     v = rng.standard_normal((T, 3))
     write_mesh_vtk(tmp_path / "m.vtk", cx, cell_scalars={"s": s, "i": np.arange(T)},
-                   cell_vectors={"v": v}, title="t")
-    lines = ["# vtk DataFile Version 3.0", "t", "ASCII", "DATASET UNSTRUCTURED_GRID",
+                   cell_vectors={"v": v})
+    lines = ["# vtk DataFile Version 3.0", "fieldtopo mesh", "ASCII", "DATASET UNSTRUCTURED_GRID",
              f"POINTS {4 * T} double"]
     lines += [" ".join(_fmt(c) for c in p) for p in cx.tet_coords.reshape(-1, 3)]
     lines += [f"CELLS {T} {5 * T}"] + [f"4 {4 * t} {4 * t + 1} {4 * t + 2} {4 * t + 3}" for t in range(T)]
@@ -493,6 +500,64 @@ def test_config_file_flags_win(tmp_path):
     assert rc == 0
     assert (outdir / "betti.json").exists()
     assert read_json(outdir / "betti.json")["absolute"] == [1, 3, 3, 1]
+
+
+EVERY_OPTION = {
+    "geometry": "solid-torus", "n": "2,2,8", "size": "1,1,2", "periodic": "z",
+    "bc": "zero-trace", "k": "2", "tol": "1e-8", "level": "0.41", "cut-class": "0",
+    "shift": "0.5", "seed": "3", "threads": "1",
+}
+
+
+def test_config_file_every_key_matches_flags(tmp_path):
+    """Config values go through each flag's own type: a file that sets every
+    key writes the bytes that the same values passed as flags write."""
+    flags = [f for key, value in EVERY_OPTION.items() for f in (f"--{key}", value)]
+    assert main(["pipeline", *flags, "--out", str(tmp_path / "flags")]) == 0
+    cfg = tmp_path / "run.cfg"
+    lines = [f"{key}={value}" for key, value in EVERY_OPTION.items()]
+    cfg.write_text("\n".join(["command=pipeline", *lines, f"out={tmp_path / 'file'}"]) + "\n")
+    assert main(["pipeline", "--config", str(cfg)]) == 0
+    names = sorted(os.listdir(tmp_path / "flags"))
+    assert names == sorted(os.listdir(tmp_path / "file"))
+    assert "error.json" not in names
+    for name in names:
+        assert (tmp_path / "flags" / name).read_bytes() == (tmp_path / "file" / name).read_bytes(), name
+
+
+def test_report_agrees_with_spectrum(tmp_path):
+    """One helicity and one energy per field: report.json repeats pair 0."""
+    assert main(["pipeline", "--geometry", "box-ring", "--n", "5", "--out", str(tmp_path)]) == 0
+    report = read_json(tmp_path / "report.json")
+    pair = read_json(tmp_path / "spectrum.json")["pairs"][0]
+    assert (report["helicity"], report["energy"]) == (pair["helicity"], pair["energy"])
+
+
+@pytest.mark.parametrize("argv,calls", [
+    (["beltrami", "--geometry", "torus3", "--n", "4", "--k", "2"], 2),
+    (["pipeline", "--geometry", "box-ring", "--n", "5"], 3),
+])
+def test_proxies_evaluated_once_per_field(tmp_path, monkeypatch, argv, calls):
+    """Each eigenpair's proxies serve both the strong-form residual and
+    modes.vtk; the pipeline adds one evaluation for the cut's critical scan
+    and one for the analysis."""
+    import importlib
+
+    from fieldtopo.fem import field_proxies
+
+    count = []
+
+    def counted(*args):
+        count.append(1)
+        return field_proxies(*args)
+
+    # every module binding of the function, so no caller escapes the count
+    for name in ("fem", "analysis", "cuts", "beltrami", "cli"):
+        module = importlib.import_module(f"fieldtopo.{name}")
+        if hasattr(module, "field_proxies"):
+            monkeypatch.setattr(module, "field_proxies", counted)
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    assert len(count) == calls
 
 
 def test_explicit_level(tmp_path):

@@ -174,7 +174,6 @@ def test_single_tet_slice(above, order):
     rep = HarmonicRep(
         complex=cx,
         source_cocycle=np.zeros(cx.num_edges, dtype=np.int64),
-        phi=phases,
         omega=cx.D0 @ phases,
         coclosure_residual=0.0,
     )
@@ -299,7 +298,6 @@ def test_critical_scan_flags_plateau_saddle(cube4, cube4_fem):
     rep = HarmonicRep(
         complex=cube4,
         source_cocycle=np.zeros(cube4.num_edges, dtype=np.int64),
-        phi=phi,
         omega=omega,
         coclosure_residual=0.0,
     )

@@ -4,15 +4,19 @@
     python3 tools/golden.py diff A.json B.json
 
 ``manifest`` runs every case in CASES (gen, homology, cuts, beltrami,
-classify and pipeline at small sizes, each with ``--threads 1``) against the
-package under DIR/src (default: the checkout holding this script) and prints
+classify and pipeline at small sizes, each with ``--threads 1``) and in
+CONFIG_CASES against the package under DIR/src (default: the checkout
+holding this script) and prints
 a JSON manifest, ``{case: {"argv": [...], "exit": status, "files": {name:
 sha256}, "json": {name: content}}}``, or writes it to FILE; "json" holds the
 parsed content of every JSON output.  Outputs go to a temporary directory.
 ``diff`` compares two manifests and exits 1 if any case differs in its
 arguments, exit status, file set or file bytes.  For a JSON output whose
 bytes differ it also prints every changed leaf, as ``case/file/path: old ->
-new``, with the relative change of numbers.
+new``, with the relative change of numbers.  A case of CONFIG_CASES passes
+the options of the case it names through a ``--config`` file, written next
+to the case's output directory; ``diff`` also reports, in either manifest,
+a config case whose output bytes differ from those of its flag case.
 
 To check that a change keeps every output byte for byte, write a manifest
 from a checkout of the parent commit and one from the working tree, then
@@ -76,6 +80,9 @@ CASES: dict[str, list[str]] = {
     "pipeline-box-ring-7": ["pipeline", "--geometry", "box-ring", "--n", "7"],
 }
 
+# case -> the case in CASES whose options it reads from a --config file
+CONFIG_CASES: dict[str, str] = {"beltrami-torus3-config": "beltrami-torus3"}
+
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
 
 
@@ -87,12 +94,19 @@ def _sha256(path: str) -> str:
     return h.hexdigest()
 
 
+def config_text(argv: list[str]) -> str:
+    """The ``--key value`` options of a case as ``key=value`` lines."""
+    opts = argv[1:]
+    return "".join(f"{key[2:]}={value}\n" for key, value in zip(opts[::2], opts[1::2]))
+
+
 def run_case(checkout: str, argv: list[str], outdir: str) -> dict:
     env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"))
     env.update({var: "1" for var in THREAD_VARS})
     full = [*argv, "--threads", "1", "--out", outdir]
+    # config files are named relative to the directory above outdir
     proc = subprocess.run(
-        [sys.executable, "-m", "fieldtopo.cli", *full],
+        [sys.executable, "-m", "fieldtopo.cli", *full], cwd=os.path.dirname(outdir),
         env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
     )
     if proc.returncode not in (0, 2):
@@ -113,6 +127,12 @@ def manifest(checkout: str) -> dict:
         out = {}
         for name, argv in CASES.items():
             print(f"golden: {name}", file=sys.stderr)
+            out[name] = run_case(checkout, argv, os.path.join(tmp, name))
+        for name, twin in CONFIG_CASES.items():
+            print(f"golden: {name}", file=sys.stderr)
+            with open(os.path.join(tmp, f"{name}.cfg"), "w") as fh:
+                fh.write(config_text(CASES[twin]))
+            argv = [CASES[twin][0], "--config", f"{name}.cfg"]
             out[name] = run_case(checkout, argv, os.path.join(tmp, name))
         return out
 
@@ -168,6 +188,10 @@ def diff(a: dict, b: dict) -> list[str]:
                 ja, jb = ca.get("json", {}), cb.get("json", {})
                 if what == "differs" and fname in ja and fname in jb:
                     problems += [f"  {name}/{fname}{line}" for line in leaf_changes(ja[fname], jb[fname])]
+    for name, twin in CONFIG_CASES.items():
+        for which, m in (("first", a), ("second", b)):
+            if name in m and twin in m and m[name]["files"] != m[twin]["files"]:
+                problems.append(f"{name}: outputs differ from {twin} in the {which} manifest")
     return problems
 
 
