@@ -54,9 +54,9 @@ def twist_density(H: np.ndarray, curlH: np.ndarray) -> np.ndarray:
 
 
 def support_mask(H: np.ndarray) -> np.ndarray:
-    """Tets where |H|^2 >= SUPPORT_EPS x mean |H|^2 (FEM fields never vanish exactly)."""
+    """Tets where |H|^2 >= SUPPORT_EPS x mean |H|^2 > 0; empty for a zero field."""
     mag2 = _sq(H)
-    return mag2 >= SUPPORT_EPS * mag2.mean()
+    return (mag2 > 0.0) & (mag2 >= SUPPORT_EPS * mag2.mean())
 
 
 def twist_noise_floor(cx: SimplicialComplex3, H: np.ndarray) -> float:
@@ -136,18 +136,14 @@ def near_forcefree_check(
     """Nonvanishing twist on every component of the joint support of B and J.
 
     B = H and J = curlH are per-tet proxies.  Evaluated on every
-    face-connected component of Supp(B) & Supp(J), each the tets where the
-    squared magnitude reaches SUPPORT_EPS x its mean (empty for a zero
-    field); a component passes only if none of its tets has zero twist,
+    face-connected component of Supp(B) & Supp(J), each a ``support_mask``;
+    a component passes only if none of its tets has zero twist,
     |m| <= tau, with the tolerance and noise floor that ``analyze_field``
     hands to ``classify``.  So a passing component holds no FOLIATION or
     DEGENERATE tet.  By the Lagrange identity, which ``identity_check``
     audits, m != 0 is |J|^2|B|^2 > |JxB|^2.
     """
-    B2, J2 = _sq(H), _sq(curlH)
-    maskB = B2 >= SUPPORT_EPS * B2.mean() if B2.any() else np.zeros(len(B2), bool)
-    maskJ = J2 >= SUPPORT_EPS * J2.mean() if J2.any() else np.zeros(len(J2), bool)
-    comps = masked_components(cx, maskB & maskJ)
+    comps = masked_components(cx, support_mask(H) & support_mask(curlH))
     if not comps:
         raise EmptySupport("joint support of B and J is empty")
     m = twist_density(H, curlH)

@@ -29,6 +29,19 @@ A solve factors one matrix, the indefinite S - sigma M1.  The two positive
 definite systems it also meets, the projector's gradient Gram G^T M1 G and
 the mass matrix M1 in the residual norm, see only a few right-hand sides
 each and are solved by Jacobi-preconditioned CG.
+
+The factor is SuperLU's (Demmel-Eisenstat-Gilbert-Li-Liu, SIMAX 1999) in
+symmetric mode, ordered by minimum degree on A^T + A, with a 0.01 diagonal
+pivot threshold and without relaxed supernodes (relax=1).  SuperLU's
+default relaxation pads small elimination-tree subtrees into dense
+supernodes (Ashcraft-Grimes, ACM TOMS 1989); the fill of this pencil is
+sparse near the leaves, so the padding costs flops and memory and saves
+nothing.  At torus3 n=12 (one thread, six alternating factorizations) the
+factor keeps its 9,136,690 nonzeros and its median time falls from 1.89 to
+1.22 s, a two-column solve from 28.5 to 21.8 ms.  The pivot threshold stays
+at 0.01: 0.1 multiplied the fill of box-ring n=9 by ten (1.13 M to 10.9 M
+nonzeros), and 0.001 or 0 raised the relative residual of a two-column solve
+at box-ring n=15 from 2.5e-12 to 2.8e-11 or 1.7e-11.
 """
 
 from __future__ import annotations
@@ -499,20 +512,28 @@ def _shift_side_order(lams: np.ndarray, sigma: float, tol: float) -> np.ndarray:
     return order[np.lexsort((away, tie))]
 
 
-def _m_orthonormalize(W: np.ndarray, V: np.ndarray, M) -> np.ndarray:
+def _m_orthonormalize(
+    W: np.ndarray, V: np.ndarray, MV: np.ndarray, M
+) -> tuple[np.ndarray, np.ndarray]:
     """M-orthonormal basis of the part of span W that is M-orthogonal to the
-    M-orthonormal columns of V.
+    M-orthonormal columns of V, returned with its image under M.
 
-    Two passes of block Gram-Schmidt, each followed by an eigendecomposition
-    of the small Gram matrix.  Directions whose norm is below 1e-10 of the
+    MV = M V.  Two passes of block Gram-Schmidt, each followed by an
+    eigendecomposition of the small Gram matrix.  M W is formed once and
+    then carried through the same small-matrix updates as W, so the call
+    makes one product with M.  Directions whose norm is below 1e-10 of the
     largest are dropped, so the result may have fewer columns than W.
     """
+    MW = M @ W
     for _ in range(2):
-        W = W - V @ (V.T @ (M @ W))
-        s, U = np.linalg.eigh(W.T @ (M @ W))
+        coef = MV.T @ W
+        W = W - V @ coef
+        MW = MW - MV @ coef
+        s, U = np.linalg.eigh(W.T @ MW)
         keep = s > 1e-20 * s.max(initial=0.0)
-        W = W @ (U[:, keep] / np.sqrt(s[keep]))
-    return W
+        U = U[:, keep] / np.sqrt(s[keep])
+        W, MW = W @ U, MW @ U
+    return W, MW
 
 
 # Krylov basis of 20 blocks, restarted on its leading half; the step cap only
@@ -545,7 +566,12 @@ def smallest_beltrami(
     iteration stops when the k leading pairs have residual
     ||g x - theta x||_M1 <= 1e-12 |theta|.  A block of k columns holds up to
     k copies of one eigenvalue, so a cluster of multiplicity up to k comes
-    out complete, not through rounding.
+    out complete, not through rounding.  The basis carries its image M V,
+    so a step multiplies by M1 twice: once for the new block, once for its
+    residual norm.  The factor is built without relaxed supernodes, whose
+    dense padding this pencil's sparse leaf fill does not use: at torus3
+    n=12 its median time fell from 1.89 to 1.22 s at the same 9.1 M
+    nonzeros (see the module docstring).
 
     g, and so f, vanishes on the whole curl kernel, so the zero eigenvalue
     of the pencil is invisible to the iteration; the kernel projector is
@@ -569,14 +595,16 @@ def smallest_beltrami(
     A = pencil.S
     M = pencil.M1
     # A - sigma M is symmetric indefinite; symmetric-mode ordering keeps the
-    # fill an order of magnitude below the default unsymmetric one
+    # fill an order of magnitude below the default unsymmetric one; relax=1
+    # turns off relaxed supernodes (see the module docstring)
     op_lu = spla.splu(
         (A - sigma * M).tocsc(),
         permc_spec="MMD_AT_PLUS_A",
+        relax=1,
         options=dict(SymmetricMode=True, DiagPivotThresh=0.01),
     )
 
-    def filtered(Y):
+    def filtered(Y, MY):
         # g(OP) Y = (OP + I/sigma) Y = (A - sigma M)^{-1} A Y / sigma, the
         # Cayley transform, with OP = (A - sigma M)^{-1} M (eigenvalue nu =
         # 1/(lambda - sigma)) and theta = nu + 1/sigma.  Gradients, harmonic
@@ -585,23 +613,27 @@ def smallest_beltrami(
         # kernel exactly, with no projection inside the loop (rounding leaves
         # below 1e-12, in M-norm, of kernel in the Ritz vectors, which the
         # final projection removes).
-        return op_lu.solve(M @ Y) + Y / sigma
+        # MY = M Y is carried by the caller
+        return op_lu.solve(MY) + Y / sigma
 
-    # the basis V (M-orthonormal), its image F V = g(OP) V and the projected
-    # T = V^T M F V live in preallocated arrays; j columns are in use
+    # the basis V (M-orthonormal), its image M V, F V = g(OP) V and the
+    # projected T = V^T M F V live in preallocated arrays; j columns are in
+    # use
     m = _BASIS_BLOCKS * k
-    V, FV, T = np.empty((n, m), order="F"), np.empty((n, m), order="F"), np.empty((m, m))
+    V, MV, FV = (np.empty((n, m), order="F") for _ in range(3))
+    T = np.empty((m, m))
     rng = np.random.default_rng(seed)
     Q = projector.apply(rng.standard_normal((n, k)))
     j = 0
     for _ in range(_MAX_STEPS):
-        Q = _m_orthonormalize(Q, V[:, :j], M)
+        Q, MQ = _m_orthonormalize(Q, V[:, :j], MV[:, :j], M)
         q = Q.shape[1]
         if not q:
             break
         V[:, j : j + q] = Q
-        FV[:, j : j + q] = filtered(Q)
-        T[: j + q, j : j + q] = FV[:, : j + q].T @ (M @ Q)
+        MV[:, j : j + q] = MQ
+        FV[:, j : j + q] = filtered(Q, MQ)
+        T[: j + q, j : j + q] = FV[:, : j + q].T @ MQ
         T[j : j + q, :j] = T[:j, j : j + q].T
         j += q
         # Rayleigh-Ritz; the leading pairs are those of largest f(nu) =
@@ -620,6 +652,7 @@ def smallest_beltrami(
             # thick restart on the leading half of the Ritz vectors
             p = m // 2
             V[:, :p] = V[:, :j] @ Y[:, :p]
+            MV[:, :p] = MV[:, :j] @ Y[:, :p]
             FV[:, :p] = FV[:, :j] @ Y[:, :p]
             T[:p, :p] = np.diag(theta[:p])
             j = p

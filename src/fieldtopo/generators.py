@@ -140,7 +140,6 @@ def gen_grid(spec: GridSpec) -> SimplicialComplex3:
     tets, grid, coords, pts, h = _freudenthal_cells(spec)
     vertices = _grid_vertices(pts, h)
     cx = build_complex(vertices, tets, tet_coords=coords)
-    cx.meta["gridspec"] = spec
     _attach_seam_crossings(cx, grid, spec)
     return cx
 
@@ -197,7 +196,6 @@ def gen_box_minus_ring(n: int, ring=None, l: float = 1.0) -> SimplicialComplex3:
     remap = -np.ones(len(vertices), dtype=np.int64)
     remap[used] = np.arange(len(used))
     cx = build_complex(vertices[used], remap[tets], tet_coords=coords)
-    cx.meta["gridspec"] = spec
     return cx
 
 

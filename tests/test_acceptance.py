@@ -53,6 +53,9 @@ from fields import boundary_edge_faces, cluster_align, edge_interpolant
 from test_snf import minor_gcd_factors
 
 TAU = 2.0 * np.pi
+# the grids of the conftest fixture torus3_8 and of torus16_solution
+TORUS3_8 = GridSpec(8, 8, 8, TAU, TAU, TAU, periodic=(True, True, True))
+TORUS3_16 = GridSpec(16, 16, 16, TAU, TAU, TAU, periodic=(True, True, True))
 
 
 def report(num, ok, detail):
@@ -73,7 +76,7 @@ def torus12_solution():
 @pytest.fixture(scope="module")
 def torus16_solution():
     t0 = time.time()
-    cx = gen_grid(GridSpec(16, 16, 16, TAU, TAU, TAU, periodic=(True, True, True)))
+    cx = gen_grid(TORUS3_16)
     fem = build_fem(cx)
     bc = BoundaryCondition.closed_mesh()
     pen = reduce_system(cx, fem, bc)
@@ -90,15 +93,15 @@ def aligned_field(cx, sol):
     return cluster_align(sol, edge_interpolant(cx, v))
 
 
-def central_inversion(cx):
-    """Orientation-reversing automorphism x -> -x of a periodic Freudenthal grid.
+def central_inversion(cx, spec):
+    """Orientation-reversing automorphism x -> -x of the periodic Freudenthal
+    grid ``gen_grid(spec)``.
 
     Returns the image of every edge (index and the sign of the canonical
     orientation under the map) and of every tet.  The inversion fixes the
     body diagonal, so it maps the triangulation onto itself; the pull-back
     of an edge cochain h is ``edge_sign * h[edge_map]``.
     """
-    spec = cx.meta["gridspec"]
     assert all(spec.periodic)
     n = np.array(spec.counts)
     grid = np.rint(cx.vertices / (np.array(spec.lengths) / n)).astype(np.int64)
@@ -373,7 +376,7 @@ def test_criterion_09b_sign_swap_as_specified(torus8_beltrami, torus3_8, torus3_
     """
     _, _, sol = torus8_beltrami
     h = aligned_field(torus3_8, sol)
-    edge_map, edge_sign, tet_map = central_inversion(torus3_8)
+    edge_map, edge_sign, tet_map = central_inversion(torus3_8, TORUS3_8)
     mirrored = edge_sign * h[edge_map]
     a = analyze_field(torus3_8, torus3_8_fem, h)
     b = analyze_field(torus3_8, torus3_8_fem, mirrored)
@@ -454,7 +457,7 @@ def test_criterion_10b_forcefree_tolerance_as_specified(torus16_solution):
 
     grad = cx16.D0 @ np.sin(cx16.vertices[:, 0])
     grad /= np.sqrt(grad @ (fem16.M1 @ grad))
-    edge_map, edge_sign, _ = central_inversion(cx16)
+    edge_map, edge_sign, _ = central_inversion(cx16, TORUS3_16)
     mirrored = edge_sign * h[edge_map]
     controls = [
         forcefree_defect(cx16, fem16, h + 1e-4 * grad),

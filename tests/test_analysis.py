@@ -17,7 +17,8 @@ from fieldtopo.analysis import (
 )
 from fieldtopo.beltrami import default_shift, smallest_beltrami
 from fieldtopo.errors import EmptySupport
-from fieldtopo.fem import field_proxies
+from fieldtopo.fem import build_fem, field_proxies
+from fieldtopo.generators import GridSpec, gen_grid
 from fields import cluster_align, edge_interpolant
 
 
@@ -227,3 +228,16 @@ def test_support_mask_threshold(torus3_coarse):
     h[0] = 1.0
     sup = support_mask(field_proxies(torus3_coarse, h)[0])
     assert 0 < sup.sum() < torus3_coarse.num_tets
+
+
+def test_zero_field_has_no_support():
+    """A zero field is on no tet: every tet is degenerate, the verdict is the
+    empty support's foliation and the near-force-free list is empty, with
+    support_mask the one rule for B and for J."""
+    cx = gen_grid(GridSpec(3, 3, 3, periodic=(True, True, True)))
+    assert cx.num_tets == 162
+    doc = analyze_field(cx, build_fem(cx), np.zeros(cx.num_edges)).to_dict()
+    assert doc["support_tets"] == 0
+    assert doc["label_counts"] == {"degenerate": 162}
+    assert doc["verdict"] == "foliation"
+    assert doc["near_forcefree"] == []

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from fieldtopo.beltrami import (
@@ -315,7 +316,11 @@ def test_shift_above_smallest_selects_by_filter(shift, expected):
 def test_one_solve_per_step(make, bc, k, two_solve_columns, monkeypatch):
     """Each Krylov step is one solve with k right-hand sides on the shifted
     factor, and the iteration solves fewer columns than the two-solve
-    filter OP^2 + OP/sigma did."""
+    filter OP^2 + OP/sigma did.  Between one solve and the next the loop
+    multiplies by the pencil's M1 at most twice: M V is carried, not
+    recomputed."""
+    import dataclasses
+
     import fieldtopo.beltrami as beltrami
 
     cx = make()
@@ -323,8 +328,13 @@ def test_one_solve_per_step(make, bc, k, two_solve_columns, monkeypatch):
     pen = reduce_system(cx, fem, bc)
     proj = kernel_projector(pen)
 
-    solves, steps = [], []
+    solves, steps, products, at_solve = [], [], [0], []
     splu, orthonormalize = spla.splu, beltrami._m_orthonormalize
+
+    class CountingM1(sp.csr_matrix):
+        def __matmul__(self, other):
+            products[0] += 1
+            return super().__matmul__(other)
 
     class Recorder:
         def __init__(self, lu):
@@ -332,6 +342,7 @@ def test_one_solve_per_step(make, bc, k, two_solve_columns, monkeypatch):
 
         def solve(self, b):
             solves.append(b.shape)
+            at_solve.append(products[0])
             return self.lu.solve(b)
 
     def counted(*args):
@@ -340,10 +351,11 @@ def test_one_solve_per_step(make, bc, k, two_solve_columns, monkeypatch):
 
     monkeypatch.setattr(spla, "splu", lambda *a, **kw: Recorder(splu(*a, **kw)))
     monkeypatch.setattr(beltrami, "_m_orthonormalize", counted)
-    smallest_beltrami(pen, proj, k=k, tol=1e-8)
+    smallest_beltrami(dataclasses.replace(pen, M1=CountingM1(pen.M1)), proj, k=k, tol=1e-8)
     assert solves and set(solves) == {(pen.ndof, k)}
     assert len(solves) == len(steps)
     assert len(solves) * k < two_solve_columns
+    assert len(at_solve) >= 3 and max(np.diff(at_solve)) <= 2
 
 
 @pytest.mark.parametrize(
@@ -485,3 +497,67 @@ def test_step_cap_ends_in_no_convergence(torus3_coarse, torus3_coarse_fem, monke
     with pytest.raises(NoConvergence) as exc:
         smallest_beltrami(pen, proj, k=2, tol=1e-8)
     assert exc.value.best_residual > 1e-8
+
+
+def test_m_orthonormalize_carries_the_product(torus3_coarse_fem):
+    """W comes back M-orthonormal and M-orthogonal to V, with the carried MW
+    equal to M @ W, and a column inside span V is dropped."""
+    from fieldtopo.beltrami import _m_orthonormalize
+
+    M = torus3_coarse_fem.M1
+    n = M.shape[0]
+    rng = np.random.default_rng(3)
+    V, MV = _m_orthonormalize(rng.standard_normal((n, 4)), np.empty((n, 0)), np.empty((n, 0)), M)
+    R = rng.standard_normal((n, 3))
+    W0 = np.column_stack([R[:, :1], V @ [3.0, 0.0, 1.0, -1.0], R[:, 1:]])
+    W, MW = _m_orthonormalize(W0, V, MV, M)
+    assert W.shape == (n, 3)
+    exact = M @ W
+    assert np.linalg.norm(MW - exact) <= 1e-12 * np.linalg.norm(exact)
+    np.testing.assert_allclose(W.T @ exact, np.eye(3), rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(V.T @ exact, 0.0, rtol=0.0, atol=1e-12)
+
+
+def _negative_count(pen, s):
+    """Number of eigenvalues below s of S x = lambda M1 x, by Sylvester's
+    law of inertia: the negative pivots of an LU of S - s M1 with no row
+    pivoting, which makes it a congruence P (S - s M1) P^T = L D L^T."""
+    lu = spla.splu(
+        (pen.S - s * pen.M1).tocsc(),
+        permc_spec="MMD_AT_PLUS_A",
+        options=dict(SymmetricMode=True, DiagPivotThresh=0.0),
+    )
+    assert np.array_equal(lu.perm_r, lu.perm_c), "row pivoting: the count is not an inertia"
+    return int(np.count_nonzero(lu.U.diagonal() < 0))
+
+
+@pytest.mark.parametrize(
+    "make, bc, k, window",
+    [
+        (
+            lambda: gen_grid(GridSpec(8, 8, 8, TAU, TAU, TAU, periodic=(True, True, True))),
+            BoundaryCondition.closed_mesh(),
+            2,
+            6,
+        ),
+        (lambda: gen_box_minus_ring(7), BoundaryCondition.zero_trace(), 1, 1),
+    ],
+    ids=["torus3-8", "box-ring-7-zero-trace"],
+)
+def test_inertia_no_pair_missed(make, bc, k, window):
+    """Sylvester inertia counts confirm the solver's answer independently:
+    no eigenvalue lies between a tiny positive shift a and the smallest
+    returned lambda, the 1e-6 window around lambda holds the whole cluster
+    (6-fold on the 3-torus), and the count across [-a, a) covers at least
+    the gradient and harmonic columns of the structural kernel."""
+    cx = make()
+    pen = reduce_system(cx, build_fem(cx), bc)
+    proj = kernel_projector(pen)
+    lam = smallest_beltrami(pen, proj, k=k, tol=1e-8).lambdas.min()
+    assert lam > 0
+    a = 1e-3 * default_shift(cx)
+    below, above = _negative_count(pen, lam * (1 - 1e-6)), _negative_count(pen, lam * (1 + 1e-6))
+    neg_a, neg_minus_a = _negative_count(pen, a), _negative_count(pen, -a)
+    assert below - neg_a == 0
+    assert above - below == window
+    assert neg_a - neg_minus_a >= proj.gradient.shape[1] + proj.harmonic_dimension
