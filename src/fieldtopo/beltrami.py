@@ -20,10 +20,14 @@ Cayley transform (S - sigma M1)^{-1} S maps every null vector of the curl
 pairing to exactly zero, so the iteration never sees it, and an explicit
 kernel basis gives the M1-orthogonal projector that is applied to the start
 block and to the returned eigenvectors.  The
-iteration is a thick-restart block Krylov method with b = k columns per
-block: each step is one k-column solve on one factor, it stops once the k
-leading pairs have converged, and a cluster of multiplicity up to k comes out
-complete.
+iteration is thick-restart block Lanczos (Grimes-Lewis-Simon, SIMAX 1994)
+with b = k columns per block: each step is one k-column solve on one
+factor, it stops once the k leading pairs have converged, and a cluster of
+multiplicity up to k comes out complete.  Besides the factor it holds one
+M1-orthonormal basis V and its image M1 V, not the image of V under the
+transform: that maps every block but the newest into span V, so the Ritz
+residuals come from the Lanczos remainder of the newest block, which is
+also the next block.
 
 A solve factors one matrix, the indefinite S - sigma M1.  The two positive
 definite systems it also meets, the projector's gradient Gram G^T M1 G and
@@ -291,8 +295,15 @@ def reduce_system(
     else:
         raise IncompatibleBC(f"unknown boundary condition kind {bc.kind}")
 
-    R = (C.T @ fem.S @ C).tocsr()
-    M1r = (C.T @ fem.M1 @ C).tocsr()
+    if bc.kind is BCKind.CLOSED_MESH:
+        # C = I: the pencil is fem's own, without the explicit zeros of S
+        # that the product C^T S C would drop
+        R = fem.S.copy()
+        R.eliminate_zeros()
+        M1r = fem.M1
+    else:
+        R = (C.T @ fem.S @ C).tocsr()
+        M1r = (C.T @ fem.M1 @ C).tocsr()
     defect_mat = (R - R.T).tocoo()
     smax = np.abs(R.data).max() if R.nnz else 1.0
     defect = (np.abs(defect_mat.data).max() / smax) if defect_mat.nnz else 0.0
@@ -512,25 +523,38 @@ def _shift_side_order(lams: np.ndarray, sigma: float, tol: float) -> np.ndarray:
     return order[np.lexsort((away, tie))]
 
 
+# Gram eigenvalue below which a direction of unit-M-norm columns counts as
+# dependent: the eigenvalues carry an absolute rounding error of a few eps,
+# so a dependent direction reads about 1e-16, and one kept at this bound
+# still has an M-norm of 5e-7 of the columns it combines
+_DEPENDENT = 1e3 * np.finfo(float).eps
+
+
 def _m_orthonormalize(
     W: np.ndarray, V: np.ndarray, MV: np.ndarray, M
 ) -> tuple[np.ndarray, np.ndarray]:
     """M-orthonormal basis of the part of span W that is M-orthogonal to the
     M-orthonormal columns of V, returned with its image under M.
 
-    MV = M V.  Two passes of block Gram-Schmidt, each followed by an
-    eigendecomposition of the small Gram matrix.  M W is formed once and
-    then carried through the same small-matrix updates as W, so the call
-    makes one product with M.  Directions whose norm is below 1e-10 of the
-    largest are dropped, so the result may have fewer columns than W.
+    MV = M V.  The columns of W are first scaled to unit M-norm, so what is
+    dropped does not depend on their scale.  Two passes of block
+    Gram-Schmidt follow, each with an eigendecomposition of the small Gram
+    matrix; a direction whose Gram eigenvalue is below _DEPENDENT (1000 eps,
+    an M-norm of about 5e-7) lies in span V or depends on the other columns
+    and is dropped, so the result may have fewer columns than W.  M W is
+    formed once and then carried through the same small-matrix updates as
+    W, so the call makes one product with M.
     """
     MW = M @ W
+    nrm = np.sqrt(np.einsum("ij,ij->j", W, MW))
+    scale = np.divide(1.0, nrm, out=np.zeros_like(nrm), where=nrm > 0)
+    W, MW = W * scale, MW * scale
     for _ in range(2):
         coef = MV.T @ W
         W = W - V @ coef
         MW = MW - MV @ coef
         s, U = np.linalg.eigh(W.T @ MW)
-        keep = s > 1e-20 * s.max(initial=0.0)
+        keep = s > _DEPENDENT
         U = U[:, keep] / np.sqrt(s[keep])
         W, MW = W @ U, MW @ U
     return W, MW
@@ -541,6 +565,72 @@ def _m_orthonormalize(
 _BASIS_BLOCKS = 20
 _MAX_STEPS = 500
 _RITZ_RTOL = 1e-12
+_RESTART_ROWS = 1024
+
+
+def _block_lanczos(g, M, Q: np.ndarray, k: int, sigma: float):
+    """The k leading Ritz pairs of the M-self-adjoint g, by thick-restart
+    block Lanczos in the M inner product from the start block Q.
+
+    ``g(Y, MY)`` returns g Y given MY = M Y.  The basis V is M-orthonormal
+    and carries its image M V; the projected matrix is T = V^T M g V.  A
+    step applies g to the newest block Q only: T gains the columns
+    (M V)^T g Q, and the remainder R = g Q - V T[:, new] is all of g V that
+    span V misses, because g maps every older block into span V.  So the
+    residual g V y - theta V y of a Ritz pair is R y[new], and the next
+    block is R, M-orthonormalized against V.  The leading pairs are those
+    of largest f = theta (theta - 1/sigma).  The iteration stops when the k
+    leading pairs have M-norm residual at most _RITZ_RTOL |theta|.  A full
+    basis restarts on its leading half of Ritz vectors, which g maps to
+    themselves times theta plus a part of R, so R stays the next block.
+
+    Returns (theta, X, rnorm) of the k leading pairs: Ritz values, Ritz
+    vectors and the residual norms read off the newest block.
+    """
+    n = Q.shape[0]
+    m = _BASIS_BLOCKS * k
+    # the basis and its image under M live in preallocated arrays; j
+    # columns are in use
+    V, MV = (np.empty((n, m), order="F") for _ in range(2))
+    T = np.empty((m, m))
+    j = 0
+    for _ in range(_MAX_STEPS):
+        Q, MQ = _m_orthonormalize(Q, V[:, :j], MV[:, :j], M)
+        q = Q.shape[1]
+        if not q:
+            break
+        new = slice(j, j + q)
+        V[:, new] = Q
+        MV[:, new] = MQ
+        j += q
+        R = g(Q, MQ)
+        T[:j, new] = MV[:, :j].T @ R
+        T[new, : j - q] = T[: j - q, new].T
+        R -= V[:, :j] @ T[:j, new]
+        # Rayleigh-Ritz; the leading pairs are those of largest f(nu) =
+        # nu^2 + nu/sigma = theta (theta - 1/sigma), which is largest for the
+        # lambdas nearest sigma on its side (with sigma well below
+        # |lambda|_min distinct lambdas cannot collide) and zero on the kernel
+        theta, Y = np.linalg.eigh(T[:j, :j])
+        lead = np.argsort(-theta * (theta - 1.0 / sigma), kind="stable")
+        theta, Y = theta[lead], Y[:, lead]
+        X = V[:, :j] @ Y[:, :k]
+        resid = R @ Y[new, :k]
+        rnorm = np.sqrt(np.einsum("ik,ik->k", resid, M @ resid))
+        if np.all(rnorm <= _RITZ_RTOL * np.abs(theta[:k])):
+            break
+        if j + k > m:
+            # thick restart on the leading half of the Ritz vectors, a row
+            # block at a time so that no (n, p) temporary is made
+            p = m // 2
+            for r in range(0, n, _RESTART_ROWS):
+                rows = slice(r, r + _RESTART_ROWS)
+                V[rows, :p] = V[rows, :j] @ Y[:, :p]
+                MV[rows, :p] = MV[rows, :j] @ Y[:, :p]
+            T[:p, :p] = np.diag(theta[:p])
+            j = p
+        Q = R
+    return theta[:k], X, rnorm
 
 
 def smallest_beltrami(
@@ -554,24 +644,23 @@ def smallest_beltrami(
     """k eigenpairs of smallest nonzero |lambda| on the shift's side of
     S x = lambda M1 x.
 
-    Thick-restart block Krylov iteration, in the M1 inner product, on the
-    Cayley transform g(OP) = OP + I/sigma = (S - sigma M1)^{-1} S / sigma of
-    OP = (S - sigma M1)^{-1} M1.  g spans the same Krylov space as OP.  The
-    block has b = k columns, so each step is one solve with k right-hand
-    sides on one factor.  Each step adds the M1-orthonormalized residual
-    block of the k leading Ritz pairs to the basis; a full basis restarts
-    from its leading Ritz vectors.  A Ritz value theta of g stands for nu =
+    Thick-restart block Lanczos (``_block_lanczos``), in the M1 inner
+    product, on the Cayley transform g(OP) = OP + I/sigma =
+    (S - sigma M1)^{-1} S / sigma of OP = (S - sigma M1)^{-1} M1.  g spans
+    the same Krylov space as OP.  The block has b = k columns, so each step
+    is one solve with k right-hand sides on one factor.  The loop holds the
+    factor, the basis V and its image M1 V, and not g V: the Ritz residuals
+    come from the Lanczos remainder of the newest block, which is also the
+    next block.  A step multiplies by M1 twice, once for the new block and
+    once for the residual norms.  A Ritz value theta of g stands for nu =
     theta - 1/sigma = 1/(lambda - sigma), and the leading pairs are those of
     largest f(nu) = nu^2 + nu/sigma = theta (theta - 1/sigma).  The
     iteration stops when the k leading pairs have residual
     ||g x - theta x||_M1 <= 1e-12 |theta|.  A block of k columns holds up to
     k copies of one eigenvalue, so a cluster of multiplicity up to k comes
-    out complete, not through rounding.  The basis carries its image M V,
-    so a step multiplies by M1 twice: once for the new block, once for its
-    residual norm.  The factor is built without relaxed supernodes, whose
-    dense padding this pencil's sparse leaf fill does not use: at torus3
-    n=12 its median time fell from 1.89 to 1.22 s at the same 9.1 M
-    nonzeros (see the module docstring).
+    out complete, not through rounding.  The factor is built without
+    relaxed supernodes, whose dense padding this pencil's sparse leaf fill
+    does not use (see the module docstring).
 
     g, and so f, vanishes on the whole curl kernel, so the zero eigenvalue
     of the pencil is invisible to the iteration; the kernel projector is
@@ -616,46 +705,9 @@ def smallest_beltrami(
         # MY = M Y is carried by the caller
         return op_lu.solve(MY) + Y / sigma
 
-    # the basis V (M-orthonormal), its image M V, F V = g(OP) V and the
-    # projected T = V^T M F V live in preallocated arrays; j columns are in
-    # use
-    m = _BASIS_BLOCKS * k
-    V, MV, FV = (np.empty((n, m), order="F") for _ in range(3))
-    T = np.empty((m, m))
     rng = np.random.default_rng(seed)
-    Q = projector.apply(rng.standard_normal((n, k)))
-    j = 0
-    for _ in range(_MAX_STEPS):
-        Q, MQ = _m_orthonormalize(Q, V[:, :j], MV[:, :j], M)
-        q = Q.shape[1]
-        if not q:
-            break
-        V[:, j : j + q] = Q
-        MV[:, j : j + q] = MQ
-        FV[:, j : j + q] = filtered(Q, MQ)
-        T[: j + q, j : j + q] = FV[:, : j + q].T @ MQ
-        T[j : j + q, :j] = T[:j, j : j + q].T
-        j += q
-        # Rayleigh-Ritz; the leading pairs are those of largest f(nu) =
-        # nu^2 + nu/sigma = theta (theta - 1/sigma), which is largest for the
-        # lambdas nearest sigma on its side (with sigma well below
-        # |lambda|_min distinct lambdas cannot collide) and zero on the kernel
-        theta, Y = np.linalg.eigh(T[:j, :j])
-        lead = np.argsort(-theta * (theta - 1.0 / sigma), kind="stable")
-        theta, Y = theta[lead], Y[:, lead]
-        vecs = V[:, :j] @ Y[:, :k]
-        Q = FV[:, :j] @ Y[:, :k] - vecs * theta[:k]  # residual block
-        rnorm = np.sqrt(np.einsum("ik,ik->k", Q, M @ Q))
-        if np.all(rnorm <= _RITZ_RTOL * np.abs(theta[:k])):
-            break
-        if j + k > m:
-            # thick restart on the leading half of the Ritz vectors
-            p = m // 2
-            V[:, :p] = V[:, :j] @ Y[:, :p]
-            MV[:, :p] = MV[:, :j] @ Y[:, :p]
-            FV[:, :p] = FV[:, :j] @ Y[:, :p]
-            T[:p, :p] = np.diag(theta[:p])
-            j = p
+    start = projector.apply(rng.standard_normal((n, k)))
+    _, vecs, _ = _block_lanczos(filtered, M, start, k, sigma)
 
     X = projector.apply(vecs)
     nrm = np.sqrt(np.einsum("ik,ik->k", X, M @ X))

@@ -11,6 +11,7 @@ canonical (sorted) simplex orientations through parity signs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -48,7 +49,16 @@ class FemMatrices:
 
     M1: sp.csr_matrix   # edge (Whitney 1-form) mass
     S: sp.csr_matrix    # curl pairing, S_ij = int (curl w_i) . w_j dV
-    L0: sp.csr_matrix   # scalar stiffness D0^T M1 D0; kernel = constants per component
+    D0: sp.csr_matrix   # the complex's vertex-to-edge coboundary
+
+    @cached_property
+    def L0(self) -> sp.csr_matrix:
+        """Scalar stiffness D0^T M1 D0; kernel = constants per component.
+
+        Assembled on first read: only the cut stage's potential solve uses it.
+        """
+        D0 = self.D0.astype(float)
+        return (D0.T @ self.M1 @ D0).tocsr()
 
 
 def _scatter(rows, cols, vals, shape):
@@ -107,9 +117,7 @@ def curl_pairing(cx: SimplicialComplex3) -> sp.csr_matrix:
 
 
 def build_fem(cx: SimplicialComplex3) -> FemMatrices:
-    M1 = mass_matrix(cx)
-    D0 = cx.D0.astype(float)
-    return FemMatrices(M1=M1, S=curl_pairing(cx), L0=(D0.T @ M1 @ D0).tocsr())
+    return FemMatrices(M1=mass_matrix(cx), S=curl_pairing(cx), D0=cx.D0)
 
 
 def helicity(fem: FemMatrices, h: np.ndarray):

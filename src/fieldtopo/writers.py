@@ -7,11 +7,14 @@ produce byte-identical files.
 from __future__ import annotations
 
 import json
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .cuts import CutSurface
 from .mesh import SimplicialComplex3
+
+if TYPE_CHECKING:
+    from .cuts import CutSurface
 
 
 def _fmt(x: float) -> str:
@@ -57,10 +60,23 @@ def write_json(path, obj):
 
 
 def _rows(fmt: str, values) -> str:
-    """One ``fmt`` line per row of ``values``; ``%.17g`` prints a float as
-    ``_fmt`` does."""
+    """One ``fmt`` line per row of ``values``."""
     values = np.asarray(values)
     return (fmt * len(values)) % tuple(values.ravel().tolist())
+
+
+def _float_rows(values, width: int) -> str:
+    """Lines of ``width`` floats each, every float printed as ``_fmt`` does.
+
+    Each distinct bit pattern is formatted once, so -0.0 and 0.0 stay
+    apart; mesh coordinates repeat across the 4T per-tet points.
+    """
+    values = np.ascontiguousarray(values, dtype=float)
+    bits, inverse = np.unique(values.view(np.int64).ravel(), return_inverse=True)
+    text = ("%.17g\n" * len(bits)) % tuple(bits.view(float).tolist())
+    words = np.array(text.split("\n")[:-1], dtype=object)
+    line = " ".join(["%s"] * width) + "\n"
+    return (line * (values.size // width)) % tuple(words[inverse].tolist())
 
 
 def write_mesh_vtk(
@@ -82,7 +98,7 @@ def write_mesh_vtk(
         fh.write("ASCII\n")
         fh.write("DATASET UNSTRUCTURED_GRID\n")
         fh.write(f"POINTS {len(pts)} double\n")
-        fh.write(_rows("%.17g %.17g %.17g\n", pts))
+        fh.write(_float_rows(pts, 3))
         fh.write(f"CELLS {T} {5 * T}\n")
         fh.write(_rows("4 %d %d %d %d\n", np.arange(4 * T).reshape(T, 4)))
         fh.write(f"CELL_TYPES {T}\n")
@@ -92,10 +108,10 @@ def write_mesh_vtk(
             for name, data in (cell_scalars or {}).items():
                 fh.write(f"SCALARS {name} double 1\n")
                 fh.write("LOOKUP_TABLE default\n")
-                fh.write(_rows("%.17g\n", data))
+                fh.write(_float_rows(data, 1))
             for name, data in (cell_vectors or {}).items():
                 fh.write(f"VECTORS {name} double\n")
-                fh.write(_rows("%.17g %.17g %.17g\n", data))
+                fh.write(_float_rows(data, 3))
 
 
 def write_cut_vtk(path, cut: CutSurface):
@@ -108,7 +124,7 @@ def write_cut_vtk(path, cut: CutSurface):
         fh.write("ASCII\n")
         fh.write("DATASET POLYDATA\n")
         fh.write(f"POINTS {P} double\n")
-        fh.write(_rows("%.17g %.17g %.17g\n", cut.points))
+        fh.write(_float_rows(cut.points, 3))
         fh.write(f"POLYGONS {K} {4 * K}\n")
         fh.write(_rows("3 %d %d %d\n", cut.triangles))
         if K:

@@ -28,6 +28,11 @@ def test_closed_mesh_pencil_is_full(torus3_coarse, torus3_coarse_fem):
     pen = reduce_system(torus3_coarse, torus3_coarse_fem, BoundaryCondition.closed_mesh())
     assert pen.ndof == torus3_coarse.num_edges
     assert pen.symmetry_defect <= 1e-12
+    assert pen.M1 is torus3_coarse_fem.M1
+    S = torus3_coarse_fem.S.copy()
+    S.eliminate_zeros()
+    assert pen.S.nnz == S.nnz
+    assert abs(pen.S - S).max() <= 1e-12 * abs(S).max()
 
 
 def test_zero_trace_pencil_symmetric(cube4, cube4_fem):
@@ -516,6 +521,81 @@ def test_m_orthonormalize_carries_the_product(torus3_coarse_fem):
     assert np.linalg.norm(MW - exact) <= 1e-12 * np.linalg.norm(exact)
     np.testing.assert_allclose(W.T @ exact, np.eye(3), rtol=0.0, atol=1e-12)
     np.testing.assert_allclose(V.T @ exact, 0.0, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_m_orthonormalize_drop_is_scale_invariant(torus3_coarse_fem, seed):
+    """A column that depends on the other columns and on V is dropped, and
+    independent columns survive whatever their M-norms."""
+    from fieldtopo.beltrami import _m_orthonormalize
+
+    M = torus3_coarse_fem.M1
+    n = M.shape[0]
+    rng = np.random.default_rng(seed)
+    V, MV = _m_orthonormalize(rng.standard_normal((n, 4)), np.empty((n, 0)), np.empty((n, 0)), M)
+    R = rng.standard_normal((n, 3))
+    dependent = R @ rng.standard_normal(3) + V @ rng.standard_normal(4)
+    W, _ = _m_orthonormalize(np.column_stack([R, dependent]), V, MV, M)
+    assert W.shape == (n, 3)
+    pair = rng.standard_normal((n, 2))
+    pair /= np.sqrt(np.einsum("ij,ij->j", pair, M @ pair))
+    W, MW = _m_orthonormalize(pair * [1.0, 1e-10], V, MV, M)
+    assert W.shape == (n, 2)
+    np.testing.assert_allclose(W.T @ MW, np.eye(2), rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("blocks, steps", [(20, 3), (20, 12), (4, 7), (4, 13)])
+def test_lanczos_residual_from_newest_block(torus3_coarse, torus3_coarse_fem, blocks, steps,
+                                            monkeypatch):
+    """The Ritz residuals read off the Lanczos remainder of the newest block
+    are the explicit ||g(Vy) - theta Vy||_M1, before and after thick
+    restarts (a 4-block basis restarts every second step from the fourth).
+    The steps stop while the residuals are far above the rounding of the
+    explicit difference, about eps |theta|."""
+    import fieldtopo.beltrami as beltrami
+
+    pen = reduce_system(torus3_coarse, torus3_coarse_fem, BoundaryCondition.closed_mesh())
+    M = pen.M1
+    sigma = default_shift(torus3_coarse)
+    lu = spla.splu((pen.S - sigma * M).tocsc(), permc_spec="MMD_AT_PLUS_A")
+
+    def g(Y, MY):
+        return lu.solve(MY) + Y / sigma
+
+    start = kernel_projector(pen).apply(np.random.default_rng(0).standard_normal((pen.ndof, 2)))
+    monkeypatch.setattr(beltrami, "_BASIS_BLOCKS", blocks)
+    monkeypatch.setattr(beltrami, "_MAX_STEPS", steps)
+    theta, X, rnorm = beltrami._block_lanczos(g, M, start, 2, sigma)
+    R = g(X, M @ X) - X * theta
+    explicit = np.sqrt(np.einsum("ik,ik->k", R, M @ R))
+    assert explicit.min() > 1e-4 * np.abs(theta).max()
+    np.testing.assert_allclose(rnorm, explicit, rtol=1e-10, atol=0.0)
+
+
+def test_krylov_loop_holds_two_basis_arrays(torus8_beltrami, monkeypatch):
+    """The loop's memory peaks below three (n, m) arrays: it holds the basis
+    V and its image M1 V, not g V, and a thick restart makes no (n, m/2)
+    temporary.  The n=8 torus at k=2 restarts twice."""
+    import tracemalloc
+
+    import fieldtopo.beltrami as beltrami
+
+    pen, proj, _ = torus8_beltrami
+    k = 2
+    peaks, lanczos = [], beltrami._block_lanczos
+
+    def traced(*args):
+        tracemalloc.start()
+        try:
+            return lanczos(*args)
+        finally:
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+
+    monkeypatch.setattr(beltrami, "_block_lanczos", traced)
+    smallest_beltrami(pen, proj, k=k, tol=1e-8)
+    basis_array = pen.ndof * beltrami._BASIS_BLOCKS * k * 8
+    assert 2 * basis_array <= peaks[0] < 2.75 * basis_array
 
 
 def _negative_count(pen, s):

@@ -382,11 +382,27 @@ def test_gen_emits_valid_vtk(tmp_path):
 
 
 def test_mesh_vtk_matches_line_by_line_format(tmp_path):
-    """Block formatting writes the bytes of one `_fmt` line per row."""
+    """Block formatting writes the bytes of one `_fmt` line per row, on a
+    grid with random fields and on an `msh:` mesh whose coordinates hold
+    -0.0, a subnormal and values shared by many tets."""
     import numpy as np
 
     from fieldtopo.generators import GridSpec, gen_grid
     from fieldtopo.writers import _fmt, write_mesh_vtk
+
+    def expected(cx, scalars, vectors):
+        T = cx.num_tets
+        lines = ["# vtk DataFile Version 3.0", "fieldtopo mesh", "ASCII",
+                 "DATASET UNSTRUCTURED_GRID", f"POINTS {4 * T} double"]
+        lines += [" ".join(_fmt(c) for c in p) for p in cx.tet_coords.reshape(-1, 3)]
+        lines += [f"CELLS {T} {5 * T}"]
+        lines += [f"4 {4 * t} {4 * t + 1} {4 * t + 2} {4 * t + 3}" for t in range(T)]
+        lines += [f"CELL_TYPES {T}"] + ["10"] * T + [f"CELL_DATA {T}"]
+        for name, data in scalars.items():
+            lines += [f"SCALARS {name} double 1", "LOOKUP_TABLE default"] + [_fmt(x) for x in data]
+        for name, data in vectors.items():
+            lines += [f"VECTORS {name} double"] + [" ".join(_fmt(c) for c in row) for row in data]
+        return "\n".join(lines) + "\n"
 
     cx = gen_grid(GridSpec(2, 2, 2, 1.0, 0.3, 7.0))
     T = cx.num_tets
@@ -394,17 +410,25 @@ def test_mesh_vtk_matches_line_by_line_format(tmp_path):
     s = rng.standard_normal(T) * 10.0 ** rng.integers(-300, 300, T)
     s[:3] = [-0.0, 1.0, 2**-1074]
     v = rng.standard_normal((T, 3))
-    write_mesh_vtk(tmp_path / "m.vtk", cx, cell_scalars={"s": s, "i": np.arange(T)},
-                   cell_vectors={"v": v})
-    lines = ["# vtk DataFile Version 3.0", "fieldtopo mesh", "ASCII", "DATASET UNSTRUCTURED_GRID",
-             f"POINTS {4 * T} double"]
-    lines += [" ".join(_fmt(c) for c in p) for p in cx.tet_coords.reshape(-1, 3)]
-    lines += [f"CELLS {T} {5 * T}"] + [f"4 {4 * t} {4 * t + 1} {4 * t + 2} {4 * t + 3}" for t in range(T)]
-    lines += [f"CELL_TYPES {T}"] + ["10"] * T + [f"CELL_DATA {T}"]
-    for name, data in (("s", s), ("i", np.arange(T))):
-        lines += [f"SCALARS {name} double 1", "LOOKUP_TABLE default"] + [_fmt(x) for x in data]
-    lines += ["VECTORS v double"] + [" ".join(_fmt(c) for c in row) for row in v]
-    assert (tmp_path / "m.vtk").read_text() == "\n".join(lines) + "\n"
+    scalars, vectors = {"s": s, "i": np.arange(T)}, {"v": v}
+    write_mesh_vtk(tmp_path / "m.vtk", cx, cell_scalars=scalars, cell_vectors=vectors)
+    assert (tmp_path / "m.vtk").read_text() == expected(cx, scalars, vectors)
+
+    grid = gen_grid(GridSpec(3, 3, 3))
+    vertices = grid.vertices.copy()
+    vertices[vertices == 0.0] = -0.0
+    vertices[vertices[:, 1] == 0.0, 1] = 2**-1074
+    write_msh(tmp_path / "grid.msh", vertices, grid.tets)
+    cx = build_geometry(RunConfig("gen", geometry=f"msh:{tmp_path / 'grid.msh'}"))
+    coords = cx.tet_coords.ravel()
+    assert np.any(np.signbit(coords) & (coords == 0.0))
+    assert np.any(coords == 2**-1074)
+    assert len(np.unique(coords)) * 20 < coords.size
+    T = cx.num_tets
+    z = np.where(np.arange(T) % 2, 0.0, -0.0)
+    scalars, vectors = {"z": z}, {"w": np.column_stack([z, -z, np.full(T, 2**-1074)])}
+    write_mesh_vtk(tmp_path / "msh.vtk", cx, cell_scalars=scalars, cell_vectors=vectors)
+    assert (tmp_path / "msh.vtk").read_text() == expected(cx, scalars, vectors)
 
 
 def test_modes_vtk_consistent(tmp_path):
