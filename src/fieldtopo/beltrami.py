@@ -197,11 +197,13 @@ def _boundary_data(cx: SimplicialComplex3, bc: BoundaryCondition) -> BoundaryDat
             T, sbasis.cocycles, sbasis.dual_cycles
         )
 
-        for l in bc.lagrangian_choice:
+        for pos, l in enumerate(bc.lagrangian_choice):
             if not (0 <= l < nb):
                 raise IncompatibleBC(
                     f"lagrangian choice {l} out of range for boundary H^1 rank {nb}"
                 )
+            if l in bc.lagrangian_choice[:pos]:
+                raise IncompatibleBC(f"lagrangian choice {l} is repeated")
         for l in bc.lagrangian_choice:
             for m in bc.lagrangian_choice:
                 cup = surf.cup_integral(sigma_all[l], sigma_all[m])

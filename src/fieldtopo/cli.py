@@ -38,6 +38,8 @@ class RunConfig:
             raise ValueError(f"unknown command {self.command!r}")
         if self.k < 1:
             raise ValueError("--k must be >= 1")
+        if self.threads < 0:
+            raise ValueError(f"--threads must be >= 0, got {self.threads}")
         if not 0 < self.tol < float("inf"):
             raise ValueError(f"--tol must be finite and > 0, got {self.tol!r}")
         if self.shift is not None and not 0 < abs(self.shift) < float("inf"):

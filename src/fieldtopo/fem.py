@@ -61,16 +61,27 @@ class FemMatrices:
         return (D0.T @ self.M1 @ D0).tocsr()
 
 
-def _scatter(rows, cols, vals, shape):
-    return sp.coo_matrix(
-        (vals.ravel(), (rows.ravel(), cols.ravel())), shape=shape
-    ).tocsr()
+def _edge_forms(grads):
+    """(T,6,3) barycenter values of the edge forms, (grad lam_b - grad lam_a)/4,
+    which are also their means int w / V, and (T,6,3) constant curls."""
+    a, b = EDGE_LOCAL[:, 0], EDGE_LOCAL[:, 1]
+    return (grads[:, b] - grads[:, a]) / 4.0, 2.0 * np.cross(grads[:, a], grads[:, b])
+
+
+def _assemble(cx: SimplicialComplex3, loc) -> sp.csr_matrix:
+    """Sum (T,6,6) element matrices, given in the tets' local edge
+    orientations, into the (E,E) matrix of the canonical orientations."""
+    s = cx.tet_edge_sign
+    loc = loc * s[:, :, None] * s[:, None, :]
+    rows = np.broadcast_to(cx.tet_to_edge[:, :, None], loc.shape)
+    cols = np.broadcast_to(cx.tet_to_edge[:, None, :], loc.shape)
+    shape = (cx.num_edges, cx.num_edges)
+    return sp.coo_matrix((loc.ravel(), (rows.ravel(), cols.ravel())), shape=shape).tocsr()
 
 
 def mass_matrix(cx: SimplicialComplex3) -> sp.csr_matrix:
     """Whitney 1-form (edge) mass matrix, symmetric positive definite."""
     grads, vols = tet_geometry(cx)
-    T = cx.num_tets
     g = np.einsum("tic,tjc->tij", grads, grads)  # (T,4,4) gradient Gram
     a, b = EDGE_LOCAL[:, 0], EDGE_LOCAL[:, 1]
     d = np.eye(4)
@@ -82,15 +93,7 @@ def mass_matrix(cx: SimplicialComplex3) -> sp.csr_matrix:
         - (1 + d[b[:, None], a[None, :]]) * g[:, a[:, None], b[None, :]]
         + (1 + d[b[:, None], b[None, :]]) * g[:, a[:, None], a[None, :]]
     ) * (vols[:, None, None] / 20.0)
-    s = cx.tet_edge_sign
-    loc = loc * s[:, :, None] * s[:, None, :]
-    idx = cx.tet_to_edge
-    return _scatter(
-        np.broadcast_to(idx[:, :, None], (T, 6, 6)),
-        np.broadcast_to(idx[:, None, :], (T, 6, 6)),
-        loc,
-        (cx.num_edges, cx.num_edges),
-    )
+    return _assemble(cx, loc)
 
 
 def curl_pairing(cx: SimplicialComplex3) -> sp.csr_matrix:
@@ -100,20 +103,8 @@ def curl_pairing(cx: SimplicialComplex3) -> sp.csr_matrix:
     meshes; S^T annihilates gradients exactly (curl of a gradient is zero).
     """
     grads, vols = tet_geometry(cx)
-    T = cx.num_tets
-    a, b = EDGE_LOCAL[:, 0], EDGE_LOCAL[:, 1]
-    n = 2.0 * np.cross(grads[:, a], grads[:, b])       # (T,6,3) curls
-    w_int = (grads[:, b] - grads[:, a]) / 4.0          # (T,6,3) int w / V
-    loc = np.einsum("tec,tfc->tef", n, w_int) * vols[:, None, None]
-    s = cx.tet_edge_sign
-    loc = loc * s[:, :, None] * s[:, None, :]
-    idx = cx.tet_to_edge
-    return _scatter(
-        np.broadcast_to(idx[:, :, None], (T, 6, 6)),
-        np.broadcast_to(idx[:, None, :], (T, 6, 6)),
-        loc,
-        (cx.num_edges, cx.num_edges),
-    )
+    w_int, curls = _edge_forms(grads)
+    return _assemble(cx, np.einsum("tec,tfc->tef", curls, w_int) * vols[:, None, None])
 
 
 def build_fem(cx: SimplicialComplex3) -> FemMatrices:
@@ -141,11 +132,8 @@ def field_proxies(cx: SimplicialComplex3, h) -> tuple[np.ndarray, np.ndarray]:
     curl H = sum h_e 2 grad_a x grad_b.
     """
     h = np.asarray(h, dtype=float)
-    grads, _ = tet_geometry(cx)
-    a, b = EDGE_LOCAL[:, 0], EDGE_LOCAL[:, 1]
     coeff = h[cx.tet_to_edge] * cx.tet_edge_sign  # (T,6)
-    w_bc = (grads[:, b] - grads[:, a]) / 4.0
-    curls = 2.0 * np.cross(grads[:, a], grads[:, b])
+    w_bc, curls = _edge_forms(tet_geometry(cx)[0])
     H = np.einsum("te,tec->tc", coeff, w_bc)
     curlH = np.einsum("te,tec->tc", coeff, curls)
     return H, curlH

@@ -4,8 +4,8 @@ All arithmetic uses Python integers, so there is no overflow regardless of
 coefficient growth.  One sparse column elimination, ``_Elimination``, takes
 the +-1 pivots for both reductions in the same order.  The kernel basis
 alternates its unit pivots with Euclidean column steps and tracks the
-column transform.  The Smith form first removes, in numpy, what needs no
-elimination at all, in three stages:
+column transform.  Both reductions first remove, in numpy, what needs no
+elimination at all.  The Smith form does so in three stages:
 
 1. In each connected block of the matrix whose columns sum to exactly zero,
    adding the others to the lowest column zeroes it, so that column is
@@ -17,6 +17,10 @@ elimination at all, in three stages:
    row and per column in a round (coreductions, Mrozek-Batko, DCG 2009).
 3. Only the leftover core goes to ``_Elimination``, and its unit-free
    remainder to the dense textbook algorithm.
+
+The kernel basis has one numpy stage, ``_forced_zero_columns``: a row whose
+only live entry is +-1 zeroes that column in every kernel vector, so the
+column is peeled (the coreduction of Dlotko-Specogna, CPC 2013).
 """
 
 from __future__ import annotations
@@ -29,25 +33,13 @@ import numpy as np
 import scipy.sparse as sp
 
 
-def _to_int_rows(A) -> tuple[list[dict[int, int]], int, int]:
-    """Matrix as a list of {col: value} dicts with exact Python ints."""
-    if sp.issparse(A):
-        coo = A.tocoo()
-        m, n = coo.shape
-        rows: list[dict[int, int]] = [dict() for _ in range(m)]
-        for i, j, v in zip(coo.row, coo.col, coo.data):
-            v = int(v)
-            if v:
-                rows[int(i)][int(j)] = v
-        return rows, m, n
-    arr = np.asarray(A)
-    if arr.ndim != 2:
-        raise ValueError("need a 2-D matrix")
-    m, n = arr.shape
-    rows = [
-        {j: int(arr[i, j]) for j in range(n) if arr[i, j] != 0} for i in range(m)
-    ]
-    return rows, m, n
+def _entries(A) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[int, int]]:
+    """Nonzero entries of an integer matrix as int64 (row, col, value)
+    arrays in row-major order, each position once, and the shape."""
+    coo = sp.coo_matrix(A if sp.issparse(A) else np.asarray(A), dtype=np.int64)
+    coo.sum_duplicates()
+    coo.eliminate_zeros()
+    return coo.row.astype(np.int64), coo.col.astype(np.int64), coo.data, coo.shape
 
 
 @dataclass
@@ -201,9 +193,10 @@ def _dense_snf(M: list[list[int]], want_transforms: bool):
 class _Elimination:
     """Sparse integer column elimination under the unit-pivot rule.
 
-    The matrix is held as columns, {row: value} dicts, and ``row_cols``
-    lists the active columns of each row.  With ``transform=True`` the
-    unimodular column transform V is tracked too, one dict per column.
+    The matrix, COO entries without zeros or repeats, is held as columns,
+    {row: value} dicts, and ``row_cols`` lists the active columns of each
+    row.  With ``transform=True`` the unimodular column transform V is
+    tracked too, one dict per column.
 
     Pivot rule: the active row first in (entry count, index) order among
     rows holding a +-1 entry, and in it the +-1 column first in (entry
@@ -212,12 +205,11 @@ class _Elimination:
     so touched rows are re-queued and stale or unit-free entries skipped.
     """
 
-    def __init__(self, A, transform: bool):
-        rows, self.m, self.n = _to_int_rows(A)
+    def __init__(self, A: sp.coo_matrix, transform: bool):
+        self.m, self.n = A.shape
         self.cols: list[dict[int, int]] = [dict() for _ in range(self.n)]
-        for i, r in enumerate(rows):
-            for j, v in r.items():
-                self.cols[j][i] = v
+        for i, j, v in zip(A.row.tolist(), A.col.tolist(), A.data.tolist()):
+            self.cols[j][i] = v
         self.row_cols: dict[int, set[int]] = {}
         for j, c in enumerate(self.cols):
             for i in c:
@@ -349,6 +341,25 @@ def _fill_free_pivots(r, c, v, m, n):
         r, c, v = r[keep], c[keep], v[keep]
 
 
+def _forced_zero_columns(r, c, v, m, n) -> np.ndarray:
+    """Mask of the columns that are zero in every integer kernel vector.
+
+    A row whose only live entry is +-1 forces that column to zero; dropping
+    it may leave new such rows, so the peel runs in vectorized rounds until
+    none is left.  Unlike ``_fill_free_pivots`` it skips entries alone only
+    in their column, and rows whose one entry is not +-1: peeling those
+    would change the elimination's pivots, and with them the vectors.
+    """
+    dead = np.zeros(n, dtype=bool)
+    while True:
+        alone = (np.bincount(r, minlength=m)[r] == 1) & (np.abs(v) == 1)
+        if not alone.any():
+            return dead
+        dead[c[alone]] = True
+        keep = ~dead[c]
+        r, c, v = r[keep], c[keep], v[keep]
+
+
 def _compact(idx, size) -> tuple[np.ndarray, np.ndarray]:
     """The sorted distinct values of idx, and idx renumbered into them."""
     present = np.zeros(size, dtype=bool)
@@ -369,16 +380,13 @@ def smith_normal_form(A, transforms: bool = False) -> SnfResult:
     retains the unimodular U, V with U @ A @ V diagonal.
     """
     if transforms:
-        rows, m, n = _to_int_rows(A)
-        M = [[rows[i].get(j, 0) for j in range(n)] for i in range(m)]
-        diag, U, V = _dense_snf(M, True)
-        return SnfResult((m, n), diag, np.array(U, dtype=object), np.array(V, dtype=object))
+        arr = A.toarray() if sp.issparse(A) else np.asarray(A)
+        if arr.ndim != 2:
+            raise ValueError("need a 2-D matrix")
+        diag, U, V = _dense_snf([[int(x) for x in row] for row in arr], True)
+        return SnfResult(arr.shape, diag, np.array(U, dtype=object), np.array(V, dtype=object))
 
-    coo = sp.coo_matrix(A if sp.issparse(A) else np.asarray(A), dtype=np.int64)
-    coo.sum_duplicates()
-    coo.eliminate_zeros()
-    m, n = coo.shape
-    r, c, v = coo.row.astype(np.int64), coo.col.astype(np.int64), coo.data
+    r, c, v, (m, n) = _entries(A)
     drop_row, drop_col = _zero_sum_drops(r, c, v, m, n)
     keep = ~(drop_row[r] | drop_col[c])
     prows, pcols, (r, c, v) = _fill_free_pivots(r[keep], c[keep], v[keep], m, n)
@@ -409,12 +417,20 @@ def integer_kernel_basis(A) -> list[np.ndarray]:
     column transform; columns that reduce to zero yield the kernel basis.
     Unit pivots follow the rule of ``_Elimination``.  When no unit entry is
     left, the sparsest row is reduced by Euclidean column steps to a single
-    entry, which becomes the pivot.  None of the Smith form's numpy stages
-    run here: ranks and invariant factors do not depend on the pivot order,
-    but the kernel vectors do, and the cocycles and cut surfaces are built
-    from them, so the order stays ``_Elimination``'s.
+    entry, which becomes the pivot.  The kernel vectors depend on the pivot
+    order, and the cocycles and cut surfaces are built from them, so the
+    only numpy stage is ``_forced_zero_columns``, which keeps that order:
+    the elimination takes a row with one live +-1 entry before any longer
+    row, and that pivot changes no other column.  The core keeps the
+    relative order of its rows and columns, hence every tie-break, and its
+    empty columns, so the vectors are the ones the whole of A gives.
     """
-    el = _Elimination(A, transform=True)
+    r, c, v, (m, n) = _entries(A)
+    alive = ~_forced_zero_columns(r, c, v, m, n)
+    keep = alive[c]
+    core = np.flatnonzero(alive)
+    c = (np.cumsum(alive) - 1)[c[keep]]
+    el = _Elimination(sp.coo_matrix((v[keep], (r[keep], c)), shape=(m, len(core))), transform=True)
     cols, row_cols = el.cols, el.row_cols
     while True:
         el.unit_pivots()
@@ -432,8 +448,8 @@ def integer_kernel_basis(A) -> list[np.ndarray]:
     kernel = []
     for j in sorted(el.active_cols):
         if not cols[j]:
-            vec = np.zeros(el.n, dtype=np.int64)
-            for k, v in el.V[j].items():
-                vec[k] = v
+            vec = np.zeros(n, dtype=np.int64)
+            for k, val in el.V[j].items():
+                vec[core[k]] = val
             kernel.append(vec)
     return kernel

@@ -1,11 +1,12 @@
 """Test helpers: interpolants of vector fields, eigencluster alignment, the
 per-tet reference slicer for cut surfaces and the mesh faces under a cut's
 boundary polygon edges, a mesh that is a manifold except at one vertex,
-and a Gmsh file writer."""
+a Gmsh file writer and the quadratic reference for integer kernel bases."""
 
 import itertools
 
 import numpy as np
+import scipy.sparse as sp
 
 from fieldtopo.generators import GridSpec, gen_grid
 from fieldtopo.mesh import EDGE_LOCAL, FACE_LOCAL, SimplicialComplex3
@@ -192,3 +193,87 @@ def write_msh(path, vertices, tets):
     lines += [f"{i + 1} 4 2 0 1 " + " ".join(str(v + 1) for v in t) for i, t in enumerate(tets.tolist())]
     lines += ["$EndElements"]
     path.write_text("\n".join(lines) + "\n")
+
+
+def reference_kernel_basis(A) -> list[np.ndarray]:
+    """The quadratic pivot search that ``integer_kernel_basis`` replaced.
+
+    Every pivot re-sorts all active rows by (entry count, index) and takes
+    the first +-1 entry, scanning the row's columns in (entry count, index)
+    order; without unit entries the sparsest row is reduced by Euclidean
+    column steps.  It peels nothing, so it is the oracle for the pivot
+    order and for the forced-zero peel of ``integer_kernel_basis``.
+    """
+    A = np.asarray(A.todense()) if sp.issparse(A) else np.asarray(A)
+    m, n = A.shape
+    cols: list[dict[int, int]] = [
+        {i: int(A[i, j]) for i in range(m) if A[i, j]} for j in range(n)
+    ]
+    row_cols: dict[int, set[int]] = {}
+    for j, c in enumerate(cols):
+        for i in c:
+            row_cols.setdefault(i, set()).add(j)
+    V: list[dict[int, int]] = [{j: 1} for j in range(n)]
+    active_cols = set(range(n))
+    active_rows = set(row_cols)
+
+    def add_col(dst, src, f):
+        cd, cs = cols[dst], cols[src]
+        for i, v in cs.items():
+            w = cd.get(i, 0) + f * v
+            if w:
+                if i not in cd:
+                    row_cols.setdefault(i, set()).add(dst)
+                cd[i] = w
+            elif i in cd:
+                del cd[i]
+                row_cols[i].discard(dst)
+        vd, vs = V[dst], V[src]
+        for k, v in vs.items():
+            w = vd.get(k, 0) + f * v
+            if w:
+                vd[k] = w
+            elif k in vd:
+                del vd[k]
+
+    while True:
+        pivot = None
+        for i in sorted(active_rows, key=lambda r: (len(row_cols[r]), r)):
+            for j in sorted(row_cols[i], key=lambda c: (len(cols[c]), c)):
+                if abs(cols[j][i]) == 1:
+                    pivot = (i, j)
+                    break
+            if pivot is not None:
+                break
+        if pivot is None:
+            live = [i for i in active_rows if row_cols[i]]
+            if not live:
+                break
+            i = min(live, key=lambda r: (len(row_cols[r]), r))
+            while len(row_cols[i]) > 1:
+                j = min(row_cols[i], key=lambda c: (abs(cols[c][i]), c))
+                for k in list(row_cols[i]):
+                    if k != j:
+                        add_col(k, j, -(cols[k][i] // cols[j][i]))
+            pivot = (i, next(iter(row_cols[i])))
+        i, j = pivot
+        piv = cols[j][i]
+        if abs(piv) == 1:
+            for k in list(row_cols[i]):
+                if k != j:
+                    add_col(k, j, -cols[k][i] * piv)
+        active_cols.discard(j)
+        for r in cols[j]:
+            row_cols[r].discard(j)
+        active_rows.discard(i)
+        if not active_rows:
+            break
+
+    kernel = []
+    for j in sorted(active_cols):
+        if not cols[j]:
+            vec = np.zeros(n, dtype=np.int64)
+            for k, v in V[j].items():
+                vec[k] = v
+            kernel.append(vec)
+    return kernel

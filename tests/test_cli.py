@@ -135,6 +135,20 @@ def test_incompatible_bc_exit_code(tmp_path, capsys):
     assert read_json(tmp_path / "error.json")["error"] == "IncompatibleBC"
 
 
+@pytest.mark.parametrize("choice", ["0,0", "1,1"])
+def test_repeated_lagrangian_choice_exit_code(tmp_path, capsys, choice):
+    """A class chosen twice would give the DOF embedding two equal columns;
+    it is rejected by name before the pencil is assembled."""
+    rc = main([
+        "beltrami", "--geometry", "solid-torus", "--n", "4,4,12", "--size", "1,1,3",
+        "--bc", f"closed-trace:{choice}", "--out", str(tmp_path),
+    ])
+    assert rc == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc == {"error": "IncompatibleBC", "message": f"lagrangian choice {choice[0]} is repeated"}
+    assert read_json(tmp_path / "error.json") == doc
+
+
 def test_invalid_config_exit_code(tmp_path, capsys):
     rc = main(["cuts", "--geometry", "nowhere", "--out", str(tmp_path)])
     assert rc == 2
@@ -158,6 +172,8 @@ def test_invalid_config_exit_code(tmp_path, capsys):
         (["beltrami", "--n", "2", "--shift", "0"], "ValueError"),
         (["beltrami", "--n", "2", "--shift", "nan"], "ValueError"),
         (["beltrami", "--n", "2", "--shift", "inf"], "ValueError"),
+        # a negative count would leave the thread pools unpinned
+        (["gen", "--n", "2", "--threads", "-4"], "ValueError"),
     ],
 )
 def test_error_contract(tmp_path, capsys, argv, error):

@@ -24,7 +24,7 @@ from fieldtopo.homology import (
 )
 from fieldtopo.mesh import build_complex, spanning_forest
 from fieldtopo.surface import boundary_surface
-from fields import write_msh
+from fields import reference_kernel_basis, write_msh
 from test_snf import minor_gcd_factors
 
 KNOWN = [
@@ -403,10 +403,11 @@ def _nontree(edges):
 
 
 def _whole_kernel(edges, D1):
-    """The tree gauge without the peel: the kernel of all non-tree columns."""
+    """The tree gauge without the peel: the quadratic reference kernel of
+    all non-tree columns."""
     nontree = _nontree(edges)
     out = []
-    for vec in snf.integer_kernel_basis(D1.tocsc()[:, nontree]):
+    for vec in reference_kernel_basis(D1.tocsc()[:, nontree]):
         full = np.zeros(D1.shape[1], dtype=np.int64)
         full[nontree] = vec
         out.append(full)
@@ -456,13 +457,14 @@ def test_tree_gauge_cores_are_small(monkeypatch, box_ring7):
     """Structural guard: on box-ring n=7 the kernel elimination sees under
     10% of the non-tree columns, for the mesh and for its boundary surface."""
     shapes = []
-    real = homology.integer_kernel_basis
 
-    def recording(A):
-        shapes.append(A.shape)
-        return real(A)
+    class RecordingElimination(snf._Elimination):
+        def __init__(self, A, transform):
+            if transform:
+                shapes.append(A.shape)
+            super().__init__(A, transform)
 
-    monkeypatch.setattr(homology, "integer_kernel_basis", recording)
+    monkeypatch.setattr(snf, "_Elimination", RecordingElimination)
     cx = box_ring7
     surf = boundary_surface(cx)
     assert len(tree_gauge_cocycles(cx.edges, cx.D1)) == 1

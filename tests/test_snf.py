@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from fieldtopo.mesh import spanning_forest
 from fieldtopo.snf import integer_kernel_basis, smith_normal_form
+from fields import reference_kernel_basis
 
 
 def bareiss_det(M):
@@ -136,89 +137,6 @@ def test_boundary_matrix_factors_all_unit(cube4):
         assert all(v == 1 for v in f)
 
 
-def reference_kernel_basis(A) -> list[np.ndarray]:
-    """The quadratic pivot search that ``integer_kernel_basis`` replaced.
-
-    Every pivot re-sorts all active rows by (entry count, index) and takes
-    the first +-1 entry, scanning the row's columns in (entry count, index)
-    order; without unit entries the sparsest row is reduced by Euclidean
-    column steps.  Kept as the oracle for the pivot order.
-    """
-    A = np.asarray(A.todense()) if sp.issparse(A) else np.asarray(A)
-    m, n = A.shape
-    cols: list[dict[int, int]] = [
-        {i: int(A[i, j]) for i in range(m) if A[i, j]} for j in range(n)
-    ]
-    row_cols: dict[int, set[int]] = {}
-    for j, c in enumerate(cols):
-        for i in c:
-            row_cols.setdefault(i, set()).add(j)
-    V: list[dict[int, int]] = [{j: 1} for j in range(n)]
-    active_cols = set(range(n))
-    active_rows = set(row_cols)
-
-    def add_col(dst, src, f):
-        cd, cs = cols[dst], cols[src]
-        for i, v in cs.items():
-            w = cd.get(i, 0) + f * v
-            if w:
-                if i not in cd:
-                    row_cols.setdefault(i, set()).add(dst)
-                cd[i] = w
-            elif i in cd:
-                del cd[i]
-                row_cols[i].discard(dst)
-        vd, vs = V[dst], V[src]
-        for k, v in vs.items():
-            w = vd.get(k, 0) + f * v
-            if w:
-                vd[k] = w
-            elif k in vd:
-                del vd[k]
-
-    while True:
-        pivot = None
-        for i in sorted(active_rows, key=lambda r: (len(row_cols[r]), r)):
-            for j in sorted(row_cols[i], key=lambda c: (len(cols[c]), c)):
-                if abs(cols[j][i]) == 1:
-                    pivot = (i, j)
-                    break
-            if pivot is not None:
-                break
-        if pivot is None:
-            live = [i for i in active_rows if row_cols[i]]
-            if not live:
-                break
-            i = min(live, key=lambda r: (len(row_cols[r]), r))
-            while len(row_cols[i]) > 1:
-                j = min(row_cols[i], key=lambda c: (abs(cols[c][i]), c))
-                for k in list(row_cols[i]):
-                    if k != j:
-                        add_col(k, j, -(cols[k][i] // cols[j][i]))
-            pivot = (i, next(iter(row_cols[i])))
-        i, j = pivot
-        piv = cols[j][i]
-        if abs(piv) == 1:
-            for k in list(row_cols[i]):
-                if k != j:
-                    add_col(k, j, -cols[k][i] * piv)
-        active_cols.discard(j)
-        for r in cols[j]:
-            row_cols[r].discard(j)
-        active_rows.discard(i)
-        if not active_rows:
-            break
-
-    kernel = []
-    for j in sorted(active_cols):
-        if not cols[j]:
-            vec = np.zeros(n, dtype=np.int64)
-            for k, v in V[j].items():
-                vec[k] = v
-            kernel.append(vec)
-    return kernel
-
-
 def assert_same_saturated_kernel(A, K):
     ref = reference_kernel_basis(A)
     assert len(K) == len(ref)
@@ -265,6 +183,25 @@ def sparse_int_matrices(draw):
         ]
     )
 )
+# the forced-zero peel cascades over three rounds: row 4 is a lone unit,
+# peeling its column leaves row 3 one, and that leaves row 2 one; a 2x2
+# core of rank 1 is left
+@example(
+    np.array(
+        [
+            [0, 0, 0, 2, 4],
+            [0, 0, 3, 1, 2],
+            [0, 2, -1, 0, 0],
+            [-1, 1, 0, 0, 0],
+            [1, 0, 0, 0, 0],
+        ]
+    )
+)
+# row 1's lone entry is 2: it forces column 0 to zero too, but peeling it
+# would change the pivots and return the kernel vectors in the other order
+@example(np.array([[0, 2, 2, 0, -1], [2, 0, 0, 0, 0], [-1, -1, 0, 1, 0]]))
+# the peel takes columns 2 then 0 and leaves column 1 empty: it is e_1
+@example(np.array([[1, 0, 1], [0, 0, 1]]))
 def test_kernel_pivot_order_matches_reference(A):
     assert_same_saturated_kernel(A, integer_kernel_basis(sp.csr_matrix(A)))
 
