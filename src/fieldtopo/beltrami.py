@@ -78,6 +78,10 @@ class BoundaryCondition:
     ``lagrangian_choice`` indexes into the boundary surface's H^1 basis and
     selects which harmonic trace classes are admitted under CLOSED_TRACE;
     the selected classes must pairwise have vanishing intersection pairing.
+
+    ``describe`` writes ``closed-mesh``, ``zero-trace`` or ``closed-trace:I,J,...``
+    (``closed-trace:`` when no class is chosen); ``parse`` reads just that, in
+    any case, with surrounding spaces, and ``closed-trace`` without the colon.
     """
 
     kind: BCKind
@@ -100,6 +104,20 @@ class BoundaryCondition:
             return f"closed-trace:{','.join(map(str, self.lagrangian_choice))}"
         return self.kind.value
 
+    @staticmethod
+    def parse(text: str) -> "BoundaryCondition":
+        """Read the text form given above; ValueError on any other text."""
+        descr = text.strip().lower()
+        kind, _, choice = descr.partition(":")
+        try:
+            indices = tuple(map(int, choice.split(","))) if choice else ()
+            bc = BoundaryCondition(BCKind(kind), indices)
+        except ValueError:
+            bc = None
+        if bc is None or bc.describe() not in (descr, descr + ":"):
+            raise ValueError(f"unknown boundary condition {text!r}")
+        return bc
+
 
 @dataclass
 class BoundaryData:
@@ -116,7 +134,6 @@ class BoundaryData:
     surface: SurfaceComplex
     pins: list[int]                      # one vertex per boundary component
     alpha_verts: np.ndarray              # non-pinned boundary vertices (sorted)
-    sigma_all: list[np.ndarray]          # normalized H^1 basis cocycles (surface edges)
     zeta_all: list[np.ndarray]           # dual 1-cycles as surface edge chains
     sigma: list[np.ndarray]              # the chosen subset
     restriction_pairing: np.ndarray      # (b1, rank) <trace of M cocycles, zeta_all>
@@ -178,7 +195,6 @@ def _boundary_data(cx: SimplicialComplex3, bc: BoundaryCondition) -> BoundaryDat
     pins = on_boundary[first].tolist()
     alpha_verts = np.setdiff1d(on_boundary, pins)
 
-    sigma_all: list[np.ndarray] = []
     zeta_all: list[np.ndarray] = []
     sigma: list[np.ndarray] = []
     omegas = h1_cocycles_auto(cx)
@@ -219,7 +235,6 @@ def _boundary_data(cx: SimplicialComplex3, bc: BoundaryCondition) -> BoundaryDat
         surface=surf,
         pins=pins,
         alpha_verts=alpha_verts,
-        sigma_all=sigma_all,
         zeta_all=zeta_all,
         sigma=sigma,
         restriction_pairing=pairing,
@@ -490,7 +505,6 @@ class BeltramiSolution:
     div_residuals: np.ndarray    # BC-admissible weak divergence norm
     helicities: np.ndarray       # 0.5 h^T S h
     energies: np.ndarray         # 0.5 h^T M1 h
-    bc: BoundaryCondition
     shift: float
     pencil: ReducedPencil
 
@@ -748,7 +762,6 @@ def smallest_beltrami(
         div_residuals=divs,
         helicities=helicity(pencil.fem, H),
         energies=energy(pencil.fem, H),
-        bc=pencil.bc,
         shift=sigma,
         pencil=pencil,
     )

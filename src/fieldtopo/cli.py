@@ -40,14 +40,19 @@ class RunConfig:
             raise ValueError("--k must be >= 1")
         if self.threads < 0:
             raise ValueError(f"--threads must be >= 0, got {self.threads}")
+        if self.seed < 0:
+            raise ValueError(f"--seed must be >= 0, got {self.seed}")
         if not 0 < self.tol < float("inf"):
             raise ValueError(f"--tol must be finite and > 0, got {self.tol!r}")
         if self.shift is not None and not 0 < abs(self.shift) < float("inf"):
             raise ValueError(f"--shift must be finite and nonzero, got {self.shift!r}")
         if self.level != "auto":
-            lv = float(self.level)
-            if not (0.0 <= lv < 1.0):
-                raise ValueError("--level must be in [0,1) or 'auto'")
+            try:
+                in_range = 0.0 <= float(self.level) < 1.0
+            except ValueError:
+                in_range = False
+            if not in_range:
+                raise ValueError(f"--level must be in [0,1) or 'auto', got {self.level!r}")
 
 
 def _triple(cast):
@@ -109,42 +114,36 @@ def build_geometry(cfg: RunConfig):
     return gen_grid(GridSpec(*n, *size, periodic=periodic))
 
 
-def _parse_bc(descr: str | None, cx):
-    from .beltrami import BoundaryCondition
+def _pencil(cx, fem, cfg: RunConfig):
+    from .beltrami import BoundaryCondition, reduce_system
 
-    if descr is None:
-        if len(cx.boundary_faces) == 0:
-            return BoundaryCondition.closed_mesh()
-        return BoundaryCondition.zero_trace()
-    descr = descr.strip().lower()
-    if descr == "closed-mesh":
-        return BoundaryCondition.closed_mesh()
-    if descr == "zero-trace":
-        return BoundaryCondition.zero_trace()
-    if descr.startswith("closed-trace"):
-        rest = descr[len("closed-trace"):].lstrip(":")
-        choice = tuple(int(v) for v in rest.split(",") if v != "")
-        return BoundaryCondition.closed_trace(*choice)
-    raise ValueError(f"unknown boundary condition {descr!r}")
+    default = "zero-trace" if len(cx.boundary_faces) else "closed-mesh"
+    pencil = reduce_system(cx, fem, BoundaryCondition.parse(default if cfg.bc is None else cfg.bc))
+    if cfg.k > pencil.ndof - 2:
+        raise ValueError(f"--k must be <= {pencil.ndof - 2} on this mesh, got {cfg.k}")
+    return pencil
 
 
-def _emit_homology(cx, outdir):
+def _counts(cx) -> dict:
+    return {
+        "vertices": cx.num_vertices,
+        "edges": cx.num_edges,
+        "faces": cx.num_faces,
+        "tets": cx.num_tets,
+    }
+
+
+def _betti_doc(cx) -> dict:
     from .homology import betti_numbers, relative_betti
-    from .writers import write_json
 
     b = betti_numbers(cx)
     r = relative_betti(cx)
     has_boundary = len(cx.boundary_faces) > 0
     duality = [b.betti[k] == r.betti[3 - k] for k in range(4)]
-    doc = {
+    return {
         "schema": SCHEMA_VERSION,
         "kind": "betti",
-        "counts": {
-            "vertices": cx.num_vertices,
-            "edges": cx.num_edges,
-            "faces": cx.num_faces,
-            "tets": cx.num_tets,
-        },
+        "counts": _counts(cx),
         "euler_characteristic": cx.euler_characteristic,
         "absolute": list(b.betti),
         "relative": list(r.betti),
@@ -154,11 +153,9 @@ def _emit_homology(cx, outdir):
         "has_boundary": has_boundary,
         "lefschetz_duality_ok": all(duality),
     }
-    write_json(os.path.join(outdir, "betti.json"), doc)
-    return doc
 
 
-def _emit_cuts(cx, fem, outdir, cfg: RunConfig):
+def _emit_cuts(cx, fem, cfg: RunConfig):
     from .cuts import choose_level, critical_scan, extract_cut, harmonic_representative, verify_cut
     from .homology import h1_basis
     from .writers import write_cut_vtk, write_json
@@ -191,18 +188,16 @@ def _emit_cuts(cx, fem, outdir, cfg: RunConfig):
             "boundary_edges": len(cut.boundary_edges),
         },
     }
-    write_json(os.path.join(outdir, "cuts.json"), doc)
-    write_cut_vtk(os.path.join(outdir, "cut.vtk"), cut)
-    return doc
+    write_json(os.path.join(cfg.out, "cuts.json"), doc)
+    write_cut_vtk(os.path.join(cfg.out, "cut.vtk"), cut)
 
 
-def _emit_beltrami(cx, fem, outdir, cfg: RunConfig):
-    from .beltrami import kernel_projector, proxy_curl_residual, reduce_system, smallest_beltrami
+def _emit_beltrami(pencil, cfg: RunConfig):
+    from .beltrami import kernel_projector, proxy_curl_residual, smallest_beltrami
     from .fem import field_proxies
     from .writers import write_json, write_mesh_vtk
 
-    bc = _parse_bc(cfg.bc, cx)
-    pencil = reduce_system(cx, fem, bc)
+    cx = pencil.complex
     projector = kernel_projector(pencil)
     sol = smallest_beltrami(
         pencil, projector, k=cfg.k, tol=cfg.tol, shift=cfg.shift, seed=cfg.seed
@@ -222,7 +217,7 @@ def _emit_beltrami(cx, fem, outdir, cfg: RunConfig):
     doc = {
         "schema": SCHEMA_VERSION,
         "kind": "spectrum",
-        "bc": bc.describe(),
+        "bc": pencil.bc.describe(),
         "k": cfg.k,
         "shift": sol.shift,
         "dofs": pencil.ndof,
@@ -230,9 +225,9 @@ def _emit_beltrami(cx, fem, outdir, cfg: RunConfig):
         "harmonic_dimension": projector.harmonic_dimension,
         "pairs": pairs,
     }
-    write_json(os.path.join(outdir, "spectrum.json"), doc)
-    write_mesh_vtk(os.path.join(outdir, "modes.vtk"), cx, cell_vectors=vectors)
-    return sol, doc
+    write_json(os.path.join(cfg.out, "spectrum.json"), doc)
+    write_mesh_vtk(os.path.join(cfg.out, "modes.vtk"), cx, cell_vectors=vectors)
+    return sol
 
 
 def _emit_classify(cx, fem, h, outdir):
@@ -248,14 +243,15 @@ def _emit_classify(cx, fem, h, outdir):
         cx,
         cell_scalars={"m": rep.twist},
     )
-    return doc
 
 
 def run(cfg: RunConfig) -> int:
     """Execute one command; returns the exit status and writes output files.
 
     Every failure (module errors, bad values, unreadable files, failed
-    topology checks) exits with status 2 through ``write_error``.
+    topology checks) exits with status 2 through ``write_error``.  Flag and
+    boundary-condition errors, and a ``--cut-class`` out of range, are raised
+    before the first output file is written.
     """
     from .errors import FieldTopoError
     from .fem import build_fem
@@ -273,12 +269,7 @@ def run(cfg: RunConfig) -> int:
             doc = {
                 "schema": SCHEMA_VERSION,
                 "kind": "mesh",
-                "counts": {
-                    "vertices": cx.num_vertices,
-                    "edges": cx.num_edges,
-                    "faces": cx.num_faces,
-                    "tets": cx.num_tets,
-                },
+                "counts": _counts(cx),
                 "euler_characteristic": report.euler_characteristic,
                 "components": report.num_components,
                 "boundary_components": report.boundary_components,
@@ -289,29 +280,22 @@ def run(cfg: RunConfig) -> int:
             return 0
 
         if cfg.command == "homology":
-            _emit_homology(cx, cfg.out)
+            write_json(os.path.join(cfg.out, "betti.json"), _betti_doc(cx))
             return 0
 
         fem = build_fem(cx)
         if cfg.command == "cuts":
-            _emit_cuts(cx, fem, cfg.out, cfg)
+            _emit_cuts(cx, fem, cfg)
             return 0
-        if cfg.command == "beltrami":
-            _emit_beltrami(cx, fem, cfg.out, cfg)
-            return 0
-        if cfg.command == "classify":
-            sol, _ = _emit_beltrami(cx, fem, cfg.out, cfg)
+        pencil = _pencil(cx, fem, cfg)
+        if cfg.command == "pipeline":
+            betti = _betti_doc(cx)
+            if betti["absolute"][1] >= 1:
+                _emit_cuts(cx, fem, cfg)
+            write_json(os.path.join(cfg.out, "betti.json"), betti)
+        sol = _emit_beltrami(pencil, cfg)
+        if cfg.command != "beltrami":
             _emit_classify(cx, fem, sol.cochains[:, 0], cfg.out)
-            return 0
-
-        # pipeline
-        _emit_homology(cx, cfg.out)
-        from .homology import betti_numbers
-
-        if betti_numbers(cx).betti[1] >= 1:
-            _emit_cuts(cx, fem, cfg.out, cfg)
-        sol, _ = _emit_beltrami(cx, fem, cfg.out, cfg)
-        _emit_classify(cx, fem, sol.cochains[:, 0], cfg.out)
         return 0
 
     except (FieldTopoError, ValueError, OSError, RuntimeError) as exc:

@@ -488,6 +488,19 @@ def test_bc_describe():
     assert BoundaryCondition.closed_mesh().describe() == "closed-mesh"
     assert BoundaryCondition.zero_trace().kind is BCKind.ZERO_TRACE
     assert BoundaryCondition.closed_trace(0, 2).describe() == "closed-trace:0,2"
+    for bc in (
+        BoundaryCondition.closed_mesh(),
+        BoundaryCondition.zero_trace(),
+        BoundaryCondition.closed_trace(),
+        BoundaryCondition.closed_trace(1),
+        BoundaryCondition.closed_trace(0, 2),
+    ):
+        assert BoundaryCondition.parse(bc.describe()) == bc
+    assert BoundaryCondition.parse(" Closed-Trace ") == BoundaryCondition.closed_trace()
+    for text in ("closed-trace0", "closed-trace:x", "zero-trace:1", "closed-trace:0,,1",
+                 "closed-trace:+1", "closed-mesh:", ""):
+        with pytest.raises(ValueError, match="boundary condition"):
+            BoundaryCondition.parse(text)
 
 
 def test_step_cap_ends_in_no_convergence(torus3_coarse, torus3_coarse_fem, monkeypatch):

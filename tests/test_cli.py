@@ -191,6 +191,28 @@ def test_error_contract(tmp_path, capsys, argv, error):
         assert read_json(out / "error.json") == doc
 
 
+@pytest.mark.parametrize(
+    "argv,error",
+    [
+        (["--geometry", "box-ring", "--n", "5", "--bc", "closed-trace:x"], "ValueError"),
+        (["--geometry", "box-ring", "--n", "5", "--bc", "foo"], "ValueError"),
+        (["--geometry", "box-ring", "--n", "5", "--bc", "closed-trace:5"], "IncompatibleBC"),
+        (["--geometry", "box-ring", "--n", "5", "--cut-class", "3"], "ValueError"),
+        (["--geometry", "box-ring", "--n", "5", "--seed", "-1"], "ValueError"),
+        (["--geometry", "box-ring", "--n", "5", "--k", "100000"], "ValueError"),
+        (["--geometry", "torus3", "--n", "4", "--bc", "zero-trace"], "IncompatibleBC"),
+    ],
+    ids=["bc-syntax", "bc-unknown", "bc-index", "cut-class", "seed", "k", "bc-kind"],
+)
+def test_input_errors_come_before_any_output(tmp_path, capsys, argv, error):
+    """A bad flag, boundary condition or cut class fails the pipeline before
+    it writes its first output file."""
+    out = tmp_path / "out"
+    assert main(["pipeline", *argv, "--out", str(out)]) == 2
+    assert json.loads(capsys.readouterr().out)["error"] == error
+    assert os.listdir(out) == ["error.json"]
+
+
 TWO_TETS_SHARING_AN_EDGE = """$MeshFormat
 2.2 0 8
 $EndMeshFormat
@@ -634,6 +656,10 @@ def test_run_config_validation():
         RunConfig(command="gen", k=0).validate()
     with pytest.raises(ValueError):
         RunConfig(command="gen", level="1.5").validate()
+    with pytest.raises(ValueError, match="--seed"):
+        RunConfig(command="gen", seed=-1).validate()
+    with pytest.raises(ValueError, match="--level"):
+        RunConfig(command="gen", level="abc").validate()
 
 
 def test_reproducibility_byte_identical(tmp_path):
