@@ -3,7 +3,7 @@
 The edge-element pencil (S, M1) is reduced to a constrained DOF space in
 which the boundary pairing vanishes:
 
-* CLOSED_MESH  - no boundary, all edge DOFs;
+* CLOSED_MESH  - no boundary: zero trace on the empty surface, all edge DOFs;
 * ZERO_TRACE   - boundary-edge DOFs forced to zero;
 * CLOSED_TRACE - boundary-edge DOFs substituted by a boundary vertex
   potential (one pin per boundary component) plus a chosen isotropic set of
@@ -87,18 +87,6 @@ class BoundaryCondition:
     kind: BCKind
     lagrangian_choice: tuple[int, ...] = ()
 
-    @staticmethod
-    def closed_mesh() -> "BoundaryCondition":
-        return BoundaryCondition(BCKind.CLOSED_MESH)
-
-    @staticmethod
-    def zero_trace() -> "BoundaryCondition":
-        return BoundaryCondition(BCKind.ZERO_TRACE)
-
-    @staticmethod
-    def closed_trace(*choice: int) -> "BoundaryCondition":
-        return BoundaryCondition(BCKind.CLOSED_TRACE, tuple(choice))
-
     def describe(self) -> str:
         if self.kind is BCKind.CLOSED_TRACE:
             return f"closed-trace:{','.join(map(str, self.lagrangian_choice))}"
@@ -132,7 +120,7 @@ class BoundaryData:
     """
 
     surface: SurfaceComplex
-    pins: list[int]                      # one vertex per boundary component
+    pins: list[int]                      # lowest vertex of each boundary component
     alpha_verts: np.ndarray              # non-pinned boundary vertices (sorted)
     zeta_all: list[np.ndarray]           # dual 1-cycles as surface edge chains
     sigma: list[np.ndarray]              # the chosen subset
@@ -150,7 +138,7 @@ class ReducedPencil:
     S: sp.csr_matrix            # symmetrized reduced curl pairing
     M1: sp.csr_matrix           # reduced mass
     interior_edges: np.ndarray
-    boundary: BoundaryData | None
+    boundary: BoundaryData
     symmetry_defect: float      # max|R - R^T| / max|R| for R = C^T S C
 
     @property
@@ -161,27 +149,26 @@ class ReducedPencil:
         """Coordinates of an admissible edge cochain; exact for exact input.
 
         The trace left after the chosen sigma classes is integrated to a
-        potential alpha on the pin-rooted surface forest.  Under CLOSED_TRACE
-        alpha is part of the coordinates; under ZERO_TRACE the exact trace is
-        stripped, and the coordinates are those of h - D0 alpha, which
-        differs from h by a gradient.  Raises ValueError when what is left is
-        not admissible (a trace class that the condition does not admit).
+        potential alpha on the surface forest, rooted at the pins.  Under
+        CLOSED_TRACE alpha is part of the coordinates; otherwise the exact
+        trace is stripped, and the coordinates are those of h - D0 alpha
+        (h itself on a closed mesh, whose boundary surface is empty).  Raises
+        ValueError when what is left is not admissible (a trace class that
+        the condition does not admit).
         """
         h = np.asarray(h, dtype=float)
-        if self.bc.kind is BCKind.CLOSED_MESH:
-            return h.copy()
         bd = self.boundary
         surf = bd.surface
         trace = surf.restrict_edge_cochain(h)
         t = np.array([trace @ bd.zeta_all[l] for l in self.bc.lagrangian_choice])
         rem = trace - sum(tl * sig for tl, sig in zip(t, bd.sigma))
-        forest = spanning_forest(surf.edges, surf.parent.num_vertices, bd.pins)
+        forest = spanning_forest(surf.edges, surf.parent.num_vertices)
         alpha = integrate_potential(forest, rem)
-        if self.bc.kind is BCKind.ZERO_TRACE:
+        if self.bc.kind is BCKind.CLOSED_TRACE:
+            x = np.concatenate([h[self.interior_edges], alpha[bd.alpha_verts], t])
+        else:
             h = h - self.complex.D0 @ alpha
             x = h[self.interior_edges]
-        else:
-            x = np.concatenate([h[self.interior_edges], alpha[bd.alpha_verts], t])
         back = self.C @ x
         if np.max(np.abs(back - h)) > 1e-8 * max(1.0, np.max(np.abs(h))):
             raise ValueError("cochain is not admissible under this boundary condition")
@@ -271,48 +258,44 @@ def _normalize_boundary_basis(T, sigma_all, zeta_all):
 def reduce_system(
     cx: SimplicialComplex3, fem: FemMatrices, bc: BoundaryCondition
 ) -> ReducedPencil:
-    """Constrain the (S, M1) pencil so the boundary pairing vanishes."""
+    """Constrain the (S, M1) pencil so the boundary pairing vanishes.
+
+    Every kind goes through ``_boundary_data``; CLOSED_MESH is the zero-trace
+    reduction of the empty boundary surface, which forces no edge (C = I).
+    """
     has_boundary = len(cx.boundary_faces) > 0
+    if bc.kind is BCKind.CLOSED_MESH and has_boundary:
+        raise IncompatibleBC("CLOSED_MESH requires a mesh without boundary")
+    if bc.kind is not BCKind.CLOSED_MESH and not has_boundary:
+        raise IncompatibleBC(f"{bc.kind.value} requires a mesh with boundary")
     E = cx.num_edges
+    bd = _boundary_data(cx, bc)
+    surf = bd.surface
+    interior = np.setdiff1d(np.arange(E), surf.parent_edge_ids)
+    n_int = len(interior)
+    rows = [interior]
+    cols = [np.arange(n_int)]
+    vals = [np.ones(n_int)]
+    ncols = n_int
+    if bc.kind is BCKind.CLOSED_TRACE:
+        # alpha columns: gradient of a boundary vertex potential
+        alpha = cx.D0[surf.parent_edge_ids][:, bd.alpha_verts].tocoo()
+        rows.append(surf.parent_edge_ids[alpha.row])
+        cols.append(ncols + alpha.col)
+        vals.append(alpha.data.astype(float))
+        ncols += len(bd.alpha_verts)
+        for sig in bd.sigma:
+            nz = np.flatnonzero(sig)
+            rows.append(surf.parent_edge_ids[nz])
+            cols.append(np.full(len(nz), ncols, dtype=np.int64))
+            vals.append(sig[nz].astype(float))
+            ncols += 1
+    C = sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(E, ncols),
+    ).tocsr()
 
-    if bc.kind is BCKind.CLOSED_MESH:
-        if has_boundary:
-            raise IncompatibleBC("CLOSED_MESH requires a mesh without boundary")
-        C = sp.identity(E, format="csr")
-        interior = np.arange(E)
-        bd = None
-    elif bc.kind in (BCKind.ZERO_TRACE, BCKind.CLOSED_TRACE):
-        if not has_boundary:
-            raise IncompatibleBC(f"{bc.kind.value} requires a mesh with boundary")
-        bd = _boundary_data(cx, bc)
-        surf = bd.surface
-        interior = np.setdiff1d(np.arange(E), surf.parent_edge_ids)
-        n_int = len(interior)
-        rows = [interior]
-        cols = [np.arange(n_int)]
-        vals = [np.ones(n_int)]
-        ncols = n_int
-        if bc.kind is BCKind.CLOSED_TRACE:
-            # alpha columns: gradient of a boundary vertex potential
-            alpha = cx.D0[surf.parent_edge_ids][:, bd.alpha_verts].tocoo()
-            rows.append(surf.parent_edge_ids[alpha.row])
-            cols.append(ncols + alpha.col)
-            vals.append(alpha.data.astype(float))
-            ncols += len(bd.alpha_verts)
-            for sig in bd.sigma:
-                nz = np.flatnonzero(sig)
-                rows.append(surf.parent_edge_ids[nz])
-                cols.append(np.full(len(nz), ncols, dtype=np.int64))
-                vals.append(sig[nz].astype(float))
-                ncols += 1
-        C = sp.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(E, ncols),
-        ).tocsr()
-    else:
-        raise IncompatibleBC(f"unknown boundary condition kind {bc.kind}")
-
-    if bc.kind is BCKind.CLOSED_MESH:
+    if not has_boundary:
         # C = I: the pencil is fem's own, without the explicit zeros of S
         # that the product C^T S C would drop
         R = fem.S.copy()
@@ -344,20 +327,18 @@ def _gradient_columns(pencil: ReducedPencil) -> sp.csr_matrix:
     G = P @ Phi[:, keep].  P maps a vertex potential to DOF coordinates: its
     gradient on the DOF edges, then under CLOSED_TRACE the boundary potential
     relative to the component pins and zero sigma coordinates.  Phi holds the
-    admissible potentials, one per vertex, except that under ZERO_TRACE each
-    boundary component moves as one block.  One column per mesh component is
-    a global constant and gets dropped: its first boundary block if it has
-    one, else its lowest vertex.
+    admissible potentials, one per vertex, except that under the zero-trace
+    reduction each boundary component moves as one block.  One column per
+    mesh component is a global constant and gets dropped: its first
+    boundary block if it has one, else its lowest vertex.
     """
     cx = pencil.complex
-    bc = pencil.bc
     V = cx.num_vertices
     bd = pencil.boundary
     rows = [cx.D0[pencil.interior_edges]]
-    block = np.full(V, -1)
-    if bc.kind is BCKind.ZERO_TRACE:
-        block = bd.surface.vertex_component
-    elif bc.kind is BCKind.CLOSED_TRACE:
+    block = bd.surface.vertex_component
+    if pencil.bc.kind is BCKind.CLOSED_TRACE:
+        block = np.full(V, -1)
         alpha = bd.alpha_verts
         pin = np.asarray(bd.pins)[bd.surface.vertex_component[alpha]]
         k = np.arange(len(alpha))
@@ -392,10 +373,9 @@ def _harmonic_columns(pencil: ReducedPencil) -> np.ndarray:
     boundary of genus >= 1, T has no columns and every class is kept.
     """
     cocycles = h1_cocycles_auto(pencil.complex)
-    b1 = len(cocycles)
-    T = pencil.boundary.restriction_pairing if pencil.boundary else np.zeros((b1, 0))
+    T = pencil.boundary.restriction_pairing
     unchosen = np.setdiff1d(np.arange(T.shape[1]), pencil.bc.lagrangian_choice)
-    combos = integer_kernel_basis(T[:, unchosen].T) if len(unchosen) else np.eye(b1)
+    combos = integer_kernel_basis(T[:, unchosen].T)
     cols = [
         pencil.full_to_dof(sum(int(ak) * ck for ak, ck in zip(a, cocycles)).astype(float))
         for a in combos
@@ -500,7 +480,6 @@ class BeltramiSolution:
 
     lambdas: np.ndarray          # (k,)
     cochains: np.ndarray         # (E, k) full edge cochains, M1-normalized
-    dof_vectors: np.ndarray      # (ndof, k)
     residuals: np.ndarray        # ||S x - lambda M1 x||_{M1^{-1}}
     div_residuals: np.ndarray    # BC-admissible weak divergence norm
     helicities: np.ndarray       # 0.5 h^T S h
@@ -757,7 +736,6 @@ def smallest_beltrami(
     return BeltramiSolution(
         lambdas=lams,
         cochains=H,
-        dof_vectors=X,
         residuals=np.array(res),
         div_residuals=divs,
         helicities=helicity(pencil.fem, H),

@@ -53,6 +53,10 @@ class RunConfig:
                 in_range = False
             if not in_range:
                 raise ValueError(f"--level must be in [0,1) or 'auto', got {self.level!r}")
+        if self.bc is not None:
+            from .beltrami import BoundaryCondition
+
+            BoundaryCondition.parse(self.bc)
 
 
 def _triple(cast):

@@ -36,7 +36,6 @@ class HarmonicRep:
     """Dirichlet-energy minimizer in the cohomology class of an integer cocycle."""
 
     complex: SimplicialComplex3
-    source_cocycle: np.ndarray    # integer closed 1-cochain
     omega: np.ndarray             # harmonic real 1-cochain
     coclosure_residual: float     # ||D0^T M1 omega|| / ||M1 omega||
 
@@ -86,7 +85,6 @@ def harmonic_representative(
             raise SolverFailure(f"coclosure residual {resid:.3e} above 1e-10")
     return HarmonicRep(
         complex=cx,
-        source_cocycle=c.copy(),
         omega=omega,
         coclosure_residual=float(resid),
     )

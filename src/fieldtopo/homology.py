@@ -41,7 +41,6 @@ class BettiNumbers:
 class CohomologyBasis:
     cocycles: list[np.ndarray]     # integer closed 1-cochains
     dual_cycles: list[np.ndarray]  # integer 1-cycles with pairing = identity
-    pairing: np.ndarray            # integer period matrix
 
     @property
     def rank(self) -> int:
@@ -217,7 +216,7 @@ def _dual_basis(edges: np.ndarray, cocycles: list[np.ndarray], what: str) -> Coh
     pairing = np.array([[int(c @ z) for z in cycles] for c in cocycles], dtype=np.int64)
     if not np.array_equal(pairing, np.eye(len(cocycles), dtype=np.int64)):
         raise RuntimeError(f"{what} is not the identity:\n{pairing}")
-    return CohomologyBasis(cocycles=cocycles, dual_cycles=cycles, pairing=pairing)
+    return CohomologyBasis(cocycles=cocycles, dual_cycles=cycles)
 
 
 def h1_basis(cx: SimplicialComplex3) -> CohomologyBasis:
@@ -237,7 +236,6 @@ def h1_basis(cx: SimplicialComplex3) -> CohomologyBasis:
     return CohomologyBasis(
         cocycles=[c.copy() for c in basis.cocycles],
         dual_cycles=[z.copy() for z in basis.dual_cycles],
-        pairing=basis.pairing.copy(),
     )
 
 

@@ -132,13 +132,13 @@ class SpanningForest(NamedTuple):
         return self.edge[self.edge >= 0]
 
 
-def spanning_forest(edges, num_nodes: int | None = None, roots=()) -> SpanningForest:
+def spanning_forest(edges, num_nodes: int | None = None) -> SpanningForest:
     """Deterministic breadth-first spanning forest of an edge list.
 
-    Trees grow from ``roots`` first, then from the lowest node of every
-    component not reached yet.  Neighbours are visited in ascending order,
-    among parallel edges the lowest edge id joins the tree, and self-loops
-    never do.
+    One tree grows from the lowest node of every component with an edge, in
+    ascending order of those roots.  Neighbours are visited in ascending
+    order, among parallel edges the lowest edge id joins the tree, and
+    self-loops never do.
     """
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     if num_nodes is None:
@@ -163,15 +163,11 @@ def spanning_forest(edges, num_nodes: int | None = None, roots=()) -> SpanningFo
     _, lowest = np.unique(labels[candidates], return_index=True)
 
     parent = np.full(num_nodes, -1, dtype=np.int64)
-    seen = np.zeros(num_nodes, dtype=bool)
     order = []
-    for root in [*roots, *np.sort(candidates[lowest]).tolist()]:
-        if seen[root]:
-            continue
+    for root in np.sort(candidates[lowest]).tolist():
         nodes, pred = sp.csgraph.breadth_first_order(
             graph, root, directed=True, return_predecessors=True
         )
-        seen[nodes] = True
         parent[nodes[1:]] = pred[nodes[1:]]
         order.append(nodes)
 

@@ -76,7 +76,7 @@ def torus8_beltrami(torus3_8, torus3_8_fem):
         smallest_beltrami,
     )
 
-    bc = BoundaryCondition.closed_mesh()
+    bc = BoundaryCondition.parse("closed-mesh")
     pencil = reduce_system(torus3_8, torus3_8_fem, bc)
     projector = kernel_projector(pencil)
     solution = smallest_beltrami(pencil, projector, k=6, tol=1e-8)

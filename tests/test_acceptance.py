@@ -67,7 +67,7 @@ def report(num, ok, detail):
 def torus12_solution():
     cx = gen_grid(GridSpec(12, 12, 12, TAU, TAU, TAU, periodic=(True, True, True)))
     fem = build_fem(cx)
-    bc = BoundaryCondition.closed_mesh()
+    bc = BoundaryCondition.parse("closed-mesh")
     pen = reduce_system(cx, fem, bc)
     proj = kernel_projector(pen)
     return smallest_beltrami(pen, proj, k=1, tol=1e-8)
@@ -78,7 +78,7 @@ def torus16_solution():
     t0 = time.time()
     cx = gen_grid(TORUS3_16)
     fem = build_fem(cx)
-    bc = BoundaryCondition.closed_mesh()
+    bc = BoundaryCondition.parse("closed-mesh")
     pen = reduce_system(cx, fem, bc)
     proj = kernel_projector(pen)
     sol = smallest_beltrami(pen, proj, k=6, tol=1e-8)
@@ -260,7 +260,6 @@ def test_criterion_05_fibration_certificate(
     phi = ramp(v[:, 0]) - ramp(v[:, 1])
     saddle = HarmonicRep(
         complex=cube4,
-        source_cocycle=np.zeros(cube4.num_edges, dtype=np.int64),
         omega=cube4.D0 @ phi,
         coclosure_residual=0.0,
     )
@@ -299,7 +298,7 @@ def test_criterion_06_beltrami_benchmark(
 
 def test_criterion_07_kernel_deflation(torus3_coarse, torus3_coarse_fem, cube4, cube4_fem):
     t0 = time.time()
-    bc = BoundaryCondition.closed_mesh()
+    bc = BoundaryCondition.parse("closed-mesh")
     pen = reduce_system(torus3_coarse, torus3_coarse_fem, bc)
     proj = kernel_projector(pen)
     rng = np.random.default_rng(3)
@@ -308,7 +307,7 @@ def test_criterion_07_kernel_deflation(torus3_coarse, torus3_coarse_fem, cube4, 
         g = torus3_coarse.D0 @ rng.standard_normal(torus3_coarse.num_vertices)
         worst = max(worst, np.linalg.norm(proj.apply(g)) / np.linalg.norm(g))
     dims_ok = proj.harmonic_dimension == 3
-    penz = reduce_system(cube4, cube4_fem, BoundaryCondition.zero_trace())
+    penz = reduce_system(cube4, cube4_fem, BoundaryCondition.parse("zero-trace"))
     projz = kernel_projector(penz)
     dims_ok &= projz.harmonic_dimension == 0
     wall = time.time() - t0

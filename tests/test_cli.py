@@ -174,6 +174,10 @@ def test_invalid_config_exit_code(tmp_path, capsys):
         (["beltrami", "--n", "2", "--shift", "inf"], "ValueError"),
         # a negative count would leave the thread pools unpinned
         (["gen", "--n", "2", "--threads", "-4"], "ValueError"),
+        # commands that build no pencil still read --bc
+        (["gen", "--n", "2", "--bc", "foo"], "ValueError"),
+        (["homology", "--n", "2", "--bc", "closed-trace:x"], "ValueError"),
+        (["cuts", "--geometry", "solid-torus", "--n", "2,2,8", "--bc", "foo"], "ValueError"),
     ],
 )
 def test_error_contract(tmp_path, capsys, argv, error):

@@ -173,7 +173,6 @@ def test_single_tet_slice(above, order):
     phases = 0.4 * bits + 0.01 * np.arange(4)
     rep = HarmonicRep(
         complex=cx,
-        source_cocycle=np.zeros(cx.num_edges, dtype=np.int64),
         omega=cx.D0 @ phases,
         coclosure_residual=0.0,
     )
@@ -297,7 +296,6 @@ def test_critical_scan_flags_plateau_saddle(cube4, cube4_fem):
     omega = cube4.D0 @ phi
     rep = HarmonicRep(
         complex=cube4,
-        source_cocycle=np.zeros(cube4.num_edges, dtype=np.int64),
         omega=omega,
         coclosure_residual=0.0,
     )

@@ -276,7 +276,7 @@ def test_closed_mesh_no_boundary(torus3_coarse):
     assert len(torus3_coarse.boundary_faces) == 0
 
 
-def reference_forest(edges, num_nodes, roots):
+def reference_forest(edges, num_nodes):
     """Queue-based BFS with sorted adjacency lists: the visit rules the
     spanning-forest helper must reproduce."""
     adj = {}
@@ -286,7 +286,7 @@ def reference_forest(edges, num_nodes, roots):
     for v in adj:
         adj[v].sort()
     parent, edge, order, seen = [-1] * num_nodes, [-1] * num_nodes, [], set()
-    for root in [*roots, *sorted(adj)]:
+    for root in sorted(adj):
         if root in seen:
             continue
         seen.add(root)
@@ -307,16 +307,15 @@ def multigraphs(draw):
     n = draw(st.integers(1, 12))
     node = st.integers(0, n - 1)
     edges = draw(st.lists(st.tuples(node, node), max_size=30))  # loops, parallels
-    roots = draw(st.lists(node, max_size=3, unique=True))
-    return n, edges, roots
+    return n, edges
 
 
 @settings(max_examples=300, deadline=None)
 @given(multigraphs(), st.data())
 def test_spanning_forest_properties(graph, data):
-    n, edges, roots = graph
-    forest = spanning_forest(np.array(edges, dtype=np.int64).reshape(-1, 2), n, roots)
-    order, parent, edge = reference_forest(edges, n, roots)
+    n, edges = graph
+    forest = spanning_forest(np.array(edges, dtype=np.int64).reshape(-1, 2), n)
+    order, parent, edge = reference_forest(edges, n)
     assert forest.order.tolist() == order
     assert forest.parent.tolist() == parent
     assert forest.edge.tolist() == edge
@@ -350,14 +349,9 @@ def test_spanning_forest_properties(graph, data):
         assert forest.sign[v] == (1 if edges[k][0] == p else -1)
         assert all(sorted(e) != sorted(edges[k]) for e in edges[:k])
 
-    # explicit roots come first and start a tree unless reached before
-    reached = set()
-    for r in roots:
-        if r not in reached:
-            assert forest.parent[r] == -1
-            reached |= {v for v in range(n) if comp[v] == comp[r]}
-    if roots:
-        assert forest.order[0] == roots[0]
+    # each tree's root is the lowest node of its component
+    roots = [v for v in sorted(touched) if forest.parent[v] == -1]
+    assert roots == sorted({min(u for u in touched if comp[u] == comp[v]) for v in touched})
 
     # the potential of an exact integer cochain recovers phi - phi(root)
     phi = np.array(data.draw(st.lists(st.integers(-50, 50), min_size=n, max_size=n)))
