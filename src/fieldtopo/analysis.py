@@ -109,24 +109,13 @@ def classify(
     return labels, verdict
 
 
-def _tet_adjacency(cx: SimplicialComplex3) -> sp.csr_matrix:
-    incidence = sp.csr_matrix(
-        (
-            np.ones(4 * cx.num_tets),
-            (cx.tet_to_face.ravel(), np.repeat(np.arange(cx.num_tets), 4)),
-        ),
-        shape=(cx.num_faces, cx.num_tets),
-    )
-    return (incidence.T @ incidence).tocsr()
-
-
 def masked_components(cx: SimplicialComplex3, mask: np.ndarray) -> list[np.ndarray]:
     """Connected components (face adjacency) of a tet subset."""
     idx = np.flatnonzero(mask)
     if len(idx) == 0:
         return []
-    adj = _tet_adjacency(cx)[idx][:, idx]
-    n, labels = sp.csgraph.connected_components(adj, directed=False)
+    incidence = abs(cx.D2[idx])
+    n, labels = sp.csgraph.connected_components(incidence @ incidence.T, directed=False)
     return [idx[labels == c] for c in range(n)]
 
 

@@ -60,7 +60,7 @@ import scipy.sparse.linalg as spla
 from .errors import IncompatibleBC, NoConvergence
 from .fem import FemMatrices, energy, helicity, tet_geometry
 from .homology import h1_cocycles_auto, surface_h1_basis
-from .mesh import SimplicialComplex3, integrate_potential, spanning_forest
+from .mesh import SimplicialComplex3, integrate_potential
 from .snf import integer_kernel_basis, smith_normal_form
 from .surface import SurfaceComplex, boundary_surface
 
@@ -86,6 +86,10 @@ class BoundaryCondition:
 
     kind: BCKind
     lagrangian_choice: tuple[int, ...] = ()
+
+    def __post_init__(self):
+        if self.lagrangian_choice and self.kind is not BCKind.CLOSED_TRACE:
+            raise ValueError(f"{self.kind.value} takes no lagrangian choice")
 
     def describe(self) -> str:
         if self.kind is BCKind.CLOSED_TRACE:
@@ -120,8 +124,8 @@ class BoundaryData:
     """
 
     surface: SurfaceComplex
-    pins: list[int]                      # lowest vertex of each boundary component
-    alpha_verts: np.ndarray              # non-pinned boundary vertices (sorted)
+    pins: list[int]                      # surface forest roots, in component-label order
+    alpha_verts: np.ndarray              # non-root boundary vertices (sorted)
     zeta_all: list[np.ndarray]           # dual 1-cycles as surface edge chains
     sigma: list[np.ndarray]              # the chosen subset
     restriction_pairing: np.ndarray      # (b1, rank) <trace of M cocycles, zeta_all>
@@ -149,12 +153,12 @@ class ReducedPencil:
         """Coordinates of an admissible edge cochain; exact for exact input.
 
         The trace left after the chosen sigma classes is integrated to a
-        potential alpha on the surface forest, rooted at the pins.  Under
-        CLOSED_TRACE alpha is part of the coordinates; otherwise the exact
-        trace is stripped, and the coordinates are those of h - D0 alpha
-        (h itself on a closed mesh, whose boundary surface is empty).  Raises
-        ValueError when what is left is not admissible (a trace class that
-        the condition does not admit).
+        potential alpha on the surface's stored forest, zero at its roots,
+        the pins.  Under CLOSED_TRACE alpha is part of the coordinates;
+        otherwise the exact trace is stripped, and the coordinates are those
+        of h - D0 alpha (h itself on a closed mesh, whose boundary surface is
+        empty).  Raises ValueError when what is left is not admissible (a
+        trace class that the condition does not admit).
         """
         h = np.asarray(h, dtype=float)
         bd = self.boundary
@@ -162,8 +166,7 @@ class ReducedPencil:
         trace = surf.restrict_edge_cochain(h)
         t = np.array([trace @ bd.zeta_all[l] for l in self.bc.lagrangian_choice])
         rem = trace - sum(tl * sig for tl, sig in zip(t, bd.sigma))
-        forest = spanning_forest(surf.edges, surf.parent.num_vertices)
-        alpha = integrate_potential(forest, rem)
+        alpha = integrate_potential(surf.forest, rem)
         if self.bc.kind is BCKind.CLOSED_TRACE:
             x = np.concatenate([h[self.interior_edges], alpha[bd.alpha_verts], t])
         else:
@@ -176,11 +179,13 @@ class ReducedPencil:
 
 
 def _boundary_data(cx: SimplicialComplex3, bc: BoundaryCondition) -> BoundaryData:
+    """Boundary data of ``bc``: the pins are the roots of the surface's
+    forest, one per boundary component in label order, and every other
+    boundary vertex carries alpha."""
     surf = boundary_surface(cx)
-    on_boundary = np.flatnonzero(surf.vertex_component >= 0)
-    _, first = np.unique(surf.vertex_component[on_boundary], return_index=True)
-    pins = on_boundary[first].tolist()
-    alpha_verts = np.setdiff1d(on_boundary, pins)
+    forest = surf.forest
+    pins = forest.order[forest.parent[forest.order] < 0].tolist()
+    alpha_verts = np.flatnonzero(forest.parent >= 0)
 
     zeta_all: list[np.ndarray] = []
     sigma: list[np.ndarray] = []
@@ -355,7 +360,7 @@ def _gradient_columns(pencil: ReducedPencil) -> sp.csr_matrix:
     Phi = sp.csr_matrix((np.ones(V, dtype=np.int64), (np.arange(V), column)))
     key = np.where(free, V + np.arange(V), block)
     order = np.argsort(key, kind="stable")
-    _, first = np.unique(cx.vertex_components()[order], return_index=True)
+    _, first = np.unique(cx.forest.component[order], return_index=True)
     keep = np.setdiff1d(np.arange(Phi.shape[1]), column[order[first]])
     return (P @ Phi[:, keep]).sorted_indices()
 

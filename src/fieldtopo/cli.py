@@ -274,7 +274,7 @@ def run(cfg: RunConfig) -> int:
                 "schema": SCHEMA_VERSION,
                 "kind": "mesh",
                 "counts": _counts(cx),
-                "euler_characteristic": report.euler_characteristic,
+                "euler_characteristic": cx.euler_characteristic,
                 "components": report.num_components,
                 "boundary_components": report.boundary_components,
                 "boundary_genus": report.boundary_genus,

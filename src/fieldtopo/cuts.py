@@ -25,7 +25,7 @@ import scipy.sparse.linalg as spla
 from .errors import NoGap, NonManifoldCut, NonRegularLevel, SolverFailure
 from .fem import FemMatrices, field_proxies
 from .homology import CohomologyBasis
-from .mesh import EDGE_LOCAL, SimplicialComplex3, integrate_potential, spanning_forest
+from .mesh import EDGE_LOCAL, SimplicialComplex3, integrate_potential
 
 VERTEX_CLEARANCE = 1e-9
 CRITICAL_EPS = 1e-6
@@ -40,16 +40,14 @@ class HarmonicRep:
     coclosure_residual: float     # ||D0^T M1 omega|| / ||M1 omega||
 
     def vertex_phases(self) -> np.ndarray:
-        """Circle phase per vertex, integrated over a spanning forest.
+        """Circle phase per vertex, integrated over the complex's spanning forest.
 
         Well defined modulo 1 up to the coclosure/roundoff drift; the integer
         ambiguity along non-tree edges is exactly the period lattice.
         """
         cached = getattr(self, "_phases", None)
         if cached is None:
-            cx = self.complex
-            forest = spanning_forest(cx.edges, cx.num_vertices)
-            cached = self._phases = integrate_potential(forest, self.omega)
+            cached = self._phases = integrate_potential(self.complex.forest, self.omega)
         return cached
 
 
@@ -58,21 +56,20 @@ def harmonic_representative(
 ) -> HarmonicRep:
     """Minimize the Dirichlet energy within the class of an integer cocycle.
 
-    Solves L0 phi = -D0^T M1 c with one vertex pinned per component; the
-    result omega = c + D0 phi is coclosed to solver accuracy while keeping
-    the exact integer periods of c.
+    Solves D0^T M1 D0 phi = -D0^T M1 c, formed on the columns of the
+    vertices with a parent in the complex's forest, so each component is
+    pinned at its root.  The result omega = c + D0 phi is coclosed to solver
+    accuracy while keeping the exact integer periods of c.
     """
     c = np.asarray(cocycle)
     if np.abs(cx.D1 @ c).max(initial=0) > 1e-12 * max(1.0, np.abs(c).max(initial=0)):
         raise ValueError("source cochain is not closed")
     rhs = -(cx.D0.T @ (fem.M1 @ c.astype(float)))
-    labels = cx.vertex_components()
-    pins = [int(np.flatnonzero(labels == comp)[0]) for comp in range(labels.max() + 1)]
-    free = np.setdiff1d(np.arange(cx.num_vertices), pins)
+    free = np.flatnonzero(cx.forest.parent >= 0)
     phi = np.zeros(cx.num_vertices)
     if len(free):
-        L = fem.L0.tocsr()[free][:, free].tocsc()
-        phi[free] = spla.spsolve(L, rhs[free])
+        G = cx.D0[:, free].astype(float)
+        phi[free] = spla.spsolve((G.T @ fem.M1 @ G).tocsc(), rhs[free])
     omega = c + cx.D0 @ phi
     num = np.linalg.norm(cx.D0.T @ (fem.M1 @ omega))
     den = np.linalg.norm(fem.M1 @ omega)

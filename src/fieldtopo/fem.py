@@ -11,7 +11,6 @@ canonical (sorted) simplex orientations through parity signs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -45,20 +44,10 @@ def _tet_geometry(p: np.ndarray):
 
 @dataclass
 class FemMatrices:
-    """Assembled sparse matrices for one complex."""
+    """The pencil pair of one complex: mass M1 and curl pairing S."""
 
     M1: sp.csr_matrix   # edge (Whitney 1-form) mass
     S: sp.csr_matrix    # curl pairing, S_ij = int (curl w_i) . w_j dV
-    D0: sp.csr_matrix   # the complex's vertex-to-edge coboundary
-
-    @cached_property
-    def L0(self) -> sp.csr_matrix:
-        """Scalar stiffness D0^T M1 D0; kernel = constants per component.
-
-        Assembled on first read: only the cut stage's potential solve uses it.
-        """
-        D0 = self.D0.astype(float)
-        return (D0.T @ self.M1 @ D0).tocsr()
 
 
 def _edge_forms(grads):
@@ -108,7 +97,7 @@ def curl_pairing(cx: SimplicialComplex3) -> sp.csr_matrix:
 
 
 def build_fem(cx: SimplicialComplex3) -> FemMatrices:
-    return FemMatrices(M1=mass_matrix(cx), S=curl_pairing(cx), D0=cx.D0)
+    return FemMatrices(M1=mass_matrix(cx), S=curl_pairing(cx))
 
 
 def helicity(fem: FemMatrices, h: np.ndarray):

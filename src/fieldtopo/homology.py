@@ -18,7 +18,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import TrivialH1
-from .mesh import SimplicialComplex3, integrate_potential, memo, spanning_forest
+from .mesh import SimplicialComplex3, SpanningForest, integrate_potential, memo
 from .snf import integer_kernel_basis, smith_normal_form
 from .surface import SurfaceComplex
 
@@ -115,18 +115,18 @@ def relative_betti(cx: SimplicialComplex3) -> BettiNumbers:
     return _cached_betti(cx, "relative", counts, boundaries)
 
 
-def tree_gauge_cocycles(edges: np.ndarray, D1: sp.spmatrix) -> list[np.ndarray]:
+def tree_gauge_cocycles(forest: SpanningForest, D1: sp.spmatrix) -> list[np.ndarray]:
     """Integer basis of H^1(Z) as closed 1-cochains vanishing on a forest.
 
     Gauging a closed cochain by an exact one makes it vanish on any spanning
     forest, uniquely; the gauged representatives form the integer kernel of
-    A = D1 restricted to non-tree edge columns.  ``integer_kernel_basis``
+    A = D1 restricted to the edges outside ``forest``.  ``integer_kernel_basis``
     first peels the edges that are the single live edge of some face, zero
     in every kernel vector, so its elimination sees only the core: 106 of
     2336 columns on box-ring n=7, 18 of 652 on its boundary surface.
     """
     ne = D1.shape[1]
-    nontree = np.setdiff1d(np.arange(ne), spanning_forest(edges).tree_edges)
+    nontree = np.setdiff1d(np.arange(ne), forest.tree_edges)
     out = []
     for vec in integer_kernel_basis(D1.tocsc()[:, nontree]):
         full = np.zeros(ne, dtype=np.int64)
@@ -135,20 +135,22 @@ def tree_gauge_cocycles(edges: np.ndarray, D1: sp.spmatrix) -> list[np.ndarray]:
     return out
 
 
-def dual_loops(edges: np.ndarray, cocycles: list[np.ndarray]) -> list[np.ndarray]:
+def dual_loops(
+    edges: np.ndarray, forest: SpanningForest, cocycles: list[np.ndarray]
+) -> list[np.ndarray]:
     """Integer 1-cycles z_j with <c_i, z_j> = delta_ij, one per cocycle.
 
-    Every non-tree edge e of a spanning forest closes a fundamental cycle
-    z_e (e plus the tree path back from its head to its tail), which pairs
-    with c as c[e] - (phi[head] - phi[tail]), phi the integer potential of c
-    along the forest.  Distinct nonzero pairing columns are taken in order
-    of first edge id, each kept only if it enlarges their lattice, until
-    that lattice is all of Z^b; a Smith form then gives the integer right
-    inverse Y with P_S Y = I, and z_j = sum_s Y[s, j] z_{e_s}.  Raises
-    RuntimeError if the cocycles do not span a saturated rank-b lattice.
+    Every edge e outside ``forest``, a spanning forest of ``edges``, closes
+    a fundamental cycle z_e (e plus the tree path back from its head to its
+    tail), which pairs with c as c[e] - (phi[head] - phi[tail]), phi the
+    integer potential of c along the forest.  Distinct nonzero pairing
+    columns are taken in order of first edge id, each kept only if it
+    enlarges their lattice, until that lattice is all of Z^b; a Smith form
+    then gives the integer right inverse Y with P_S Y = I, and z_j = sum_s
+    Y[s, j] z_{e_s}.  Raises RuntimeError if the cocycles do not span a
+    saturated rank-b lattice.
     """
     b = len(cocycles)
-    forest = spanning_forest(edges)
     C = np.stack(cocycles)
     phi = np.rint([integrate_potential(forest, c) for c in C]).astype(np.int64)
     P = C - (phi[:, edges[:, 1]] - phi[:, edges[:, 0]])
@@ -202,7 +204,7 @@ def h1_cocycles_auto(cx: SimplicialComplex3) -> list[np.ndarray]:
             if all(np.abs(cx.D1 @ c).max(initial=0) == 0 for c in cocycles):
                 return cocycles
         b1 = betti_numbers(cx).betti[1]
-        cocycles = tree_gauge_cocycles(cx.edges, cx.D1) if b1 else []
+        cocycles = tree_gauge_cocycles(cx.forest, cx.D1) if b1 else []
         if len(cocycles) != b1:
             raise RuntimeError(f"found {len(cocycles)} cocycles, expected {b1}")
         return cocycles
@@ -210,9 +212,9 @@ def h1_cocycles_auto(cx: SimplicialComplex3) -> list[np.ndarray]:
     return [c.copy() for c in memo(cx, "h1_cocycles", compute)]
 
 
-def _dual_basis(edges: np.ndarray, cocycles: list[np.ndarray], what: str) -> CohomologyBasis:
-    """Cocycles plus their dual loops; checks the identity pairing."""
-    cycles = dual_loops(edges, cocycles)
+def _dual_basis(graph, cocycles: list[np.ndarray], what: str) -> CohomologyBasis:
+    """Cocycles plus dual loops on the forest of a complex or surface; checks the pairing."""
+    cycles = dual_loops(graph.edges, graph.forest, cocycles)
     pairing = np.array([[int(c @ z) for z in cycles] for c in cocycles], dtype=np.int64)
     if not np.array_equal(pairing, np.eye(len(cocycles), dtype=np.int64)):
         raise RuntimeError(f"{what} is not the identity:\n{pairing}")
@@ -230,7 +232,7 @@ def h1_basis(cx: SimplicialComplex3) -> CohomologyBasis:
         cocycles = h1_cocycles_auto(cx)
         if not cocycles:
             raise TrivialH1("H^1 is trivial")
-        return _dual_basis(cx.edges, cocycles, "period pairing")
+        return _dual_basis(cx, cocycles, "period pairing")
 
     basis = memo(cx, "h1_basis", compute)
     return CohomologyBasis(
@@ -241,7 +243,7 @@ def h1_basis(cx: SimplicialComplex3) -> CohomologyBasis:
 
 def surface_h1_basis(surf: SurfaceComplex) -> CohomologyBasis:
     """H^1 basis of a closed triangulated surface (sum of 2g per component)."""
-    cocycles = tree_gauge_cocycles(surf.edges, surf.D1s)
+    cocycles = tree_gauge_cocycles(surf.forest, surf.D1s)
     if not cocycles:
         raise TrivialH1("surface H^1 is trivial")
-    return _dual_basis(surf.edges, cocycles, "surface period pairing")
+    return _dual_basis(surf, cocycles, "surface period pairing")

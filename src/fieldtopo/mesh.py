@@ -87,14 +87,10 @@ class SimplicialComplex3:
     def volumes(self) -> np.ndarray:
         return signed_volumes(self.tet_coords)
 
-    def vertex_components(self) -> np.ndarray:
-        """Connected-component label per vertex (edge graph)."""
-        g = sp.csr_matrix(
-            (np.ones(self.num_edges), (self.edges[:, 0], self.edges[:, 1])),
-            shape=(self.num_vertices, self.num_vertices),
-        )
-        _, labels = sp.csgraph.connected_components(g, directed=False)
-        return labels
+    @property
+    def forest(self) -> SpanningForest:
+        """Spanning forest of the edge graph, built once per complex; read-only."""
+        return memo(self, "forest", lambda: spanning_forest(self.edges, self.num_vertices))
 
     def edge_lengths(self) -> np.ndarray:
         """Length per edge, measured in the first tet containing it."""
@@ -120,29 +116,30 @@ def memo(cx: SimplicialComplex3, key, compute):
 
 
 class SpanningForest(NamedTuple):
-    """Breadth-first spanning forest of a multigraph on nodes 0..N-1."""
+    """Breadth-first spanning forest of a multigraph on nodes 0..N-1; the
+    nodes with ``parent < 0``, its roots, are the lowest of each component."""
 
     order: np.ndarray   # nodes with an edge in visit order, one tree after another
     parent: np.ndarray  # (N,) tree parent; -1 at roots and at nodes without edges
     edge: np.ndarray    # (N,) edge id joining a node to its parent, else -1
     sign: np.ndarray    # (N,) +1 when that edge runs parent -> node, -1 when reversed
+    component: np.ndarray  # (N,) component label, numbered in order of lowest node
 
     @property
     def tree_edges(self) -> np.ndarray:
         return self.edge[self.edge >= 0]
 
 
-def spanning_forest(edges, num_nodes: int | None = None) -> SpanningForest:
-    """Deterministic breadth-first spanning forest of an edge list.
+def spanning_forest(edges, num_nodes: int) -> SpanningForest:
+    """Deterministic breadth-first spanning forest of an edge list on ``num_nodes`` nodes.
 
     One tree grows from the lowest node of every component with an edge, in
     ascending order of those roots.  Neighbours are visited in ascending
     order, among parallel edges the lowest edge id joins the tree, and
-    self-loops never do.
+    self-loops never do.  The labels of ``connected_components`` number the
+    components in order of lowest node: its sweep starts each one there.
     """
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    if num_nodes is None:
-        num_nodes = int(edges.max()) + 1 if len(edges) else 0
     # one arc per ordered node pair, carrying its lowest edge id and the sign
     # of that edge along the arc
     ids = np.flatnonzero(edges[:, 0] != edges[:, 1])
@@ -164,7 +161,7 @@ def spanning_forest(edges, num_nodes: int | None = None) -> SpanningForest:
 
     parent = np.full(num_nodes, -1, dtype=np.int64)
     order = []
-    for root in np.sort(candidates[lowest]).tolist():
+    for root in candidates[lowest].tolist():
         nodes, pred = sp.csgraph.breadth_first_order(
             graph, root, directed=True, return_predecessors=True
         )
@@ -177,7 +174,7 @@ def spanning_forest(edges, num_nodes: int | None = None) -> SpanningForest:
     sign = np.zeros(num_nodes, dtype=np.int64)
     edge[child], sign[child] = eid[arc], sgn[arc]
     order = np.concatenate(order) if order else np.zeros(0, dtype=np.int64)
-    return SpanningForest(order=order, parent=parent, edge=edge, sign=sign)
+    return SpanningForest(order=order, parent=parent, edge=edge, sign=sign, component=labels)
 
 
 def integrate_potential(forest: SpanningForest, cochain) -> np.ndarray:
@@ -370,16 +367,10 @@ def _link_failures(cx: SimplicialComplex3) -> list[str]:
 
 @dataclass
 class ValidationReport:
-    counts: tuple[int, int, int, int]
-    euler_characteristic: int
     num_components: int
     boundary_components: int
     boundary_genus: list[int]
     failures: list[str]
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
 
     def raise_if_failed(self):
         if self.failures:
@@ -428,17 +419,10 @@ def validate_complex(complex: SimplicialComplex3) -> ValidationReport:
         except Exception as exc:  # noqa: BLE001 - aggregate everything
             failures.append(f"boundary surface: {exc}")
 
-    labels = complex.vertex_components()
+    labels = complex.forest.component
     ncomp = int(labels.max()) + 1 if len(labels) else 0
 
     return ValidationReport(
-        counts=(
-            complex.num_vertices,
-            complex.num_edges,
-            complex.num_faces,
-            complex.num_tets,
-        ),
-        euler_characteristic=complex.euler_characteristic,
         num_components=ncomp,
         boundary_components=n_bcomp,
         boundary_genus=bgenus,

@@ -15,7 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import OpenBoundary
-from .mesh import SimplicialComplex3, memo
+from .mesh import SimplicialComplex3, SpanningForest, memo, spanning_forest
 
 
 @dataclass
@@ -27,6 +27,7 @@ class SurfaceComplex:
     parent_edge_ids: np.ndarray  # (Es,) matching edge index in the parent
     D1s: sp.csr_matrix          # (Fs,Es) face-edge incidence of the surface
     vertex_component: np.ndarray  # (V,) component label per parent vertex, -1 off the boundary
+    forest: SpanningForest      # of the surface edges over the parent's V vertices
     genus: list[int]            # per component
     oriented: bool              # True when induced orientations are consistent
 
@@ -59,9 +60,11 @@ class SurfaceComplex:
 def boundary_surface(complex: SimplicialComplex3) -> SurfaceComplex:
     """The boundary faces with their induced (outward) orientation.
 
-    Extracted once per complex and shared by every caller, so the surface is
-    read-only.  Raises OpenBoundary if the boundary faces do not close up
-    (some edge of a boundary face not shared by exactly two boundary faces).
+    Extracted once per complex, with its spanning forest, and shared by
+    every caller, so the surface is read-only.  The forest's roots ascend in
+    label order, as a component's lowest face starts at its lowest vertex.
+    Raises OpenBoundary if the boundary faces do not close up (some edge of
+    a boundary face not shared by exactly two boundary faces).
     """
     return memo(complex, "boundary_surface", lambda: _extract_surface(complex))
 
@@ -79,6 +82,7 @@ def _extract_surface(complex: SimplicialComplex3) -> SurfaceComplex:
     D1 = complex.D1[face_ids]
     parent_edge_ids = np.unique(D1.indices).astype(np.int64)
     Es = len(parent_edge_ids)
+    edges = complex.edges[parent_edge_ids]
     D1s = D1[:, parent_edge_ids]
     D1s.data *= np.repeat(D2.data, 3)
     if not np.all(np.bincount(D1s.indices, minlength=Es) == 2):
@@ -107,10 +111,11 @@ def _extract_surface(complex: SimplicialComplex3) -> SurfaceComplex:
 
     return SurfaceComplex(
         parent=complex,
-        edges=complex.edges[parent_edge_ids],
+        edges=edges,
         parent_edge_ids=parent_edge_ids,
         D1s=D1s,
         vertex_component=vertex_component,
+        forest=spanning_forest(edges, V),
         genus=((2 - chi) // 2).tolist(),
         oriented=oriented,
     )

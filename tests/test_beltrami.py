@@ -116,6 +116,9 @@ def test_gradients_with_closed_component():
         pen = reduce_system(cx, fem, bc)
         forest = spanning_forest(pen.boundary.surface.edges, cx.num_vertices)
         assert (forest.parent[pen.boundary.pins] == -1).all()
+        surf = pen.boundary.surface
+        pins = pen.boundary.pins
+        assert np.array_equal(surf.vertex_component[pins], np.arange(surf.num_components))
         proj = kernel_projector(pen)
         assert proj.gradient.shape == (pen.ndof, ncols)
         assert proj.harmonic_dimension == 3
@@ -124,6 +127,18 @@ def test_gradients_with_closed_component():
             phi[on_boundary] = 0.7
         x = pen.full_to_dof(cx.D0 @ phi)
         assert np.linalg.norm(proj.apply(x)) <= 1e-12 * np.linalg.norm(x)
+
+
+def test_boundary_pins_follow_component_labels():
+    """T2xI has two boundary tori: the pins are the roots of the stored
+    surface forest, one per torus, in the order of the component labels."""
+    cx = gen_grid(GridSpec(3, 3, 2, periodic=(True, True, False)))
+    bd = reduce_system(cx, build_fem(cx), BoundaryCondition.parse("closed-trace:")).boundary
+    assert bd.surface.num_components == 2
+    assert np.array_equal(bd.surface.vertex_component[bd.pins], [0, 1])
+    assert (bd.surface.forest.parent[bd.pins] == -1).all()
+    on_boundary = np.flatnonzero(bd.surface.vertex_component >= 0)
+    assert np.array_equal(np.sort(np.concatenate([bd.pins, bd.alpha_verts])), on_boundary)
 
 
 def jittered_torus3(n: int, seed: int = 7):
@@ -514,6 +529,16 @@ def test_bc_describe():
                  "closed-trace:+1", "closed-mesh:", ""):
         with pytest.raises(ValueError, match="boundary condition"):
             BoundaryCondition.parse(text)
+
+
+def test_lagrangian_choice_only_under_closed_trace():
+    """A Lagrangian choice is data of CLOSED_TRACE alone: any other kind
+    rejects it where it is built, and parse keeps its own message."""
+    for kind in (BCKind.ZERO_TRACE, BCKind.CLOSED_MESH):
+        with pytest.raises(ValueError, match="lagrangian choice"):
+            BoundaryCondition(kind, (1,))
+    with pytest.raises(ValueError, match="unknown boundary condition"):
+        BoundaryCondition.parse("zero-trace:1")
 
 
 def test_step_cap_ends_in_no_convergence(torus3_coarse, torus3_coarse_fem, monkeypatch):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fieldtopo.homology as homology
+import fieldtopo.mesh as mesh
 import fieldtopo.snf as snf
 import fieldtopo.surface as surface
 from fieldtopo import cli
@@ -22,7 +23,7 @@ from fieldtopo.homology import (
     surface_h1_basis,
     tree_gauge_cocycles,
 )
-from fieldtopo.mesh import build_complex, spanning_forest
+from fieldtopo.mesh import build_complex
 from fieldtopo.surface import boundary_surface
 from fields import reference_kernel_basis, write_msh
 from test_snf import minor_gcd_factors
@@ -101,7 +102,7 @@ def test_h1_box_ring_tree_gauge(box_ring):
 
 
 def test_tree_gauge_matches_seam_rank(solid_torus):
-    gauged = tree_gauge_cocycles(solid_torus.edges, solid_torus.D1)
+    gauged = tree_gauge_cocycles(solid_torus.forest, solid_torus.D1)
     assert len(gauged) == 1
     # both constructions represent the same 1-dimensional lattice: the
     # gauged cocycle pairs +-1 with the seam basis dual loop
@@ -141,12 +142,12 @@ def test_large_mesh_topology_is_exact():
 
 def test_dual_loops_reject_unsaturated_basis(solid_torus):
     c = h1_cocycles_auto(solid_torus)[0]
-    z = dual_loops(solid_torus.edges, [c])[0]
+    z = dual_loops(solid_torus.edges, solid_torus.forest, [c])[0]
     assert int(c @ z) == 1
     with pytest.raises(RuntimeError, match="saturated"):
-        dual_loops(solid_torus.edges, [2 * c])
+        dual_loops(solid_torus.edges, solid_torus.forest, [2 * c])
     with pytest.raises(RuntimeError, match="saturated"):
-        dual_loops(solid_torus.edges, [c, -c])
+        dual_loops(solid_torus.edges, solid_torus.forest, [c, -c])
 
 
 @lru_cache(maxsize=None)
@@ -211,7 +212,8 @@ def test_cached_topology_returns_copies(box_ring):
 
 def test_pipeline_computes_topology_once(tmp_path, monkeypatch, box_ring):
     """One absolute and one relative Betti computation, one mesh tree gauge,
-    one boundary surface and one dual-loop construction per H^1 basis."""
+    one boundary surface, one spanning forest per graph (the mesh and its
+    boundary surface) and one dual-loop construction per H^1 basis."""
     cx = box_ring  # the CLI builds the same n=5 mesh
     V, E, F, T = cx.num_vertices, cx.num_edges, cx.num_faces, cx.num_tets
     Fs, Es = boundary_surface(cx).D1s.shape  # before extractions are counted
@@ -219,22 +221,24 @@ def test_pipeline_computes_topology_once(tmp_path, monkeypatch, box_ring):
     gauge_shapes = []
     loops = []
     extractions = []
+    forests = []
     real_snf = snf.smith_normal_form
     real_gauge = homology.tree_gauge_cocycles
     real_loops = homology.dual_loops
     real_extract = surface._extract_surface
+    real_forest = mesh.spanning_forest
 
     def counting_snf(A, *args, **kwargs):
         if sp.issparse(A):
             snf_shapes.append(A.shape)
         return real_snf(A, *args, **kwargs)
 
-    def counting_gauge(edges, D1):
+    def counting_gauge(forest, D1):
         gauge_shapes.append(D1.shape)
-        return real_gauge(edges, D1)
+        return real_gauge(forest, D1)
 
-    def counting_loops(edges, cocycles):
-        out = real_loops(edges, cocycles)
+    def counting_loops(edges, forest, cocycles):
+        out = real_loops(edges, forest, cocycles)
         loops.append((len(edges), len(out)))
         return out
 
@@ -242,11 +246,17 @@ def test_pipeline_computes_topology_once(tmp_path, monkeypatch, box_ring):
         extractions.append(cx.num_tets)
         return real_extract(cx)
 
+    def counting_forest(edges, num_nodes):
+        forests.append(len(edges))
+        return real_forest(edges, num_nodes)
+
     monkeypatch.setattr(snf, "smith_normal_form", counting_snf)
     monkeypatch.setattr(homology, "smith_normal_form", counting_snf)
     monkeypatch.setattr(homology, "tree_gauge_cocycles", counting_gauge)
     monkeypatch.setattr(homology, "dual_loops", counting_loops)
     monkeypatch.setattr(surface, "_extract_surface", counting_extract)
+    monkeypatch.setattr(mesh, "spanning_forest", counting_forest)
+    monkeypatch.setattr(surface, "spanning_forest", counting_forest)
     rc = cli.main(["pipeline", "--geometry", "box-ring", "--n", "5",
                    "--threads", "1", "--out", str(tmp_path)])
     assert rc == 0
@@ -266,6 +276,7 @@ def test_pipeline_computes_topology_once(tmp_path, monkeypatch, box_ring):
     # their own
     assert sorted(gauge_shapes) == sorted([(F, E), (Fs, Es)])
     assert extractions == [T]
+    assert sorted(forests) == sorted([E, Es])
     # one call per basis: the boundary torus (2 loops), the mesh (b1 = 1)
     assert sorted(loops) == [(Es, 2), (E, 1)]
 
@@ -398,14 +409,14 @@ def box_ring7():
     return gen_box_minus_ring(7)
 
 
-def _nontree(edges):
-    return np.setdiff1d(np.arange(len(edges)), spanning_forest(edges).tree_edges)
+def _nontree(graph):
+    return np.setdiff1d(np.arange(len(graph.edges)), graph.forest.tree_edges)
 
 
-def _whole_kernel(edges, D1):
+def _whole_kernel(graph, D1):
     """The tree gauge without the peel: the quadratic reference kernel of
     all non-tree columns."""
-    nontree = _nontree(edges)
+    nontree = _nontree(graph)
     out = []
     for vec in reference_kernel_basis(D1.tocsc()[:, nontree]):
         full = np.zeros(D1.shape[1], dtype=np.int64)
@@ -444,10 +455,10 @@ def test_peeled_tree_gauge_is_the_whole_kernel(source, box_ring, box_ring7, soli
     }
     if source.endswith(" surface"):
         surf = boundary_surface(box_ring if source.startswith("box") else solid_torus)
-        edges, D1 = surf.edges, surf.D1s
+        graph, D1 = surf, surf.D1s
     else:
-        edges, D1 = meshes[source].edges, meshes[source].D1
-    got, expect = tree_gauge_cocycles(edges, D1), _whole_kernel(edges, D1)
+        graph, D1 = meshes[source], meshes[source].D1
+    got, expect = tree_gauge_cocycles(graph.forest, D1), _whole_kernel(graph, D1)
     assert len(got) == len(expect) > 0
     for a, b in zip(got, expect):
         assert np.array_equal(a, b)
@@ -467,8 +478,8 @@ def test_tree_gauge_cores_are_small(monkeypatch, box_ring7):
     monkeypatch.setattr(snf, "_Elimination", RecordingElimination)
     cx = box_ring7
     surf = boundary_surface(cx)
-    assert len(tree_gauge_cocycles(cx.edges, cx.D1)) == 1
-    assert len(tree_gauge_cocycles(surf.edges, surf.D1s)) == 2
+    assert len(tree_gauge_cocycles(cx.forest, cx.D1)) == 1
+    assert len(tree_gauge_cocycles(surf.forest, surf.D1s)) == 2
     (_, mesh_core), (_, surf_core) = shapes
-    assert mesh_core < 0.1 * len(_nontree(cx.edges))
-    assert surf_core < 0.1 * len(_nontree(surf.edges))
+    assert mesh_core < 0.1 * len(_nontree(cx))
+    assert surf_core < 0.1 * len(_nontree(surf))

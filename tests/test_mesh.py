@@ -145,7 +145,7 @@ def test_canonical_rows_beyond_flat_key_range():
 def test_negative_orientation_fixed():
     cx = build_complex(REF_VERTS, [[1, 0, 2, 3]])
     assert cx.volumes()[0] > 0
-    assert validate_complex(cx).ok
+    assert not validate_complex(cx).failures
 
 
 def test_reorientation_invariance():
@@ -156,7 +156,7 @@ def test_reorientation_invariance():
     tets[5, [0, 1]] = tets[5, [1, 0]]
     cx2 = build_complex(cx.vertices, tets)
     r = validate_complex(cx2)
-    assert r.ok
+    assert not r.failures
     assert (cx2.D1 @ cx2.D0).count_nonzero() == 0
 
 
@@ -172,9 +172,10 @@ def test_deterministic_rebuild():
 
 
 def test_validate_cube_passes():
-    r = validate_complex(gen_grid(GridSpec(2, 2, 2)))
-    assert r.ok
-    assert r.euler_characteristic == 1
+    cx = gen_grid(GridSpec(2, 2, 2))
+    r = validate_complex(cx)
+    assert not r.failures
+    assert cx.euler_characteristic == 1
     assert r.boundary_components == 1
     assert r.boundary_genus == [0]
 
@@ -185,7 +186,7 @@ def test_validate_flags_corrupted_d1():
     bad[0, 0] += 1
     cx.D1 = bad.tocsr()
     r = validate_complex(cx)
-    assert not r.ok
+    assert r.failures
     assert any("D2@D1" in f or "D1@D0" in f for f in r.failures)
     with pytest.raises(InvalidComplex):
         r.raise_if_failed()
@@ -348,6 +349,16 @@ def test_spanning_forest_properties(graph, data):
         assert sorted(edges[k]) == sorted((p, v))
         assert forest.sign[v] == (1 if edges[k][0] == p else -1)
         assert all(sorted(e) != sorted(edges[k]) for e in edges[:k])
+
+    # component labels partition the nodes as the union-find does, numbered
+    # in order of lowest node, and the nodes without a parent are those
+    label, lowest = {}, []
+    for v in range(n):
+        if comp[v] not in label:
+            label[comp[v]] = len(lowest)
+            lowest.append(v)
+    assert forest.component.tolist() == [label[comp[v]] for v in range(n)]
+    assert np.flatnonzero(forest.parent < 0).tolist() == lowest
 
     # each tree's root is the lowest node of its component
     roots = [v for v in sorted(touched) if forest.parent[v] == -1]

@@ -239,7 +239,7 @@ def test_sparse_path_matches_dense(A):
 
 
 def test_kernel_pivot_order_on_tree_gauge_matrix(box_ring):
-    tree = spanning_forest(box_ring.edges).tree_edges
+    tree = spanning_forest(box_ring.edges, box_ring.num_vertices).tree_edges
     nontree = np.setdiff1d(np.arange(box_ring.num_edges), tree)
     A = box_ring.D1.tocsc()[:, nontree]
     assert_same_saturated_kernel(A, integer_kernel_basis(A))

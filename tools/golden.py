@@ -66,6 +66,10 @@ CASES: dict[str, list[str]] = {
     "beltrami-cube-closed-trace": [
         "beltrami", "--geometry", "cube", "--n", "3", "--bc", "closed-trace",
     ],
+    "beltrami-t2xi-closed-trace": [
+        "beltrami", "--geometry", "cube", "--periodic", "xy", "--n", "4,4,3",
+        "--bc", "closed-trace:2",
+    ],
     "classify-torus3": ["classify", "--geometry", "torus3", "--n", "4", "--size", TAU],
     "classify-solid-torus-closed-trace": [
         "classify", "--geometry", "solid-torus", "--n", "2,2,8", "--size", "1,1,2",
