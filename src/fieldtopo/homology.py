@@ -18,7 +18,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import TrivialH1
-from .mesh import SimplicialComplex3, SpanningForest, integrate_potential, memo
+from .mesh import SimplicialComplex3, SpanningForest, integrate_potential, memo, spanning_forest
 from .snf import integer_kernel_basis, smith_normal_form
 from .surface import SurfaceComplex
 
@@ -30,7 +30,8 @@ class BettiNumbers:
 
     @property
     def exact(self) -> bool:
-        """Always true: ranks and torsion come from exact Smith normal forms."""
+        """Always true: ranks and torsion come from spanning forests and exact
+        Smith normal forms."""
         return True
 
     def flat_torsion(self) -> list[int]:
@@ -47,33 +48,64 @@ class CohomologyBasis:
         return len(self.cocycles)
 
 
+def _incidence_forest(A) -> SpanningForest | None:
+    """Spanning forest of A read as a graph's incidence, or None if it is not one.
+
+    Each row is an edge on a ground node, node 0, and the columns, node
+    j + 1 for column j: +1 and -1 join their two columns, a lone +-1 joins
+    its column to the ground, and an empty row is a self-loop.  The tree
+    edges are a maximal independent set of rows.  Paired with the columns
+    of the nodes below them (the ground, the lowest node, is always a root)
+    they span a triangular block of determinant +-1.  Any other matrix
+    gives None: a row with more than two entries, an entry other than +-1,
+    or two of the same sign.
+    """
+    A = sp.csr_matrix(A, dtype=np.int64)
+    A.sum_duplicates()
+    A.eliminate_zeros()
+    count = np.diff(A.indptr)
+    rowsum = np.asarray(A.sum(axis=1)).ravel()
+    if np.any(np.abs(A.data) != 1) or np.any(count > 2) or np.any(rowsum[count == 2]):
+        return None
+    ends = np.zeros((A.shape[0], 2), dtype=np.int64)
+    ends[count > 0, 1] = A.indices[A.indptr[1:][count > 0] - 1] + 1
+    ends[count == 2, 0] = A.indices[A.indptr[:-1][count == 2]] + 1
+    return spanning_forest(ends, A.shape[1] + 1)
+
+
 def _chain_betti(counts, boundaries) -> BettiNumbers:
     """Betti numbers and torsion of a chain complex from its three boundary ranks.
 
-    The outer maps D0 and D2 are reduced first.  Their unit pivots form
-    unimodular blocks, which certify dependences in D1 (clearing; Chen-Kerber
-    2011): D1 D0 = 0 makes the columns of D1 at D0's pivot rows integer
-    combinations of the other columns, and D2 D1 = 0 does the same for the
-    rows at D2's pivot columns.  D1 without them has the same rank and
-    invariant factors, and it is all that ``smith_normal_form`` sees.
+    The outer maps D0 and D2 are read as graphs first, the rows of D0 and
+    the columns of D2 as edges: the tree edges of ``_incidence_forest``
+    give their rank and a unimodular pivot set with no elimination.  Those
+    pivots certify dependences in D1 (clearing; Chen-Kerber 2011): D1 D0 =
+    0 makes the columns of D1 at D0's pivot rows integer combinations of
+    the other columns, and D2 D1 = 0 does the same for the rows at D2's
+    pivot columns.  D1 without them has the same rank and invariant
+    factors, and it is all that ``smith_normal_form`` sees.  An outer map
+    that is no graph incidence, as on a non-orientable complex, goes whole
+    to ``smith_normal_form`` and clears nothing.
     """
     D0, D1, D2 = boundaries
-    s0, s2 = smith_normal_form(D0), smith_normal_form(D2)
     rows, cols = np.ones(D1.shape[0], dtype=bool), np.ones(D1.shape[1], dtype=bool)
-    rows[s2.unit_cols] = False
-    cols[s0.unit_rows] = False
-    s1 = smith_normal_form(D1[rows][:, cols])
-    ranks, torsion = [], []
-    for r in (s0, s1, s2):
-        ranks.append(r.rank)
-        torsion.append([int(f) for f in r.invariant_factors if f > 1])
-    r1, r2, r3 = ranks
+    outer = []
+    for A, mask in ((D0, cols), (D2.T, rows)):
+        forest = _incidence_forest(A)
+        if forest is None:
+            outer.append(smith_normal_form(A).invariant_factors)
+        else:
+            outer.append([1] * len(forest.tree_edges))
+            mask[forest.tree_edges] = False
+    factors = [outer[0], smith_normal_form(D1[rows][:, cols]).invariant_factors, outer[1]]
+    r1, r2, r3 = (len(f) for f in factors)
     betti = (
         counts[0] - r1,
         counts[1] - r1 - r2,
         counts[2] - r2 - r3,
         counts[3] - r3,
     )
+    torsion = [[int(f) for f in fs if f > 1] for fs in factors]
     return BettiNumbers(betti=betti, torsion=torsion + [[]])
 
 
@@ -101,9 +133,14 @@ def relative_betti(cx: SimplicialComplex3) -> BettiNumbers:
     bfaces = cx.boundary_faces
     if len(bfaces) == 0:
         return betti_numbers(cx)
-    int_verts = np.setdiff1d(np.arange(cx.num_vertices), cx.faces[bfaces])
-    int_edges = np.setdiff1d(np.arange(cx.num_edges), cx.D1[bfaces].indices)
-    int_faces = np.setdiff1d(np.arange(cx.num_faces), bfaces)
+    int_verts, int_edges, int_faces = (
+        np.flatnonzero(np.bincount(cells, minlength=n) == 0)
+        for n, cells in (
+            (cx.num_vertices, cx.faces[bfaces].ravel()),
+            (cx.num_edges, cx.D1[bfaces].indices),
+            (cx.num_faces, bfaces),
+        )
+    )
 
     def boundaries():
         D0r = cx.D0[int_edges][:, int_verts]

@@ -155,7 +155,8 @@ def spanning_forest(edges, num_nodes: int) -> SpanningForest:
     indptr = np.searchsorted(src, np.arange(num_nodes + 1))
     graph = sp.csr_matrix((np.ones(len(src)), dst, indptr), shape=(num_nodes, num_nodes))
 
-    candidates = np.unique(edges)  # nodes with an edge, ascending
+    # nodes with an edge, ascending
+    candidates = np.flatnonzero(np.bincount(edges.ravel(), minlength=num_nodes))
     _, labels = sp.csgraph.connected_components(graph, directed=False)
     _, lowest = np.unique(labels[candidates], return_index=True)
 

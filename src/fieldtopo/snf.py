@@ -5,18 +5,18 @@ coefficient growth.  One sparse column elimination, ``_Elimination``, takes
 the +-1 pivots for both reductions in the same order.  The kernel basis
 alternates its unit pivots with Euclidean column steps and tracks the
 column transform.  Both reductions first remove, in numpy, what needs no
-elimination at all.  The Smith form does so in three stages:
+elimination at all.  The Smith form does so in two stages:
 
-1. In each connected block of the matrix whose columns sum to exactly zero,
-   adding the others to the lowest column zeroes it, so that column is
-   dropped; likewise for rows.  For a graph's incidence matrix this is the
-   augmentation, for a mesh's top map a component's fundamental class.
-2. A +-1 entry that is the only live entry of its row or column is a pivot
+1. A +-1 entry that is the only live entry of its row or column is a pivot
    that causes no fill: its Schur complement is the matrix without its row
    and column.  Such pivots are taken in vectorized rounds, at most one per
    row and per column in a round (coreductions, Mrozek-Batko, DCG 2009).
-3. Only the leftover core goes to ``_Elimination``, and its unit-free
+2. Only the leftover core goes to ``_Elimination``, and its unit-free
    remainder to the dense textbook algorithm.
+
+The boundary maps of an oriented mesh next to its vertices and its tets
+are graph incidences and never come here: ``homology`` reads their ranks
+off a spanning forest.
 
 The kernel basis has one numpy stage, ``_forced_zero_columns``: a row whose
 only live entry is +-1 zeroes that column in every kernel vector, so the
@@ -26,7 +26,7 @@ column is peeled (the coreduction of Dlotko-Specogna, CPC 2013).
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd
 
 import numpy as np
@@ -47,17 +47,13 @@ class SnfResult:
     """Diagonal invariant factors of an integer matrix.
 
     When transforms are retained, U @ A @ V equals the diagonal form, with U
-    and V unimodular.  Without them, ``unit_rows[k], unit_cols[k]`` is the
-    k-th unit pivot of the sparse path; A restricted to those rows and
-    columns has determinant +-1.
+    and V unimodular.
     """
 
     shape: tuple[int, int]
     invariant_factors: list[int]
     U: np.ndarray | None = None
     V: np.ndarray | None = None
-    unit_rows: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
-    unit_cols: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
 
     @property
     def rank(self) -> int:
@@ -257,9 +253,9 @@ class _Elimination:
                 heapq.heappush(self.heap, (len(self.row_cols[r]), r))
         self.touched.clear()
 
-    def unit_pivots(self) -> list[tuple[int, int]]:
-        """Eliminate +-1 pivots until no active row holds one; return them as
-        (row, column) pairs in elimination order.
+    def unit_pivots(self) -> int:
+        """Eliminate +-1 pivots until no active row holds one; return how
+        many were taken.
 
         A pivot's row is cleared by column operations.  That leaves the same
         Schur complement as clearing its column by row operations, so each
@@ -267,7 +263,7 @@ class _Elimination:
         """
         cols, row_cols, active_rows = self.cols, self.row_cols, self.active_rows
         heap = self.heap
-        pivots = []
+        taken = 0
         while heap:
             length, i = heapq.heappop(heap)
             if i not in active_rows or length != len(row_cols[i]):
@@ -281,38 +277,8 @@ class _Elimination:
                 if k != j:
                     self.add_col(k, j, -cols[k][i] * piv)
             self.retire(i, j)
-            pivots.append((i, j))
-        return pivots
-
-
-def _lowest_members(label, nblocks, keep) -> np.ndarray:
-    """Mask of the lowest-index member of each block that is not kept."""
-    low = np.full(nblocks, len(label))
-    np.minimum.at(low, label, np.arange(len(label)))
-    drop = np.zeros(len(label), dtype=bool)
-    drop[low[(low < len(label)) & ~keep]] = True
-    return drop
-
-
-def _zero_sum_drops(r, c, v, m, n) -> tuple[np.ndarray, np.ndarray]:
-    """Rows and columns that one unimodular operation per block zeroes.
-
-    A connected block's columns sum to zero exactly when each of its rows
-    does; then its lowest column is a combination of the others.  Returns
-    boolean masks of the rows and columns to drop.  The float sums are
-    exact for entries this small.
-    """
-    if not len(v) or float(np.abs(v).max()) * len(v) >= 2**52:
-        return np.zeros(m, dtype=bool), np.zeros(n, dtype=bool)
-    graph = sp.coo_matrix((np.ones(len(r), dtype=np.int8), (r, m + c)), shape=(m + n, m + n))
-    nblocks, label = sp.csgraph.connected_components(graph, directed=False)
-    rlab, clab = label[:m], label[m:]
-    w = v.astype(float)
-    # a block keeps its columns if one of its rows has a nonzero sum, and
-    # its rows if one of its columns does
-    keep_cols = np.bincount(rlab[np.bincount(r, w, m) != 0], minlength=nblocks) > 0
-    keep_rows = np.bincount(clab[np.bincount(c, w, n) != 0], minlength=nblocks) > 0
-    return _lowest_members(rlab, nblocks, keep_rows), _lowest_members(clab, nblocks, keep_cols)
+            taken += 1
+        return taken
 
 
 def _fill_free_pivots(r, c, v, m, n):
@@ -321,20 +287,18 @@ def _fill_free_pivots(r, c, v, m, n):
     Each round takes at most one such entry per row and per column; none of
     them causes fill, so they are all pivots of one another's Schur
     complements and nothing but their rows and columns is removed.  Returns
-    the pivot rows, the pivot columns and the entries left over.
+    the number of pivots and the entries left over.
     """
-    none = np.zeros(0, dtype=np.int64)
-    prows, pcols = [none], [none]
+    taken = 0
     dead_row, dead_col = np.zeros(m, dtype=bool), np.zeros(n, dtype=bool)
     while True:
         alone = (np.bincount(r, minlength=m)[r] == 1) | (np.bincount(c, minlength=n)[c] == 1)
         cand = np.flatnonzero(alone & (np.abs(v) == 1))
         if not len(cand):
-            return np.concatenate(prows), np.concatenate(pcols), (r, c, v)
+            return taken, (r, c, v)
         cand = cand[np.unique(c[cand], return_index=True)[1]]
         cand = cand[np.unique(r[cand], return_index=True)[1]]
-        prows.append(r[cand])
-        pcols.append(c[cand])
+        taken += len(cand)
         dead_row[r[cand]] = True
         dead_col[c[cand]] = True
         keep = ~(dead_row[r] | dead_col[c])
@@ -360,24 +324,16 @@ def _forced_zero_columns(r, c, v, m, n) -> np.ndarray:
         r, c, v = r[keep], c[keep], v[keep]
 
 
-def _compact(idx, size) -> tuple[np.ndarray, np.ndarray]:
-    """The sorted distinct values of idx, and idx renumbered into them."""
-    present = np.zeros(size, dtype=bool)
-    present[idx] = True
-    return np.flatnonzero(present), (np.cumsum(present) - 1)[idx]
-
-
 def smith_normal_form(A, transforms: bool = False) -> SnfResult:
     """Exact Smith normal form of an integer matrix.
 
     Invariant factors satisfy the divisibility chain d1 | d2 | ... .  The
-    sparse path runs the three stages of the module docstring: zero-sum
-    blocks lose a column or row, fill-free unit pivots are peeled in rounds,
-    and the core left over goes to ``_Elimination`` and then to the dense
-    algorithm.  The unit pivots of the last two stages are reported as
-    ``unit_rows`` and ``unit_cols``.  With ``transforms=True`` the dense
-    algorithm runs on the whole matrix (intended for small matrices) and
-    retains the unimodular U, V with U @ A @ V diagonal.
+    sparse path runs the two stages of the module docstring: fill-free unit
+    pivots are peeled in rounds, and the core left over goes to
+    ``_Elimination`` and then to the dense algorithm.  With
+    ``transforms=True`` the dense algorithm runs on the whole matrix
+    (intended for small matrices) and retains the unimodular U, V with
+    U @ A @ V diagonal.
     """
     if transforms:
         arr = A.toarray() if sp.issparse(A) else np.asarray(A)
@@ -387,14 +343,12 @@ def smith_normal_form(A, transforms: bool = False) -> SnfResult:
         return SnfResult(arr.shape, diag, np.array(U, dtype=object), np.array(V, dtype=object))
 
     r, c, v, (m, n) = _entries(A)
-    drop_row, drop_col = _zero_sum_drops(r, c, v, m, n)
-    keep = ~(drop_row[r] | drop_col[c])
-    prows, pcols, (r, c, v) = _fill_free_pivots(r[keep], c[keep], v[keep], m, n)
+    taken, (r, c, v) = _fill_free_pivots(r, c, v, m, n)
 
-    core_rows, r = _compact(r, m)
-    core_cols, c = _compact(c, n)
+    core_rows, r = np.unique(r, return_inverse=True)
+    core_cols, c = np.unique(c, return_inverse=True)
     el = _Elimination(sp.coo_matrix((v, (r, c)), shape=(len(core_rows), len(core_cols))), transform=False)
-    pivots = np.array(el.unit_pivots(), dtype=np.int64).reshape(-1, 2)
+    taken += el.unit_pivots()
     # active columns hold entries in active rows only: the remainder
     live = [j for j in sorted(el.active_cols) if el.cols[j]]
     rmap = {i: a for a, i in enumerate(sorted({i for j in live for i in el.cols[j]}))}
@@ -403,11 +357,7 @@ def smith_normal_form(A, transforms: bool = False) -> SnfResult:
         for i, val in el.cols[j].items():
             M[rmap[i]][b] = val
     diag, _, _ = _dense_snf(M, False)
-    return SnfResult(
-        (m, n), [1] * (len(prows) + len(pivots)) + diag,
-        unit_rows=np.concatenate([prows, core_rows[pivots[:, 0]]]),
-        unit_cols=np.concatenate([pcols, core_cols[pivots[:, 1]]]),
-    )
+    return SnfResult((m, n), [1] * taken + diag)
 
 
 def integer_kernel_basis(A) -> list[np.ndarray]:

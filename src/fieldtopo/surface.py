@@ -61,8 +61,9 @@ def boundary_surface(complex: SimplicialComplex3) -> SurfaceComplex:
     """The boundary faces with their induced (outward) orientation.
 
     Extracted once per complex, with its spanning forest, and shared by
-    every caller, so the surface is read-only.  The forest's roots ascend in
-    label order, as a component's lowest face starts at its lowest vertex.
+    every caller, so the surface is read-only.  Its components are those of
+    the forest, numbered in order of lowest vertex, so the forest's roots
+    ascend in label order.
     Raises OpenBoundary if the boundary faces do not close up (some edge of
     a boundary face not shared by exactly two boundary faces).
     """
@@ -90,23 +91,18 @@ def _extract_surface(complex: SimplicialComplex3) -> SurfaceComplex:
     # each edge is run once in each direction by consistently oriented faces
     oriented = not np.any(np.bincount(D1s.indices, weights=D1s.data, minlength=Es))
 
-    # components by face adjacency through shared edges
-    incidence = abs(D1s)
-    ncomp, labels = sp.csgraph.connected_components(incidence @ incidence.T, directed=False)
-    edge_label = np.empty(Es, dtype=np.int64)
-    edge_label[D1s.indices] = np.repeat(labels, 3)
-    # a vertex takes the label of the first face holding it
+    # the forest's components, renumbered over the boundary vertices
     V = complex.num_vertices
-    corners = complex.faces[face_ids].ravel()
-    corner_label = np.repeat(labels, 3)
+    forest = spanning_forest(edges, V)
+    verts = np.unique(edges)
+    labels, vertex_label = np.unique(forest.component[verts], return_inverse=True)
     vertex_component = np.full(V, -1, dtype=np.int64)
-    _, first = np.unique(corners, return_index=True)
-    vertex_component[corners[first]] = corner_label[first]
-    comp_vertices = np.unique(corner_label * V + corners) // V
+    vertex_component[verts] = vertex_label
+    ncomp = len(labels)
     chi = (
-        np.bincount(comp_vertices, minlength=ncomp)
-        - np.bincount(edge_label, minlength=ncomp)
-        + np.bincount(labels, minlength=ncomp)
+        np.bincount(vertex_label, minlength=ncomp)
+        - np.bincount(vertex_component[edges[:, 0]], minlength=ncomp)
+        + np.bincount(vertex_component[complex.faces[face_ids, 0]], minlength=ncomp)
     )
 
     return SurfaceComplex(
@@ -115,7 +111,7 @@ def _extract_surface(complex: SimplicialComplex3) -> SurfaceComplex:
         parent_edge_ids=parent_edge_ids,
         D1s=D1s,
         vertex_component=vertex_component,
-        forest=spanning_forest(edges, V),
+        forest=forest,
         genus=((2 - chi) // 2).tolist(),
         oriented=oriented,
     )

@@ -212,8 +212,9 @@ def test_cached_topology_returns_copies(box_ring):
 
 def test_pipeline_computes_topology_once(tmp_path, monkeypatch, box_ring):
     """One absolute and one relative Betti computation, one mesh tree gauge,
-    one boundary surface, one spanning forest per graph (the mesh and its
-    boundary surface) and one dual-loop construction per H^1 basis."""
+    one boundary surface, one spanning forest per graph (the mesh, its
+    boundary surface, and the graphs of D0 and D2, absolute and relative)
+    and one dual-loop construction per H^1 basis."""
     cx = box_ring  # the CLI builds the same n=5 mesh
     V, E, F, T = cx.num_vertices, cx.num_edges, cx.num_faces, cx.num_tets
     Fs, Es = boundary_surface(cx).D1s.shape  # before extractions are counted
@@ -221,7 +222,7 @@ def test_pipeline_computes_topology_once(tmp_path, monkeypatch, box_ring):
     gauge_shapes = []
     loops = []
     extractions = []
-    forests = []
+    forests, outer_forests = [], []
     real_snf = snf.smith_normal_form
     real_gauge = homology.tree_gauge_cocycles
     real_loops = homology.dual_loops
@@ -250,6 +251,10 @@ def test_pipeline_computes_topology_once(tmp_path, monkeypatch, box_ring):
         forests.append(len(edges))
         return real_forest(edges, num_nodes)
 
+    def counting_outer_forest(edges, num_nodes):
+        outer_forests.append((len(edges), num_nodes))
+        return real_forest(edges, num_nodes)
+
     monkeypatch.setattr(snf, "smith_normal_form", counting_snf)
     monkeypatch.setattr(homology, "smith_normal_form", counting_snf)
     monkeypatch.setattr(homology, "tree_gauge_cocycles", counting_gauge)
@@ -257,20 +262,20 @@ def test_pipeline_computes_topology_once(tmp_path, monkeypatch, box_ring):
     monkeypatch.setattr(surface, "_extract_surface", counting_extract)
     monkeypatch.setattr(mesh, "spanning_forest", counting_forest)
     monkeypatch.setattr(surface, "spanning_forest", counting_forest)
+    monkeypatch.setattr(homology, "spanning_forest", counting_outer_forest)
     rc = cli.main(["pipeline", "--geometry", "box-ring", "--n", "5",
                    "--threads", "1", "--out", str(tmp_path)])
     assert rc == 0
-    # D0, D2, then D1 cleared by their unit pivots: rank D0 = V - b0 = V - 1
-    # and rank D2 = T - b3 = T absolutely; relatively (no boundary cells)
-    # rank D0 = Vr - 0 and rank D2 = T - 1
+    # D0 and D2 as graphs with a ground node, each forest built once; only
+    # D1 cleared by their tree edges reaches a Smith form: rank D0 = V - b0
+    # = V - 1 and rank D2 = T - b3 = T absolutely; relatively (no boundary
+    # cells) rank D0 = Vr - 0 and rank D2 = T - 1
     bfaces = cx.boundary_faces
     Vr = V - len(np.unique(cx.faces[bfaces]))
     Er = E - len(np.unique(cx.D1[bfaces].indices))
     Fr = F - len(bfaces)
-    assert snf_shapes == [
-        (E, V), (T, F), (F - T, E - (V - 1)),
-        (Er, Vr), (T, Fr), (Fr - (T - 1), Er - Vr),
-    ]
+    assert outer_forests == [(E, V + 1), (F, T + 1), (Er, Vr + 1), (Fr, T + 1)]
+    assert snf_shapes == [(F - T, E - (V - 1)), (Fr - (T - 1), Er - Vr)]
     # one gauge each: the mesh and the boundary surface; the zero-trace
     # harmonic fields come from the restriction pairing, with no gauge of
     # their own
@@ -330,33 +335,52 @@ RP2 = [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1, 5),
        (1, 2, 4), (2, 3, 5), (1, 3, 4), (2, 4, 5), (1, 3, 5)]
 
 
+def two_complex(maps):
+    """A 2-complex's maps D0 and D1 with an empty top map."""
+    D0, D1 = maps
+    return D0, D1, np.zeros((0, D1.shape[0]), dtype=np.int64)
+
+
+def shifted_up(maps):
+    """A 2-complex's maps D0 and D1 one degree up, under no vertices."""
+    D0, D1 = maps
+    return np.zeros((D0.shape[1], 0), dtype=np.int64), D0, D1
+
+
 @pytest.mark.parametrize(
     "maps,betti,torsion",
     [
-        (simplicial_surface(RP2), (1, 0, 0, 0), [[], [2], [], []]),
-        (klein_bottle_squares(3, 2), (1, 1, 0, 0), [[], [2], [], []]),
+        (two_complex(simplicial_surface(RP2)), (1, 0, 0, 0), [[], [2], [], []]),
+        (two_complex(klein_bottle_squares(3, 2)), (1, 1, 0, 0), [[], [2], [], []]),
+        (shifted_up(simplicial_surface(RP2)), (0, 1, 0, 0), [[], [], [2], []]),
     ],
-    ids=["RP2", "Klein bottle"],
+    ids=["RP2", "Klein bottle", "RP2 shifted up"],
 )
 def test_torsion_survives_clearing(maps, betti, torsion):
-    """Surfaces as 2-complexes with an empty top map: clearing D1 by D0's
-    pivots keeps the Z/2 of H_1, and every map agrees with the minor oracle."""
-    D0, D1 = maps
-    assert not (D1 @ D0).any()
-    D2 = np.zeros((0, D1.shape[0]), dtype=np.int64)
-    counts = [D0.shape[1], D0.shape[0], D1.shape[0], 0]
-    got = homology._chain_betti(counts, [sp.csr_matrix(D) for D in (D0, D1, D2)])
-    f0, f1 = minor_gcd_factors(D0), minor_gcd_factors(D1)
-    r1, r2 = len(f0), len(f1)
-    assert got.betti == (counts[0] - r1, counts[1] - r1 - r2, counts[2] - r2, 0) == betti
-    assert got.torsion == [[f for f in fs if f > 1] for fs in (f0, f1, [], [])] == torsion
+    """Surfaces as chain complexes: clearing D1 by an outer map's forest
+    keeps the Z/2 of H_1, and every map agrees with the minor oracle.
+    Shifted up, RP2's face map is D2, which has a column with two equal
+    signs: it is no graph incidence, and its Smith form finds the Z/2."""
+    D0, D1, D2 = maps
+    assert not (D1 @ D0).any() and not (D2 @ D1).any()
+    counts = [D0.shape[1], D0.shape[0], D1.shape[0], D2.shape[0]]
+    got = homology._chain_betti(counts, [sp.csr_matrix(D) for D in maps])
+    f0, f1, f2 = (minor_gcd_factors(D) if D.size else [] for D in maps)
+    r1, r2, r3 = len(f0), len(f1), len(f2)
+    expect = (counts[0] - r1, counts[1] - r1 - r2, counts[2] - r2 - r3, counts[3] - r3)
+    assert got.betti == expect == betti
+    assert got.torsion == [[f for f in fs if f > 1] for fs in (f0, f1, f2, [])] == torsion
+    for A, fs in ((D0, f0), (D2.T, f2)):
+        if any(f > 1 for f in fs):  # a graph incidence has no torsion
+            assert homology._incidence_forest(sp.csr_matrix(A)) is None
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_betti_invariant_under_cell_permutations_and_flips(seed):
+def test_betti_invariant_under_cell_permutations_and_flips(seed, monkeypatch):
     """Relabel and reorient every cell of the box-ring: flipping cell i of
-    dimension k negates row i of D_(k-1) and column i of D_k.  The flips
-    break the zero-sum blocks, so the Betti numbers rest on the other stages."""
+    dimension k negates row i of D_(k-1) and column i of D_k.  Vertex flips
+    give rows of D0 with two equal signs, and tet flips such columns of D2,
+    so both outer maps take the Smith fallback, and the Betti numbers hold."""
     cx = gen_box_minus_ring(5)
     rng = np.random.default_rng(seed)
     counts = [cx.num_vertices, cx.num_edges, cx.num_faces, cx.num_tets]
@@ -366,19 +390,28 @@ def test_betti_invariant_under_cell_permutations_and_flips(seed):
         flip[k + 1] @ D[perm[k + 1]][:, perm[k]] @ flip[k]
         for k, D in enumerate((cx.D0, cx.D1, cx.D2))
     ]
-    for D in maps:
-        coo = D.tocoo()
-        drops = snf._zero_sum_drops(coo.row.astype(np.int64), coo.col.astype(np.int64),
-                                    coo.data.astype(np.int64), *D.shape)
-        assert not any(mask.any() for mask in drops)
+    assert homology._incidence_forest(maps[0]) is None
+    assert homology._incidence_forest(maps[2].T) is None
+    shapes = []
+    real_snf = homology.smith_normal_form
+
+    def counting_snf(A, *args, **kwargs):
+        shapes.append(A.shape)
+        return real_snf(A, *args, **kwargs)
+
+    monkeypatch.setattr(homology, "smith_normal_form", counting_snf)
     b = homology._chain_betti(counts, maps)
+    assert shapes == [maps[0].shape, maps[2].T.shape, maps[1].shape]
     assert b.betti == (1, 1, 1, 0)
     assert b.torsion == [[], [], [], []]
 
 
 def test_betti_cores_are_small(monkeypatch):
-    """Structural guard: on box-ring n=5 the outer maps reduce with no
-    elimination at all, and cleared D1 leaves under 5% of its columns."""
+    """Structural guard: on box-ring n=5 the outer maps are graph incidences,
+    so over the absolute and the relative complex ``smith_normal_form`` runs
+    exactly twice, once per cleared D1, and ``_Elimination`` never sees a D0
+    or a D2; each cleared D1 leaves under 5% of its columns to it."""
+    cx = gen_box_minus_ring(5)
     snf_shapes, core_shapes = [], []
     real_snf, real_elimination = snf.smith_normal_form, snf._Elimination
 
@@ -394,14 +427,19 @@ def test_betti_cores_are_small(monkeypatch):
 
     monkeypatch.setattr(homology, "smith_normal_form", counting_snf)
     monkeypatch.setattr(snf, "_Elimination", CountingElimination)
-    cx = gen_box_minus_ring(5)
     assert betti_numbers(cx).betti == (1, 1, 1, 0)
     assert relative_betti(cx).betti == (0, 1, 1, 1)
-    assert len(snf_shapes) == len(core_shapes) == 6
-    for (D0, D2, D1), (c0, c2, c1) in zip((snf_shapes[:3], snf_shapes[3:]),
-                                          (core_shapes[:3], core_shapes[3:])):
-        assert c0 == c2 == (0, 0)
-        assert c1[1] < 0.05 * D1[1]
+    # D1 cleared by the forests, absolutely and relatively: the ranks are
+    # those of test_pipeline_computes_topology_once
+    V, E, F, T = cx.num_vertices, cx.num_edges, cx.num_faces, cx.num_tets
+    bfaces = cx.boundary_faces
+    Vr = V - len(np.unique(cx.faces[bfaces]))
+    Er = E - len(np.unique(cx.D1[bfaces].indices))
+    Fr = F - len(bfaces)
+    assert snf_shapes == [(F - T, E - (V - 1)), (Fr - (T - 1), Er - Vr)]
+    assert len(core_shapes) == 2
+    for (rows, cols), core in zip(snf_shapes, core_shapes):
+        assert core[0] <= rows and core[1] < 0.05 * cols
 
 
 @pytest.fixture(scope="module")

@@ -3,6 +3,7 @@ import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import fieldtopo.homology as homology
 from fieldtopo.mesh import spanning_forest
 from fieldtopo.snf import integer_kernel_basis, smith_normal_form
 from fields import reference_kernel_basis
@@ -248,7 +249,7 @@ def test_kernel_pivot_order_on_tree_gauge_matrix(box_ring):
 @st.composite
 def incidence_matrices(draw):
     """Signed incidence matrices of random multigraphs, edges x vertices or
-    transposed: every block sums to zero one way, so the zero-sum drop fires."""
+    transposed."""
     n = draw(st.integers(2, 8))
     pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
         lambda p: p[0] != p[1]), min_size=1, max_size=10))
@@ -260,13 +261,24 @@ def incidence_matrices(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(sparse_int_matrices(), incidence_matrices()))
+# rows to the ground (a lone +-1), a self-loop (an empty row) and a repeat,
+# as in a relative D0
+@example(np.array([[0, 1, 0], [-1, 1, 0], [0, 0, 0], [0, -1, 1], [0, 1, -1], [0, 0, -1]]))
 def test_unit_pivots_form_unimodular_block(A):
-    """The reported unit pivots sit in distinct rows and columns and span a
-    block of determinant +-1: what clearing a neighbouring map relies on."""
-    r = smith_normal_form(sp.csr_matrix(A))
-    assert r.invariant_factors == smith_normal_form(A, transforms=True).invariant_factors
-    rows, cols = r.unit_rows.tolist(), r.unit_cols.tolist()
-    assert len(set(rows)) == len(rows) == len(cols) == len(set(cols))
-    assert len(rows) <= r.invariant_factors.count(1)
-    if rows:
+    """A matrix whose rows are graph edges gets its pivots from a spanning
+    forest: the tree edges are distinct rows, as many as its rank, and with
+    the columns of the nodes below them they span a block of determinant
+    +-1, what clearing a neighbouring map relies on.  Any other matrix gets
+    no forest."""
+    count, units = (A != 0).sum(axis=1), (np.abs(A) <= 1).all(axis=1)
+    is_incidence = ((count <= 2) & units & ((count < 2) | (A.sum(axis=1) == 0))).all()
+    forest = homology._incidence_forest(sp.csr_matrix(A))
+    assert (forest is not None) == is_incidence
+    if forest is None:
+        return
+    below = np.flatnonzero(forest.parent >= 0)
+    rows, cols = forest.edge[below], below - 1
+    assert (cols >= 0).all()  # the ground node is never below a tree edge
+    assert len(set(rows.tolist())) == len(rows) == smith_normal_form(A, transforms=True).rank
+    if len(rows):
         assert abs(bareiss_det(A[np.ix_(rows, cols)])) == 1

@@ -43,6 +43,7 @@ CASES: dict[str, list[str]] = {
     "homology-t2xi": ["homology", "--geometry", "cube", "--periodic", "xy", "--n", "3,3,2"],
     "homology-torus3": ["homology", "--geometry", "torus3", "--n", "3"],
     "homology-box-ring": ["homology", "--geometry", "box-ring", "--n", "5"],
+    "homology-cube-12": ["homology", "--geometry", "cube", "--n", "12"],
     "cuts-solid-torus": ["cuts", "--geometry", "solid-torus", "--n", "2,2,8", "--size", "1,1,2"],
     "cuts-torus3": ["cuts", "--geometry", "torus3", "--n", "4", "--cut-class", "1"],
     "cuts-box-ring": ["cuts", "--geometry", "box-ring", "--n", "5"],
