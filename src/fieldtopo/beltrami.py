@@ -10,6 +10,10 @@ which the boundary pairing vanishes:
   harmonic boundary cochains; the choice is the Lagrangian data of the
   self-adjoint extension.
 
+The boundary topology comes from ``homology.boundary_classes`` and the
+boundary surface's forest (the pins); this module only picks the Lagrangian
+classes.
+
 The curl kernel holds the admissible gradients and the harmonic fields.
 The harmonic fields follow one rule for every condition: the classes of
 H^1(M) whose boundary trace lies in the span of the chosen classes.  With no
@@ -50,7 +54,7 @@ at box-ring n=15 from 2.5e-12 to 2.8e-11 or 1.7e-11.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -59,10 +63,9 @@ import scipy.sparse.linalg as spla
 
 from .errors import IncompatibleBC, NoConvergence
 from .fem import FemMatrices, energy, helicity, tet_geometry
-from .homology import h1_cocycles_auto, surface_h1_basis
+from .homology import admitted_cocycles, boundary_classes
 from .mesh import SimplicialComplex3, integrate_potential
-from .snf import integer_kernel_basis, smith_normal_form
-from .surface import SurfaceComplex, boundary_surface
+from .surface import boundary_surface
 
 
 class BCKind(Enum):
@@ -75,8 +78,8 @@ class BCKind(Enum):
 class BoundaryCondition:
     """Boundary condition for the curl eigenproblem.
 
-    ``lagrangian_choice`` indexes into the boundary surface's H^1 basis and
-    selects which harmonic trace classes are admitted under CLOSED_TRACE;
+    ``lagrangian_choice`` indexes the classes of ``homology.boundary_classes``
+    and selects which harmonic trace classes are admitted under CLOSED_TRACE;
     the selected classes must pairwise have vanishing intersection pairing.
 
     ``describe`` writes ``closed-mesh``, ``zero-trace`` or ``closed-trace:I,J,...``
@@ -112,26 +115,6 @@ class BoundaryCondition:
 
 
 @dataclass
-class BoundaryData:
-    """Boundary bookkeeping for trace substitution.
-
-    The boundary H^1 basis is normalized against the mesh: the restriction
-    pairing (traces of the mesh's H^1 generators against boundary cycles) is
-    column-reduced over the integers, so basis elements whose dual cycles
-    bound inside the mesh ("meridian-like") come first and carry zero
-    columns.  On a solid torus this makes index 0 the meridian choice and
-    index 1 the longitude choice.
-    """
-
-    surface: SurfaceComplex
-    pins: list[int]                      # surface forest roots, in component-label order
-    alpha_verts: np.ndarray              # non-root boundary vertices (sorted)
-    zeta_all: list[np.ndarray]           # dual 1-cycles as surface edge chains
-    sigma: list[np.ndarray]              # the chosen subset
-    restriction_pairing: np.ndarray      # (b1, rank) <trace of M cocycles, zeta_all>
-
-
-@dataclass
 class ReducedPencil:
     """Constrained pencil (S_tilde, M1_tilde) plus the DOF embedding C."""
 
@@ -142,7 +125,7 @@ class ReducedPencil:
     S: sp.csr_matrix            # symmetrized reduced curl pairing
     M1: sp.csr_matrix           # reduced mass
     interior_edges: np.ndarray
-    boundary: BoundaryData
+    sigma: list[np.ndarray]     # the chosen boundary classes, surface edge cochains
     symmetry_defect: float      # max|R - R^T| / max|R| for R = C^T S C
 
     @property
@@ -152,23 +135,23 @@ class ReducedPencil:
     def full_to_dof(self, h: np.ndarray) -> np.ndarray:
         """Coordinates of an admissible edge cochain; exact for exact input.
 
-        The trace left after the chosen sigma classes is integrated to a
-        potential alpha on the surface's stored forest, zero at its roots,
-        the pins.  Under CLOSED_TRACE alpha is part of the coordinates;
-        otherwise the exact trace is stripped, and the coordinates are those
-        of h - D0 alpha (h itself on a closed mesh, whose boundary surface is
-        empty).  Raises ValueError when what is left is not admissible (a
-        trace class that the condition does not admit).
+        The trace's periods t on the chosen classes' dual cycles zeta' are
+        their coordinates; the trace left after t sigma is integrated to a
+        potential alpha on the boundary surface's forest, zero at the pins.
+        Under CLOSED_TRACE alpha is part of the coordinates; otherwise the
+        exact trace is stripped, and the coordinates are those of h - D0
+        alpha (h itself on a closed mesh).  Raises ValueError when what is
+        left is not admissible (a trace class the condition does not admit).
         """
         h = np.asarray(h, dtype=float)
-        bd = self.boundary
-        surf = bd.surface
+        surf = boundary_surface(self.complex)
+        zeta = boundary_classes(self.complex).dual_cycles
         trace = surf.restrict_edge_cochain(h)
-        t = np.array([trace @ bd.zeta_all[l] for l in self.bc.lagrangian_choice])
-        rem = trace - sum(tl * sig for tl, sig in zip(t, bd.sigma))
+        t = np.array([trace @ zeta[l] for l in self.bc.lagrangian_choice])
+        rem = trace - sum(tl * sig for tl, sig in zip(t, self.sigma))
         alpha = integrate_potential(surf.forest, rem)
         if self.bc.kind is BCKind.CLOSED_TRACE:
-            x = np.concatenate([h[self.interior_edges], alpha[bd.alpha_verts], t])
+            x = np.concatenate([h[self.interior_edges], alpha[surf.forest.parent >= 0], t])
         else:
             h = h - self.complex.D0 @ alpha
             x = h[self.interior_edges]
@@ -178,86 +161,29 @@ class ReducedPencil:
         return x
 
 
-def _boundary_data(cx: SimplicialComplex3, bc: BoundaryCondition) -> BoundaryData:
-    """Boundary data of ``bc``: the pins are the roots of the surface's
-    forest, one per boundary component in label order, and every other
-    boundary vertex carries alpha."""
-    surf = boundary_surface(cx)
-    forest = surf.forest
-    pins = forest.order[forest.parent[forest.order] < 0].tolist()
-    alpha_verts = np.flatnonzero(forest.parent >= 0)
-
-    zeta_all: list[np.ndarray] = []
-    sigma: list[np.ndarray] = []
-    omegas = h1_cocycles_auto(cx)
-    pairing = np.zeros((len(omegas), 0), dtype=np.int64)
-    if sum(surf.genus) > 0:
-        sbasis = surface_h1_basis(surf)
-        nb = sbasis.rank
-        T = np.array(
-            [
-                [int(surf.restrict_edge_cochain(w) @ z) for z in sbasis.dual_cycles]
-                for w in omegas
-            ],
-            dtype=np.int64,
-        ).reshape(len(omegas), nb)
-        sigma_all, zeta_all, pairing = _normalize_boundary_basis(
-            T, sbasis.cocycles, sbasis.dual_cycles
-        )
-
-        for pos, l in enumerate(bc.lagrangian_choice):
-            if not (0 <= l < nb):
-                raise IncompatibleBC(
-                    f"lagrangian choice {l} out of range for boundary H^1 rank {nb}"
-                )
-            if l in bc.lagrangian_choice[:pos]:
-                raise IncompatibleBC(f"lagrangian choice {l} is repeated")
-        for l in bc.lagrangian_choice:
-            for m in bc.lagrangian_choice:
-                cup = surf.cup_integral(sigma_all[l], sigma_all[m])
-                if cup != 0:
-                    raise IncompatibleBC(
-                        f"chosen classes {l},{m} are not isotropic (pairing {cup})"
-                    )
-        sigma = [sigma_all[l] for l in bc.lagrangian_choice]
-    elif bc.lagrangian_choice:
+def _lagrangian_classes(cx: SimplicialComplex3, bc: BoundaryCondition) -> list[np.ndarray]:
+    """The classes sigma' of ``boundary_classes`` that ``bc`` chooses; raises
+    IncompatibleBC unless the choice is in range, unrepeated and isotropic."""
+    classes = boundary_classes(cx)
+    choice = bc.lagrangian_choice
+    if choice and classes.rank == 0:
         raise IncompatibleBC("lagrangian choice given but boundary has genus 0")
-
-    return BoundaryData(
-        surface=surf,
-        pins=pins,
-        alpha_verts=alpha_verts,
-        zeta_all=zeta_all,
-        sigma=sigma,
-        restriction_pairing=pairing,
-    )
-
-
-def _normalize_boundary_basis(T, sigma_all, zeta_all):
-    """Column-reduce the restriction pairing over Z and transform the basis.
-
-    Returns (sigma', zeta', T') with T' = T V P, zeta' = zeta V P and
-    sigma' = sigma V^{-T} P, where V is unimodular (from the Smith form of T)
-    and P moves zero columns of T V to the front.  Duality <sigma'_i,
-    zeta'_j> = delta_ij is preserved.
-    """
-    if T.size == 0:
-        return sigma_all, zeta_all, T
-    res = smith_normal_form(T, transforms=True)
-    V = np.array(res.V.tolist(), dtype=np.int64)
-    TV = T @ V
-    zero_cols = [j for j in range(V.shape[1]) if not TV[:, j].any()]
-    nonzero_cols = [j for j in range(V.shape[1]) if TV[:, j].any()]
-    perm = zero_cols + nonzero_cols
-    # V is unimodular, so its own Smith form U2 V V2 = I gives V^{-1} = V2 U2
-    inv = smith_normal_form(V, transforms=True)
-    Vinv = np.array((inv.V @ inv.U).tolist(), dtype=np.int64)
-    new_zeta = [sum(int(V[l, j]) * zeta_all[l] for l in range(len(zeta_all))) for j in perm]
-    new_sigma = [
-        sum(int(Vinv[j, l]) * sigma_all[l] for l in range(len(sigma_all)))
-        for j in perm
-    ]
-    return new_sigma, new_zeta, TV[:, perm]
+    for pos, l in enumerate(choice):
+        if not (0 <= l < classes.rank):
+            raise IncompatibleBC(
+                f"lagrangian choice {l} out of range for boundary H^1 rank {classes.rank}"
+            )
+        if l in choice[:pos]:
+            raise IncompatibleBC(f"lagrangian choice {l} is repeated")
+    surf = boundary_surface(cx)
+    for l in choice:
+        for m in choice:
+            cup = surf.cup_integral(classes.cocycles[l], classes.cocycles[m])
+            if cup != 0:
+                raise IncompatibleBC(
+                    f"chosen classes {l},{m} are not isotropic (pairing {cup})"
+                )
+    return [classes.cocycles[l] for l in choice]
 
 
 def reduce_system(
@@ -265,8 +191,9 @@ def reduce_system(
 ) -> ReducedPencil:
     """Constrain the (S, M1) pencil so the boundary pairing vanishes.
 
-    Every kind goes through ``_boundary_data``; CLOSED_MESH is the zero-trace
-    reduction of the empty boundary surface, which forces no edge (C = I).
+    DOFs: the interior edges, then under CLOSED_TRACE alpha at the boundary
+    vertices but the pins and one per chosen class.  CLOSED_MESH is the
+    zero-trace reduction of the empty boundary surface (C = I).
     """
     has_boundary = len(cx.boundary_faces) > 0
     if bc.kind is BCKind.CLOSED_MESH and has_boundary:
@@ -274,9 +201,9 @@ def reduce_system(
     if bc.kind is not BCKind.CLOSED_MESH and not has_boundary:
         raise IncompatibleBC(f"{bc.kind.value} requires a mesh with boundary")
     E = cx.num_edges
-    bd = _boundary_data(cx, bc)
-    surf = bd.surface
-    interior = np.setdiff1d(np.arange(E), surf.parent_edge_ids)
+    surf = boundary_surface(cx)
+    sigma = _lagrangian_classes(cx, bc)
+    interior = np.flatnonzero(np.bincount(surf.parent_edge_ids, minlength=E) == 0)
     n_int = len(interior)
     rows = [interior]
     cols = [np.arange(n_int)]
@@ -284,12 +211,13 @@ def reduce_system(
     ncols = n_int
     if bc.kind is BCKind.CLOSED_TRACE:
         # alpha columns: gradient of a boundary vertex potential
-        alpha = cx.D0[surf.parent_edge_ids][:, bd.alpha_verts].tocoo()
+        alpha_verts = np.flatnonzero(surf.forest.parent >= 0)
+        alpha = cx.D0[surf.parent_edge_ids][:, alpha_verts].tocoo()
         rows.append(surf.parent_edge_ids[alpha.row])
         cols.append(ncols + alpha.col)
         vals.append(alpha.data.astype(float))
-        ncols += len(bd.alpha_verts)
-        for sig in bd.sigma:
+        ncols += len(alpha_verts)
+        for sig in sigma:
             nz = np.flatnonzero(sig)
             rows.append(surf.parent_edge_ids[nz])
             cols.append(np.full(len(nz), ncols, dtype=np.int64))
@@ -321,7 +249,7 @@ def reduce_system(
         S=S_sym,
         M1=M1r,
         interior_edges=interior,
-        boundary=bd,
+        sigma=sigma,
         symmetry_defect=float(defect),
     )
 
@@ -339,19 +267,21 @@ def _gradient_columns(pencil: ReducedPencil) -> sp.csr_matrix:
     """
     cx = pencil.complex
     V = cx.num_vertices
-    bd = pencil.boundary
+    surf = boundary_surface(cx)
     rows = [cx.D0[pencil.interior_edges]]
-    block = bd.surface.vertex_component
+    block = surf.vertex_component
     if pencil.bc.kind is BCKind.CLOSED_TRACE:
         block = np.full(V, -1)
-        alpha = bd.alpha_verts
-        pin = np.asarray(bd.pins)[bd.surface.vertex_component[alpha]]
+        forest = surf.forest
+        alpha = np.flatnonzero(forest.parent >= 0)
+        pins = forest.order[forest.parent[forest.order] < 0]  # in component-label order
+        pin = pins[surf.vertex_component[alpha]]
         k = np.arange(len(alpha))
         rows.append(sp.csr_matrix(
             (np.repeat([1, -1], len(alpha)), (np.tile(k, 2), np.concatenate([alpha, pin]))),
             shape=(len(alpha), V),
         ))
-        rows.append(sp.csr_matrix((len(bd.sigma), V), dtype=np.int64))
+        rows.append(sp.csr_matrix((len(pencil.sigma), V), dtype=np.int64))
     P = sp.vstack(rows, format="csr")
 
     free = block < 0
@@ -361,30 +291,22 @@ def _gradient_columns(pencil: ReducedPencil) -> sp.csr_matrix:
     key = np.where(free, V + np.arange(V), block)
     order = np.argsort(key, kind="stable")
     _, first = np.unique(cx.forest.component[order], return_index=True)
-    keep = np.setdiff1d(np.arange(Phi.shape[1]), column[order[first]])
+    keep = np.flatnonzero(np.bincount(column[order[first]], minlength=Phi.shape[1]) == 0)
     return (P @ Phi[:, keep]).sorted_indices()
 
 
 def _harmonic_columns(pencil: ReducedPencil) -> np.ndarray:
     """Curl-free non-gradient representatives in DOF coordinates.
 
-    One rule for every boundary condition: the integer combinations a of the
-    H^1(M) basis cocycles with a @ T[:, unchosen] = 0, where T is the
-    restriction pairing and unchosen are the boundary classes outside the
-    Lagrangian choice, mapped through ``full_to_dof``.  Their traces lie in
-    the span of the chosen classes.  ZERO_TRACE chooses none, so it keeps
-    the kernel of restriction to H^1(dM), which by exactness of H^1(M, dM)
-    -> H^1(M) -> H^1(dM) is the zero-trace harmonic space.  Without a
-    boundary of genus >= 1, T has no columns and every class is kept.
+    One rule for every boundary condition: the ``admitted_cocycles`` of the
+    Lagrangian choice, the H^1(M) classes whose traces lie in the span of
+    the chosen boundary classes, mapped through ``full_to_dof``.  ZERO_TRACE
+    chooses none, so it keeps the kernel of restriction to H^1(dM), which by
+    exactness of H^1(M, dM) -> H^1(M) -> H^1(dM) is the zero-trace harmonic
+    space.
     """
-    cocycles = h1_cocycles_auto(pencil.complex)
-    T = pencil.boundary.restriction_pairing
-    unchosen = np.setdiff1d(np.arange(T.shape[1]), pencil.bc.lagrangian_choice)
-    combos = integer_kernel_basis(T[:, unchosen].T)
-    cols = [
-        pencil.full_to_dof(sum(int(ak) * ck for ak, ck in zip(a, cocycles)).astype(float))
-        for a in combos
-    ]
+    cocycles = admitted_cocycles(pencil.complex, pencil.bc.lagrangian_choice)
+    cols = [pencil.full_to_dof(c.astype(float)) for c in cocycles]
     return np.column_stack(cols) if cols else np.zeros((pencil.ndof, 0))
 
 

@@ -7,6 +7,10 @@ unique representative vanishing on a spanning forest, so H^1(Z) is exactly
 the integer kernel of the curl operator restricted to non-tree edges.  Dual
 cycles are integer combinations of the fundamental cycles of a spanning
 forest, chosen so that their pairing with the cocycle basis is the identity.
+
+The boundary classes, H^1 of the boundary surface paired with H^1 of the
+mesh, are one record per complex (``boundary_classes``); the trace boundary
+conditions of the curl eigenproblem only choose among them.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import scipy.sparse as sp
 from .errors import TrivialH1
 from .mesh import SimplicialComplex3, SpanningForest, integrate_potential, memo, spanning_forest
 from .snf import integer_kernel_basis, smith_normal_form
-from .surface import SurfaceComplex
+from .surface import SurfaceComplex, boundary_surface
 
 
 @dataclass
@@ -48,6 +52,19 @@ class CohomologyBasis:
         return len(self.cocycles)
 
 
+@dataclass
+class BoundaryClasses(CohomologyBasis):
+    """H^1 basis sigma', zeta' of the boundary surface, normalized against the mesh.
+
+    T' = <trace of the H^1(M) cocycles, zeta'_j> is column-reduced over the
+    integers, so the classes whose dual cycles bound inside the mesh
+    ("meridian-like") come first with zero columns: on a solid torus index
+    0 is the meridian and index 1 the longitude.
+    """
+
+    restriction_pairing: np.ndarray  # T', (b1, rank)
+
+
 def _incidence_forest(A) -> SpanningForest | None:
     """Spanning forest of A read as a graph's incidence, or None if it is not one.
 
@@ -73,31 +90,31 @@ def _incidence_forest(A) -> SpanningForest | None:
     return spanning_forest(ends, A.shape[1] + 1)
 
 
-def _chain_betti(counts, boundaries) -> BettiNumbers:
+def _chain_betti(counts, D1, outer) -> BettiNumbers:
     """Betti numbers and torsion of a chain complex from its three boundary ranks.
 
-    The outer maps D0 and D2 are read as graphs first, the rows of D0 and
-    the columns of D2 as edges: the tree edges of ``_incidence_forest``
-    give their rank and a unimodular pivot set with no elimination.  Those
-    pivots certify dependences in D1 (clearing; Chen-Kerber 2011): D1 D0 =
-    0 makes the columns of D1 at D0's pivot rows integer combinations of
-    the other columns, and D2 D1 = 0 does the same for the rows at D2's
-    pivot columns.  D1 without them has the same rank and invariant
-    factors, and it is all that ``smith_normal_form`` sees.  An outer map
-    that is no graph incidence, as on a non-orientable complex, goes whole
-    to ``smith_normal_form`` and clears nothing.
+    ``outer`` pairs each outer map, D0 and D2 transposed, with its spanning
+    forest read as a graph (``_incidence_forest``), or None where the map is
+    no graph incidence.  A forest's tree edges give the map's rank and a
+    unimodular pivot set with no elimination.  Those pivots certify
+    dependences in D1 (clearing; Chen-Kerber 2011): D1 D0 = 0 makes the
+    columns of D1 at D0's pivot rows integer combinations of the other
+    columns, and D2 D1 = 0 does the same for the rows at D2's pivot columns.
+    D1 without them has the same rank and invariant factors, and it is all
+    that ``smith_normal_form`` sees.  An outer map without a forest, as on a
+    non-orientable complex, goes whole to ``smith_normal_form`` and clears
+    nothing.
     """
-    D0, D1, D2 = boundaries
     rows, cols = np.ones(D1.shape[0], dtype=bool), np.ones(D1.shape[1], dtype=bool)
-    outer = []
-    for A, mask in ((D0, cols), (D2.T, rows)):
-        forest = _incidence_forest(A)
+    outer_factors = []
+    for (A, forest), mask in zip(outer, (cols, rows)):
         if forest is None:
-            outer.append(smith_normal_form(A).invariant_factors)
+            outer_factors.append(smith_normal_form(A).invariant_factors)
         else:
-            outer.append([1] * len(forest.tree_edges))
+            outer_factors.append([1] * len(forest.tree_edges))
             mask[forest.tree_edges] = False
-    factors = [outer[0], smith_normal_form(D1[rows][:, cols]).invariant_factors, outer[1]]
+    f1 = smith_normal_form(D1[rows][:, cols]).invariant_factors
+    factors = [outer_factors[0], f1, outer_factors[1]]
     r1, r2, r3 = (len(f) for f in factors)
     betti = (
         counts[0] - r1,
@@ -109,18 +126,25 @@ def _chain_betti(counts, boundaries) -> BettiNumbers:
     return BettiNumbers(betti=betti, torsion=torsion + [[]])
 
 
-def _cached_betti(cx, kind: str, counts, boundaries) -> BettiNumbers:
-    b = memo(cx, kind, lambda: _chain_betti(counts, boundaries()))
+def _cached_betti(cx, kind: str, counts, chain) -> BettiNumbers:
+    b = memo(cx, kind, lambda: _chain_betti(counts, *chain()))
     return BettiNumbers(betti=b.betti, torsion=[list(t) for t in b.torsion])
 
 
 def betti_numbers(cx: SimplicialComplex3) -> BettiNumbers:
     """Betti numbers and torsion of H_* from Smith normal form ranks.
 
-    Computed once per complex; each call returns its own copy.
+    D0 is the incidence of the mesh's edge graph, so its forest is the
+    mesh's own ``cx.forest``.  Computed once per complex; each call returns
+    its own copy.
     """
+
+    def chain():
+        D2t = cx.D2.T
+        return cx.D1, [(cx.D0, cx.forest), (D2t, _incidence_forest(D2t))]
+
     counts = [cx.num_vertices, cx.num_edges, cx.num_faces, cx.num_tets]
-    return _cached_betti(cx, "absolute", counts, lambda: (cx.D0, cx.D1, cx.D2))
+    return _cached_betti(cx, "absolute", counts, chain)
 
 
 def relative_betti(cx: SimplicialComplex3) -> BettiNumbers:
@@ -142,14 +166,14 @@ def relative_betti(cx: SimplicialComplex3) -> BettiNumbers:
         )
     )
 
-    def boundaries():
+    def chain():
         D0r = cx.D0[int_edges][:, int_verts]
         D1r = cx.D1[int_faces][:, int_edges]
-        D2r = cx.D2[:, int_faces]
-        return D0r, D1r, D2r
+        D2rt = cx.D2[:, int_faces].T
+        return D1r, [(D0r, _incidence_forest(D0r)), (D2rt, _incidence_forest(D2rt))]
 
     counts = [len(int_verts), len(int_edges), len(int_faces), cx.num_tets]
-    return _cached_betti(cx, "relative", counts, boundaries)
+    return _cached_betti(cx, "relative", counts, chain)
 
 
 def tree_gauge_cocycles(forest: SpanningForest, D1: sp.spmatrix) -> list[np.ndarray]:
@@ -163,7 +187,7 @@ def tree_gauge_cocycles(forest: SpanningForest, D1: sp.spmatrix) -> list[np.ndar
     2336 columns on box-ring n=7, 18 of 652 on its boundary surface.
     """
     ne = D1.shape[1]
-    nontree = np.setdiff1d(np.arange(ne), forest.tree_edges)
+    nontree = np.flatnonzero(np.bincount(forest.tree_edges, minlength=ne) == 0)
     out = []
     for vec in integer_kernel_basis(D1.tocsc()[:, nontree]):
         full = np.zeros(ne, dtype=np.int64)
@@ -284,3 +308,52 @@ def surface_h1_basis(surf: SurfaceComplex) -> CohomologyBasis:
     if not cocycles:
         raise TrivialH1("surface H^1 is trivial")
     return _dual_basis(surf, cocycles, "surface period pairing")
+
+
+def boundary_classes(cx: SimplicialComplex3) -> BoundaryClasses:
+    """H^1 of the boundary surface with its restriction pairing.
+
+    Built once per complex and shared, like the boundary surface, so it is
+    read-only.  A boundary of genus 0 (or none) has a (b1, 0) pairing.
+    """
+    return memo(cx, "boundary_classes", lambda: _boundary_classes(cx))
+
+
+def _boundary_classes(cx: SimplicialComplex3) -> BoundaryClasses:
+    surf = boundary_surface(cx)
+    omegas = h1_cocycles_auto(cx)
+    if sum(surf.genus) == 0:
+        return BoundaryClasses([], [], np.zeros((len(omegas), 0), dtype=np.int64))
+    sbasis = surface_h1_basis(surf)
+    T = np.array(
+        [[int(surf.restrict_edge_cochain(w) @ z) for z in sbasis.dual_cycles] for w in omegas],
+        dtype=np.int64,
+    ).reshape(len(omegas), sbasis.rank)
+    # T' = T V P, zeta' = zeta V P and sigma' = sigma V^{-T} P, where V is
+    # unimodular (from the Smith form of T) and P moves the zero columns of
+    # T V to the front; <sigma'_i, zeta'_j> = delta_ij is kept
+    res = smith_normal_form(T, transforms=True)
+    V = np.array(res.V.tolist(), dtype=np.int64)
+    TV = T @ V
+    perm = np.argsort(TV.any(axis=0), kind="stable").tolist()
+    # V is unimodular, so its own Smith form U2 V V2 = I gives V^{-1} = V2 U2
+    inv = smith_normal_form(V, transforms=True)
+    Vinv = np.array((inv.V @ inv.U).tolist(), dtype=np.int64)
+    zeta, sigma = sbasis.dual_cycles, sbasis.cocycles
+    return BoundaryClasses(
+        cocycles=[sum(int(Vinv[j, l]) * sigma[l] for l in range(len(sigma))) for j in perm],
+        dual_cycles=[sum(int(V[l, j]) * zeta[l] for l in range(len(zeta))) for j in perm],
+        restriction_pairing=TV[:, perm],
+    )
+
+
+def admitted_cocycles(cx: SimplicialComplex3, chosen: tuple[int, ...]) -> list[np.ndarray]:
+    """Integer H^1(M) cocycles whose traces lie in the span of the ``chosen``
+    boundary classes: the combinations a of the ``h1_cocycles_auto`` basis
+    with a @ T'[:, unchosen] = 0 (with nothing chosen, the kernel of
+    restriction to H^1(dM))."""
+    cocycles = h1_cocycles_auto(cx)
+    T = boundary_classes(cx).restriction_pairing
+    unchosen = np.flatnonzero(np.bincount(chosen, minlength=T.shape[1]) == 0)
+    combos = integer_kernel_basis(T[:, unchosen].T)
+    return [sum(int(ak) * ck for ak, ck in zip(a, cocycles)) for a in combos]

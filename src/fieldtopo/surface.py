@@ -22,7 +22,6 @@ from .mesh import SimplicialComplex3, SpanningForest, memo, spanning_forest
 class SurfaceComplex:
     """Closed oriented triangulated surface extracted from a parent complex."""
 
-    parent: SimplicialComplex3
     edges: np.ndarray           # (Es,2) sorted vertex pairs (parent vertex ids)
     parent_edge_ids: np.ndarray  # (Es,) matching edge index in the parent
     D1s: sp.csr_matrix          # (Fs,Es) face-edge incidence of the surface
@@ -106,7 +105,6 @@ def _extract_surface(complex: SimplicialComplex3) -> SurfaceComplex:
     )
 
     return SurfaceComplex(
-        parent=complex,
         edges=edges,
         parent_edge_ids=parent_edge_ids,
         D1s=D1s,

@@ -4,6 +4,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+import fieldtopo.homology as homology
 from fieldtopo.beltrami import (
     BCKind,
     BoundaryCondition,
@@ -16,7 +17,7 @@ from fieldtopo.beltrami import (
 from fieldtopo.errors import IncompatibleBC, NoConvergence
 from fieldtopo.fem import build_fem, field_proxies
 from fieldtopo.generators import GridSpec, gen_box_minus_ring, gen_grid
-from fieldtopo.homology import betti_numbers, h1_cocycles_auto
+from fieldtopo.homology import betti_numbers, boundary_classes, h1_cocycles_auto
 from fieldtopo.mesh import build_complex, spanning_forest
 from fieldtopo.surface import boundary_surface
 from fields import cluster_align, edge_interpolant
@@ -34,8 +35,8 @@ def test_closed_mesh_pencil_is_full(torus3_coarse, torus3_coarse_fem):
     assert pen.S.nnz == S.nnz
     assert abs(pen.S - S).max() <= 1e-12 * abs(S).max()
     # the zero-trace reduction of the empty boundary surface
-    assert pen.boundary.surface.genus == []
-    assert pen.boundary.restriction_pairing.shape == (3, 0)
+    assert boundary_surface(torus3_coarse).genus == []
+    assert boundary_classes(torus3_coarse).restriction_pairing.shape == (3, 0)
     h = np.random.default_rng(2).standard_normal(torus3_coarse.num_edges)
     assert pen.full_to_dof(h).tobytes() == h.tobytes()
 
@@ -58,7 +59,7 @@ def test_closed_trace_normalized_restriction(solid_torus, solid_torus_fem):
     """Index 0 is meridian-like (invisible to traces of H^1(M)), index 1
     longitude-like; only the longitude choice admits a harmonic flux state."""
     pen0 = reduce_system(solid_torus, solid_torus_fem, BoundaryCondition.parse("closed-trace:0"))
-    R = pen0.boundary.restriction_pairing
+    R = boundary_classes(solid_torus).restriction_pairing
     assert R.shape == (1, 2)
     assert R[0, 0] == 0 and abs(R[0, 1]) == 1
     proj0 = kernel_projector(pen0)
@@ -66,6 +67,25 @@ def test_closed_trace_normalized_restriction(solid_torus, solid_torus_fem):
     pen1 = reduce_system(solid_torus, solid_torus_fem, BoundaryCondition.parse("closed-trace:1"))
     proj1 = kernel_projector(pen1)
     assert proj1.harmonic_dimension == 1
+
+
+def test_boundary_classes_built_once(monkeypatch):
+    """Three boundary conditions on one fresh mesh read one shared record of
+    boundary classes: the surface H^1 basis is built exactly once."""
+    calls = []
+    real = homology.surface_h1_basis
+
+    def counting(surf):
+        calls.append(surf)
+        return real(surf)
+
+    monkeypatch.setattr(homology, "surface_h1_basis", counting)
+    cx = gen_box_minus_ring(5)
+    fem = build_fem(cx)
+    for text in ("zero-trace", "closed-trace:0", "closed-trace:1"):
+        reduce_system(cx, fem, BoundaryCondition.parse(text))
+    assert len(calls) == 1
+    assert boundary_classes(cx) is boundary_classes(cx)
 
 
 def test_incompatible_bc_cases(cube4, cube4_fem, torus3_coarse, torus3_coarse_fem,
@@ -114,10 +134,10 @@ def test_gradients_with_closed_component():
     for text, ncols in (("zero-trace", 27), ("closed-trace:", 52)):
         bc = BoundaryCondition.parse(text)
         pen = reduce_system(cx, fem, bc)
-        forest = spanning_forest(pen.boundary.surface.edges, cx.num_vertices)
-        assert (forest.parent[pen.boundary.pins] == -1).all()
-        surf = pen.boundary.surface
-        pins = pen.boundary.pins
+        surf = boundary_surface(cx)
+        pins = surf.forest.order[surf.forest.parent[surf.forest.order] < 0]
+        forest = spanning_forest(surf.edges, cx.num_vertices)
+        assert (forest.parent[pins] == -1).all()
         assert np.array_equal(surf.vertex_component[pins], np.arange(surf.num_components))
         proj = kernel_projector(pen)
         assert proj.gradient.shape == (pen.ndof, ncols)
@@ -133,12 +153,18 @@ def test_boundary_pins_follow_component_labels():
     """T2xI has two boundary tori: the pins are the roots of the stored
     surface forest, one per torus, in the order of the component labels."""
     cx = gen_grid(GridSpec(3, 3, 2, periodic=(True, True, False)))
-    bd = reduce_system(cx, build_fem(cx), BoundaryCondition.parse("closed-trace:")).boundary
-    assert bd.surface.num_components == 2
-    assert np.array_equal(bd.surface.vertex_component[bd.pins], [0, 1])
-    assert (bd.surface.forest.parent[bd.pins] == -1).all()
-    on_boundary = np.flatnonzero(bd.surface.vertex_component >= 0)
-    assert np.array_equal(np.sort(np.concatenate([bd.pins, bd.alpha_verts])), on_boundary)
+    pen = reduce_system(cx, build_fem(cx), BoundaryCondition.parse("closed-trace:"))
+    surf = boundary_surface(cx)
+    forest = surf.forest
+    pins = forest.order[forest.parent[forest.order] < 0]
+    alpha_verts = np.flatnonzero(forest.parent >= 0)
+    assert surf.num_components == 2
+    assert np.array_equal(surf.vertex_component[pins], [0, 1])
+    assert (forest.parent[pins] == -1).all()
+    on_boundary = np.flatnonzero(surf.vertex_component >= 0)
+    assert np.array_equal(np.sort(np.concatenate([pins, alpha_verts])), on_boundary)
+    # the DOFs: interior edges, then alpha on every boundary vertex but the pins
+    assert pen.ndof == len(pen.interior_edges) + len(alpha_verts)
 
 
 def jittered_torus3(n: int, seed: int = 7):
@@ -275,7 +301,7 @@ def test_zero_trace_strips_exact_traces():
     traces = [np.abs(c[boundary_surface(cx).parent_edge_ids]).max() for c in h1_cocycles_auto(cx)]
     assert max(traces) == 1
     pen = reduce_system(cx, build_fem(cx), BoundaryCondition.parse("zero-trace"))
-    assert pen.boundary.restriction_pairing.shape == (3, 0)
+    assert boundary_classes(cx).restriction_pairing.shape == (3, 0)
     proj = kernel_projector(pen)
     assert proj.harmonic_dimension == 3
     H = proj.harmonic

@@ -212,9 +212,10 @@ def test_cached_topology_returns_copies(box_ring):
 
 def test_pipeline_computes_topology_once(tmp_path, monkeypatch, box_ring):
     """One absolute and one relative Betti computation, one mesh tree gauge,
-    one boundary surface, one spanning forest per graph (the mesh, its
-    boundary surface, and the graphs of D0 and D2, absolute and relative)
-    and one dual-loop construction per H^1 basis."""
+    one boundary surface, one spanning forest per graph (the mesh, whose
+    edge graph is also the graph of the absolute D0, its boundary surface,
+    and the graphs of the absolute D2 and of the relative D0 and D2) and one
+    dual-loop construction per H^1 basis."""
     cx = box_ring  # the CLI builds the same n=5 mesh
     V, E, F, T = cx.num_vertices, cx.num_edges, cx.num_faces, cx.num_tets
     Fs, Es = boundary_surface(cx).D1s.shape  # before extractions are counted
@@ -266,15 +267,16 @@ def test_pipeline_computes_topology_once(tmp_path, monkeypatch, box_ring):
     rc = cli.main(["pipeline", "--geometry", "box-ring", "--n", "5",
                    "--threads", "1", "--out", str(tmp_path)])
     assert rc == 0
-    # D0 and D2 as graphs with a ground node, each forest built once; only
-    # D1 cleared by their tree edges reaches a Smith form: rank D0 = V - b0
-    # = V - 1 and rank D2 = T - b3 = T absolutely; relatively (no boundary
-    # cells) rank D0 = Vr - 0 and rank D2 = T - 1
+    # D0 and D2 as graphs, each forest built once (the absolute D0 reads the
+    # mesh's own forest, the others have a ground node); only D1 cleared by
+    # their tree edges reaches a Smith form: rank D0 = V - b0 = V - 1 and
+    # rank D2 = T - b3 = T absolutely; relatively (no boundary cells) rank
+    # D0 = Vr - 0 and rank D2 = T - 1
     bfaces = cx.boundary_faces
     Vr = V - len(np.unique(cx.faces[bfaces]))
     Er = E - len(np.unique(cx.D1[bfaces].indices))
     Fr = F - len(bfaces)
-    assert outer_forests == [(E, V + 1), (F, T + 1), (Er, Vr + 1), (Fr, T + 1)]
+    assert outer_forests == [(F, T + 1), (Er, Vr + 1), (Fr, T + 1)]
     assert snf_shapes == [(F - T, E - (V - 1)), (Fr - (T - 1), Er - Vr)]
     # one gauge each: the mesh and the boundary surface; the zero-trace
     # harmonic fields come from the restriction pairing, with no gauge of
@@ -335,6 +337,13 @@ RP2 = [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1, 5),
        (1, 2, 4), (2, 3, 5), (1, 3, 4), (2, 4, 5), (1, 3, 5)]
 
 
+def chain_betti(counts, maps):
+    """``_chain_betti`` of three maps, each outer map with its own forest."""
+    D0, D1, D2 = (sp.csr_matrix(D) for D in maps)
+    outer = [(A, homology._incidence_forest(A)) for A in (D0, D2.T)]
+    return homology._chain_betti(counts, D1, outer)
+
+
 def two_complex(maps):
     """A 2-complex's maps D0 and D1 with an empty top map."""
     D0, D1 = maps
@@ -364,7 +373,7 @@ def test_torsion_survives_clearing(maps, betti, torsion):
     D0, D1, D2 = maps
     assert not (D1 @ D0).any() and not (D2 @ D1).any()
     counts = [D0.shape[1], D0.shape[0], D1.shape[0], D2.shape[0]]
-    got = homology._chain_betti(counts, [sp.csr_matrix(D) for D in maps])
+    got = chain_betti(counts, maps)
     f0, f1, f2 = (minor_gcd_factors(D) if D.size else [] for D in maps)
     r1, r2, r3 = len(f0), len(f1), len(f2)
     expect = (counts[0] - r1, counts[1] - r1 - r2, counts[2] - r2 - r3, counts[3] - r3)
@@ -400,7 +409,7 @@ def test_betti_invariant_under_cell_permutations_and_flips(seed, monkeypatch):
         return real_snf(A, *args, **kwargs)
 
     monkeypatch.setattr(homology, "smith_normal_form", counting_snf)
-    b = homology._chain_betti(counts, maps)
+    b = chain_betti(counts, maps)
     assert shapes == [maps[0].shape, maps[2].T.shape, maps[1].shape]
     assert b.betti == (1, 1, 1, 0)
     assert b.torsion == [[], [], [], []]

@@ -18,6 +18,12 @@ the options of the case it names through a ``--config`` file, written next
 to the case's output directory; ``diff`` also reports, in either manifest,
 a config case whose output bytes differ from those of its flag case.
 
+Besides the Freudenthal grids, two pipeline cases read ``delaunay-ring.msh``,
+a Delaunay mesh of a box minus a solid ring (generic connectivity) that
+``delaunay_ring_msh`` writes from a fixed seed into the same directory as
+the config files; the cases name it by that relative path, so their
+arguments do not depend on where the manifest runs.
+
 To check that a change keeps every output byte for byte, write a manifest
 from a checkout of the parent commit and one from the working tree, then
 diff them.
@@ -32,6 +38,9 @@ import os
 import subprocess
 import sys
 import tempfile
+
+import numpy as np
+from scipy.spatial import Delaunay
 
 TAU = "6.283185307179586"
 
@@ -83,12 +92,66 @@ CASES: dict[str, list[str]] = {
     "pipeline-torus3": ["pipeline", "--geometry", "torus3", "--n", "4", "--size", TAU],
     "pipeline-box-ring": ["pipeline", "--geometry", "box-ring", "--n", "5"],
     "pipeline-box-ring-7": ["pipeline", "--geometry", "box-ring", "--n", "7"],
+    "pipeline-delaunay-ring": ["pipeline", "--geometry", "msh:delaunay-ring.msh"],
+    "pipeline-delaunay-ring-closed-trace-1": [
+        "pipeline", "--geometry", "msh:delaunay-ring.msh", "--bc", "closed-trace:1",
+    ],
 }
 
 # case -> the case in CASES whose options it reads from a --config file
 CONFIG_CASES: dict[str, str] = {"beltrami-torus3-config": "beltrami-torus3"}
 
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
+
+
+def delaunay_ring_msh(path: str, seed: int = 1) -> None:
+    """Write a Delaunay tet mesh of the unit box minus a solid ring as Gmsh 2.2.
+
+    The points are an h = 0.1 grid whose interior coordinates move by up to
+    0.2 h (so a face point stays on its face), without the grid points within
+    r + 0.3 h of the ring's core circle (radius R = 0.25 in the plane z = 0.5
+    about the box centre), plus 24 x 8 points on the ring's surface (tube
+    radius r = 0.08) with angles moved by up to 0.15 of a step.  Of their
+    Delaunay tets, those whose centroid lies within r of the core circle and
+    those with all four vertices on one face of the box are dropped.  Seeds 1
+    and 3 give a valid mesh (about 1460 vertices and 7100 tets, Betti numbers
+    (1, 1, 1, 0)); seeds 0 and 2 give a pinched boundary.
+    """
+    h, R, r, c = 0.1, 0.25, 0.08, np.array([0.5, 0.5, 0.5])
+    rng = np.random.default_rng(seed)
+    ticks = np.linspace(0.0, 1.0, 11)
+    grid = np.stack(np.meshgrid(ticks, ticks, ticks, indexing="ij"), axis=-1).reshape(-1, 3)
+    inner = (grid > 0.0) & (grid < 1.0)
+    grid = grid + inner * rng.uniform(-0.2 * h, 0.2 * h, grid.shape)
+
+    def core_distance(p):
+        d = p - c
+        return np.hypot(np.hypot(d[:, 0], d[:, 1]) - R, d[:, 2])
+
+    grid = grid[core_distance(grid) > r + 0.3 * h]
+    nu, nv = 24, 8
+    u = (np.arange(nu)[:, None] + rng.uniform(-0.15, 0.15, (nu, nv))) * (2 * np.pi / nu)
+    v = (np.arange(nv)[None, :] + rng.uniform(-0.15, 0.15, (nu, nv))) * (2 * np.pi / nv)
+    rho = R + r * np.cos(v)
+    ring = c + np.stack([rho * np.cos(u), rho * np.sin(u), r * np.sin(v)], axis=-1).reshape(-1, 3)
+    points = np.vstack([grid, ring])
+
+    tets = Delaunay(points).simplices
+    corners = points[tets]
+    keep = core_distance(corners.mean(axis=1)) > r
+    for axis in range(3):
+        for side in (0.0, 1.0):
+            keep &= ~np.all(corners[:, :, axis] == side, axis=1)
+    tets = tets[keep]
+    used, tets = np.unique(tets, return_inverse=True)
+    tets = tets.reshape(-1, 4)
+    lines = ["$MeshFormat", "2.2 0 8", "$EndMeshFormat", "$Nodes", str(len(used))]
+    lines += [f"{i + 1} {x!r} {y!r} {z!r}" for i, (x, y, z) in enumerate(points[used].tolist())]
+    lines += ["$EndNodes", "$Elements", str(len(tets))]
+    lines += [f"{i + 1} 4 2 0 1 " + " ".join(str(k + 1) for k in t) for i, t in enumerate(tets.tolist())]
+    lines += ["$EndElements"]
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def _sha256(path: str) -> str:
@@ -129,6 +192,7 @@ def run_case(checkout: str, argv: list[str], outdir: str) -> dict:
 
 def manifest(checkout: str) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
+        delaunay_ring_msh(os.path.join(tmp, "delaunay-ring.msh"))
         out = {}
         for name, argv in CASES.items():
             print(f"golden: {name}", file=sys.stderr)
