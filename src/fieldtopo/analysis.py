@@ -63,10 +63,11 @@ def twist_noise_floor(cx: SimplicialComplex3, H: np.ndarray) -> float:
     """Round-off scale of the twist density for this field and mesh.
 
     m carries units field^2/length; the floor is 1e-12 x max|H|^2 divided by
-    the shortest edge, far above accumulated round-off of an exact foliation
-    but far below any physical twist at desk scale.
+    the shortest edge (1 on a mesh without edges), far above accumulated
+    round-off of an exact foliation but far below any physical twist at desk
+    scale.
     """
-    hmin = float(cx.edge_lengths().min(initial=1.0)) or 1.0
+    hmin = float(cx.edge_lengths().min()) if cx.num_edges else 1.0
     return 1e-12 * _sq(H).max(initial=0.0) / hmin
 
 

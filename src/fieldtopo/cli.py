@@ -42,6 +42,8 @@ class RunConfig:
             raise ValueError(f"--threads must be >= 0, got {self.threads}")
         if self.seed < 0:
             raise ValueError(f"--seed must be >= 0, got {self.seed}")
+        if self.cut_class < 0:
+            raise ValueError(f"--cut-class must be >= 0, got {self.cut_class}")
         if not 0 < self.tol < float("inf"):
             raise ValueError(f"--tol must be finite and > 0, got {self.tol!r}")
         if self.shift is not None and not 0 < abs(self.shift) < float("inf"):

@@ -18,6 +18,15 @@ The boundary maps of an oriented mesh next to its vertices and its tets
 are graph incidences and never come here: ``homology`` reads their ranks
 off a spanning forest.
 
+The dense algorithm, ``_dense_snf``, is one pivot loop on Python lists.
+Its unimodular transforms ride along as identity blocks that every row and
+column operation updates, and a non-unit pivot keeps the divisibility chain
+inside the loop.  Its traffic is tiny: on the benchmark and golden meshes
+the sparse path hands it only empty remainders, and the transforms, asked
+for on the saturated pairing of ``homology.dual_loops`` and on the
+restriction pairing T' and its V, come from matrices of at most 4 x 4.  So
+it stays plain rather than fast.
+
 The kernel basis has one numpy stage, ``_forced_zero_columns``: a row whose
 only live entry is +-1 zeroes that column in every kernel vector, so the
 column is peeled (the coreduction of Dlotko-Specogna, CPC 2013).
@@ -27,7 +36,6 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from math import gcd
 
 import numpy as np
 import scipy.sparse as sp
@@ -50,7 +58,6 @@ class SnfResult:
     and V unimodular.
     """
 
-    shape: tuple[int, int]
     invariant_factors: list[int]
     U: np.ndarray | None = None
     V: np.ndarray | None = None
@@ -60,130 +67,71 @@ class SnfResult:
         return len(self.invariant_factors)
 
 
-def _dense_snf(M: list[list[int]], want_transforms: bool):
-    """Textbook SNF on a dense list-of-lists matrix (modified in place).
+def _dense_snf(A: list[list[int]], m: int, n: int, want_transforms: bool):
+    """Textbook SNF of the dense m x n list-of-lists ``A``: (diag, U, V).
 
-    Pivot choice: smallest absolute value, then lowest (row, col) index.
-    Returns (diag, U, V) with U, V as list-of-lists or None.
+    Pivot: the smallest |entry|, first in row-major order (a +-1 ends the
+    search).  Row operations clear its column, then column operations its
+    row; a smaller remainder is swapped in as the pivot.  A non-unit pivot
+    adds to its row a remaining row it does not divide and clears again (so
+    d1 | d2 | ...).  U and V ride as identity blocks that every operation
+    updates: [[A, I], [I, 0]] ends as [[D, U], [V, 0]], U @ A @ V = D.
     """
-    m = len(M)
-    n = len(M[0]) if m else 0
-    U = [[int(i == j) for j in range(m)] for i in range(m)] if want_transforms else None
-    V = [[int(i == j) for j in range(n)] for i in range(n)] if want_transforms else None
+    M = A
+    if want_transforms:
+        M = [row + [int(i == k) for k in range(m)] for i, row in enumerate(A)]
+        M += [[int(j == k) for k in range(n)] + [0] * m for j in range(n)]
 
-    def swap_rows(a, b):
-        if a != b:
-            M[a], M[b] = M[b], M[a]
-            if U is not None:
-                U[a], U[b] = U[b], U[a]
+    def add_row(dst, src, f):  # row dst += f * row src
+        M[dst] = [x + f * y for x, y in zip(M[dst], M[src])]
 
-    def swap_cols(a, b):
-        if a != b:
-            for row in M:
-                row[a], row[b] = row[b], row[a]
-            if V is not None:
-                for row in V:
-                    row[a], row[b] = row[b], row[a]
-
-    def add_row(dst, src, f):
-        # row_dst += f * row_src
-        Ms, Md = M[src], M[dst]
-        for j in range(n):
-            Md[j] += f * Ms[j]
-        if U is not None:
-            Us, Ud = U[src], U[dst]
-            for j in range(m):
-                Ud[j] += f * Us[j]
-
-    def add_col(dst, src, f):
+    def add_col(dst, src, f):  # column dst += f * column src
         for row in M:
             row[dst] += f * row[src]
-        if V is not None:
-            for row in V:
-                row[dst] += f * row[src]
 
-    def negate_row(i):
-        M[i] = [-v for v in M[i]]
-        if U is not None:
-            U[i] = [-v for v in U[i]]
+    def swap_cols(a, b):
+        for row in M:
+            row[a], row[b] = row[b], row[a]
 
     t = 0
     while t < min(m, n):
-        # locate pivot
         best = None
-        pi = pj = -1
         for i in range(t, m):
-            Mi = M[i]
             for j in range(t, n):
-                v = abs(Mi[j])
-                if v and (best is None or v < best):
-                    best, pi, pj = v, i, j
-                    if v == 1:
-                        break
-            if best == 1:
+                if M[i][j] and (best is None or abs(M[i][j]) < best[0]):
+                    best = (abs(M[i][j]), i, j)
+            if best and best[0] == 1:
                 break
         if best is None:
             break
-        swap_rows(t, pi)
-        swap_cols(t, pj)
-
+        _, i, j = best
+        M[t], M[i] = M[i], M[t]
+        swap_cols(t, j)
         while True:
-            # clear column t
             for i in range(m):
                 if i != t and M[i][t]:
                     add_row(i, t, -(M[i][t] // M[t][t]))
-            leftover = [i for i in range(m) if i != t and M[i][t]]
-            if leftover:
-                # remainders are smaller than the pivot: promote one and retry
-                i = min(leftover, key=lambda r: abs(M[r][t]))
-                swap_rows(t, i)
+            rest = [i for i in range(m) if i != t and M[i][t]]
+            if rest:
+                i = min(rest, key=lambda r: abs(M[r][t]))
+                M[t], M[i] = M[i], M[t]
                 continue
-            # clear row t
             for j in range(n):
                 if j != t and M[t][j]:
                     add_col(j, t, -(M[t][j] // M[t][t]))
-            leftover_c = [j for j in range(n) if j != t and M[t][j]]
-            if leftover_c:
-                j = min(leftover_c, key=lambda c: abs(M[t][c]))
-                swap_cols(t, j)
+            rest = [j for j in range(n) if j != t and M[t][j]]
+            if rest:
+                swap_cols(t, min(rest, key=lambda c: abs(M[t][c])))
                 continue
-            break
-
+            p = M[t][t]
+            bad = [i for i in range(t + 1, m) if abs(p) > 1 and any(x % p for x in M[i][t:n])]
+            if not bad:
+                break
+            add_row(t, bad[0], 1)
         if M[t][t] < 0:
-            negate_row(t)
+            M[t] = [-x for x in M[t]]
         t += 1
-
-    # enforce the divisibility chain d_0 | d_1 | ...
-    changed = True
-    while changed:
-        changed = False
-        for i in range(t - 1):
-            a, b = M[i][i], M[i + 1][i + 1]
-            if a and b and b % a != 0:
-                # fold d_{i+1} into column i and rediagonalize the 2x2 block
-                add_col(i, i + 1, 1)
-                g = gcd(a, b)
-                # Euclidean steps on the (i, i+1) block
-                while M[i + 1][i]:
-                    if abs(M[i][i]) >= abs(M[i + 1][i]):
-                        add_row(i, i + 1, -(M[i][i] // M[i + 1][i]))
-                    swap_rows(i, i + 1)
-                # now row i has the gcd at (i,i); clear row i and column i
-                if M[i][i] < 0:
-                    negate_row(i)
-                for j in range(n):
-                    if j != i and M[i][j]:
-                        add_col(j, i, -(M[i][j] // M[i][i]))
-                for r in range(m):
-                    if r != i and M[r][i]:
-                        add_row(r, i, -(M[r][i] // M[i][i]))
-                if M[i + 1][i + 1] < 0:
-                    negate_row(i + 1)
-                assert abs(M[i][i]) == g
-                changed = True
-
-    diag = [M[k][k] for k in range(t) if M[k][k]]
-    return diag, U, V
+    return [M[k][k] for k in range(t)], [row[n:] for row in M[:m]], [row[:n] for row in M[m:]]
 
 
 class _Elimination:
@@ -339,8 +287,10 @@ def smith_normal_form(A, transforms: bool = False) -> SnfResult:
         arr = A.toarray() if sp.issparse(A) else np.asarray(A)
         if arr.ndim != 2:
             raise ValueError("need a 2-D matrix")
-        diag, U, V = _dense_snf([[int(x) for x in row] for row in arr], True)
-        return SnfResult(arr.shape, diag, np.array(U, dtype=object), np.array(V, dtype=object))
+        m, n = arr.shape
+        diag, U, V = _dense_snf([[int(x) for x in row] for row in arr], m, n, True)
+        U, V = np.array(U, dtype=object).reshape(m, m), np.array(V, dtype=object).reshape(n, n)
+        return SnfResult(diag, U, V)
 
     r, c, v, (m, n) = _entries(A)
     taken, (r, c, v) = _fill_free_pivots(r, c, v, m, n)
@@ -356,8 +306,8 @@ def smith_normal_form(A, transforms: bool = False) -> SnfResult:
     for b, j in enumerate(live):
         for i, val in el.cols[j].items():
             M[rmap[i]][b] = val
-    diag, _, _ = _dense_snf(M, False)
-    return SnfResult((m, n), [1] * taken + diag)
+    diag, _, _ = _dense_snf(M, len(rmap), len(live), False)
+    return SnfResult([1] * taken + diag)
 
 
 def integer_kernel_basis(A) -> list[np.ndarray]:

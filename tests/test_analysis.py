@@ -49,6 +49,16 @@ def test_twist_of_gradient_is_roundoff(torus3_coarse, torus3_coarse_fem):
     assert np.abs(m).max() <= twist_noise_floor(torus3_coarse, H)
 
 
+def test_twist_noise_floor_scales_with_shortest_edge():
+    """The floor is 1e-12 |H|^2 over the true shortest edge, also above 1."""
+    floors = []
+    for L in (1.0, 2 * np.pi, 20.0):
+        cx = gen_grid(GridSpec(4, 4, 4, L, L, L, periodic=(True, True, True)))
+        floors.append(twist_noise_floor(cx, np.ones((cx.num_tets, 3))) * L)
+    assert floors == pytest.approx([floors[0]] * 3, rel=1e-12)
+    assert floors[0] == pytest.approx(1e-12 * 3 * 4)
+
+
 def test_twist_of_beltrami_eigenfield(aligned_eigenfield, torus3_8, torus3_8_fem):
     h, lam = aligned_eigenfield
     H, curlH = field_proxies(torus3_8, h)

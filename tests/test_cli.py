@@ -178,6 +178,8 @@ def test_invalid_config_exit_code(tmp_path, capsys):
         (["gen", "--n", "2", "--bc", "foo"], "ValueError"),
         (["homology", "--n", "2", "--bc", "closed-trace:x"], "ValueError"),
         (["cuts", "--geometry", "solid-torus", "--n", "2,2,8", "--bc", "foo"], "ValueError"),
+        # the sign of --cut-class needs no mesh, so commands that do not cut check it
+        (["gen", "--geometry", "solid-torus", "--n", "2,2,8", "--cut-class", "-1"], "ValueError"),
     ],
 )
 def test_error_contract(tmp_path, capsys, argv, error):
@@ -193,6 +195,7 @@ def test_error_contract(tmp_path, capsys, argv, error):
         assert not out.exists()
     else:
         assert read_json(out / "error.json") == doc
+        assert os.listdir(out) == ["error.json"]
 
 
 @pytest.mark.parametrize(
@@ -664,6 +667,9 @@ def test_run_config_validation():
         RunConfig(command="gen", seed=-1).validate()
     with pytest.raises(ValueError, match="--level"):
         RunConfig(command="gen", level="abc").validate()
+    with pytest.raises(ValueError, match="--cut-class"):
+        RunConfig(command="gen", cut_class=-1).validate()
+    RunConfig(command="gen", cut_class=0).validate()
 
 
 def test_reproducibility_byte_identical(tmp_path):

@@ -1,5 +1,7 @@
+import importlib.util
 import warnings
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -449,6 +451,47 @@ def test_betti_cores_are_small(monkeypatch):
     assert len(core_shapes) == 2
     for (rows, cols), core in zip(snf_shapes, core_shapes):
         assert core[0] <= rows and core[1] < 0.05 * cols
+
+
+def test_dense_snf_traffic(tmp_path, monkeypatch):
+    """Structural guard: in a box-ring n=5 pipeline the dense Smith form
+    gets only empty unit-free remainders, and transform inputs of at most
+    4 x 4 (the saturated pairing of the dual loops, T' and its V), so it can
+    stay plain rather than fast."""
+    calls = []
+    real_dense = snf._dense_snf
+
+    def counting_dense(A, m, n, want_transforms):
+        calls.append((m, n, want_transforms))
+        return real_dense(A, m, n, want_transforms)
+
+    monkeypatch.setattr(snf, "_dense_snf", counting_dense)
+    argv = ["pipeline", "--geometry", "box-ring", "--n", "5", "--bc", "closed-trace:1"]
+    assert cli.main(argv + ["--threads", "1", "--out", str(tmp_path)]) == 0
+    remainders = [(m, n) for m, n, t in calls if not t]
+    transformed = [(m, n) for m, n, t in calls if t]
+    assert remainders and all(m * n == 0 for m, n in remainders)
+    assert transformed and all(m <= 4 and n <= 4 for m, n in transformed)
+
+
+def test_delaunay_ring_topology(tmp_path):
+    """Generic connectivity: the Delaunay box minus a ring of the golden set
+    (seed 1), whose H^1 basis and boundary classes go through the dense
+    Smith transforms on a mesh that is not a grid."""
+    golden_py = Path(__file__).parents[1] / "tools" / "golden.py"
+    spec = importlib.util.spec_from_file_location("golden", golden_py)
+    golden = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(golden)
+    golden.delaunay_ring_msh(str(tmp_path / "ring.msh"), seed=1)
+    cx = read_msh(tmp_path / "ring.msh")
+    report = mesh.validate_complex(cx)
+    assert report.failures == [] and report.boundary_genus == [0, 1]
+    assert betti_numbers(cx).betti == (1, 1, 1, 0)
+    assert relative_betti(cx).betti == (0, 1, 1, 1)
+    basis = h1_basis(cx)
+    assert [[int(c @ z) for z in basis.dual_cycles] for c in basis.cocycles] == [[1]]
+    assert homology.boundary_classes(cx).restriction_pairing.tolist() == [[0, 1]]
+    assert [len(homology.admitted_cocycles(cx, chosen)) for chosen in ((), (0,), (1,))] == [0, 0, 1]
 
 
 @pytest.fixture(scope="module")

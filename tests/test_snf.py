@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -87,9 +88,13 @@ def test_random_vs_minor_oracle():
 
 def test_transforms_unimodular_and_diagonal():
     rng = np.random.default_rng(11)
-    for _ in range(25):
-        m, n = rng.integers(1, 8, size=2)
-        A = rng.integers(-9, 10, size=(m, n))
+    mats = [rng.integers(-9, 10, size=rng.integers(1, 8, size=2)) for _ in range(25)]
+    # entries without units give non-unit pivots, so the divisibility step runs
+    units_free = [0, 2, -2, 3, -3, 4, -4, 5]
+    mats += [rng.choice(units_free, size=rng.integers(1, 8, size=2)) for _ in range(25)]
+    mats.append(np.array([[2, 0], [0, 3]]))  # diagonal, but its factors are (1, 6)
+    for A in mats:
+        m, n = A.shape
         r = smith_normal_form(A, transforms=True)
         D = r.U @ A.astype(object) @ r.V
         expect = np.zeros((m, n), dtype=object)
@@ -102,6 +107,17 @@ def test_transforms_unimodular_and_diagonal():
         # unimodular transforms
         assert abs(bareiss_det(r.U.tolist())) == 1
         assert abs(bareiss_det(r.V.tolist())) == 1
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+def test_transforms_of_empty_matrix(shape):
+    m, n = shape
+    r = smith_normal_form(np.zeros(shape, dtype=int), transforms=True)
+    assert r.invariant_factors == []
+    assert np.array_equal(r.U, np.eye(m, dtype=int)) and r.U.shape == (m, m)
+    assert np.array_equal(r.V, np.eye(n, dtype=int)) and r.V.shape == (n, n)
+    D = r.U @ np.zeros(shape, dtype=object) @ r.V
+    assert D.shape == shape and not D.any()
 
 
 def test_rank_helpers():
