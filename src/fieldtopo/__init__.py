@@ -1,34 +1,7 @@
 """fieldtopo: topology and spectra of magnetic fields on tetrahedral meshes.
 
-Submodules are imported lazily so the CLI can pin thread environment
-variables before numpy loads.
+Nothing is imported here, so the CLI can pin thread environment variables
+before numpy loads.
 """
 
 __version__ = "0.1.0"
-
-_SUBMODULES = (
-    "mesh",
-    "surface",
-    "generators",
-    "snf",
-    "homology",
-    "fem",
-    "cuts",
-    "beltrami",
-    "analysis",
-    "writers",
-    "cli",
-    "errors",
-)
-
-
-def __getattr__(name):
-    if name in _SUBMODULES:
-        import importlib
-
-        return importlib.import_module(f".{name}", __name__)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted(list(globals()) + list(_SUBMODULES))

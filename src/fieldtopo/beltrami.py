@@ -321,9 +321,13 @@ def _jacobi_cg(A: sp.spmatrix, what: str):
 
     Returns a function of B, a vector or an (n, k) block, that solves one
     column at a time by Jacobi-preconditioned CG, stopping at relative
-    residual _CG_RTOL; a column still short of it after n steps raises
-    NoConvergence.  Nothing is factored, so A needs no more memory than its
-    own nonzeros.
+    residual _CG_RTOL; a column still short of it after 2n + 20 steps raises
+    NoConvergence.  In exact arithmetic CG ends within n steps, but scipy's
+    cg tests the residual only at the top of a step, so a system solved in
+    the last allowed step (any 1 x 1 one) would read as a failure; the
+    margin also covers roundoff that leaves a small system's residual just
+    above _CG_RTOL after n steps.  Nothing is factored, so A needs no more
+    memory than its own nonzeros.
     """
     A = A.tocsr()
     jacobi = sp.diags(1.0 / A.diagonal())
@@ -334,7 +338,7 @@ def _jacobi_cg(A: sp.spmatrix, what: str):
         Y = np.empty(cols.shape)
         for j in range(cols.shape[1]):
             Y[:, j], info = spla.cg(
-                A, cols[:, j], rtol=_CG_RTOL, atol=0.0, maxiter=A.shape[0], M=jacobi
+                A, cols[:, j], rtol=_CG_RTOL, atol=0.0, maxiter=2 * A.shape[0] + 20, M=jacobi
             )
             if info != 0:
                 raise NoConvergence(f"{what} CG failed (info={info})")

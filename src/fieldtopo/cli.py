@@ -124,7 +124,12 @@ def _pencil(cx, fem, cfg: RunConfig):
     from .beltrami import BoundaryCondition, reduce_system
 
     default = "zero-trace" if len(cx.boundary_faces) else "closed-mesh"
-    pencil = reduce_system(cx, fem, BoundaryCondition.parse(default if cfg.bc is None else cfg.bc))
+    bc = default if cfg.bc is None else cfg.bc
+    pencil = reduce_system(cx, fem, BoundaryCondition.parse(bc))
+    if pencil.ndof < 3:
+        raise ValueError(
+            f"the mesh leaves ndof = {pencil.ndof} under {bc}; an eigenproblem needs at least 3 DOFs"
+        )
     if cfg.k > pencil.ndof - 2:
         raise ValueError(f"--k must be <= {pencil.ndof - 2} on this mesh, got {cfg.k}")
     return pencil

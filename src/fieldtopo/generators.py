@@ -192,11 +192,8 @@ def gen_box_minus_ring(n: int, ring=None, l: float = 1.0) -> SimplicialComplex3:
 
     tets, grid, coords, pts, h = _freudenthal_cells(spec, cell_mask=keep)
     vertices = _grid_vertices(pts, h)
-    used = np.unique(tets)
-    remap = -np.ones(len(vertices), dtype=np.int64)
-    remap[used] = np.arange(len(used))
-    cx = build_complex(vertices[used], remap[tets], tet_coords=coords)
-    return cx
+    used, conn = np.unique(tets, return_inverse=True)
+    return build_complex(vertices[used], conn, tet_coords=coords)
 
 
 def read_msh(path) -> SimplicialComplex3:
@@ -208,32 +205,64 @@ def read_msh(path) -> SimplicialComplex3:
     """
     with open(path) as fh:
         lines = fh.read().splitlines()
-
-    pos = 0
+    # the non-blank lines, stripped, with their 1-based line numbers
+    rows = ((row, ln) for ln, line in enumerate(lines, 1) if (row := line.strip()))
 
     def next_line():
-        nonlocal pos
-        while pos < len(lines) and not lines[pos].strip():
-            pos += 1
-        if pos >= len(lines):
+        row = next(rows, None)
+        if row is None:
             raise ParseError("unexpected end of file", line=len(lines))
-        pos += 1
-        return lines[pos - 1].strip(), pos
+        return row
+
+    def counted_rows(what, parse_row):
+        """A count line, then that many rows, each parsed as soon as it is read."""
+        count_s, ln = next_line()
+        try:
+            count = int(count_s)
+        except ValueError:
+            raise ParseError(f"bad {what} count {count_s!r}", line=ln) from None
+        for _ in range(count):
+            row, ln = next_line()
+            if row.startswith("$"):
+                raise ParseError(f"{what} list shorter than declared count", line=ln)
+            parse_row(row, row.split(), ln)
 
     nodes = {}
-    tets = []
-    tet_lines = []
-    skipped = 0
-    saw_nodes = saw_elements = False
+    tets, tet_lines, non_tet_lines = [], [], []
 
-    while pos < len(lines):
-        if not lines[pos].strip():
-            pos += 1
-            continue
-        section, secline = next_line()
+    def node_row(row, parts, ln):
+        try:
+            nid, x, y, z = parts
+            nid, xyz = int(nid), [float(x), float(y), float(z)]
+        except ValueError:
+            raise ParseError(f"bad node line {row!r}", line=ln) from None
+        if nid in nodes:
+            raise ParseError(f"repeated node id {nid}", line=ln)
+        nodes[nid] = xyz
+
+    def element_row(row, parts, ln):
+        try:
+            etype, ntags = int(parts[1]), int(parts[2])
+            conn = [int(v) for v in parts[3 + ntags:]]
+        except (ValueError, IndexError):
+            raise ParseError(f"bad element line {row!r}", line=ln) from None
+        if etype != 4:
+            non_tet_lines.append(ln)
+        elif len(conn) != 4:
+            raise ParseError(f"tet with {len(conn)} nodes", line=ln)
+        elif not -(2**63) <= min(conn) <= max(conn) < 2**63:
+            raise ParseError("tet node id outside the int64 range", line=ln)
+        else:
+            tets.append(conn)
+            tet_lines.append(ln)
+
+    counted = {"Nodes": ("node", node_row), "Elements": ("element", element_row)}
+    seen = set()
+    for section, secline in rows:
         if not section.startswith("$"):
             raise ParseError(f"expected section marker, got {section!r}", line=secline)
         name = section[1:]
+        end = f"$End{name}"
         if name == "MeshFormat":
             fmt, ln = next_line()
             parts = fmt.split()
@@ -241,86 +270,32 @@ def read_msh(path) -> SimplicialComplex3:
                 raise ParseError(f"unsupported MSH format {fmt!r}", line=ln)
             if parts[1] != "0":
                 raise ParseError("binary MSH not supported", line=ln)
-            end, ln = next_line()
-            if end != "$EndMeshFormat":
-                raise ParseError("missing $EndMeshFormat", line=ln)
-        elif name == "Nodes":
-            count_s, ln = next_line()
-            try:
-                count = int(count_s)
-            except ValueError:
-                raise ParseError(f"bad node count {count_s!r}", line=ln) from None
-            for _ in range(count):
-                row, ln = next_line()
-                parts = row.split()
-                if parts[0].startswith("$"):
-                    raise ParseError("node list shorter than declared count", line=ln)
-                try:
-                    if len(parts) != 4:
-                        raise ValueError
-                    nid = int(parts[0])
-                    xyz = [float(v) for v in parts[1:]]
-                except ValueError:
-                    raise ParseError(f"bad node line {row!r}", line=ln) from None
-                if nid in nodes:
-                    raise ParseError(f"repeated node id {nid}", line=ln)
-                nodes[nid] = xyz
-            end, ln = next_line()
-            if end != "$EndNodes":
-                raise ParseError("missing $EndNodes", line=ln)
-            saw_nodes = True
-        elif name == "Elements":
-            count_s, ln = next_line()
-            try:
-                count = int(count_s)
-            except ValueError:
-                raise ParseError(f"bad element count {count_s!r}", line=ln) from None
-            for _ in range(count):
-                row, ln = next_line()
-                parts = row.split()
-                if parts[0].startswith("$"):
-                    raise ParseError("element list shorter than declared count", line=ln)
-                try:
-                    etype = int(parts[1])
-                    ntags = int(parts[2])
-                    conn = [int(v) for v in parts[3 + ntags:]]
-                except (ValueError, IndexError):
-                    raise ParseError(f"bad element line {row!r}", line=ln) from None
-                if etype == 4:
-                    if len(conn) != 4:
-                        raise ParseError(f"tet with {len(conn)} nodes", line=ln)
-                    tets.append(conn)
-                    tet_lines.append(ln)
-                else:
-                    skipped += 1
-            end, ln = next_line()
-            if end != "$EndElements":
-                raise ParseError("missing $EndElements", line=ln)
-            saw_elements = True
-        else:
-            # unknown section: skip to its end marker
-            while True:
-                row, ln = next_line()
-                if row == f"$End{name}":
-                    break
+        elif name in counted:
+            counted_rows(*counted[name])
+        else:  # an unknown section is skipped to its end marker
+            while next_line()[0] != end:
+                pass
+            continue
+        row, ln = next_line()
+        if row != end:
+            raise ParseError(f"missing {end}", line=ln)
+        seen.add(name)
 
-    if not (saw_nodes and saw_elements):
+    if not {"Nodes", "Elements"} <= seen:
         raise ParseError("missing $Nodes or $Elements section", line=len(lines))
-    if skipped:
-        warnings.warn(f"ignored {skipped} non-tet elements", stacklevel=2)
+    if non_tet_lines:
+        warnings.warn(f"ignored {len(non_tet_lines)} non-tet elements", stacklevel=2)
     if not tets:
         raise EmptyMesh("no tetrahedra (element type 4) in file")
 
-    for t, ln in zip(tets, tet_lines):
-        for v in t:
-            if v not in nodes:
-                raise ParseError(f"element references unknown node {v}", line=ln)
+    # one sort of the tets' node ids finds unknown and unused nodes and
+    # numbers the used ones in id order
+    ids, conn = np.unique(np.array(tets, dtype=np.int64), return_inverse=True)
+    unknown = np.argwhere(np.array([nid not in nodes for nid in ids.tolist()])[conn].reshape(-1, 4))
+    if len(unknown):
+        t, k = unknown[0]
+        raise ParseError(f"element references unknown node {tets[t][k]}", line=tet_lines[t])
     # a node that no tet uses would be a connected component of its own
-    used = {v for t in tets for v in t}
-    if len(used) < len(nodes):
-        warnings.warn(f"ignored {len(nodes) - len(used)} nodes used by no tet", stacklevel=2)
-    ids = sorted(used)
-    remap = {nid: k for k, nid in enumerate(ids)}
-    vertices = np.array([nodes[nid] for nid in ids])
-    conn = np.array([[remap[v] for v in t] for t in tets])
-    return build_complex(vertices, conn)
+    if len(ids) < len(nodes):
+        warnings.warn(f"ignored {len(nodes) - len(ids)} nodes used by no tet", stacklevel=2)
+    return build_complex(np.array([nodes[nid] for nid in ids.tolist()]), conn)

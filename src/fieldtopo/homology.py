@@ -58,8 +58,12 @@ class BoundaryClasses(CohomologyBasis):
 
     T' = <trace of the H^1(M) cocycles, zeta'_j> is column-reduced over the
     integers, so the classes whose dual cycles bound inside the mesh
-    ("meridian-like") come first with zero columns: on a solid torus index
-    0 is the meridian and index 1 the longitude.
+    ("meridian-like") come first with zero columns: on a solid torus zeta'_0
+    is the meridian.  The reduction does not fix the completion: adding a
+    zero column's cycle zeta'_i to another zeta'_j keeps T', the order and
+    sigma'_j but moves sigma'_i to sigma'_i - sigma'_j.  So a choice of
+    zero-column classes, such as closed-trace:0 on box-ring, depends on the
+    completion picked, and so does its spectrum (README, boundary classes).
     """
 
     restriction_pairing: np.ndarray  # T', (b1, rank)

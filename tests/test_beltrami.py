@@ -581,6 +581,15 @@ def test_step_cap_ends_in_no_convergence(torus3_coarse, torus3_coarse_fem, monke
     assert exc.value.best_residual > 1e-8
 
 
+def test_jacobi_cg_solves_one_by_one():
+    """scipy's cg checks the residual only at the top of a step, so even a
+    1 x 1 system needs more than n steps to report success."""
+    from fieldtopo.beltrami import _jacobi_cg
+
+    solve = _jacobi_cg(sp.csr_matrix([[4.0]]), "one")
+    assert solve(np.array([2.0])).tolist() == [0.5]
+
+
 def test_m_orthonormalize_carries_the_product(torus3_coarse_fem):
     """W comes back M-orthonormal and M-orthogonal to V, with the carried MW
     equal to M @ W, and a column inside span V is dropped."""

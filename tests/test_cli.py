@@ -390,6 +390,29 @@ def test_cg_failure_error_contract(tmp_path, capsys, monkeypatch, system, size):
     assert read_json(tmp_path / "error.json") == doc
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--geometry", "cube", "--n", "2"],
+        ["--geometry", "cube", "--n", "3,3,1", "--periodic", "xy"],
+        ["--geometry", "solid-torus", "--n", "1,1,3", "--bc", "closed-trace:0"],
+    ],
+)
+def test_small_cg_systems_solve(tmp_path, argv):
+    """A 1 x 1 gradient Gram and an 18 x 18 mass matrix need more CG steps
+    than their order from scipy's cg."""
+    assert main(["beltrami", *argv, "--out", str(tmp_path)]) == 0
+
+
+def test_too_few_dofs_message(tmp_path, capsys):
+    rc = main(["beltrami", "--geometry", "cube", "--n", "1", "--out", str(tmp_path)])
+    assert rc == 2
+    assert json.loads(capsys.readouterr().out) == {
+        "error": "ValueError",
+        "message": "the mesh leaves ndof = 1 under zero-trace; an eigenproblem needs at least 3 DOFs",
+    }
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.text(alphabet='"\\\n\t{}[],:ab -.', min_size=1, max_size=12))
 def test_bad_counts_always_give_json(text):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -199,6 +201,92 @@ def test_read_msh_binary_rejected(tmp_path):
     path.write_text(text)
     with pytest.raises(ParseError):
         read_msh(path)
+
+
+NON_TET = "ignored 1 non-tet elements"
+ORPHAN = "ignored 1 nodes used by no tet"
+TET_ROW = "1 4 2 0 1 1 2 3 4\n"
+ELEMENTS = "$Elements\n1\n" + TET_ROW + "$EndElements\n"
+
+# (edits to MSH_MINIMAL, error class, message, line, warnings), one row per
+# way read_msh can fail or warn
+MSH_ERRORS = [
+    ([("$EndElements\n", "")], ParseError, "unexpected end of file", 13, []),
+    ([("$MeshFormat\n", "junk\n$MeshFormat\n")], ParseError,
+     "expected section marker, got 'junk'", 1, []),
+    ([("2.2 0 8", "4.1 0 8")], ParseError, "unsupported MSH format '4.1 0 8'", 2, []),
+    ([("2.2 0 8", "2.2 1 8")], ParseError, "binary MSH not supported", 2, []),
+    ([("$EndMeshFormat", "$EndFormat")], ParseError, "missing $EndMeshFormat", 3, []),
+    ([("$Nodes\n4\n", "$Nodes\nfour\n")], ParseError, "bad node count 'four'", 5, []),
+    ([("$Nodes\n4\n", "$Nodes\n5\n")], ParseError,
+     "node list shorter than declared count", 10, []),
+    ([("3 0 1 0\n", "3 0 1\n")], ParseError, "bad node line '3 0 1'", 8, []),
+    ([("3 0 1 0\n", "2 0 1 0\n")], ParseError, "repeated node id 2", 8, []),
+    ([("$Nodes\n4\n", "$Nodes\n3\n")], ParseError, "missing $EndNodes", 9, []),
+    ([("$Elements\n1\n", "$Elements\nnope\n")], ParseError, "bad element count 'nope'", 12, []),
+    ([("$Elements\n1\n", "$Elements\n2\n")], ParseError,
+     "element list shorter than declared count", 14, []),
+    ([(TET_ROW, "1 4\n")], ParseError, "bad element line '1 4'", 13, []),
+    ([(TET_ROW, "1 4 2 0 1 1 2 3\n")], ParseError, "tet with 3 nodes", 13, []),
+    ([("$Elements\n1\n", "$Elements\n0\n")], ParseError, "missing $EndElements", 13, []),
+    ([(ELEMENTS, "")], ParseError, "missing $Nodes or $Elements section", 10, []),
+    ([(TET_ROW, "1 4 2 0 1 1 2 3 9\n")], ParseError, "element references unknown node 9", 13, []),
+    # the warnings come before the checks on the tets
+    ([("$Elements\n1\n", "$Elements\n2\n7 2 0 1 2 3\n")], None, None, None,
+     [NON_TET]),
+    ([("$Nodes\n4\n", "$Nodes\n5\n"), ("4 0 0 1\n", "4 0 0 1\n5 2 2 2\n")], None, None, None,
+     [ORPHAN]),
+    ([(TET_ROW, "1 2 0 1 2 3\n")], EmptyMesh, "no tetrahedra (element type 4) in file", None,
+     [NON_TET]),
+    ([("$Elements\n1\n", "$Elements\n2\n7 2 0 1 2 3\n"), (" 4\n$EndE", " 9\n$EndE")],
+     ParseError, "element references unknown node 9", 14, [NON_TET]),
+]
+
+
+@pytest.mark.parametrize("edits,error,message,line,warned", MSH_ERRORS)
+def test_read_msh_error_table(tmp_path, edits, error, message, line, warned):
+    """Every ParseError of read_msh with its line, both warnings and EmptyMesh."""
+    text = MSH_MINIMAL
+    for old, new in edits:
+        assert old in text
+        text = text.replace(old, new)
+    path = tmp_path / "case.msh"
+    path.write_text(text)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        if error is None:
+            assert read_msh(path).num_tets == 1
+        else:
+            with pytest.raises(error) as err:
+                read_msh(path)
+            assert getattr(err.value, "line", None) == line
+            assert str(err.value) == (message if line is None else f"line {line}: {message}")
+    assert [str(w.message) for w in caught] == warned
+
+
+def test_read_msh_numbers_nodes_in_id_order(tmp_path):
+    """Vertices come in node id order, whatever the ids and their file order."""
+    text = MSH_MINIMAL
+    for old, new in [("1 0 0 0", "9 0 0 0"), ("2 1 0 0", "-4 1 0 0"), ("4 0 0 1", "70 0 0 1"),
+                     ("1 1 2 3 4", "1 9 -4 3 70")]:
+        text = text.replace(old, new)
+    path = tmp_path / "ids.msh"
+    path.write_text(text)
+    assert read_msh(path).vertices.tolist() == [[1, 0, 0], [0, 1, 0], [0, 0, 0], [0, 0, 1]]
+
+
+def test_read_msh_node_id_outside_int64(tmp_path):
+    """Tet node ids are renumbered as int64, so one past that range is a
+    ParseError on its element line, not an OverflowError."""
+    big = 2**63
+    text = MSH_MINIMAL.replace("4 0 0 1\n", f"{big} 0 0 1\n").replace(TET_ROW, f"1 4 2 0 1 1 2 3 {big}\n")
+    path = tmp_path / "big.msh"
+    path.write_text(text)
+    with pytest.raises(ParseError, match="tet node id outside the int64 range") as err:
+        read_msh(path)
+    assert err.value.line == 13
+    path.write_text(text.replace(str(big), str(big - 1)))
+    assert read_msh(path).num_vertices == 4
 
 
 def test_seam_cochains_closed():

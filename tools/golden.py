@@ -20,9 +20,12 @@ a config case whose output bytes differ from those of its flag case.
 
 Besides the Freudenthal grids, two pipeline cases read ``delaunay-ring.msh``,
 a Delaunay mesh of a box minus a solid ring (generic connectivity) that
-``delaunay_ring_msh`` writes from a fixed seed into the same directory as
-the config files; the cases name it by that relative path, so their
-arguments do not depend on where the manifest runs.
+``delaunay_ring_msh`` writes from a fixed seed, and a gen and a homology case
+read ``tagged-box.msh``, whose sections, elements and node ids take the
+reader's skip and renumbering paths (``tagged_box_msh``).  Both files are
+written into the same directory as the config files; the cases name them by
+that relative path, so their arguments do not depend on where the manifest
+runs.
 
 To check that a change keeps every output byte for byte, write a manifest
 from a checkout of the parent commit and one from the working tree, then
@@ -33,6 +36,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -92,6 +96,8 @@ CASES: dict[str, list[str]] = {
     "pipeline-torus3": ["pipeline", "--geometry", "torus3", "--n", "4", "--size", TAU],
     "pipeline-box-ring": ["pipeline", "--geometry", "box-ring", "--n", "5"],
     "pipeline-box-ring-7": ["pipeline", "--geometry", "box-ring", "--n", "7"],
+    "gen-msh-tagged-box": ["gen", "--geometry", "msh:tagged-box.msh"],
+    "homology-msh-tagged-box": ["homology", "--geometry", "msh:tagged-box.msh"],
     "pipeline-delaunay-ring": ["pipeline", "--geometry", "msh:delaunay-ring.msh"],
     "pipeline-delaunay-ring-closed-trace-1": [
         "pipeline", "--geometry", "msh:delaunay-ring.msh", "--bc", "closed-trace:1",
@@ -154,6 +160,39 @@ def delaunay_ring_msh(path: str, seed: int = 1) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def tagged_box_msh(path: str) -> None:
+    """Write a 2 x 1 x 1 box of 12 Kuhn tets as Gmsh 2.2, with what the reader skips.
+
+    The file has a $PhysicalNames section, two triangles on the face x = 0
+    and a node that no tet uses.  Node ids run 62, 57, ..., 7 along the
+    points and are listed even points first, so they neither run 1..V nor
+    rise in file order.
+    """
+    points = [(x, y, z) for x in range(3) for y in range(2) for z in range(2)]
+    ids = [5 * (len(points) - k) + 2 for k in range(len(points))]
+    tets = []
+    for x in range(2):
+        for axes in itertools.permutations(range(3)):
+            corner = [x, 0, 0]
+            walk = [ids[points.index(tuple(corner))]]
+            for axis in axes:
+                corner[axis] += 1
+                walk.append(ids[points.index(tuple(corner))])
+            tets.append(walk)
+    order = list(range(0, len(points), 2)) + list(range(1, len(points), 2))
+    lines = ["$MeshFormat", "2.2 0 8", "$EndMeshFormat"]
+    lines += ["$PhysicalNames", "2", '2 1 "wall"', '3 2 "box"', "$EndPhysicalNames"]
+    lines += ["$Nodes", str(len(points) + 1), "30 0.5 0.5 3.0"]
+    lines += [f"{ids[k]} " + " ".join(map(str, points[k])) for k in order]
+    lines += ["$EndNodes", "$Elements", str(len(tets) + 2)]
+    wall = [(0, 2, 3), (0, 3, 1)]
+    lines += [f"{k + 1} 2 2 1 1 " + " ".join(str(ids[v]) for v in tri) for k, tri in enumerate(wall)]
+    lines += [f"{k + 3} 4 2 2 1 " + " ".join(map(str, t)) for k, t in enumerate(tets)]
+    lines += ["$EndElements"]
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
 def _sha256(path: str) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -193,6 +232,7 @@ def run_case(checkout: str, argv: list[str], outdir: str) -> dict:
 def manifest(checkout: str) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         delaunay_ring_msh(os.path.join(tmp, "delaunay-ring.msh"))
+        tagged_box_msh(os.path.join(tmp, "tagged-box.msh"))
         out = {}
         for name, argv in CASES.items():
             print(f"golden: {name}", file=sys.stderr)
