@@ -125,7 +125,6 @@ class ReducedPencil:
     S: sp.csr_matrix            # symmetrized reduced curl pairing
     M1: sp.csr_matrix           # reduced mass
     interior_edges: np.ndarray
-    sigma: list[np.ndarray]     # the chosen boundary classes, surface edge cochains
     symmetry_defect: float      # max|R - R^T| / max|R| for R = C^T S C
 
     @property
@@ -145,10 +144,11 @@ class ReducedPencil:
         """
         h = np.asarray(h, dtype=float)
         surf = boundary_surface(self.complex)
-        zeta = boundary_classes(self.complex).dual_cycles
+        classes = boundary_classes(self.complex)
+        choice = self.bc.lagrangian_choice
         trace = surf.restrict_edge_cochain(h)
-        t = np.array([trace @ zeta[l] for l in self.bc.lagrangian_choice])
-        rem = trace - sum(tl * sig for tl, sig in zip(t, self.sigma))
+        t = np.array([trace @ classes.dual_cycles[l] for l in choice])
+        rem = trace - sum(tl * classes.cocycles[l] for tl, l in zip(t, choice))
         alpha = integrate_potential(surf.forest, rem)
         if self.bc.kind is BCKind.CLOSED_TRACE:
             x = np.concatenate([h[self.interior_edges], alpha[surf.forest.parent >= 0], t])
@@ -249,7 +249,6 @@ def reduce_system(
         S=S_sym,
         M1=M1r,
         interior_edges=interior,
-        sigma=sigma,
         symmetry_defect=float(defect),
     )
 
@@ -281,7 +280,7 @@ def _gradient_columns(pencil: ReducedPencil) -> sp.csr_matrix:
             (np.repeat([1, -1], len(alpha)), (np.tile(k, 2), np.concatenate([alpha, pin]))),
             shape=(len(alpha), V),
         ))
-        rows.append(sp.csr_matrix((len(pencil.sigma), V), dtype=np.int64))
+        rows.append(sp.csr_matrix((len(pencil.bc.lagrangian_choice), V), dtype=np.int64))
     P = sp.vstack(rows, format="csr")
 
     free = block < 0
@@ -430,25 +429,6 @@ def default_shift(cx: SimplicialComplex3) -> float:
     return 0.1 * (2.0 * np.pi / extent)
 
 
-def _shift_side_order(lams: np.ndarray, sigma: float, tol: float) -> np.ndarray:
-    """Indices that sort ``lams`` by |lambda|.
-
-    Values whose |lambda| agree within tol * max(1, |lambda|) are tied, and a
-    tie lists the shift's sign first, so that rounding cannot pick the sign
-    of a +-lambda pair.
-    """
-    mag = np.abs(lams)
-    order = np.argsort(mag, kind="stable")
-    tie = np.empty(len(order))
-    head = -np.inf
-    for pos, m in enumerate(mag[order]):
-        if m - head > tol * max(1.0, head):
-            head = m
-        tie[pos] = head
-    away = np.sign(lams[order]) != np.sign(sigma)
-    return order[np.lexsort((away, tie))]
-
-
 # Gram eigenvalue below which a direction of unit-M-norm columns counts as
 # dependent: the eigenvalues carry an absolute rounding error of a few eps,
 # so a dependent direction reads about 1e-16, and one kept at this bound
@@ -590,21 +570,21 @@ def smallest_beltrami(
 
     g, and so f, vanishes on the whole curl kernel, so the zero eigenvalue
     of the pencil is invisible to the iteration; the kernel projector is
-    applied only to the start block and to the Ritz vectors.  f damps
-    eigenvalues of the sign opposite to the shift, so with the shift below
-    the smallest |lambda| the contract is the smallest |lambda| on the
-    shift's side: where the spectrum is not sign-symmetric (closed-trace
-    conditions), a smaller |lambda| of the other sign needs a shift of that
-    sign.  A shift above the smallest |lambda| returns the k lambdas of
-    largest f.  Pairs come sorted by |lambda|; values tied within
-    tol * max(1, |lambda|) list the shift's sign first.  Deterministic for a
+    applied only to the start block and to the Ritz vectors.  In terms of
+    lambda, f = lambda / (sigma (lambda - sigma)^2): positive exactly on the
+    shift's side, zero on the kernel and negative on the other sign.  So
+    with the shift below the smallest |lambda| the contract is the smallest
+    |lambda| on the shift's side: where the spectrum is not sign-symmetric
+    (closed-trace conditions), a smaller |lambda| of the other sign needs a
+    shift of that sign.  A shift above the smallest |lambda| returns the k
+    lambdas of largest f.  Only pairs on the shift's side with |lambda| >
+    tol are returned, sorted by |lambda|; a pencil with fewer than k of them
+    raises NoConvergence with their count, whatever k.  Deterministic for a
     fixed seed.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     n = pencil.ndof
-    if k > n - 2:
-        raise NoConvergence(f"system too small for k={k} pairs")
     sigma = default_shift(pencil.complex) if shift is None else float(shift)
 
     A = pencil.S
@@ -640,7 +620,12 @@ def smallest_beltrami(
     usable = nrm >= 1e-12
     X = X[:, usable] / nrm[usable]
     lams = np.einsum("ik,ik->k", X, A @ X)  # Rayleigh quotients; M-norms are 1
-    chosen = _shift_side_order(lams, sigma, tol)[:k]
+    # f ranks the kernel (f = 0) and the other sign (f < 0) below every pair
+    # on the shift's side, so they reach the k pairs only when that side has
+    # fewer than k; |lambda| <= tol cannot be told from the kernel, whose
+    # (x, 0) passes the same residual gate
+    side = np.flatnonzero(np.sign(sigma) * lams > tol)
+    chosen = side[np.argsort(np.abs(lams[side]), kind="stable")]
     X, lams = X[:, chosen], lams[chosen]
     # sign convention: largest-magnitude component positive
     X = X * np.sign(X[np.argmax(np.abs(X), axis=0), np.arange(X.shape[1])])
@@ -654,7 +639,7 @@ def smallest_beltrami(
 
     if len(lams) < k:
         raise NoConvergence(
-            f"only {len(lams)} usable pairs of {k} requested",
+            f"only {len(lams)} pairs on the shift's side of {k} requested",
             best_residual=min(res) if res else None,
         )
     worst = max(res)

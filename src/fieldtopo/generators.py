@@ -219,6 +219,8 @@ def read_msh(path) -> SimplicialComplex3:
         count_s, ln = next_line()
         try:
             count = int(count_s)
+            if count < 0:
+                raise ValueError
         except ValueError:
             raise ParseError(f"bad {what} count {count_s!r}", line=ln) from None
         for _ in range(count):
@@ -243,6 +245,8 @@ def read_msh(path) -> SimplicialComplex3:
     def element_row(row, parts, ln):
         try:
             etype, ntags = int(parts[1]), int(parts[2])
+            if ntags < 0:
+                raise ValueError
             conn = [int(v) for v in parts[3 + ntags:]]
         except (ValueError, IndexError):
             raise ParseError(f"bad element line {row!r}", line=ln) from None

@@ -336,6 +336,28 @@ def test_matches_dense_spectrum(case):
         np.testing.assert_allclose(sol.lambdas, expected, rtol=1e-9, atol=0.0)
 
 
+def test_only_shift_side_pairs():
+    """cube n=2,2,1 leaves 9 DOFs: three eigenvalues of each sign and a
+    three-dimensional curl kernel.  k=3 returns the three dense eigenvalues
+    on the shift's side, for either sign of the shift.  A larger k, also one
+    above the DOF count, raises NoConvergence with that count of 3, where
+    kernel pairs at lambda ~ 0 would otherwise fill the answer."""
+    cx = gen_grid(GridSpec(2, 2, 1))
+    pen = reduce_system(cx, build_fem(cx), BoundaryCondition.parse("zero-trace"))
+    proj = kernel_projector(pen)
+    dense = sla.eigh(pen.S.toarray(), pen.M1.toarray(), eigvals_only=True)
+    assert pen.ndof == 9
+    for sign in (1.0, -1.0):
+        side = dense[sign * dense > 1e-6]
+        assert len(side) == 3
+        shift = sign * default_shift(cx)
+        sol = smallest_beltrami(pen, proj, k=3, shift=shift)
+        np.testing.assert_allclose(sol.lambdas, side[np.argsort(np.abs(side))], rtol=1e-9)
+        for k in (4, 12):
+            with pytest.raises(NoConvergence, match=f"^only 3 pairs on the shift's side of {k} "):
+                smallest_beltrami(pen, proj, k=k, shift=shift)
+
+
 @pytest.mark.parametrize(
     "shift, expected", [(1.1, [1.0206986]), (2.0, [1.9819987, 2.0167224])]
 )

@@ -404,6 +404,29 @@ def test_small_cg_systems_solve(tmp_path, argv):
     assert main(["beltrami", *argv, "--out", str(tmp_path)]) == 0
 
 
+@pytest.mark.parametrize(
+    "argv,found",
+    [
+        (["--geometry", "torus3", "--n", "3", "--k", "53"], 52),
+        (["--geometry", "torus3", "--n", "4", "--k", "300"], 122),
+        (["--geometry", "cube", "--n", "3,1,1"], 0),
+        (["--geometry", "solid-torus", "--n", "1,1,3", "--bc", "closed-trace:1"], 0),
+        (["--geometry", "cube", "--n", "2,2,1", "--k", "5"], 3),
+    ],
+)
+def test_too_few_shift_side_pairs(tmp_path, capsys, argv, found):
+    """A pencil with fewer than k eigenvalues on the shift's side (found, the
+    dense count) exits 2 and writes only error.json; curl-kernel pairs at
+    lambda ~ 0 do not fill the answer."""
+    k = argv[argv.index("--k") + 1] if "--k" in argv else "1"
+    assert main(["beltrami", *argv, "--out", str(tmp_path)]) == 2
+    assert json.loads(capsys.readouterr().out) == {
+        "error": "NoConvergence",
+        "message": f"only {found} pairs on the shift's side of {k} requested",
+    }
+    assert os.listdir(tmp_path) == ["error.json"]
+
+
 def test_too_few_dofs_message(tmp_path, capsys):
     rc = main(["beltrami", "--geometry", "cube", "--n", "1", "--out", str(tmp_path)])
     assert rc == 2

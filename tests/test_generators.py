@@ -240,6 +240,13 @@ MSH_ERRORS = [
      [NON_TET]),
     ([("$Elements\n1\n", "$Elements\n2\n7 2 0 1 2 3\n"), (" 4\n$EndE", " 9\n$EndE")],
      ParseError, "element references unknown node 9", 14, [NON_TET]),
+    # negative counts
+    ([("$Nodes\n4\n", "$Nodes\n-3\n")], ParseError, "bad node count '-3'", 5, []),
+    ([("$Elements\n1\n", "$Elements\n-1\n")], ParseError, "bad element count '-1'", 12, []),
+    # a negative tag count would shift the node slice onto the tags: a tet on
+    # nodes -1, 2, 3, 4
+    ([("$Nodes\n4\n", "$Nodes\n5\n"), ("4 0 0 1\n", "4 0 0 1\n-1 2 2 2\n"),
+      (TET_ROW, "1 4 -1 2 3 4\n")], ParseError, "bad element line '1 4 -1 2 3 4'", 14, []),
 ]
 
 

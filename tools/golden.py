@@ -84,6 +84,8 @@ CASES: dict[str, list[str]] = {
         "beltrami", "--geometry", "cube", "--periodic", "xy", "--n", "4,4,3",
         "--bc", "closed-trace:2",
     ],
+    # exactly the 52 positive eigenvalues of the 189-DOF pencil
+    "beltrami-torus3-whole-side": ["beltrami", "--geometry", "torus3", "--n", "3", "--k", "52"],
     "classify-torus3": ["classify", "--geometry", "torus3", "--n", "4", "--size", TAU],
     "classify-solid-torus-closed-trace": [
         "classify", "--geometry", "solid-torus", "--n", "2,2,8", "--size", "1,1,2",
