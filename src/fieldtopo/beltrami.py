@@ -25,7 +25,7 @@ pairing to exactly zero, so the iteration never sees it, and an explicit
 kernel basis gives the M1-orthogonal projector that is applied to the start
 block and to the returned eigenvectors.  The
 iteration is thick-restart block Lanczos (Grimes-Lewis-Simon, SIMAX 1994)
-with b = k columns per block: each step is one k-column solve on one
+with b = min(k, n) columns per block: each step is one b-column solve on one
 factor, it stops once the k leading pairs have converged, and a cluster of
 multiplicity up to k comes out complete.  Besides the factor it holds one
 M1-orthonormal basis V and its image M1 V, not the image of V under the
@@ -494,7 +494,9 @@ def _block_lanczos(g, M, Q: np.ndarray, k: int, sigma: float):
     vectors and the residual norms read off the newest block.
     """
     n = Q.shape[0]
-    m = _BASIS_BLOCKS * k
+    # the basis never holds more than n columns, so a basis of n + k columns
+    # never restarts
+    m = min(_BASIS_BLOCKS * k, n + k)
     # the basis and its image under M live in preallocated arrays; j
     # columns are in use
     V, MV = (np.empty((n, m), order="F") for _ in range(2))
@@ -553,8 +555,9 @@ def smallest_beltrami(
     Thick-restart block Lanczos (``_block_lanczos``), in the M1 inner
     product, on the Cayley transform g(OP) = OP + I/sigma =
     (S - sigma M1)^{-1} S / sigma of OP = (S - sigma M1)^{-1} M1.  g spans
-    the same Krylov space as OP.  The block has b = k columns, so each step
-    is one solve with k right-hand sides on one factor.  The loop holds the
+    the same Krylov space as OP.  The block has b = min(k, n) columns (n
+    DOFs; a wider block would have dependent columns), so each step is one
+    solve with b right-hand sides on one factor.  The loop holds the
     factor, the basis V and its image M1 V, and not g V: the Ritz residuals
     come from the Lanczos remainder of the newest block, which is also the
     next block.  A step multiplies by M1 twice, once for the new block and
@@ -611,9 +614,10 @@ def smallest_beltrami(
         # MY = M Y is carried by the caller
         return op_lu.solve(MY) + Y / sigma
 
+    b = min(k, n)
     rng = np.random.default_rng(seed)
-    start = projector.apply(rng.standard_normal((n, k)))
-    _, vecs, _ = _block_lanczos(filtered, M, start, k, sigma)
+    start = projector.apply(rng.standard_normal((n, b)))
+    _, vecs, _ = _block_lanczos(filtered, M, start, b, sigma)
 
     X = projector.apply(vecs)
     nrm = np.sqrt(np.einsum("ik,ik->k", X, M @ X))

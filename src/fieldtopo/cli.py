@@ -11,6 +11,7 @@ import argparse
 import os
 import sys
 from dataclasses import dataclass, fields
+from functools import partial
 
 COMMANDS = ("gen", "homology", "cuts", "beltrami", "classify", "pipeline")
 SCHEMA_VERSION = "fieldtopo/1"
@@ -130,8 +131,6 @@ def _pencil(cx, fem, cfg: RunConfig):
         raise ValueError(
             f"the mesh leaves ndof = {pencil.ndof} under {bc}; an eigenproblem needs at least 3 DOFs"
         )
-    if cfg.k > pencil.ndof - 2:
-        raise ValueError(f"--k must be <= {pencil.ndof - 2} on this mesh, got {cfg.k}")
     return pencil
 
 
@@ -166,7 +165,7 @@ def _betti_doc(cx) -> dict:
     }
 
 
-def _emit_cuts(cx, fem, cfg: RunConfig):
+def _cuts_stage(cx, fem, cfg: RunConfig) -> dict:
     from .cuts import choose_level, critical_scan, extract_cut, harmonic_representative, verify_cut
     from .homology import h1_basis
     from .writers import write_cut_vtk, write_json
@@ -199,11 +198,13 @@ def _emit_cuts(cx, fem, cfg: RunConfig):
             "boundary_edges": len(cut.boundary_edges),
         },
     }
-    write_json(os.path.join(cfg.out, "cuts.json"), doc)
-    write_cut_vtk(os.path.join(cfg.out, "cut.vtk"), cut)
+    return {
+        "cuts.json": partial(write_json, obj=doc),
+        "cut.vtk": partial(write_cut_vtk, cut=cut),
+    }
 
 
-def _emit_beltrami(pencil, cfg: RunConfig):
+def _beltrami_stage(pencil, cfg: RunConfig):
     from .beltrami import kernel_projector, proxy_curl_residual, smallest_beltrami
     from .fem import field_proxies
     from .writers import write_json, write_mesh_vtk
@@ -236,77 +237,87 @@ def _emit_beltrami(pencil, cfg: RunConfig):
         "harmonic_dimension": projector.harmonic_dimension,
         "pairs": pairs,
     }
-    write_json(os.path.join(cfg.out, "spectrum.json"), doc)
-    write_mesh_vtk(os.path.join(cfg.out, "modes.vtk"), cx, cell_vectors=vectors)
-    return sol
+    return sol, {
+        "spectrum.json": partial(write_json, obj=doc),
+        "modes.vtk": partial(write_mesh_vtk, cx=cx, cell_vectors=vectors),
+    }
 
 
-def _emit_classify(cx, fem, h, outdir):
+def _classify_stage(cx, fem, h) -> dict:
     from .analysis import analyze_field
     from .writers import write_json, write_mesh_vtk
 
     rep = analyze_field(cx, fem, h)
     doc = {"schema": SCHEMA_VERSION, "kind": "field-report"}
     doc.update(rep.to_dict())
-    write_json(os.path.join(outdir, "report.json"), doc)
-    write_mesh_vtk(
-        os.path.join(outdir, "twist.vtk"),
-        cx,
-        cell_scalars={"m": rep.twist},
-    )
+    return {
+        "report.json": partial(write_json, obj=doc),
+        "twist.vtk": partial(write_mesh_vtk, cx=cx, cell_scalars={"m": rep.twist}),
+    }
+
+
+def _compute(cfg: RunConfig) -> dict:
+    """Run the command's stages in order and return its outputs, as a map
+    from file name to a writer call that takes the path; writes nothing."""
+    from .fem import build_fem
+    from .mesh import validate_complex
+    from .writers import write_json, write_mesh_vtk
+
+    cx = build_geometry(cfg)
+    report = validate_complex(cx)
+    report.raise_if_failed()
+
+    if cfg.command == "gen":
+        doc = {
+            "schema": SCHEMA_VERSION,
+            "kind": "mesh",
+            "counts": _counts(cx),
+            "euler_characteristic": cx.euler_characteristic,
+            "components": report.num_components,
+            "boundary_components": report.boundary_components,
+            "boundary_genus": report.boundary_genus,
+        }
+        return {
+            "mesh.json": partial(write_json, obj=doc),
+            "mesh.vtk": partial(write_mesh_vtk, cx=cx),
+        }
+
+    if cfg.command == "homology":
+        return {"betti.json": partial(write_json, obj=_betti_doc(cx))}
+
+    fem = build_fem(cx)
+    if cfg.command == "cuts":
+        return _cuts_stage(cx, fem, cfg)
+    pencil = _pencil(cx, fem, cfg)
+    outputs = {}
+    if cfg.command == "pipeline":
+        betti = _betti_doc(cx)
+        if betti["absolute"][1] >= 1:
+            outputs = _cuts_stage(cx, fem, cfg)
+        outputs["betti.json"] = partial(write_json, obj=betti)
+    sol, solved = _beltrami_stage(pencil, cfg)
+    if cfg.command != "beltrami":
+        solved |= _classify_stage(cx, fem, sol.cochains[:, 0])
+    return outputs | solved
 
 
 def run(cfg: RunConfig) -> int:
     """Execute one command; returns the exit status and writes output files.
 
     Every failure (module errors, bad values, unreadable files, failed
-    topology checks) exits with status 2 through ``write_error``.  Flag and
-    boundary-condition errors, and a ``--cut-class`` out of range, are raised
-    before the first output file is written.
+    topology checks, a solve that does not converge) exits with status 2
+    through ``write_error``.  The command computes all its stages before it
+    writes its first output file, so any failure leaves only ``error.json``
+    in the output directory; only an error in writing itself can leave the
+    files written before it.
     """
     from .errors import FieldTopoError
-    from .fem import build_fem
-    from .mesh import validate_complex
-    from .writers import write_json, write_mesh_vtk
 
     try:
         cfg.validate()
         os.makedirs(cfg.out, exist_ok=True)
-        cx = build_geometry(cfg)
-        report = validate_complex(cx)
-        report.raise_if_failed()
-
-        if cfg.command == "gen":
-            doc = {
-                "schema": SCHEMA_VERSION,
-                "kind": "mesh",
-                "counts": _counts(cx),
-                "euler_characteristic": cx.euler_characteristic,
-                "components": report.num_components,
-                "boundary_components": report.boundary_components,
-                "boundary_genus": report.boundary_genus,
-            }
-            write_json(os.path.join(cfg.out, "mesh.json"), doc)
-            write_mesh_vtk(os.path.join(cfg.out, "mesh.vtk"), cx)
-            return 0
-
-        if cfg.command == "homology":
-            write_json(os.path.join(cfg.out, "betti.json"), _betti_doc(cx))
-            return 0
-
-        fem = build_fem(cx)
-        if cfg.command == "cuts":
-            _emit_cuts(cx, fem, cfg)
-            return 0
-        pencil = _pencil(cx, fem, cfg)
-        if cfg.command == "pipeline":
-            betti = _betti_doc(cx)
-            if betti["absolute"][1] >= 1:
-                _emit_cuts(cx, fem, cfg)
-            write_json(os.path.join(cfg.out, "betti.json"), betti)
-        sol = _emit_beltrami(pencil, cfg)
-        if cfg.command != "beltrami":
-            _emit_classify(cx, fem, sol.cochains[:, 0], cfg.out)
+        for name, write in _compute(cfg).items():
+            write(os.path.join(cfg.out, name))
         return 0
 
     except (FieldTopoError, ValueError, OSError, RuntimeError) as exc:

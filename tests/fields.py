@@ -1,13 +1,16 @@
 """Test helpers: interpolants of vector fields, eigencluster alignment, the
 per-tet reference slicer for cut surfaces and the mesh faces under a cut's
 boundary polygon edges, a mesh that is a manifold except at one vertex,
-a Gmsh file writer and the quadratic reference for integer kernel bases."""
+a Gmsh file writer, the quadratic reference for integer kernel bases and
+the exact (S, M1) spectrum of the periodic Freudenthal grid."""
 
 import itertools
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 
+from fieldtopo.fem import build_fem
 from fieldtopo.generators import GridSpec, gen_grid
 from fieldtopo.mesh import EDGE_LOCAL, FACE_LOCAL, SimplicialComplex3
 
@@ -277,3 +280,44 @@ def reference_kernel_basis(A) -> list[np.ndarray]:
                 vec[k] = v
             kernel.append(vec)
     return kernel
+
+
+def bloch_spectrum(n: int, L: float) -> np.ndarray:
+    """Every eigenvalue of S x = lambda M1 x on the 3-torus grid of n^3 cells
+    and side L (``torus3``), sorted, from one 7 x 7 Hermitian pencil per
+    wavevector.
+
+    Each vertex of a periodic Freudenthal grid starts 7 edges, one for each
+    step s in {0, 1}^3 other than 0; edge type t = s . (1, 2, 4) - 1.  The
+    grid is translation invariant, so S and M1 couple an edge of type t at
+    vertex v with one of type t' at v + d, d in {-1, 0, 1}^3, by a coefficient
+    c(t, t', d) that does not depend on v.  It is read off the assembled
+    matrices of a 4^3 grid with the same cell size h = L / n (offsets in
+    {-1, 0, 1} stay distinct mod 4), each edge mapped to its start vertex,
+    type and orientation sign.  On the Bloch wave x_e = sign_e a_t exp(i
+    theta . v), theta = 2 pi m / n, the pencil acts on a by the symbols
+    sum_d c(t, t', d) exp(i theta . d).
+    """
+    h = L / n
+    cx = gen_grid(GridSpec(4, 4, 4, 4 * h, 4 * h, 4 * h, periodic=(True, True, True)))
+    fem = build_fem(cx)
+    ends = np.stack(np.unravel_index(cx.edges, (4, 4, 4)), axis=-1)  # (E, 2, 3)
+    step = (ends[:, 1] - ends[:, 0] + 1) % 4 - 1
+    sign = np.where((step >= 0).all(axis=1), 1, -1)
+    step = step * sign[:, None]
+    start = np.where(sign[:, None] > 0, ends[:, 0], ends[:, 1])
+    kind = step @ [1, 2, 4] - 1
+    assert set(step.ravel()) <= {0, 1} and np.all(np.bincount(kind, minlength=7) == 64)
+
+    theta = 2 * np.pi / n * np.stack(np.meshgrid(*[np.arange(n)] * 3, indexing="ij"), -1)
+    offsets = np.stack(np.meshgrid(*[np.arange(-1, 2)] * 3, indexing="ij"), -1)
+    phase = np.exp(1j * np.einsum("mnoa,xyza->mnoxyz", theta, offsets))
+    symbols = []
+    for A in (fem.S, fem.M1):
+        A = sp.coo_matrix((A + A.T) / 2)  # the symmetric part, as reduce_system takes it
+        d = (start[A.col] - start[A.row] + 1) % 4 - 1
+        c = np.zeros((7, 7, 3, 3, 3))
+        np.add.at(c, (kind[A.row], kind[A.col], *(d + 1).T), sign[A.row] * sign[A.col] * A.data)
+        c /= 64  # each coupling once per start vertex of the 4^3 grid
+        symbols.append(np.einsum("mnoxyz,tuxyz->mnotu", phase, c).reshape(-1, 7, 7))
+    return np.sort(np.concatenate([sla.eigh(s, m, eigvals_only=True) for s, m in zip(*symbols)]))

@@ -20,7 +20,7 @@ from fieldtopo.generators import GridSpec, gen_box_minus_ring, gen_grid
 from fieldtopo.homology import betti_numbers, boundary_classes, h1_cocycles_auto
 from fieldtopo.mesh import build_complex, spanning_forest
 from fieldtopo.surface import boundary_surface
-from fields import cluster_align, edge_interpolant
+from fields import bloch_spectrum, cluster_align, edge_interpolant
 
 TAU = 2 * np.pi
 
@@ -340,8 +340,9 @@ def test_only_shift_side_pairs():
     """cube n=2,2,1 leaves 9 DOFs: three eigenvalues of each sign and a
     three-dimensional curl kernel.  k=3 returns the three dense eigenvalues
     on the shift's side, for either sign of the shift.  A larger k, also one
-    above the DOF count, raises NoConvergence with that count of 3, where
-    kernel pairs at lambda ~ 0 would otherwise fill the answer."""
+    above the DOF count and one whose (n, k) block would not fit in memory,
+    raises NoConvergence with that count of 3, where kernel pairs at lambda ~
+    0 would otherwise fill the answer."""
     cx = gen_grid(GridSpec(2, 2, 1))
     pen = reduce_system(cx, build_fem(cx), BoundaryCondition.parse("zero-trace"))
     proj = kernel_projector(pen)
@@ -353,7 +354,7 @@ def test_only_shift_side_pairs():
         shift = sign * default_shift(cx)
         sol = smallest_beltrami(pen, proj, k=3, shift=shift)
         np.testing.assert_allclose(sol.lambdas, side[np.argsort(np.abs(side))], rtol=1e-9)
-        for k in (4, 12):
+        for k in (4, 12, 10**12):
             with pytest.raises(NoConvergence, match=f"^only 3 pairs on the shift's side of {k} "):
                 smallest_beltrami(pen, proj, k=k, shift=shift)
 
@@ -749,3 +750,25 @@ def test_inertia_no_pair_missed(make, bc, k, window):
     assert below - neg_a == 0
     assert above - below == window
     assert neg_a - neg_minus_a >= proj.gradient.shape[1] + proj.harmonic_dimension
+
+
+def test_bloch_oracle_matches_dense_spectrum():
+    """The Bloch symbols give all 189 eigenvalues of the torus3 n=3 pencil,
+    the 85 of the curl kernel included, and 52 on the positive side."""
+    cx = gen_grid(GridSpec(3, 3, 3, TAU, TAU, TAU, periodic=(True, True, True)))
+    pen = reduce_system(cx, build_fem(cx), BoundaryCondition.parse("closed-mesh"))
+    dense = sla.eigh(pen.S.toarray(), pen.M1.toarray(), eigvals_only=True)
+    oracle = bloch_spectrum(3, TAU)
+    np.testing.assert_allclose(oracle, dense, rtol=0, atol=1e-12)
+    assert np.sum(oracle > 1e-8) == 52
+
+
+def test_bloch_oracle_matches_solver(torus8_beltrami):
+    """k=12 on torus3 n=8 returns the oracle's 12 smallest positive
+    eigenvalues: the first two clusters, 6 x 0.95260123 and 6 x 1.11029212."""
+    pen, proj, _ = torus8_beltrami
+    sol = smallest_beltrami(pen, proj, k=12)
+    oracle = bloch_spectrum(8, TAU)
+    positive = oracle[oracle > 1e-8][:12]
+    np.testing.assert_allclose(sol.lambdas, positive, rtol=1e-9)
+    np.testing.assert_allclose(positive, [0.95260123] * 6 + [1.11029212] * 6, atol=5e-9)

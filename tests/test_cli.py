@@ -206,14 +206,16 @@ def test_error_contract(tmp_path, capsys, argv, error):
         (["--geometry", "box-ring", "--n", "5", "--bc", "closed-trace:5"], "IncompatibleBC"),
         (["--geometry", "box-ring", "--n", "5", "--cut-class", "3"], "ValueError"),
         (["--geometry", "box-ring", "--n", "5", "--seed", "-1"], "ValueError"),
-        (["--geometry", "box-ring", "--n", "5", "--k", "100000"], "ValueError"),
+        (["--geometry", "box-ring", "--n", "5", "--k", "100000"], "NoConvergence"),
         (["--geometry", "torus3", "--n", "4", "--bc", "zero-trace"], "IncompatibleBC"),
+        # 52 pairs on the shift's side: the solve fails after Betti numbers and cut
+        (["--geometry", "torus3", "--n", "3", "--k", "53"], "NoConvergence"),
     ],
-    ids=["bc-syntax", "bc-unknown", "bc-index", "cut-class", "seed", "k", "bc-kind"],
+    ids=["bc-syntax", "bc-unknown", "bc-index", "cut-class", "seed", "k", "bc-kind", "k-side"],
 )
 def test_input_errors_come_before_any_output(tmp_path, capsys, argv, error):
-    """A bad flag, boundary condition or cut class fails the pipeline before
-    it writes its first output file."""
+    """A bad flag, boundary condition or cut class, and a solve that fails,
+    leave only error.json: the pipeline writes no file before its last stage."""
     out = tmp_path / "out"
     assert main(["pipeline", *argv, "--out", str(out)]) == 2
     assert json.loads(capsys.readouterr().out)["error"] == error
@@ -412,6 +414,7 @@ def test_small_cg_systems_solve(tmp_path, argv):
         (["--geometry", "cube", "--n", "3,1,1"], 0),
         (["--geometry", "solid-torus", "--n", "1,1,3", "--bc", "closed-trace:1"], 0),
         (["--geometry", "cube", "--n", "2,2,1", "--k", "5"], 3),
+        (["--geometry", "cube", "--n", "2,2,1", "--k", "1000000000000"], 3),
     ],
 )
 def test_too_few_shift_side_pairs(tmp_path, capsys, argv, found):

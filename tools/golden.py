@@ -91,6 +91,8 @@ CASES: dict[str, list[str]] = {
         "classify", "--geometry", "solid-torus", "--n", "2,2,8", "--size", "1,1,2",
         "--bc", "closed-trace:1",
     ],
+    # b1 = 0: the pipeline skips the cut
+    "pipeline-cube": ["pipeline", "--geometry", "cube", "--n", "3"],
     "pipeline-solid-torus": [
         "pipeline", "--geometry", "solid-torus", "--n", "2,2,8", "--size", "1,1,2",
         "--bc", "zero-trace",
