@@ -113,8 +113,6 @@ def classify(
 def masked_components(cx: SimplicialComplex3, mask: np.ndarray) -> list[np.ndarray]:
     """Connected components (face adjacency) of a tet subset."""
     idx = np.flatnonzero(mask)
-    if len(idx) == 0:
-        return []
     incidence = abs(cx.D2[idx])
     n, labels = sp.csgraph.connected_components(incidence @ incidence.T, directed=False)
     return [idx[labels == c] for c in range(n)]

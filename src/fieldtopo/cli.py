@@ -121,19 +121,6 @@ def build_geometry(cfg: RunConfig):
     return gen_grid(GridSpec(*n, *size, periodic=periodic))
 
 
-def _pencil(cx, fem, cfg: RunConfig):
-    from .beltrami import BoundaryCondition, reduce_system
-
-    default = "zero-trace" if len(cx.boundary_faces) else "closed-mesh"
-    bc = default if cfg.bc is None else cfg.bc
-    pencil = reduce_system(cx, fem, BoundaryCondition.parse(bc))
-    if pencil.ndof < 3:
-        raise ValueError(
-            f"the mesh leaves ndof = {pencil.ndof} under {bc}; an eigenproblem needs at least 3 DOFs"
-        )
-    return pencil
-
-
 def _counts(cx) -> dict:
     return {
         "vertices": cx.num_vertices,
@@ -288,7 +275,11 @@ def _compute(cfg: RunConfig) -> dict:
     fem = build_fem(cx)
     if cfg.command == "cuts":
         return _cuts_stage(cx, fem, cfg)
-    pencil = _pencil(cx, fem, cfg)
+    from .beltrami import BoundaryCondition, reduce_system
+
+    default = "zero-trace" if len(cx.boundary_faces) else "closed-mesh"
+    bc = BoundaryCondition.parse(default if cfg.bc is None else cfg.bc)
+    pencil = reduce_system(cx, fem, bc)
     outputs = {}
     if cfg.command == "pipeline":
         betti = _betti_doc(cx)
@@ -419,6 +410,11 @@ def _config_from_args(argv) -> RunConfig:
             raise ValueError(f"unknown config keys {unknown} in {args.config}")
         parser.set_defaults(**filecfg)
         args = parser.parse_args(argv)
+    for name, value in vars(args).items():
+        # argparse stores an explicit "--" value (--k=--) as [] and skips
+        # the flag's type
+        if isinstance(value, list):
+            raise ValueError(f"argument --{name.replace('_', '-')}: expected one value")
     cfg = RunConfig(**{k: v for k, v in vars(args).items() if v is not None and k != "config"})
     if cfg.threads > 0:
         for var in (

@@ -93,7 +93,7 @@ class SimplicialComplex3:
         return memo(self, "forest", lambda: spanning_forest(self.edges, self.num_vertices))
 
     def edge_lengths(self) -> np.ndarray:
-        """Length per edge, measured in the first tet containing it."""
+        """Length per edge, measured in one tet containing it."""
         lengths = np.zeros(self.num_edges)
         p = self.tet_coords
         for k in range(6):
@@ -250,14 +250,9 @@ def build_complex(vertices, tets, tet_coords=None) -> SimplicialComplex3:
     if np.any(bad):
         raise DegenerateTet(f"tets {np.flatnonzero(bad).tolist()} have near-zero volume")
     flip = vols < 0
-    if np.any(flip):
-        tets = tets.copy()
-        tets[flip, 1], tets[flip, 2] = tets[flip, 2].copy(), tets[flip, 1].copy()
-        tet_coords = tet_coords.copy()
-        tet_coords[flip, 1], tet_coords[flip, 2] = (
-            tet_coords[flip, 2].copy(),
-            tet_coords[flip, 1].copy(),
-        )
+    # both arrays are this function's own copies, so they are swapped in place
+    tets[flip] = tets[flip][:, [0, 2, 1, 3]]
+    tet_coords[flip] = tet_coords[flip][:, [0, 2, 1, 3]]
 
     T = len(tets)
 

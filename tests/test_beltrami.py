@@ -359,6 +359,17 @@ def test_only_shift_side_pairs():
                 smallest_beltrami(pen, proj, k=k, shift=shift)
 
 
+def test_no_dofs_gives_no_convergence():
+    """Every edge of a single tet lies on its boundary, so its zero-trace
+    pencil has no DOF; the solver reports that count of 0 pairs like any
+    pencil with fewer than k on the shift's side."""
+    cx = build_complex(np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1.0]]), [[0, 1, 2, 3]])
+    pen = reduce_system(cx, build_fem(cx), BoundaryCondition.parse("zero-trace"))
+    assert pen.ndof == 0
+    with pytest.raises(NoConvergence, match="^only 0 pairs on the shift's side of 1 requested$"):
+        smallest_beltrami(pen, kernel_projector(pen))
+
+
 @pytest.mark.parametrize(
     "shift, expected", [(1.1, [1.0206986]), (2.0, [1.9819987, 2.0167224])]
 )
@@ -750,6 +761,19 @@ def test_inertia_no_pair_missed(make, bc, k, window):
     assert below - neg_a == 0
     assert above - below == window
     assert neg_a - neg_minus_a >= proj.gradient.shape[1] + proj.harmonic_dimension
+
+
+def test_inertia_counts_match_bloch_oracle(torus8_beltrami):
+    """On the closed torus3 n=8 pencil the Sylvester count below each shift
+    equals the Bloch oracle's: on both sides of the curl kernel, on both
+    sides of the first 6-fold cluster at 0.95260123 and past the next ones."""
+    pen, _, _ = torus8_beltrami
+    oracle = bloch_spectrum(8, TAU)
+    a, lam1 = 1e-3 * default_shift(pen.complex), 0.95260123
+    shifts = [-1.2, -a, a, lam1 * (1 - 1e-6), lam1 * (1 + 1e-6), 1.05, 1.2, 1.5]
+    counts = [_negative_count(pen, s) for s in shifts]
+    assert counts == [int(np.sum(oracle < s)) for s in shifts]
+    assert counts == [994, 1018, 2566, 2566, 2572, 2572, 2590, 2640]
 
 
 def test_bloch_oracle_matches_dense_spectrum():

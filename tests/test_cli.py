@@ -8,7 +8,7 @@ from contextlib import redirect_stdout
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fieldtopo
@@ -180,6 +180,10 @@ def test_invalid_config_exit_code(tmp_path, capsys):
         (["cuts", "--geometry", "solid-torus", "--n", "2,2,8", "--bc", "foo"], "ValueError"),
         # the sign of --cut-class needs no mesh, so commands that do not cut check it
         (["gen", "--geometry", "solid-torus", "--n", "2,2,8", "--cut-class", "-1"], "ValueError"),
+        # argparse stores an explicit "--" value as [] without calling the type
+        (["gen", "--n=--"], "ConfigError"),
+        (["beltrami", "--k=--"], "ConfigError"),
+        (["gen", "--periodic=--"], "ConfigError"),
     ],
 )
 def test_error_contract(tmp_path, capsys, argv, error):
@@ -431,16 +435,41 @@ def test_too_few_shift_side_pairs(tmp_path, capsys, argv, found):
 
 
 def test_too_few_dofs_message(tmp_path, capsys):
+    """cube n=1 leaves one DOF, whose eigenvalue is 0: the solver reports
+    its count of pairs on the shift's side, as for a pencil of any size."""
     rc = main(["beltrami", "--geometry", "cube", "--n", "1", "--out", str(tmp_path)])
     assert rc == 2
     assert json.loads(capsys.readouterr().out) == {
-        "error": "ValueError",
-        "message": "the mesh leaves ndof = 1 under zero-trace; an eigenproblem needs at least 3 DOFs",
+        "error": "NoConvergence",
+        "message": "only 0 pairs on the shift's side of 1 requested",
     }
+
+
+@pytest.mark.parametrize(
+    "command, geometry",
+    [("pipeline", ["--geometry", "cube", "--n", "1"]),
+     ("beltrami", ["--geometry", "msh:{tmp}/tet.msh"]),
+     ("pipeline", ["--geometry", "msh:{tmp}/tet.msh"])],
+)
+def test_tiny_pencil_error_contract(tmp_path, capsys, command, geometry):
+    """A pencil with one DOF (cube n=1) or none (a single tet, every edge on
+    its boundary) exits 2 with the solver's count and writes only error.json."""
+    vertices, tets = tets_sharing_a_vertex()
+    write_msh(tmp_path / "tet.msh", vertices[:4], tets[:1])
+    out = tmp_path / "out"
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in geometry]
+    assert main([command, *argv, "--out", str(out)]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc == {
+        "error": "NoConvergence",
+        "message": "only 0 pairs on the shift's side of 1 requested",
+    }
+    assert os.listdir(out) == ["error.json"]
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.text(alphabet='"\\\n\t{}[],:ab -.', min_size=1, max_size=12))
+@example("--")
 def test_bad_counts_always_give_json(text):
     buf = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp, redirect_stdout(buf):

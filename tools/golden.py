@@ -86,6 +86,8 @@ CASES: dict[str, list[str]] = {
     ],
     # exactly the 52 positive eigenvalues of the 189-DOF pencil
     "beltrami-torus3-whole-side": ["beltrami", "--geometry", "torus3", "--n", "3", "--k", "52"],
+    # one DOF, eigenvalue 0: the solver reports no pair on the shift's side
+    "beltrami-cube-1": ["beltrami", "--geometry", "cube", "--n", "1"],
     "classify-torus3": ["classify", "--geometry", "torus3", "--n", "4", "--size", TAU],
     "classify-solid-torus-closed-trace": [
         "classify", "--geometry", "solid-torus", "--n", "2,2,8", "--size", "1,1,2",
