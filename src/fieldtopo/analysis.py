@@ -10,7 +10,8 @@ labels and the near-force-free check read this one tolerance.  The per-tet
 functions take the proxies (H, curl H), not a cochain: ``analyze_field``
 evaluates them once per field, and a caller may pass any other per-tet
 current in place of curl H.  Helicity and energy are ``fem.helicity`` and
-``fem.energy``, the definitions the eigensolver reports.
+``fem.energy`` on the complex's ``build_fem`` matrices, the definitions the
+eigensolver reports.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import EmptySupport
-from .fem import FemMatrices, energy, field_proxies, helicity
-from .mesh import SimplicialComplex3
+from .fem import build_fem, energy, field_proxies, helicity
+from .mesh import EDGE_LOCAL, SimplicialComplex3
 
 SUPPORT_EPS = 1e-3
 LABEL_TOL_FACTOR = 1e-9
@@ -63,11 +64,13 @@ def twist_noise_floor(cx: SimplicialComplex3, H: np.ndarray) -> float:
     """Round-off scale of the twist density for this field and mesh.
 
     m carries units field^2/length; the floor is 1e-12 x max|H|^2 divided by
-    the shortest edge (1 on a mesh without edges), far above accumulated
-    round-off of an exact foliation but far below any physical twist at desk
-    scale.
+    the shortest edge as the tets measure it (1 on a mesh without tets), far
+    above accumulated round-off of an exact foliation but far below any
+    physical twist at desk scale.
     """
-    hmin = float(cx.edge_lengths().min()) if cx.num_edges else 1.0
+    p = cx.tet_coords
+    lengths = np.linalg.norm(p[:, EDGE_LOCAL[:, 1]] - p[:, EDGE_LOCAL[:, 0]], axis=2)
+    hmin = float(lengths.min()) if cx.num_tets else 1.0
     return 1e-12 * _sq(H).max(initial=0.0) / hmin
 
 
@@ -183,9 +186,10 @@ class FieldReport:
         }
 
 
-def analyze_field(cx: SimplicialComplex3, fem: FemMatrices, h) -> FieldReport:
-    """Assemble the complete FieldReport for one edge cochain."""
+def analyze_field(cx: SimplicialComplex3, h) -> FieldReport:
+    """Assemble the complete FieldReport for one edge cochain of ``cx``."""
     h = np.asarray(h, dtype=float)
+    fem = build_fem(cx)
     H, curlH = field_proxies(cx, h)
     m = twist_density(H, curlH)
     support = support_mask(H)

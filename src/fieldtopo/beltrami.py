@@ -62,7 +62,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import IncompatibleBC, NoConvergence
-from .fem import FemMatrices, energy, helicity, tet_geometry
+from .fem import build_fem, energy, helicity, tet_geometry
 from .homology import admitted_cocycles, boundary_classes
 from .mesh import SimplicialComplex3, integrate_potential
 from .surface import boundary_surface
@@ -119,7 +119,6 @@ class ReducedPencil:
     """Constrained pencil (S_tilde, M1_tilde) plus the DOF embedding C."""
 
     complex: SimplicialComplex3
-    fem: FemMatrices
     bc: BoundaryCondition
     C: sp.csr_matrix            # (E, ndof) embedding of DOFs into edge space
     S: sp.csr_matrix            # symmetrized reduced curl pairing
@@ -186,15 +185,15 @@ def _lagrangian_classes(cx: SimplicialComplex3, bc: BoundaryCondition) -> list[n
     return [classes.cocycles[l] for l in choice]
 
 
-def reduce_system(
-    cx: SimplicialComplex3, fem: FemMatrices, bc: BoundaryCondition
-) -> ReducedPencil:
-    """Constrain the (S, M1) pencil so the boundary pairing vanishes.
+def reduce_system(cx: SimplicialComplex3, bc: BoundaryCondition) -> ReducedPencil:
+    """Constrain the complex's (S, M1) pencil, ``build_fem(cx)``, so the
+    boundary pairing vanishes.
 
     DOFs: the interior edges, then under CLOSED_TRACE alpha at the boundary
     vertices but the pins and one per chosen class.  CLOSED_MESH is the
     zero-trace reduction of the empty boundary surface (C = I).
     """
+    fem = build_fem(cx)
     has_boundary = len(cx.boundary_faces) > 0
     if bc.kind is BCKind.CLOSED_MESH and has_boundary:
         raise IncompatibleBC("CLOSED_MESH requires a mesh without boundary")
@@ -245,7 +244,6 @@ def reduce_system(
     S_sym = ((R + R.T) * 0.5).tocsr()
     return ReducedPencil(
         complex=cx,
-        fem=fem,
         bc=bc,
         C=C,
         S=S_sym,
@@ -416,6 +414,7 @@ class BeltramiSolution:
     helicities: np.ndarray       # 0.5 h^T S h
     energies: np.ndarray         # 0.5 h^T M1 h
     shift: float
+    harmonic_dimension: int      # of the kernel projector the solve applied
     pencil: ReducedPencil
 
 
@@ -544,7 +543,6 @@ def _block_lanczos(g, M, Q: np.ndarray, k: int, sigma: float):
 
 def smallest_beltrami(
     pencil: ReducedPencil,
-    projector: KernelProjector,
     k: int = 1,
     tol: float = 1e-8,
     shift: float | None = None,
@@ -573,21 +571,24 @@ def smallest_beltrami(
     does not use (see the module docstring).
 
     g, and so f, vanishes on the whole curl kernel, so the zero eigenvalue
-    of the pencil is invisible to the iteration; the kernel projector is
-    applied only to the start block and to the Ritz vectors.  In terms of
-    lambda, f = lambda / (sigma (lambda - sigma)^2): positive exactly on the
-    shift's side, zero on the kernel and negative on the other sign.  So
-    with the shift below the smallest |lambda| the contract is the smallest
-    |lambda| on the shift's side: where the spectrum is not sign-symmetric
-    (closed-trace conditions), a smaller |lambda| of the other sign needs a
-    shift of that sign.  A shift above the smallest |lambda| returns the k
-    lambdas of largest f.  Only pairs on the shift's side with |lambda| >
-    tol are returned, sorted by |lambda|; a pencil with fewer than k of them
-    raises NoConvergence with their count, whatever k and however few DOFs it
-    has, none included.  Deterministic for a fixed seed.
+    of the pencil is invisible to the iteration; the ``kernel_projector``,
+    built here before the factor, is applied only to the start block and to
+    the Ritz vectors, and the solution reports its harmonic dimension.  In
+    terms of lambda, f = lambda / (sigma (lambda - sigma)^2): positive
+    exactly on the shift's side, zero on the kernel and negative on the
+    other sign.  So with the shift below the smallest |lambda| the contract
+    is the smallest |lambda| on the shift's side: where the spectrum is not
+    sign-symmetric (closed-trace conditions), a smaller |lambda| of the
+    other sign needs a shift of that sign.  A shift above the smallest
+    |lambda| returns the k lambdas of largest f.  Only pairs on the shift's
+    side with |lambda| > tol are returned, sorted by |lambda|; a pencil with
+    fewer than k of them raises NoConvergence with their count, whatever k
+    and however few DOFs it has, none included.  Deterministic for a fixed
+    seed.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    projector = kernel_projector(pencil)
     n = pencil.ndof
     if not n:
         raise NoConvergence(f"only 0 pairs on the shift's side of {k} requested")
@@ -655,14 +656,16 @@ def smallest_beltrami(
         )
 
     H = pencil.C @ X
+    fem = build_fem(pencil.complex)
     return BeltramiSolution(
         lambdas=lams,
         cochains=H,
         residuals=np.array(res),
         div_residuals=divs,
-        helicities=helicity(pencil.fem, H),
-        energies=energy(pencil.fem, H),
+        helicities=helicity(fem, H),
+        energies=energy(fem, H),
         shift=sigma,
+        harmonic_dimension=projector.harmonic_dimension,
         pencil=pencil,
     )
 

@@ -152,7 +152,7 @@ def _betti_doc(cx) -> dict:
     }
 
 
-def _cuts_stage(cx, fem, cfg: RunConfig) -> dict:
+def _cuts_stage(cx, cfg: RunConfig) -> dict:
     from .cuts import choose_level, critical_scan, extract_cut, harmonic_representative, verify_cut
     from .homology import h1_basis
     from .writers import write_cut_vtk, write_json
@@ -161,11 +161,11 @@ def _cuts_stage(cx, fem, cfg: RunConfig) -> dict:
     j = cfg.cut_class
     if not (0 <= j < basis.rank):
         raise ValueError(f"--cut-class {j} out of range (H^1 rank {basis.rank})")
-    rep = harmonic_representative(cx, fem, basis.cocycles[j])
+    rep = harmonic_representative(cx, basis.cocycles[j])
     level = choose_level(rep.vertex_phases()) if cfg.level == "auto" else float(cfg.level)
-    cut = extract_cut(cx, rep, level)
+    cut = extract_cut(rep, level)
     crossings = verify_cut(cx, cut, basis)
-    flagged = critical_scan(cx, rep)
+    flagged = critical_scan(rep)
     periods = [float(rep.omega @ z) for z in basis.dual_cycles]
     doc = {
         "schema": SCHEMA_VERSION,
@@ -192,15 +192,12 @@ def _cuts_stage(cx, fem, cfg: RunConfig) -> dict:
 
 
 def _beltrami_stage(pencil, cfg: RunConfig):
-    from .beltrami import kernel_projector, proxy_curl_residual, smallest_beltrami
+    from .beltrami import proxy_curl_residual, smallest_beltrami
     from .fem import field_proxies
     from .writers import write_json, write_mesh_vtk
 
     cx = pencil.complex
-    projector = kernel_projector(pencil)
-    sol = smallest_beltrami(
-        pencil, projector, k=cfg.k, tol=cfg.tol, shift=cfg.shift, seed=cfg.seed
-    )
+    sol = smallest_beltrami(pencil, k=cfg.k, tol=cfg.tol, shift=cfg.shift, seed=cfg.seed)
     pairs, vectors = [], {}
     for i, lam in enumerate(sol.lambdas):
         H, curlH = field_proxies(cx, sol.cochains[:, i])
@@ -221,7 +218,7 @@ def _beltrami_stage(pencil, cfg: RunConfig):
         "shift": sol.shift,
         "dofs": pencil.ndof,
         "symmetry_defect": pencil.symmetry_defect,
-        "harmonic_dimension": projector.harmonic_dimension,
+        "harmonic_dimension": sol.harmonic_dimension,
         "pairs": pairs,
     }
     return sol, {
@@ -230,11 +227,11 @@ def _beltrami_stage(pencil, cfg: RunConfig):
     }
 
 
-def _classify_stage(cx, fem, h) -> dict:
+def _classify_stage(cx, h) -> dict:
     from .analysis import analyze_field
     from .writers import write_json, write_mesh_vtk
 
-    rep = analyze_field(cx, fem, h)
+    rep = analyze_field(cx, h)
     doc = {"schema": SCHEMA_VERSION, "kind": "field-report"}
     doc.update(rep.to_dict())
     return {
@@ -246,7 +243,6 @@ def _classify_stage(cx, fem, h) -> dict:
 def _compute(cfg: RunConfig) -> dict:
     """Run the command's stages in order and return its outputs, as a map
     from file name to a writer call that takes the path; writes nothing."""
-    from .fem import build_fem
     from .mesh import validate_complex
     from .writers import write_json, write_mesh_vtk
 
@@ -272,23 +268,22 @@ def _compute(cfg: RunConfig) -> dict:
     if cfg.command == "homology":
         return {"betti.json": partial(write_json, obj=_betti_doc(cx))}
 
-    fem = build_fem(cx)
     if cfg.command == "cuts":
-        return _cuts_stage(cx, fem, cfg)
+        return _cuts_stage(cx, cfg)
     from .beltrami import BoundaryCondition, reduce_system
 
     default = "zero-trace" if len(cx.boundary_faces) else "closed-mesh"
     bc = BoundaryCondition.parse(default if cfg.bc is None else cfg.bc)
-    pencil = reduce_system(cx, fem, bc)
+    pencil = reduce_system(cx, bc)
     outputs = {}
     if cfg.command == "pipeline":
         betti = _betti_doc(cx)
         if betti["absolute"][1] >= 1:
-            outputs = _cuts_stage(cx, fem, cfg)
+            outputs = _cuts_stage(cx, cfg)
         outputs["betti.json"] = partial(write_json, obj=betti)
     sol, solved = _beltrami_stage(pencil, cfg)
     if cfg.command != "beltrami":
-        solved |= _classify_stage(cx, fem, sol.cochains[:, 0])
+        solved |= _classify_stage(cx, sol.cochains[:, 0])
     return outputs | solved
 
 

@@ -23,7 +23,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import NoGap, NonManifoldCut, NonRegularLevel, SolverFailure
-from .fem import FemMatrices, field_proxies
+from .fem import build_fem, field_proxies
 from .homology import CohomologyBasis
 from .mesh import EDGE_LOCAL, SimplicialComplex3, integrate_potential
 
@@ -51,29 +51,29 @@ class HarmonicRep:
         return cached
 
 
-def harmonic_representative(
-    cx: SimplicialComplex3, fem: FemMatrices, cocycle
-) -> HarmonicRep:
+def harmonic_representative(cx: SimplicialComplex3, cocycle) -> HarmonicRep:
     """Minimize the Dirichlet energy within the class of an integer cocycle.
 
-    Solves D0^T M1 D0 phi = -D0^T M1 c, formed on the columns of the
-    vertices with a parent in the complex's forest, so each component is
-    pinned at its root.  The result omega = c + D0 phi is coclosed to solver
-    accuracy while keeping the exact integer periods of c.
+    Solves D0^T M1 D0 phi = -D0^T M1 c, with the complex's ``build_fem``
+    mass M1, formed on the columns of the vertices with a parent in the
+    complex's forest, so each component is pinned at its root.  The result
+    omega = c + D0 phi is coclosed to solver accuracy while keeping the
+    exact integer periods of c.
     """
     c = np.asarray(cocycle)
     if np.abs(cx.D1 @ c).max(initial=0) > 1e-12 * max(1.0, np.abs(c).max(initial=0)):
         raise ValueError("source cochain is not closed")
-    rhs = -(cx.D0.T @ (fem.M1 @ c.astype(float)))
+    M1 = build_fem(cx).M1
+    rhs = -(cx.D0.T @ (M1 @ c.astype(float)))
     free = np.flatnonzero(cx.forest.parent >= 0)
     phi = np.zeros(cx.num_vertices)
     if len(free):
         G = cx.D0[:, free].astype(float)
-        phi[free] = spla.spsolve((G.T @ fem.M1 @ G).tocsc(), rhs[free])
+        phi[free] = spla.spsolve((G.T @ M1 @ G).tocsc(), rhs[free])
     omega = c + cx.D0 @ phi
-    num = np.linalg.norm(cx.D0.T @ (fem.M1 @ omega))
-    den = np.linalg.norm(fem.M1 @ omega)
-    src = np.linalg.norm(fem.M1 @ c.astype(float))
+    num = np.linalg.norm(cx.D0.T @ (M1 @ omega))
+    den = np.linalg.norm(M1 @ omega)
+    src = np.linalg.norm(M1 @ c.astype(float))
     if den <= 1e-9 * max(src, 1.0):
         resid = 0.0  # trivial class: omega is numerically zero
     else:
@@ -220,11 +220,12 @@ class CutSurface:
         return int(sp.csgraph.connected_components(graph, directed=False)[0])
 
 
-def extract_cut(cx: SimplicialComplex3, rep: HarmonicRep, level: float) -> CutSurface:
+def extract_cut(rep: HarmonicRep, level: float) -> CutSurface:
     """Slice the locally integrated phase of every tet at level + Z.
 
     Raises NonRegularLevel if the level comes within 1e-9 of a vertex phase.
     """
+    cx = rep.complex
     theta0 = float(level)
     base = rep.vertex_phases()
     dist = np.abs(np.mod(base, 1.0) - theta0)
@@ -312,13 +313,13 @@ def verify_cut(
     return np.array([int(z @ per_edge) for z in basis.dual_cycles], dtype=np.int64)
 
 
-def critical_scan(cx: SimplicialComplex3, rep: HarmonicRep) -> np.ndarray:
+def critical_scan(rep: HarmonicRep) -> np.ndarray:
     """Tets where the field proxy magnitude drops to CRITICAL_EPS x median.
 
     An empty result certifies that every regular level set is a leaf of a
     foliation (no critical points at proxy resolution).
     """
-    H, _ = field_proxies(cx, rep.omega)
+    H, _ = field_proxies(rep.complex, rep.omega)
     mag = np.linalg.norm(H, axis=1)
     med = float(np.median(mag))
     return np.flatnonzero(mag <= CRITICAL_EPS * med)

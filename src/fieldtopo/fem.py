@@ -97,7 +97,9 @@ def curl_pairing(cx: SimplicialComplex3) -> sp.csr_matrix:
 
 
 def build_fem(cx: SimplicialComplex3) -> FemMatrices:
-    return FemMatrices(M1=mass_matrix(cx), S=curl_pairing(cx))
+    """The pencil pair of ``cx``, assembled once per complex and shared
+    read-only, like ``tet_geometry``."""
+    return memo(cx, "fem", lambda: FemMatrices(M1=mass_matrix(cx), S=curl_pairing(cx)))
 
 
 def helicity(fem: FemMatrices, h: np.ndarray):

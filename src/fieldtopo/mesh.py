@@ -92,16 +92,6 @@ class SimplicialComplex3:
         """Spanning forest of the edge graph, built once per complex; read-only."""
         return memo(self, "forest", lambda: spanning_forest(self.edges, self.num_vertices))
 
-    def edge_lengths(self) -> np.ndarray:
-        """Length per edge, measured in one tet containing it."""
-        lengths = np.zeros(self.num_edges)
-        p = self.tet_coords
-        for k in range(6):
-            a, b = EDGE_LOCAL[k]
-            le = np.linalg.norm(p[:, b] - p[:, a], axis=1)
-            lengths[self.tet_to_edge[:, k]] = le
-        return lengths
-
 
 def memo(cx: SimplicialComplex3, key, compute):
     """Record ``key`` of ``cx``, computed once and kept in ``cx.meta``.

@@ -32,7 +32,7 @@ def cluster_align(solution, target, rtol: float = 1e-6) -> np.ndarray:
         if abs(lam - lam0) <= rtol * max(abs(lam0), 1.0)
     ]
     B = solution.cochains[:, members]
-    M1 = solution.pencil.fem.M1
+    M1 = build_fem(solution.pencil.complex).M1
     coeff = np.linalg.lstsq(B.T @ (M1 @ B), B.T @ (M1 @ target), rcond=None)[0]
     h = B @ coeff
     nrm = np.sqrt(h @ (M1 @ h))

@@ -66,22 +66,18 @@ def report(num, ok, detail):
 @pytest.fixture(scope="module")
 def torus12_solution():
     cx = gen_grid(GridSpec(12, 12, 12, TAU, TAU, TAU, periodic=(True, True, True)))
-    fem = build_fem(cx)
     bc = BoundaryCondition.parse("closed-mesh")
-    pen = reduce_system(cx, fem, bc)
-    proj = kernel_projector(pen)
-    return smallest_beltrami(pen, proj, k=1, tol=1e-8)
+    pen = reduce_system(cx, bc)
+    return smallest_beltrami(pen, k=1, tol=1e-8)
 
 
 @pytest.fixture(scope="module")
 def torus16_solution():
     t0 = time.time()
     cx = gen_grid(TORUS3_16)
-    fem = build_fem(cx)
     bc = BoundaryCondition.parse("closed-mesh")
-    pen = reduce_system(cx, fem, bc)
-    proj = kernel_projector(pen)
-    sol = smallest_beltrami(pen, proj, k=6, tol=1e-8)
+    pen = reduce_system(cx, bc)
+    sol = smallest_beltrami(pen, k=6, tol=1e-8)
     return sol, time.time() - t0
 
 
@@ -208,24 +204,24 @@ def test_criterion_03_snf_oracle():
     )
 
 
-def test_criterion_04_cuts(solid_torus, solid_torus_fem, box_ring, box_ring_fem):
+def test_criterion_04_cuts(solid_torus, box_ring):
     t0 = time.time()
     ok = True
-    for cx, fem in ((solid_torus, solid_torus_fem), (box_ring, box_ring_fem)):
+    for cx in (solid_torus, box_ring):
         basis = h1_basis(cx)
-        rep = harmonic_representative(cx, fem, basis.cocycles[0])
+        rep = harmonic_representative(cx, basis.cocycles[0])
         bfaces = set(int(f) for f in cx.boundary_faces)
         l1 = choose_level(rep.vertex_phases())
         l2 = (l1 + 0.37) % 1.0
-        cut1 = extract_cut(cx, rep, l1)
+        cut1 = extract_cut(rep, l1)
         cut1.validate_manifold()
         ok &= boundary_edge_faces(cx, cut1) <= bfaces
         c1 = verify_cut(cx, cut1, basis)
-        c2 = verify_cut(cx, extract_cut(cx, rep, l2), basis)
+        c2 = verify_cut(cx, extract_cut(rep, l2), basis)
         rng = np.random.default_rng(1)
         shifted = basis.cocycles[0] + cx.D0 @ rng.integers(-2, 3, cx.num_vertices)
-        rep2 = harmonic_representative(cx, fem, shifted)
-        c3 = verify_cut(cx, extract_cut(cx, rep2, choose_level(rep2.vertex_phases())), basis)
+        rep2 = harmonic_representative(cx, shifted)
+        c3 = verify_cut(cx, extract_cut(rep2, choose_level(rep2.vertex_phases())), basis)
         ident = np.zeros(basis.rank, dtype=np.int64)
         ident[0] = 1
         ok &= (
@@ -241,13 +237,11 @@ def test_criterion_04_cuts(solid_torus, solid_torus_fem, box_ring, box_ring_fem)
     )
 
 
-def test_criterion_05_fibration_certificate(
-    solid_torus, solid_torus_fem, cube4, cube4_fem
-):
+def test_criterion_05_fibration_certificate(solid_torus, cube4):
     t0 = time.time()
     basis = h1_basis(solid_torus)
-    rep = harmonic_representative(solid_torus, solid_torus_fem, basis.cocycles[0])
-    certificate = len(critical_scan(solid_torus, rep)) == 0
+    rep = harmonic_representative(solid_torus, basis.cocycles[0])
+    certificate = len(critical_scan(rep)) == 0
 
     # constructed saddle: flat interior plateau, growing in x, shrinking in y
     v = cube4.vertices
@@ -263,7 +257,7 @@ def test_criterion_05_fibration_certificate(
         omega=cube4.D0 @ phi,
         coclosure_residual=0.0,
     )
-    flagged = critical_scan(cube4, saddle)
+    flagged = critical_scan(saddle)
     wall = time.time() - t0
     ok = certificate and len(flagged) > 0 and wall < 5.0
     assert report(
@@ -275,7 +269,7 @@ def test_criterion_05_fibration_certificate(
 def test_criterion_06_beltrami_benchmark(
     torus8_beltrami, torus12_solution, torus16_solution
 ):
-    _, _, sol8 = torus8_beltrami
+    _, sol8 = torus8_beltrami
     sol12 = torus12_solution
     sol16, wall16 = torus16_solution
     errs = [abs(abs(s.lambdas[0]) - 1.0) for s in (sol8, sol12, sol16)]
@@ -296,10 +290,10 @@ def test_criterion_06_beltrami_benchmark(
     )
 
 
-def test_criterion_07_kernel_deflation(torus3_coarse, torus3_coarse_fem, cube4, cube4_fem):
+def test_criterion_07_kernel_deflation(torus3_coarse, cube4):
     t0 = time.time()
     bc = BoundaryCondition.parse("closed-mesh")
-    pen = reduce_system(torus3_coarse, torus3_coarse_fem, bc)
+    pen = reduce_system(torus3_coarse, bc)
     proj = kernel_projector(pen)
     rng = np.random.default_rng(3)
     worst = 0.0
@@ -307,7 +301,7 @@ def test_criterion_07_kernel_deflation(torus3_coarse, torus3_coarse_fem, cube4, 
         g = torus3_coarse.D0 @ rng.standard_normal(torus3_coarse.num_vertices)
         worst = max(worst, np.linalg.norm(proj.apply(g)) / np.linalg.norm(g))
     dims_ok = proj.harmonic_dimension == 3
-    penz = reduce_system(cube4, cube4_fem, BoundaryCondition.parse("zero-trace"))
+    penz = reduce_system(cube4, BoundaryCondition.parse("zero-trace"))
     projz = kernel_projector(penz)
     dims_ok &= projz.harmonic_dimension == 0
     wall = time.time() - t0
@@ -318,7 +312,7 @@ def test_criterion_07_kernel_deflation(torus3_coarse, torus3_coarse_fem, cube4, 
     )
 
 
-def test_criterion_08_pointwise_identity(torus3_coarse, torus3_coarse_fem):
+def test_criterion_08_pointwise_identity(torus3_coarse):
     t0 = time.time()
     rng = np.random.default_rng(8)
     worst = 0.0
@@ -333,24 +327,24 @@ def test_criterion_08_pointwise_identity(torus3_coarse, torus3_coarse_fem):
     )
 
 
-def test_criterion_09_classification(torus8_beltrami, torus3_8, torus3_8_fem):
+def test_criterion_09_classification(torus8_beltrami, torus3_8):
     t0 = time.time()
-    pen, proj, sol = torus8_beltrami
+    pen, sol = torus8_beltrami
     h = aligned_field(torus3_8, sol)
-    rep = analyze_field(torus3_8, torus3_8_fem, h)
+    rep = analyze_field(torus3_8, h)
     contact_ok = rep.verdict is Verdict.CONTACT and all(
         rep.twist[t] > 0 for t in np.flatnonzero(rep.support)
     )
     g = torus3_8.D0 @ np.sin(torus3_8.vertices[:, 0])
-    foliation_ok = analyze_field(torus3_8, torus3_8_fem, g).verdict is Verdict.FOLIATION
+    foliation_ok = analyze_field(torus3_8, g).verdict is Verdict.FOLIATION
     from fieldtopo.beltrami import default_shift
 
-    neg = smallest_beltrami(pen, proj, k=1, tol=1e-8, shift=-default_shift(torus3_8))
+    neg = smallest_beltrami(pen, k=1, tol=1e-8, shift=-default_shift(torus3_8))
     mixed_ok = (
-        analyze_field(torus3_8, torus3_8_fem, sol.cochains[:, 0] + neg.cochains[:, 0]).verdict
+        analyze_field(torus3_8, sol.cochains[:, 0] + neg.cochains[:, 0]).verdict
         is Verdict.MIXED
     )
-    scale_ok = analyze_field(torus3_8, torus3_8_fem, 3.0 * h).verdict is Verdict.CONTACT
+    scale_ok = analyze_field(torus3_8, 3.0 * h).verdict is Verdict.CONTACT
     wall = time.time() - t0
     ok = contact_ok and foliation_ok and mixed_ok and scale_ok and wall < 60.0
     assert report(
@@ -361,7 +355,7 @@ def test_criterion_09_classification(torus8_beltrami, torus3_8, torus3_8_fem):
     )
 
 
-def test_criterion_09b_sign_swap_as_specified(torus8_beltrami, torus3_8, torus3_8_fem):
+def test_criterion_09b_sign_swap_as_specified(torus8_beltrami, torus3_8):
     """Sub-criterion: the sign branches swap under the field's mirror image.
 
     m = H . curl H is quadratic, so h -> -h alone leaves every label
@@ -373,12 +367,12 @@ def test_criterion_09b_sign_swap_as_specified(torus8_beltrami, torus3_8, torus3_
     CONTACT_POS <-> CONTACT_NEG against its image, and the helicity must
     change sign.
     """
-    _, _, sol = torus8_beltrami
+    _, sol = torus8_beltrami
     h = aligned_field(torus3_8, sol)
     edge_map, edge_sign, tet_map = central_inversion(torus3_8, TORUS3_8)
     mirrored = edge_sign * h[edge_map]
-    a = analyze_field(torus3_8, torus3_8_fem, h)
-    b = analyze_field(torus3_8, torus3_8_fem, mirrored)
+    a = analyze_field(torus3_8, h)
+    b = analyze_field(torus3_8, mirrored)
     swap = {
         TetLabel.CONTACT_POS: TetLabel.CONTACT_NEG,
         TetLabel.CONTACT_NEG: TetLabel.CONTACT_POS,
@@ -408,10 +402,9 @@ def test_criterion_09b_sign_swap_as_specified(torus8_beltrami, torus3_8, torus3_
     )
 
 
-def test_criterion_10_inclusion_chain(torus8_beltrami, torus3_8, torus3_8_fem,
-                                      torus16_solution):
+def test_criterion_10_inclusion_chain(torus8_beltrami, torus3_8, torus16_solution):
     t0 = time.time()
-    _, _, sol8 = torus8_beltrami
+    _, sol8 = torus8_beltrami
     sol16, _ = torus16_solution
     cx16 = sol16.pencil.complex
 
@@ -449,7 +442,7 @@ def test_criterion_10b_forcefree_tolerance_as_specified(torus16_solution):
     """
     sol16, _ = torus16_solution
     cx16 = sol16.pencil.complex
-    fem16 = sol16.pencil.fem
+    fem16 = build_fem(cx16)
     h = aligned_field(cx16, sol16)
     defect = forcefree_defect(cx16, fem16, h)
     defect_single = forcefree_defect(cx16, fem16, sol16.cochains[:, 0])
@@ -482,15 +475,16 @@ def test_criterion_10b_forcefree_tolerance_as_specified(torus16_solution):
     )
 
 
-def test_criterion_11_gauge_invariance(torus3_coarse, torus3_coarse_fem):
+def test_criterion_11_gauge_invariance(torus3_coarse):
     t0 = time.time()
     rng = np.random.default_rng(11)
     h = rng.standard_normal(torus3_coarse.num_edges)
-    base = helicity(torus3_coarse_fem, h)
+    fem = build_fem(torus3_coarse)
+    base = helicity(fem, h)
     worst = 0.0
     for _ in range(20):
         phi = rng.standard_normal(torus3_coarse.num_vertices)
-        shifted = helicity(torus3_coarse_fem, h + torus3_coarse.D0 @ phi)
+        shifted = helicity(fem, h + torus3_coarse.D0 @ phi)
         worst = max(worst, abs(shifted - base) / abs(base))
     wall = time.time() - t0
     ok = worst <= 1e-10 and wall < 5.0

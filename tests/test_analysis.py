@@ -24,7 +24,7 @@ from fields import cluster_align, edge_interpolant
 
 @pytest.fixture(scope="module")
 def aligned_eigenfield(torus8_beltrami, torus3_8):
-    _, _, sol = torus8_beltrami
+    _, sol = torus8_beltrami
 
     def v(P):
         z = np.zeros(len(P))
@@ -33,16 +33,15 @@ def aligned_eigenfield(torus8_beltrami, torus3_8):
     return cluster_align(sol, edge_interpolant(torus3_8, v)), sol.lambdas[0]
 
 
-def test_helicity_of_eigenpair(torus8_beltrami, torus3_8_fem):
-    _, _, sol = torus8_beltrami
+def test_helicity_of_eigenpair(torus8_beltrami, torus3_8):
+    _, sol = torus8_beltrami
     h = sol.cochains[:, 0]
     lam = sol.lambdas[0]
-    assert helicity(torus3_8_fem, h) == pytest.approx(
-        lam * energy(torus3_8_fem, h), rel=1e-10
-    )
+    fem = build_fem(torus3_8)
+    assert helicity(fem, h) == pytest.approx(lam * energy(fem, h), rel=1e-10)
 
 
-def test_twist_of_gradient_is_roundoff(torus3_coarse, torus3_coarse_fem):
+def test_twist_of_gradient_is_roundoff(torus3_coarse):
     g = torus3_coarse.D0 @ np.sin(torus3_coarse.vertices[:, 0])
     H, curlH = field_proxies(torus3_coarse, g)
     m = twist_density(H, curlH)
@@ -59,7 +58,7 @@ def test_twist_noise_floor_scales_with_shortest_edge():
     assert floors[0] == pytest.approx(1e-12 * 3 * 4)
 
 
-def test_twist_of_beltrami_eigenfield(aligned_eigenfield, torus3_8, torus3_8_fem):
+def test_twist_of_beltrami_eigenfield(aligned_eigenfield, torus3_8):
     h, lam = aligned_eigenfield
     H, curlH = field_proxies(torus3_8, h)
     m = twist_density(H, curlH)
@@ -71,7 +70,7 @@ def test_twist_of_beltrami_eigenfield(aligned_eigenfield, torus3_8, torus3_8_fem
     assert np.median(rel) < 0.5
 
 
-def test_twist_flips_sign(torus3_coarse, torus3_coarse_fem):
+def test_twist_flips_sign(torus3_coarse):
     rng = np.random.default_rng(0)
     h = rng.standard_normal(torus3_coarse.num_edges)
     m = twist_density(*field_proxies(torus3_coarse, h))
@@ -80,9 +79,9 @@ def test_twist_flips_sign(torus3_coarse, torus3_coarse_fem):
     # odd under flipping only one factor is covered by the identity below
 
 
-def test_classify_eigenfield_contact(aligned_eigenfield, torus3_8, torus3_8_fem):
+def test_classify_eigenfield_contact(aligned_eigenfield, torus3_8):
     h, lam = aligned_eigenfield
-    rep = analyze_field(torus3_8, torus3_8_fem, h)
+    rep = analyze_field(torus3_8, h)
     assert rep.verdict is Verdict.CONTACT
     assert all(
         rep.labels[t] is TetLabel.CONTACT_POS
@@ -90,35 +89,34 @@ def test_classify_eigenfield_contact(aligned_eigenfield, torus3_8, torus3_8_fem)
     )
 
 
-def test_classify_gradient_foliation(torus3_coarse, torus3_coarse_fem):
+def test_classify_gradient_foliation(torus3_coarse):
     g = torus3_coarse.D0 @ np.sin(torus3_coarse.vertices[:, 0])
-    rep = analyze_field(torus3_coarse, torus3_coarse_fem, g)
+    rep = analyze_field(torus3_coarse, g)
     assert rep.verdict is Verdict.FOLIATION
 
 
 def test_classify_mixed(torus8_beltrami):
-    pen, proj, sol = torus8_beltrami
-    neg = smallest_beltrami(pen, proj, k=1, tol=1e-8, shift=-default_shift(pen.complex))
+    pen, sol = torus8_beltrami
+    neg = smallest_beltrami(pen, k=1, tol=1e-8, shift=-default_shift(pen.complex))
     mix = sol.cochains[:, 0] + neg.cochains[:, 0]
-    cx, fem = pen.complex, pen.fem
-    rep = analyze_field(cx, fem, mix)
+    rep = analyze_field(pen.complex, mix)
     assert rep.verdict is Verdict.MIXED
 
 
-def test_classify_scale_invariant(aligned_eigenfield, torus3_8, torus3_8_fem):
+def test_classify_scale_invariant(aligned_eigenfield, torus3_8):
     h, _ = aligned_eigenfield
-    a = analyze_field(torus3_8, torus3_8_fem, h)
-    b = analyze_field(torus3_8, torus3_8_fem, 3.0 * h)
+    a = analyze_field(torus3_8, h)
+    b = analyze_field(torus3_8, 3.0 * h)
     assert a.verdict == b.verdict
     assert a.labels == b.labels
 
 
-def test_classify_negation_invariance(aligned_eigenfield, torus3_8, torus3_8_fem):
+def test_classify_negation_invariance(aligned_eigenfield, torus3_8):
     """m = H . curl H is quadratic, hence even under h -> -h: labels and
     verdict are invariant (negating the field does not reverse the twist)."""
     h, _ = aligned_eigenfield
-    a = analyze_field(torus3_8, torus3_8_fem, h)
-    b = analyze_field(torus3_8, torus3_8_fem, -h)
+    a = analyze_field(torus3_8, h)
+    b = analyze_field(torus3_8, -h)
     assert a.verdict is Verdict.CONTACT and b.verdict is Verdict.CONTACT
     assert b.labels == a.labels
 
@@ -145,12 +143,12 @@ def test_classify_confoliation_branch(cube4):
     assert verdict is Verdict.CONFOLIATION_NEG
 
 
-def test_near_forcefree_eigenfield(aligned_eigenfield, torus3_8, torus3_8_fem):
+def test_near_forcefree_eigenfield(aligned_eigenfield, torus3_8):
     h, _ = aligned_eigenfield
     assert near_forcefree_check(torus3_8, *field_proxies(torus3_8, h)) == [True]
 
 
-def test_near_forcefree_perpendicular_field(torus3_coarse, torus3_coarse_fem):
+def test_near_forcefree_perpendicular_field(torus3_coarse):
     # B ~ (1,0,0) + (0,0,x): J ~ (0,-1,0) is orthogonal to B everywhere
     def v(P):
         return np.column_stack(
@@ -161,8 +159,7 @@ def test_near_forcefree_perpendicular_field(torus3_coarse, torus3_coarse_fem):
     assert near_forcefree_check(torus3_coarse, *field_proxies(torus3_coarse, h)) == [False]
 
 
-def test_near_forcefree_reads_the_labels(aligned_eigenfield, torus3_8, torus3_8_fem,
-                                        torus3_coarse, torus3_coarse_fem):
+def test_near_forcefree_reads_the_labels(aligned_eigenfield, torus3_8, torus3_coarse):
     """A component of the joint support reads True exactly when it holds no
     FOLIATION or DEGENERATE tet: both read |m| <= tau with one tolerance."""
     def perpendicular(P):
@@ -170,14 +167,14 @@ def test_near_forcefree_reads_the_labels(aligned_eigenfield, torus3_8, torus3_8_
 
     rng = np.random.default_rng(5)
     cases = [
-        (torus3_8, torus3_8_fem, aligned_eigenfield[0]),
-        (torus3_coarse, torus3_coarse_fem, edge_interpolant(torus3_coarse, perpendicular)),
-        (torus3_coarse, torus3_coarse_fem, rng.standard_normal(torus3_coarse.num_edges)),
+        (torus3_8, aligned_eigenfield[0]),
+        (torus3_coarse, edge_interpolant(torus3_coarse, perpendicular)),
+        (torus3_coarse, rng.standard_normal(torus3_coarse.num_edges)),
     ]
     zero = {TetLabel.FOLIATION, TetLabel.DEGENERATE}
     seen = set()
-    for cx, fem, h in cases:
-        rep = analyze_field(cx, fem, h)
+    for cx, h in cases:
+        rep = analyze_field(cx, h)
         H, curlH = field_proxies(cx, h)
         B2, J2 = (np.einsum("tc,tc->t", v, v) for v in (H, curlH))
         comps = masked_components(cx, (B2 >= 1e-3 * B2.mean()) & (J2 >= 1e-3 * J2.mean()))
@@ -188,14 +185,14 @@ def test_near_forcefree_reads_the_labels(aligned_eigenfield, torus3_8, torus3_8_
     assert seen == {True, False}
 
 
-def test_near_forcefree_empty_support(torus3_coarse, torus3_coarse_fem):
+def test_near_forcefree_empty_support(torus3_coarse):
     with pytest.raises(EmptySupport):
         near_forcefree_check(
             torus3_coarse, *field_proxies(torus3_coarse, np.zeros(torus3_coarse.num_edges))
         )
 
 
-def test_identity_random_cochains(torus3_coarse, torus3_coarse_fem):
+def test_identity_random_cochains(torus3_coarse):
     rng = np.random.default_rng(12)
     worst = 0.0
     for _ in range(50):
@@ -204,15 +201,13 @@ def test_identity_random_cochains(torus3_coarse, torus3_coarse_fem):
     assert worst <= 1e-12
 
 
-def test_identity_zero_field(torus3_coarse, torus3_coarse_fem):
+def test_identity_zero_field(torus3_coarse):
     assert identity_check(
         *field_proxies(torus3_coarse, np.zeros(torus3_coarse.num_edges))
     ) == 0.0
 
 
-def test_identity_eigenfield_cross_term_small(
-    aligned_eigenfield, torus3_8, torus3_8_fem
-):
+def test_identity_eigenfield_cross_term_small(aligned_eigenfield, torus3_8):
     h, _ = aligned_eigenfield
     H, curlH = field_proxies(torus3_8, h)
     assert identity_check(H, curlH) <= 1e-12
@@ -223,9 +218,9 @@ def test_identity_eigenfield_cross_term_small(
     assert cross2.sum() < 0.2 * dot2.sum()
 
 
-def test_field_report_shape(aligned_eigenfield, torus3_8, torus3_8_fem):
+def test_field_report_shape(aligned_eigenfield, torus3_8):
     h, _ = aligned_eigenfield
-    rep = analyze_field(torus3_8, torus3_8_fem, h)
+    rep = analyze_field(torus3_8, h)
     doc = rep.to_dict()
     assert doc["verdict"] == "contact"
     assert doc["near_forcefree"] == [True]
@@ -246,7 +241,7 @@ def test_zero_field_has_no_support():
     support_mask the one rule for B and for J."""
     cx = gen_grid(GridSpec(3, 3, 3, periodic=(True, True, True)))
     assert cx.num_tets == 162
-    doc = analyze_field(cx, build_fem(cx), np.zeros(cx.num_edges)).to_dict()
+    doc = analyze_field(cx, np.zeros(cx.num_edges)).to_dict()
     assert doc["support_tets"] == 0
     assert doc["label_counts"] == {"degenerate": 162}
     assert doc["verdict"] == "foliation"

@@ -25,12 +25,13 @@ from fields import bloch_spectrum, cluster_align, edge_interpolant
 TAU = 2 * np.pi
 
 
-def test_closed_mesh_pencil_is_full(torus3_coarse, torus3_coarse_fem):
-    pen = reduce_system(torus3_coarse, torus3_coarse_fem, BoundaryCondition.parse("closed-mesh"))
+def test_closed_mesh_pencil_is_full(torus3_coarse):
+    pen = reduce_system(torus3_coarse, BoundaryCondition.parse("closed-mesh"))
     assert pen.ndof == torus3_coarse.num_edges
     assert pen.symmetry_defect <= 1e-12
-    assert pen.M1 is torus3_coarse_fem.M1
-    S = torus3_coarse_fem.S.copy()
+    fem = build_fem(torus3_coarse)
+    assert pen.M1 is fem.M1
+    S = fem.S.copy()
     S.eliminate_zeros()
     assert pen.S.nnz == S.nnz
     assert abs(pen.S - S).max() <= 1e-12 * abs(S).max()
@@ -41,30 +42,30 @@ def test_closed_mesh_pencil_is_full(torus3_coarse, torus3_coarse_fem):
     assert pen.full_to_dof(h).tobytes() == h.tobytes()
 
 
-def test_zero_trace_pencil_symmetric(cube4, cube4_fem):
-    pen = reduce_system(cube4, cube4_fem, BoundaryCondition.parse("zero-trace"))
+def test_zero_trace_pencil_symmetric(cube4):
+    pen = reduce_system(cube4, BoundaryCondition.parse("zero-trace"))
     assert pen.ndof < cube4.num_edges
     assert pen.symmetry_defect <= 1e-12
 
 
-def test_closed_trace_pencil_symmetric(solid_torus, solid_torus_fem):
+def test_closed_trace_pencil_symmetric(solid_torus):
     for choice in (0, 1):
         pen = reduce_system(
-            solid_torus, solid_torus_fem, BoundaryCondition.parse(f"closed-trace:{choice}")
+            solid_torus, BoundaryCondition.parse(f"closed-trace:{choice}")
         )
         assert pen.symmetry_defect <= 1e-12
 
 
-def test_closed_trace_normalized_restriction(solid_torus, solid_torus_fem):
+def test_closed_trace_normalized_restriction(solid_torus):
     """Index 0 is meridian-like (invisible to traces of H^1(M)), index 1
     longitude-like; only the longitude choice admits a harmonic flux state."""
-    pen0 = reduce_system(solid_torus, solid_torus_fem, BoundaryCondition.parse("closed-trace:0"))
+    pen0 = reduce_system(solid_torus, BoundaryCondition.parse("closed-trace:0"))
     R = boundary_classes(solid_torus).restriction_pairing
     assert R.shape == (1, 2)
     assert R[0, 0] == 0 and abs(R[0, 1]) == 1
     proj0 = kernel_projector(pen0)
     assert proj0.harmonic_dimension == 0
-    pen1 = reduce_system(solid_torus, solid_torus_fem, BoundaryCondition.parse("closed-trace:1"))
+    pen1 = reduce_system(solid_torus, BoundaryCondition.parse("closed-trace:1"))
     proj1 = kernel_projector(pen1)
     assert proj1.harmonic_dimension == 1
 
@@ -81,30 +82,28 @@ def test_boundary_classes_built_once(monkeypatch):
 
     monkeypatch.setattr(homology, "surface_h1_basis", counting)
     cx = gen_box_minus_ring(5)
-    fem = build_fem(cx)
     for text in ("zero-trace", "closed-trace:0", "closed-trace:1"):
-        reduce_system(cx, fem, BoundaryCondition.parse(text))
+        reduce_system(cx, BoundaryCondition.parse(text))
     assert len(calls) == 1
     assert boundary_classes(cx) is boundary_classes(cx)
 
 
-def test_incompatible_bc_cases(cube4, cube4_fem, torus3_coarse, torus3_coarse_fem,
-                               solid_torus, solid_torus_fem):
+def test_incompatible_bc_cases(cube4, torus3_coarse, solid_torus):
     with pytest.raises(IncompatibleBC):
-        reduce_system(cube4, cube4_fem, BoundaryCondition.parse("closed-mesh"))
+        reduce_system(cube4, BoundaryCondition.parse("closed-mesh"))
     with pytest.raises(IncompatibleBC):
-        reduce_system(torus3_coarse, torus3_coarse_fem, BoundaryCondition.parse("zero-trace"))
+        reduce_system(torus3_coarse, BoundaryCondition.parse("zero-trace"))
     with pytest.raises(IncompatibleBC):
-        reduce_system(cube4, cube4_fem, BoundaryCondition.parse("closed-trace:0"))
+        reduce_system(cube4, BoundaryCondition.parse("closed-trace:0"))
     with pytest.raises(IncompatibleBC):
-        reduce_system(solid_torus, solid_torus_fem, BoundaryCondition.parse("closed-trace:0,1"))
+        reduce_system(solid_torus, BoundaryCondition.parse("closed-trace:0,1"))
     with pytest.raises(IncompatibleBC):
-        reduce_system(solid_torus, solid_torus_fem, BoundaryCondition.parse("closed-trace:7"))
+        reduce_system(solid_torus, BoundaryCondition.parse("closed-trace:7"))
 
 
-def test_dof_map_roundtrip(solid_torus, solid_torus_fem):
+def test_dof_map_roundtrip(solid_torus):
     bc = BoundaryCondition.parse("closed-trace:1")
-    pen = reduce_system(solid_torus, solid_torus_fem, bc)
+    pen = reduce_system(solid_torus, bc)
     rng = np.random.default_rng(0)
     x = rng.standard_normal(pen.ndof)
     h = pen.C @ x
@@ -128,12 +127,11 @@ def test_gradients_with_closed_component():
     drops its lowest vertex from the gradient columns, and the cube drops
     its boundary block (zero-trace) or its lowest vertex (closed-trace)."""
     cx = torus_next_to_cube()
-    fem = build_fem(cx)
     on_boundary = np.unique(cx.faces[cx.boundary_faces])
     rng = np.random.default_rng(4)
     for text, ncols in (("zero-trace", 27), ("closed-trace:", 52)):
         bc = BoundaryCondition.parse(text)
-        pen = reduce_system(cx, fem, bc)
+        pen = reduce_system(cx, bc)
         surf = boundary_surface(cx)
         pins = surf.forest.order[surf.forest.parent[surf.forest.order] < 0]
         forest = spanning_forest(surf.edges, cx.num_vertices)
@@ -153,7 +151,7 @@ def test_boundary_pins_follow_component_labels():
     """T2xI has two boundary tori: the pins are the roots of the stored
     surface forest, one per torus, in the order of the component labels."""
     cx = gen_grid(GridSpec(3, 3, 2, periodic=(True, True, False)))
-    pen = reduce_system(cx, build_fem(cx), BoundaryCondition.parse("closed-trace:"))
+    pen = reduce_system(cx, BoundaryCondition.parse("closed-trace:"))
     surf = boundary_surface(cx)
     forest = surf.forest
     pins = forest.order[forest.parent[forest.order] < 0]
@@ -180,9 +178,9 @@ def test_projector_properties(torus8_beltrami, torus3_8):
     """Idempotent, zero on gradients and M1-self-adjoint, on a Freudenthal
     grid and on a jittered one."""
     jittered = jittered_torus3(6)
-    pen_j = reduce_system(jittered, build_fem(jittered), BoundaryCondition.parse("closed-mesh"))
-    cases = [(torus3_8, *torus8_beltrami[:2]), (jittered, pen_j, kernel_projector(pen_j))]
-    for cx, pen, proj in cases:
+    pen_j = reduce_system(jittered, BoundaryCondition.parse("closed-mesh"))
+    for cx, pen in ((torus3_8, torus8_beltrami[0]), (jittered, pen_j)):
+        proj = kernel_projector(pen)
         rng = np.random.default_rng(2)
         v = rng.standard_normal(pen.ndof)
         Pv = proj.apply(v)
@@ -197,38 +195,38 @@ def test_projector_properties(torus8_beltrami, torus3_8):
         assert abs(lhs - rhs) <= 1e-10 * abs(lhs)
 
 
-def test_harmonic_dimensions(torus8_beltrami, cube4, cube4_fem):
-    _, proj, _ = torus8_beltrami
-    assert proj.harmonic_dimension == 3
-    pz = reduce_system(cube4, cube4_fem, BoundaryCondition.parse("zero-trace"))
-    projz = kernel_projector(pz)
-    assert projz.harmonic_dimension == 0
+def test_harmonic_dimensions(torus8_beltrami, cube4):
+    _, sol = torus8_beltrami
+    assert sol.harmonic_dimension == 3
+    pz = reduce_system(cube4, BoundaryCondition.parse("zero-trace"))
+    assert kernel_projector(pz).harmonic_dimension == 0
 
 
 def test_torus_eigenvalue_benchmark(torus8_beltrami):
     # analytic oracle: curl (0, sin x, cos x) = (0, sin x, cos x) on [0,2pi]^3
-    _, _, sol = torus8_beltrami
+    _, sol = torus8_beltrami
     assert abs(sol.lambdas[0]) == pytest.approx(1.0, abs=0.06)
     assert sol.residuals.max() <= 1e-8
 
 
 def test_rayleigh_identity(torus8_beltrami):
-    _, _, sol = torus8_beltrami
+    _, sol = torus8_beltrami
     assert np.abs(sol.helicities / sol.energies - sol.lambdas).max() <= 1e-12 * np.abs(
         sol.lambdas
     ).max()
 
 
-def test_divergence_constraint(torus8_beltrami, torus3_8, torus3_8_fem):
-    _, _, sol = torus8_beltrami
+def test_divergence_constraint(torus8_beltrami, torus3_8):
+    _, sol = torus8_beltrami
     for i in range(sol.cochains.shape[1]):
         h = sol.cochains[:, i]
-        div = np.linalg.norm(torus3_8.D0.T @ (torus3_8_fem.M1 @ h))
-        assert div <= 1e-10 * np.linalg.norm(torus3_8_fem.M1 @ h)
+        M1h = build_fem(torus3_8).M1 @ h
+        div = np.linalg.norm(torus3_8.D0.T @ M1h)
+        assert div <= 1e-10 * np.linalg.norm(M1h)
 
 
 def test_eigenvector_m_orthogonality(torus8_beltrami):
-    pen, _, sol = torus8_beltrami
+    pen, sol = torus8_beltrami
     X = sol.cochains  # C = I on the closed torus
     G = X.T @ (pen.M1 @ X)
     lam = sol.lambdas
@@ -241,8 +239,8 @@ def test_eigenvector_m_orthogonality(torus8_beltrami):
 def test_spectrum_sign_symmetry(torus8_beltrami):
     """Central inversion through a cell center reverses orientation, so the
     discrete spectrum is symmetric under lambda -> -lambda."""
-    pen, proj, sol = torus8_beltrami
-    neg = smallest_beltrami(pen, proj, k=2, tol=1e-8, shift=-default_shift(pen.complex))
+    pen, sol = torus8_beltrami
+    neg = smallest_beltrami(pen, k=2, tol=1e-8, shift=-default_shift(pen.complex))
     assert neg.lambdas[0] == pytest.approx(-sol.lambdas[0], abs=1e-8)
 
 
@@ -254,12 +252,10 @@ def test_sign_tie_goes_to_shift_side():
     """The closed-trace solid torus has both +-1.7949518 in its spectrum;
     each shift returns the one on its own side."""
     cx = _solid_torus_338()
-    fem = build_fem(cx)
     bc = BoundaryCondition.parse("closed-trace:1")
-    pen = reduce_system(cx, fem, bc)
-    proj = kernel_projector(pen)
+    pen = reduce_system(cx, bc)
     for sign in (1.0, -1.0):
-        sol = smallest_beltrami(pen, proj, k=1, tol=1e-8, shift=sign * default_shift(cx))
+        sol = smallest_beltrami(pen, k=1, tol=1e-8, shift=sign * default_shift(cx))
         assert sol.lambdas[0] == pytest.approx(sign * 1.7949518, rel=1e-7)
 
 
@@ -300,7 +296,7 @@ def test_zero_trace_strips_exact_traces():
     assert boundary_surface(cx).genus == [0]
     traces = [np.abs(c[boundary_surface(cx).parent_edge_ids]).max() for c in h1_cocycles_auto(cx)]
     assert max(traces) == 1
-    pen = reduce_system(cx, build_fem(cx), BoundaryCondition.parse("zero-trace"))
+    pen = reduce_system(cx, BoundaryCondition.parse("zero-trace"))
     assert boundary_classes(cx).restriction_pairing.shape == (3, 0)
     proj = kernel_projector(pen)
     assert proj.harmonic_dimension == 3
@@ -308,10 +304,10 @@ def test_zero_trace_strips_exact_traces():
     assert np.abs(pen.S @ H).max() <= 1e-12 * np.abs(H).max()
 
 
-def test_zero_trace_rejects_non_exact_trace(box_ring, box_ring_fem):
+def test_zero_trace_rejects_non_exact_trace(box_ring):
     """The box ring's H^1 class has a trace that is not exact on the inner
     torus, so it has no zero-trace representative."""
-    pen = reduce_system(box_ring, box_ring_fem, BoundaryCondition.parse("zero-trace"))
+    pen = reduce_system(box_ring, BoundaryCondition.parse("zero-trace"))
     assert kernel_projector(pen).harmonic_dimension == 0
     with pytest.raises(ValueError, match="not admissible"):
         pen.full_to_dof(h1_cocycles_auto(box_ring)[0])
@@ -324,14 +320,12 @@ def test_matches_dense_spectrum(case):
     multiplicity."""
     make, bc = DENSE_CASES[case]
     cx = make()
-    fem = build_fem(cx)
-    pen = reduce_system(cx, fem, bc)
-    proj = kernel_projector(pen)
+    pen = reduce_system(cx, bc)
     dense = sla.eigh(pen.S.toarray(), pen.M1.toarray(), eigvals_only=True)
     nonzero = dense[np.abs(dense) > 1e-6 * np.abs(dense).max()]
     k = 2
     for sign, side in ((1.0, nonzero[nonzero > 0]), (-1.0, nonzero[nonzero < 0])):
-        sol = smallest_beltrami(pen, proj, k=k, tol=1e-8, shift=sign * default_shift(cx))
+        sol = smallest_beltrami(pen, k=k, tol=1e-8, shift=sign * default_shift(cx))
         expected = side[np.argsort(np.abs(side))[:k]]
         np.testing.assert_allclose(sol.lambdas, expected, rtol=1e-9, atol=0.0)
 
@@ -344,19 +338,18 @@ def test_only_shift_side_pairs():
     raises NoConvergence with that count of 3, where kernel pairs at lambda ~
     0 would otherwise fill the answer."""
     cx = gen_grid(GridSpec(2, 2, 1))
-    pen = reduce_system(cx, build_fem(cx), BoundaryCondition.parse("zero-trace"))
-    proj = kernel_projector(pen)
+    pen = reduce_system(cx, BoundaryCondition.parse("zero-trace"))
     dense = sla.eigh(pen.S.toarray(), pen.M1.toarray(), eigvals_only=True)
     assert pen.ndof == 9
     for sign in (1.0, -1.0):
         side = dense[sign * dense > 1e-6]
         assert len(side) == 3
         shift = sign * default_shift(cx)
-        sol = smallest_beltrami(pen, proj, k=3, shift=shift)
+        sol = smallest_beltrami(pen, k=3, shift=shift)
         np.testing.assert_allclose(sol.lambdas, side[np.argsort(np.abs(side))], rtol=1e-9)
         for k in (4, 12, 10**12):
             with pytest.raises(NoConvergence, match=f"^only 3 pairs on the shift's side of {k} "):
-                smallest_beltrami(pen, proj, k=k, shift=shift)
+                smallest_beltrami(pen, k=k, shift=shift)
 
 
 def test_no_dofs_gives_no_convergence():
@@ -364,10 +357,10 @@ def test_no_dofs_gives_no_convergence():
     pencil has no DOF; the solver reports that count of 0 pairs like any
     pencil with fewer than k on the shift's side."""
     cx = build_complex(np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1.0]]), [[0, 1, 2, 3]])
-    pen = reduce_system(cx, build_fem(cx), BoundaryCondition.parse("zero-trace"))
+    pen = reduce_system(cx, BoundaryCondition.parse("zero-trace"))
     assert pen.ndof == 0
     with pytest.raises(NoConvergence, match="^only 0 pairs on the shift's side of 1 requested$"):
-        smallest_beltrami(pen, kernel_projector(pen))
+        smallest_beltrami(pen)
 
 
 @pytest.mark.parametrize(
@@ -378,17 +371,15 @@ def test_shift_above_smallest_selects_by_filter(shift, expected):
     the dense eigenvalues of largest f(nu) = nu^2 + nu/sigma, nu = 1/(lambda -
     sigma).  At sigma = 1.1 that is 1.0206986, not the smaller 1.0204927."""
     cx = gen_box_minus_ring(5)
-    fem = build_fem(cx)
     bc = BoundaryCondition.parse("closed-trace:0")
-    pen = reduce_system(cx, fem, bc)
-    proj = kernel_projector(pen)
+    pen = reduce_system(cx, bc)
     dense = sla.eigh(pen.S.toarray(), pen.M1.toarray(), eigvals_only=True)
     nonzero = dense[np.abs(dense) > 1e-6 * np.abs(dense).max()]
     nu = 1.0 / (nonzero - shift)
     k = len(expected)
     leading = np.sort(nonzero[np.argsort(-(nu * nu + nu / shift))[:k]])
     np.testing.assert_allclose(leading, expected, rtol=1e-7, atol=0.0)
-    sol = smallest_beltrami(pen, proj, k=k, tol=1e-8, shift=shift)
+    sol = smallest_beltrami(pen, k=k, tol=1e-8, shift=shift)
     np.testing.assert_allclose(np.sort(sol.lambdas), leading, rtol=1e-9, atol=0.0)
 
 
@@ -416,9 +407,7 @@ def test_one_solve_per_step(make, bc, k, two_solve_columns, monkeypatch):
     import fieldtopo.beltrami as beltrami
 
     cx = make()
-    fem = build_fem(cx)
-    pen = reduce_system(cx, fem, bc)
-    proj = kernel_projector(pen)
+    pen = reduce_system(cx, bc)
 
     solves, steps, products, at_solve = [], [], [0], []
     splu, orthonormalize = spla.splu, beltrami._m_orthonormalize
@@ -443,7 +432,7 @@ def test_one_solve_per_step(make, bc, k, two_solve_columns, monkeypatch):
 
     monkeypatch.setattr(spla, "splu", lambda *a, **kw: Recorder(splu(*a, **kw)))
     monkeypatch.setattr(beltrami, "_m_orthonormalize", counted)
-    smallest_beltrami(dataclasses.replace(pen, M1=CountingM1(pen.M1)), proj, k=k, tol=1e-8)
+    smallest_beltrami(dataclasses.replace(pen, M1=CountingM1(pen.M1)), k=k, tol=1e-8)
     assert solves and set(solves) == {(pen.ndof, k)}
     assert len(solves) == len(steps)
     assert len(solves) * k < two_solve_columns
@@ -469,7 +458,7 @@ def test_one_factorization_per_solve(make, bc, monkeypatch):
     import fieldtopo.beltrami as beltrami
 
     cx = make()
-    pen = reduce_system(cx, build_fem(cx), bc)
+    pen = reduce_system(cx, bc)
     factored, splu = [], beltrami.spla.splu
 
     def counted(A, *args, **kwargs):
@@ -477,7 +466,7 @@ def test_one_factorization_per_solve(make, bc, monkeypatch):
         return splu(A, *args, **kwargs)
 
     monkeypatch.setattr(beltrami.spla, "splu", counted)
-    sol = smallest_beltrami(pen, kernel_projector(pen), k=1, tol=1e-8)
+    sol = smallest_beltrami(pen, k=1, tol=1e-8)
     assert factored == [(pen.ndof, pen.ndof)]
     assert sol.residuals.max() <= 1e-8
 
@@ -487,8 +476,8 @@ def test_degenerate_cluster_complete(torus8_beltrami, seed):
     """The smallest |lambda| on the n=8 3-torus is an exactly 6-fold
     cluster; k=6 returns all six copies for any start block, with no
     member of the next cluster among them."""
-    pen, proj, _ = torus8_beltrami
-    sol = smallest_beltrami(pen, proj, k=6, tol=1e-8, seed=seed)
+    pen, _ = torus8_beltrami
+    sol = smallest_beltrami(pen, k=6, tol=1e-8, seed=seed)
     np.testing.assert_allclose(sol.lambdas, np.full(6, 0.9526012254), rtol=1e-9, atol=0.0)
 
 
@@ -498,11 +487,9 @@ def test_eigenvalue_scaling():
     for s in (1.0, 2.0):
         L = TAU * s
         cx = gen_grid(GridSpec(6, 6, 6, L, L, L, periodic=(True, True, True)))
-        fem = build_fem(cx)
         bc = BoundaryCondition.parse("closed-mesh")
-        pen = reduce_system(cx, fem, bc)
-        proj = kernel_projector(pen)
-        sols.append(smallest_beltrami(pen, proj, k=1, tol=1e-8))
+        pen = reduce_system(cx, bc)
+        sols.append(smallest_beltrami(pen, k=1, tol=1e-8))
     assert sols[1].lambdas[0] * 2.0 == pytest.approx(sols[0].lambdas[0], rel=1e-9)
 
 
@@ -511,32 +498,30 @@ def first_proxy_residual(sol):
     return proxy_curl_residual(cx, *field_proxies(cx, sol.cochains[:, 0]), sol.lambdas[0])
 
 
-def test_residual_report(torus8_beltrami, torus3_8, torus3_8_fem):
-    _, _, sol = torus8_beltrami
+def test_residual_report(torus8_beltrami, torus3_8):
+    _, sol = torus8_beltrami
     for i, lam in enumerate(sol.lambdas):
         assert sol.helicities[i] / sol.energies[i] == pytest.approx(lam, rel=1e-10)
         assert sol.residuals[i] <= 1e-8
         h = sol.cochains[:, i]
-        assert np.linalg.norm(torus3_8.D0.T @ (torus3_8_fem.M1 @ h)) <= 1e-9
+        assert np.linalg.norm(torus3_8.D0.T @ (build_fem(torus3_8).M1 @ h)) <= 1e-9
     # strong-form proxy residual is a discretization-level quantity (O(h))
     assert first_proxy_residual(sol) < 1.0
 
 
 def test_proxy_residual_tightens_under_refinement(torus8_beltrami):
-    _, _, sol8 = torus8_beltrami
+    _, sol8 = torus8_beltrami
     cx = gen_grid(GridSpec(12, 12, 12, TAU, TAU, TAU, periodic=(True, True, True)))
-    fem = build_fem(cx)
     bc = BoundaryCondition.parse("closed-mesh")
-    pen = reduce_system(cx, fem, bc)
-    proj = kernel_projector(pen)
-    sol12 = smallest_beltrami(pen, proj, k=1, tol=1e-8)
+    pen = reduce_system(cx, bc)
+    sol12 = smallest_beltrami(pen, k=1, tol=1e-8)
     r8 = first_proxy_residual(sol8)
     r12 = first_proxy_residual(sol12)
     assert r12 < r8
 
 
 def test_cluster_align_is_eigenvector(torus8_beltrami, torus3_8):
-    pen, _, sol = torus8_beltrami
+    pen, sol = torus8_beltrami
 
     def v(P):
         z = np.zeros(len(P))
@@ -551,24 +536,25 @@ def test_cluster_align_is_eigenvector(torus8_beltrami, torus3_8):
     assert resid <= 1e-10
 
 
-def test_helicity_gauge_invariance(torus3_coarse, torus3_coarse_fem):
+def test_helicity_gauge_invariance(torus3_coarse):
     from fieldtopo.analysis import helicity
 
     rng = np.random.default_rng(6)
     h = rng.standard_normal(torus3_coarse.num_edges)
-    base = helicity(torus3_coarse_fem, h)
+    fem = build_fem(torus3_coarse)
+    base = helicity(fem, h)
     for _ in range(20):
         phi = rng.standard_normal(torus3_coarse.num_vertices)
-        shifted = helicity(torus3_coarse_fem, h + torus3_coarse.D0 @ phi)
+        shifted = helicity(fem, h + torus3_coarse.D0 @ phi)
         assert shifted == pytest.approx(base, rel=1e-10)
 
 
-def test_helicity_of_gradient_is_zero(torus3_coarse, torus3_coarse_fem):
+def test_helicity_of_gradient_is_zero(torus3_coarse):
     from fieldtopo.analysis import helicity
 
     rng = np.random.default_rng(8)
     g = torus3_coarse.D0 @ rng.standard_normal(torus3_coarse.num_vertices)
-    assert abs(helicity(torus3_coarse_fem, g)) <= 1e-10
+    assert abs(helicity(build_fem(torus3_coarse), g)) <= 1e-10
 
 
 def test_bc_describe():
@@ -601,17 +587,16 @@ def test_lagrangian_choice_only_under_closed_trace():
         BoundaryCondition.parse("zero-trace:1")
 
 
-def test_step_cap_ends_in_no_convergence(torus3_coarse, torus3_coarse_fem, monkeypatch):
+def test_step_cap_ends_in_no_convergence(torus3_coarse, monkeypatch):
     """An iteration stopped early hands its Ritz vectors to the residual
     gate, which raises NoConvergence with the worst residual."""
     import fieldtopo.beltrami as beltrami
 
     bc = BoundaryCondition.parse("closed-mesh")
-    pen = reduce_system(torus3_coarse, torus3_coarse_fem, bc)
-    proj = kernel_projector(pen)
+    pen = reduce_system(torus3_coarse, bc)
     monkeypatch.setattr(beltrami, "_MAX_STEPS", 2)
     with pytest.raises(NoConvergence) as exc:
-        smallest_beltrami(pen, proj, k=2, tol=1e-8)
+        smallest_beltrami(pen, k=2, tol=1e-8)
     assert exc.value.best_residual > 1e-8
 
 
@@ -624,12 +609,12 @@ def test_jacobi_cg_solves_one_by_one():
     assert solve(np.array([2.0])).tolist() == [0.5]
 
 
-def test_m_orthonormalize_carries_the_product(torus3_coarse_fem):
+def test_m_orthonormalize_carries_the_product(torus3_coarse):
     """W comes back M-orthonormal and M-orthogonal to V, with the carried MW
     equal to M @ W, and a column inside span V is dropped."""
     from fieldtopo.beltrami import _m_orthonormalize
 
-    M = torus3_coarse_fem.M1
+    M = build_fem(torus3_coarse).M1
     n = M.shape[0]
     rng = np.random.default_rng(3)
     V, MV = _m_orthonormalize(rng.standard_normal((n, 4)), np.empty((n, 0)), np.empty((n, 0)), M)
@@ -644,12 +629,12 @@ def test_m_orthonormalize_carries_the_product(torus3_coarse_fem):
 
 
 @pytest.mark.parametrize("seed", range(5))
-def test_m_orthonormalize_drop_is_scale_invariant(torus3_coarse_fem, seed):
+def test_m_orthonormalize_drop_is_scale_invariant(torus3_coarse, seed):
     """A column that depends on the other columns and on V is dropped, and
     independent columns survive whatever their M-norms."""
     from fieldtopo.beltrami import _m_orthonormalize
 
-    M = torus3_coarse_fem.M1
+    M = build_fem(torus3_coarse).M1
     n = M.shape[0]
     rng = np.random.default_rng(seed)
     V, MV = _m_orthonormalize(rng.standard_normal((n, 4)), np.empty((n, 0)), np.empty((n, 0)), M)
@@ -665,8 +650,7 @@ def test_m_orthonormalize_drop_is_scale_invariant(torus3_coarse_fem, seed):
 
 
 @pytest.mark.parametrize("blocks, steps", [(20, 3), (20, 12), (4, 7), (4, 13)])
-def test_lanczos_residual_from_newest_block(torus3_coarse, torus3_coarse_fem, blocks, steps,
-                                            monkeypatch):
+def test_lanczos_residual_from_newest_block(torus3_coarse, blocks, steps, monkeypatch):
     """The Ritz residuals read off the Lanczos remainder of the newest block
     are the explicit ||g(Vy) - theta Vy||_M1, before and after thick
     restarts (a 4-block basis restarts every second step from the fourth).
@@ -674,7 +658,7 @@ def test_lanczos_residual_from_newest_block(torus3_coarse, torus3_coarse_fem, bl
     explicit difference, about eps |theta|."""
     import fieldtopo.beltrami as beltrami
 
-    pen = reduce_system(torus3_coarse, torus3_coarse_fem, BoundaryCondition.parse("closed-mesh"))
+    pen = reduce_system(torus3_coarse, BoundaryCondition.parse("closed-mesh"))
     M = pen.M1
     sigma = default_shift(torus3_coarse)
     lu = spla.splu((pen.S - sigma * M).tocsc(), permc_spec="MMD_AT_PLUS_A")
@@ -700,7 +684,7 @@ def test_krylov_loop_holds_two_basis_arrays(torus8_beltrami, monkeypatch):
 
     import fieldtopo.beltrami as beltrami
 
-    pen, proj, _ = torus8_beltrami
+    pen, _ = torus8_beltrami
     k = 2
     peaks, lanczos = [], beltrami._block_lanczos
 
@@ -713,7 +697,7 @@ def test_krylov_loop_holds_two_basis_arrays(torus8_beltrami, monkeypatch):
             tracemalloc.stop()
 
     monkeypatch.setattr(beltrami, "_block_lanczos", traced)
-    smallest_beltrami(pen, proj, k=k, tol=1e-8)
+    smallest_beltrami(pen, k=k, tol=1e-8)
     basis_array = pen.ndof * beltrami._BASIS_BLOCKS * k * 8
     assert 2 * basis_array <= peaks[0] < 2.75 * basis_array
 
@@ -751,9 +735,9 @@ def test_inertia_no_pair_missed(make, bc, k, window):
     (6-fold on the 3-torus), and the count across [-a, a) covers at least
     the gradient and harmonic columns of the structural kernel."""
     cx = make()
-    pen = reduce_system(cx, build_fem(cx), bc)
+    pen = reduce_system(cx, bc)
     proj = kernel_projector(pen)
-    lam = smallest_beltrami(pen, proj, k=k, tol=1e-8).lambdas.min()
+    lam = smallest_beltrami(pen, k=k, tol=1e-8).lambdas.min()
     assert lam > 0
     a = 1e-3 * default_shift(cx)
     below, above = _negative_count(pen, lam * (1 - 1e-6)), _negative_count(pen, lam * (1 + 1e-6))
@@ -767,7 +751,7 @@ def test_inertia_counts_match_bloch_oracle(torus8_beltrami):
     """On the closed torus3 n=8 pencil the Sylvester count below each shift
     equals the Bloch oracle's: on both sides of the curl kernel, on both
     sides of the first 6-fold cluster at 0.95260123 and past the next ones."""
-    pen, _, _ = torus8_beltrami
+    pen, _ = torus8_beltrami
     oracle = bloch_spectrum(8, TAU)
     a, lam1 = 1e-3 * default_shift(pen.complex), 0.95260123
     shifts = [-1.2, -a, a, lam1 * (1 - 1e-6), lam1 * (1 + 1e-6), 1.05, 1.2, 1.5]
@@ -780,7 +764,7 @@ def test_bloch_oracle_matches_dense_spectrum():
     """The Bloch symbols give all 189 eigenvalues of the torus3 n=3 pencil,
     the 85 of the curl kernel included, and 52 on the positive side."""
     cx = gen_grid(GridSpec(3, 3, 3, TAU, TAU, TAU, periodic=(True, True, True)))
-    pen = reduce_system(cx, build_fem(cx), BoundaryCondition.parse("closed-mesh"))
+    pen = reduce_system(cx, BoundaryCondition.parse("closed-mesh"))
     dense = sla.eigh(pen.S.toarray(), pen.M1.toarray(), eigvals_only=True)
     oracle = bloch_spectrum(3, TAU)
     np.testing.assert_allclose(oracle, dense, rtol=0, atol=1e-12)
@@ -790,8 +774,8 @@ def test_bloch_oracle_matches_dense_spectrum():
 def test_bloch_oracle_matches_solver(torus8_beltrami):
     """k=12 on torus3 n=8 returns the oracle's 12 smallest positive
     eigenvalues: the first two clusters, 6 x 0.95260123 and 6 x 1.11029212."""
-    pen, proj, _ = torus8_beltrami
-    sol = smallest_beltrami(pen, proj, k=12)
+    pen, _ = torus8_beltrami
+    sol = smallest_beltrami(pen, k=12)
     oracle = bloch_spectrum(8, TAU)
     positive = oracle[oracle > 1e-8][:12]
     np.testing.assert_allclose(sol.lambdas, positive, rtol=1e-9)

@@ -12,7 +12,6 @@ from fieldtopo.cuts import (
     verify_cut,
 )
 from fieldtopo.errors import NoGap, NonManifoldCut, NonRegularLevel, SolverFailure
-from fieldtopo.fem import build_fem
 from fieldtopo.generators import gen_box_minus_ring
 from fieldtopo.homology import h1_basis
 from fieldtopo.mesh import build_complex
@@ -25,20 +24,20 @@ def st_basis(solid_torus):
 
 
 @pytest.fixture(scope="module")
-def st_rep(solid_torus, solid_torus_fem, st_basis):
-    return harmonic_representative(solid_torus, solid_torus_fem, st_basis.cocycles[0])
+def st_rep(solid_torus, st_basis):
+    return harmonic_representative(solid_torus, st_basis.cocycles[0])
 
 
-def test_zero_cocycle_gives_zero(solid_torus, solid_torus_fem):
+def test_zero_cocycle_gives_zero(solid_torus):
     rep = harmonic_representative(
-        solid_torus, solid_torus_fem, np.zeros(solid_torus.num_edges, dtype=np.int64)
+        solid_torus, np.zeros(solid_torus.num_edges, dtype=np.int64)
     )
     assert np.abs(rep.omega).max() == 0.0
 
 
-def test_exact_cocycle_gives_zero(solid_torus, solid_torus_fem):
+def test_exact_cocycle_gives_zero(solid_torus):
     psi = (np.arange(solid_torus.num_vertices) % 5).astype(np.int64)
-    rep = harmonic_representative(solid_torus, solid_torus_fem, solid_torus.D0 @ psi)
+    rep = harmonic_representative(solid_torus, solid_torus.D0 @ psi)
     assert np.abs(rep.omega).max() < 1e-10
 
 
@@ -48,13 +47,13 @@ def test_harmonic_rep_period_and_coclosure(solid_torus, st_basis, st_rep):
     assert period == pytest.approx(1.0, abs=1e-9)
 
 
-def test_rejects_non_closed_source(solid_torus, solid_torus_fem):
+def test_rejects_non_closed_source(solid_torus):
     c = np.zeros(solid_torus.num_edges)
     c[0] = 1.0  # a single edge is not closed on this mesh
     if np.abs(solid_torus.D1 @ c).max() == 0:
         pytest.skip("edge happened to be closed")
     with pytest.raises(ValueError):
-        harmonic_representative(solid_torus, solid_torus_fem, c)
+        harmonic_representative(solid_torus, c)
 
 
 def test_choose_level_two_phases():
@@ -83,7 +82,7 @@ def test_choose_level_gap_bound(st_rep, solid_torus):
 
 
 def test_solid_torus_cut_is_disk(solid_torus, st_rep, st_basis):
-    cut = extract_cut(solid_torus, st_rep, choose_level(st_rep.vertex_phases()))
+    cut = extract_cut(st_rep, choose_level(st_rep.vertex_phases()))
     cut.validate_manifold()
     assert cut.num_components() == 1
     assert cut.euler_characteristic() == 1  # meridian disk
@@ -92,51 +91,51 @@ def test_solid_torus_cut_is_disk(solid_torus, st_rep, st_basis):
 
 
 def test_cut_boundary_edges_on_boundary_faces(solid_torus, st_rep):
-    cut = extract_cut(solid_torus, st_rep, choose_level(st_rep.vertex_phases()))
+    cut = extract_cut(st_rep, choose_level(st_rep.vertex_phases()))
     bfaces = set(int(f) for f in solid_torus.boundary_faces)
     assert boundary_edge_faces(solid_torus, cut) <= bfaces
 
 
-def test_zero_omega_empty_surface(solid_torus, solid_torus_fem):
+def test_zero_omega_empty_surface(solid_torus):
     rep = harmonic_representative(
-        solid_torus, solid_torus_fem, np.zeros(solid_torus.num_edges, dtype=np.int64)
+        solid_torus, np.zeros(solid_torus.num_edges, dtype=np.int64)
     )
-    cut = extract_cut(solid_torus, rep, 0.5)
+    cut = extract_cut(rep, 0.5)
     assert cut.num_triangles == 0
 
 
 def test_nonregular_level_rejected(st_rep, solid_torus):
     phases = np.mod(st_rep.vertex_phases(), 1.0)
     with pytest.raises(NonRegularLevel):
-        extract_cut(solid_torus, st_rep, float(phases[3]))
+        extract_cut(st_rep, float(phases[3]))
 
 
 def test_crossing_vector_level_independent(solid_torus, st_rep, st_basis):
     l1 = choose_level(st_rep.vertex_phases())
     l2 = (l1 + 0.37) % 1.0
-    c1 = verify_cut(solid_torus, extract_cut(solid_torus, st_rep, l1), st_basis)
-    c2 = verify_cut(solid_torus, extract_cut(solid_torus, st_rep, l2), st_basis)
+    c1 = verify_cut(solid_torus, extract_cut(st_rep, l1), st_basis)
+    c2 = verify_cut(solid_torus, extract_cut(st_rep, l2), st_basis)
     assert np.array_equal(c1, c2)
 
 
 def test_crossing_vector_representative_independent(
-    solid_torus, solid_torus_fem, st_basis
+    solid_torus, st_basis
 ):
     rng = np.random.default_rng(4)
     psi = rng.integers(-3, 4, size=solid_torus.num_vertices)
     shifted = st_basis.cocycles[0] + solid_torus.D0 @ psi
-    rep = harmonic_representative(solid_torus, solid_torus_fem, shifted)
-    cut = extract_cut(solid_torus, rep, choose_level(rep.vertex_phases()))
+    rep = harmonic_representative(solid_torus, shifted)
+    cut = extract_cut(rep, choose_level(rep.vertex_phases()))
     assert np.array_equal(verify_cut(solid_torus, cut, st_basis), [1])
 
 
-def test_torus3_crossings_identity(torus3_coarse, torus3_coarse_fem):
+def test_torus3_crossings_identity(torus3_coarse):
     basis = h1_basis(torus3_coarse)
     for j in range(3):
         rep = harmonic_representative(
-            torus3_coarse, torus3_coarse_fem, basis.cocycles[j]
+            torus3_coarse, basis.cocycles[j]
         )
-        cut = extract_cut(torus3_coarse, rep, choose_level(rep.vertex_phases()))
+        cut = extract_cut(rep, choose_level(rep.vertex_phases()))
         cut.validate_manifold()
         crossings = verify_cut(torus3_coarse, cut, basis)
         expect = np.zeros(3, dtype=np.int64)
@@ -146,10 +145,10 @@ def test_torus3_crossings_identity(torus3_coarse, torus3_coarse_fem):
         assert len(cut.boundary_edges) == 0
 
 
-def test_box_ring_cut(box_ring, box_ring_fem):
+def test_box_ring_cut(box_ring):
     basis = h1_basis(box_ring)
-    rep = harmonic_representative(box_ring, box_ring_fem, basis.cocycles[0])
-    cut = extract_cut(box_ring, rep, choose_level(rep.vertex_phases()))
+    rep = harmonic_representative(box_ring, basis.cocycles[0])
+    cut = extract_cut(rep, choose_level(rep.vertex_phases()))
     cut.validate_manifold()
     assert cut.num_components() == 1
     assert len(cut.boundary_edges) > 0
@@ -177,7 +176,7 @@ def test_single_tet_slice(above, order):
         coclosure_residual=0.0,
     )
     # vertex phases are integrated from vertex 0, so shift the level with them
-    cut = extract_cut(cx, rep, (0.2 - phases[0]) % 1.0)
+    cut = extract_cut(rep, (0.2 - phases[0]) % 1.0)
 
     num_cut = int(np.sum(bits[cx.edges[:, 0]] != bits[cx.edges[:, 1]]))
     assert num_cut in (3, 4)
@@ -203,8 +202,8 @@ def test_verify_cut_rejects_broken_surface(defect):
     one makes its neighbours traverse shared edges the same way."""
     cx = gen_box_minus_ring(7)
     basis = h1_basis(cx)
-    rep = harmonic_representative(cx, build_fem(cx), basis.cocycles[0])
-    cut = extract_cut(cx, rep, choose_level(rep.vertex_phases()))
+    rep = harmonic_representative(cx, basis.cocycles[0])
+    cut = extract_cut(rep, choose_level(rep.vertex_phases()))
     assert np.array_equal(verify_cut(cx, cut, basis), [1])
     # a triangle with a side off dM
     tri = cut.corner_vertex[cut.triangles]
@@ -231,7 +230,7 @@ def jittered_ring_rep():
     verts = grid.vertices + rng.uniform(-0.15 / 7, 0.15 / 7, grid.vertices.shape)
     cx = build_complex(verts, grid.tets)
     basis = h1_basis(cx)
-    return cx, basis, harmonic_representative(cx, build_fem(cx), basis.cocycles[0])
+    return cx, basis, harmonic_representative(cx, basis.cocycles[0])
 
 
 @pytest.mark.parametrize("mesh", ["solid_torus", "box_ring", "torus3_coarse", "jittered_lifted"])
@@ -246,10 +245,10 @@ def test_extract_cut_matches_per_tet_reference(request, mesh):
     else:
         cx = request.getfixturevalue(mesh)
         basis = h1_basis(cx)
-        rep = harmonic_representative(cx, build_fem(cx), basis.cocycles[basis.rank - 1])
+        rep = harmonic_representative(cx, basis.cocycles[basis.rank - 1])
     auto = choose_level(rep.vertex_phases())
     for level in (auto, (auto + 0.37) % 1.0):
-        cut = extract_cut(cx, rep, level)
+        cut = extract_cut(rep, level)
         ref = reference_cut(cx, rep, level)
         assert cut.num_triangles > 0
         assert cut.points.tobytes() == ref["points"].tobytes()
@@ -273,8 +272,8 @@ def test_cut_keys_independent_of_phase_lift(jittered_ring_rep, seed):
     phases = rep.vertex_phases() + shift
     lifted.vertex_phases = lambda: phases
     for level in (0.02, 0.05, 0.95, 0.98):
-        ref = extract_cut(cx, rep, level)
-        cut = extract_cut(cx, lifted, level)
+        ref = extract_cut(rep, level)
+        cut = extract_cut(lifted, level)
         assert np.array_equal(verify_cut(cx, cut, basis), [1])
         assert cut.num_triangles == ref.num_triangles
         assert cut.euler_characteristic() == ref.euler_characteristic()
@@ -282,10 +281,10 @@ def test_cut_keys_independent_of_phase_lift(jittered_ring_rep, seed):
 
 
 def test_critical_scan_certificate(solid_torus, st_rep):
-    assert len(critical_scan(solid_torus, st_rep)) == 0
+    assert len(critical_scan(st_rep)) == 0
 
 
-def test_critical_scan_flags_plateau_saddle(cube4, cube4_fem):
+def test_critical_scan_flags_plateau_saddle(cube4):
     """A potential flat on an interior plateau and saddle-like around it."""
     v = cube4.vertices
 
@@ -299,18 +298,18 @@ def test_critical_scan_flags_plateau_saddle(cube4, cube4_fem):
         omega=omega,
         coclosure_residual=0.0,
     )
-    flagged = critical_scan(cube4, rep)
+    flagged = critical_scan(rep)
     assert len(flagged) > 0
 
 
-def test_critical_scan_zero_field_flags_all(solid_torus, solid_torus_fem):
+def test_critical_scan_zero_field_flags_all(solid_torus):
     rep = harmonic_representative(
-        solid_torus, solid_torus_fem, np.zeros(solid_torus.num_edges, dtype=np.int64)
+        solid_torus, np.zeros(solid_torus.num_edges, dtype=np.int64)
     )
-    assert len(critical_scan(solid_torus, rep)) == solid_torus.num_tets
+    assert len(critical_scan(rep)) == solid_torus.num_tets
 
 
-def test_coclosure_failure_raises(solid_torus, solid_torus_fem, st_basis, monkeypatch):
+def test_coclosure_failure_raises(solid_torus, st_basis, monkeypatch):
     import scipy.sparse.linalg as spla
 
     def bad_solve(*args, **kwargs):
@@ -318,4 +317,4 @@ def test_coclosure_failure_raises(solid_torus, solid_torus_fem, st_basis, monkey
 
     monkeypatch.setattr(spla, "spsolve", bad_solve)
     with pytest.raises(SolverFailure):
-        harmonic_representative(solid_torus, solid_torus_fem, st_basis.cocycles[0])
+        harmonic_representative(solid_torus, st_basis.cocycles[0])

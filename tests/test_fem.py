@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fieldtopo.fem import curl_pairing, field_proxies, mass_matrix
+from fieldtopo.fem import build_fem, curl_pairing, field_proxies, mass_matrix
 from fieldtopo.generators import GridSpec, gen_grid
 from fieldtopo.mesh import build_complex
 from fields import edge_interpolant, face_flux_interpolant
@@ -27,9 +27,9 @@ def test_curl_proxy_reference():
     assert np.allclose(curlH[0], [0, 0, 2], atol=1e-15)
 
 
-def test_mass_matrices_spd(cube4, cube4_fem):
+def test_mass_matrices_spd(cube4):
     rng = np.random.default_rng(0)
-    M = cube4_fem.M1
+    M = build_fem(cube4).M1
     assert abs(M - M.T).max() < 1e-14
     np.linalg.cholesky(M.toarray())  # SPD iff this succeeds
     for _ in range(5):
@@ -37,24 +37,26 @@ def test_mass_matrices_spd(cube4, cube4_fem):
         assert x @ (M @ x) > 0
 
 
-def test_curl_pairing_symmetric_on_closed_mesh(torus3_coarse, torus3_coarse_fem):
-    S = torus3_coarse_fem.S
+def test_curl_pairing_symmetric_on_closed_mesh(torus3_coarse):
+    S = build_fem(torus3_coarse).S
     assert abs(S - S.T).max() <= 1e-13 * abs(S).max()
 
 
-def test_curl_grad_annihilation(cube4, cube4_fem, torus3_coarse, torus3_coarse_fem):
+def test_curl_grad_annihilation(cube4, torus3_coarse):
     rng = np.random.default_rng(1)
     # exact identity: the transpose pairing sees curl(grad) = 0 on any mesh
     g = cube4.D0 @ rng.standard_normal(cube4.num_vertices)
-    assert np.abs(cube4_fem.S.T @ g).max() <= 1e-13 * abs(cube4_fem.S).max()
+    S = build_fem(cube4).S
+    assert np.abs(S.T @ g).max() <= 1e-13 * abs(S).max()
     # on a closed mesh S is symmetric, so S itself annihilates gradients too
     g = torus3_coarse.D0 @ rng.standard_normal(torus3_coarse.num_vertices)
-    assert np.abs(torus3_coarse_fem.S @ g).max() <= 1e-13 * abs(torus3_coarse_fem.S).max()
+    S = build_fem(torus3_coarse).S
+    assert np.abs(S @ g).max() <= 1e-13 * abs(S).max()
 
 
-def test_laplacian_kernel_and_energy(cube4, cube4_fem):
+def test_laplacian_kernel_and_energy(cube4):
     D0 = cube4.D0.astype(float)
-    L0 = D0.T @ cube4_fem.M1 @ D0
+    L0 = D0.T @ build_fem(cube4).M1 @ D0
     ones = np.ones(cube4.num_vertices)
     assert np.abs(L0 @ ones).max() < 1e-13
     phi = cube4.vertices[:, 0]
@@ -137,10 +139,10 @@ def test_assembly_uses_minimal_image_shapes():
     assert vols.min() > 0
 
 
-def test_curl_pairing_skew_part_is_boundary_term(cube4, cube4_fem):
+def test_curl_pairing_skew_part_is_boundary_term(cube4):
     """On a bounded mesh the skew part of S pairs only boundary traces:
     fields with vanishing tangential trace see a symmetric S."""
-    S = cube4_fem.S
+    S = build_fem(cube4).S
     from fieldtopo.surface import boundary_surface
 
     surf = boundary_surface(cube4)

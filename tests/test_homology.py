@@ -9,6 +9,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fieldtopo.fem as fem
 import fieldtopo.homology as homology
 import fieldtopo.mesh as mesh
 import fieldtopo.snf as snf
@@ -216,8 +217,9 @@ def test_pipeline_computes_topology_once(tmp_path, monkeypatch, box_ring):
     """One absolute and one relative Betti computation, one mesh tree gauge,
     one boundary surface, one spanning forest per graph (the mesh, whose
     edge graph is also the graph of the absolute D0, its boundary surface,
-    and the graphs of the absolute D2 and of the relative D0 and D2) and one
-    dual-loop construction per H^1 basis."""
+    and the graphs of the absolute D2 and of the relative D0 and D2), one
+    dual-loop construction per H^1 basis and one assembly of each FEM
+    matrix."""
     cx = box_ring  # the CLI builds the same n=5 mesh
     V, E, F, T = cx.num_vertices, cx.num_edges, cx.num_faces, cx.num_tets
     Fs, Es = boundary_surface(cx).D1s.shape  # before extractions are counted
@@ -226,6 +228,7 @@ def test_pipeline_computes_topology_once(tmp_path, monkeypatch, box_ring):
     loops = []
     extractions = []
     forests, outer_forests = [], []
+    assemblies = []
     real_snf = snf.smith_normal_form
     real_gauge = homology.tree_gauge_cocycles
     real_loops = homology.dual_loops
@@ -258,6 +261,12 @@ def test_pipeline_computes_topology_once(tmp_path, monkeypatch, box_ring):
         outer_forests.append((len(edges), num_nodes))
         return real_forest(edges, num_nodes)
 
+    def counting_assembly(assemble):
+        def counted(cx):
+            assemblies.append(assemble.__name__)
+            return assemble(cx)
+        return counted
+
     monkeypatch.setattr(snf, "smith_normal_form", counting_snf)
     monkeypatch.setattr(homology, "smith_normal_form", counting_snf)
     monkeypatch.setattr(homology, "tree_gauge_cocycles", counting_gauge)
@@ -266,6 +275,8 @@ def test_pipeline_computes_topology_once(tmp_path, monkeypatch, box_ring):
     monkeypatch.setattr(mesh, "spanning_forest", counting_forest)
     monkeypatch.setattr(surface, "spanning_forest", counting_forest)
     monkeypatch.setattr(homology, "spanning_forest", counting_outer_forest)
+    for name in ("mass_matrix", "curl_pairing"):
+        monkeypatch.setattr(fem, name, counting_assembly(getattr(fem, name)))
     rc = cli.main(["pipeline", "--geometry", "box-ring", "--n", "5",
                    "--threads", "1", "--out", str(tmp_path)])
     assert rc == 0
@@ -288,6 +299,10 @@ def test_pipeline_computes_topology_once(tmp_path, monkeypatch, box_ring):
     assert sorted(forests) == sorted([E, Es])
     # one call per basis: the boundary torus (2 loops), the mesh (b1 = 1)
     assert sorted(loops) == [(Es, 2), (E, 1)]
+    # the pencil pair is one record per complex, shared by the cut, the
+    # solve and the field report
+    assert assemblies == ["mass_matrix", "curl_pairing"]
+    assert fem.build_fem(cx) is fem.build_fem(cx)
 
 
 def simplicial_surface(triangles):
