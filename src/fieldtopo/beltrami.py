@@ -390,7 +390,11 @@ class KernelProjector:
         return v - self._kernel_part(self._M1 @ v)
 
     def apply_dual(self, x: np.ndarray) -> np.ndarray:
-        """Adjoint projector on momentum vectors: P_dual(M v) = M (P v)."""
+        """Adjoint projector on momentum vectors: P_dual(M v) = M (P v).
+
+        Nothing in the package calls it; it is kept only because
+        ``bench/tracer.py`` wraps it by name, and ROADMAP item 4 removes both.
+        """
         return x - self._M1 @ self._kernel_part(x)
 
 
@@ -645,15 +649,10 @@ def smallest_beltrami(
     divs = np.linalg.norm(projector.gradient.T @ (M @ X), axis=0)
 
     if len(lams) < k:
-        raise NoConvergence(
-            f"only {len(lams)} pairs on the shift's side of {k} requested",
-            best_residual=min(res) if res else None,
-        )
+        raise NoConvergence(f"only {len(lams)} pairs on the shift's side of {k} requested")
     worst = max(res)
     if worst > tol:
-        raise NoConvergence(
-            f"eigen residual {worst:.3e} above tol {tol:.1e}", best_residual=worst
-        )
+        raise NoConvergence(f"eigen residual {worst:.3e} above tol {tol:.1e}")
 
     H = pencil.C @ X
     fem = build_fem(pencil.complex)

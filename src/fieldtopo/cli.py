@@ -12,6 +12,7 @@ import os
 import sys
 from dataclasses import dataclass, fields
 from functools import partial
+from pathlib import Path
 
 COMMANDS = ("gen", "homology", "cuts", "beltrami", "classify", "pipeline")
 SCHEMA_VERSION = "fieldtopo/1"
@@ -314,32 +315,29 @@ def run(cfg: RunConfig) -> int:
 def write_error(outdir, exc, name=None):
     """Print ``{"error": ..., "message": ...}`` and, when ``outdir`` is
     given, also write it to ``outdir/error.json``."""
-    from .writers import dumps_json
+    from .writers import dumps_json, write_json
 
     doc = {"error": name or type(exc).__name__, "message": str(exc)}
-    text = dumps_json(doc)
-    print(text)
+    print(dumps_json(doc))
     if outdir is None:
         return
     try:
         os.makedirs(outdir, exist_ok=True)
-        with open(os.path.join(outdir, "error.json"), "w") as fh:
-            fh.write(text + "\n")
+        write_json(os.path.join(outdir, "error.json"), doc)
     except OSError:
         pass
 
 
 def _read_config_file(path) -> dict:
     out = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"bad config line {line!r} (expected key=value)")
-            key, val = line.split("=", 1)
-            out[key.strip().replace("-", "_")] = val.strip()
+    for line in Path(path).read_text().split("\n"):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ValueError(f"bad config line {line!r} (expected key=value)")
+        key, val = line.split("=", 1)
+        out[key.strip().replace("-", "_")] = val.strip()
     return out
 
 

@@ -64,17 +64,18 @@ def harmonic_representative(cx: SimplicialComplex3, cocycle) -> HarmonicRep:
     if np.abs(cx.D1 @ c).max(initial=0) > 1e-12 * max(1.0, np.abs(c).max(initial=0)):
         raise ValueError("source cochain is not closed")
     M1 = build_fem(cx).M1
-    rhs = -(cx.D0.T @ (M1 @ c.astype(float)))
+    Mc = M1 @ c.astype(float)
+    rhs = -(cx.D0.T @ Mc)
     free = np.flatnonzero(cx.forest.parent >= 0)
     phi = np.zeros(cx.num_vertices)
     if len(free):
         G = cx.D0[:, free].astype(float)
         phi[free] = spla.spsolve((G.T @ M1 @ G).tocsc(), rhs[free])
     omega = c + cx.D0 @ phi
-    num = np.linalg.norm(cx.D0.T @ (M1 @ omega))
-    den = np.linalg.norm(M1 @ omega)
-    src = np.linalg.norm(M1 @ c.astype(float))
-    if den <= 1e-9 * max(src, 1.0):
+    Mw = M1 @ omega
+    num = np.linalg.norm(cx.D0.T @ Mw)
+    den = np.linalg.norm(Mw)
+    if den <= 1e-9 * max(np.linalg.norm(Mc), 1.0):
         resid = 0.0  # trivial class: omega is numerically zero
     else:
         resid = num / den

@@ -64,11 +64,8 @@ class IncompatibleBC(FieldTopoError):
 
 
 class NoConvergence(FieldTopoError):
-    """Eigensolver did not converge; carries the best residual seen."""
-
-    def __init__(self, message, best_residual=None):
-        super().__init__(message)
-        self.best_residual = best_residual
+    """An iterative solve did not converge, or the eigensolver found fewer
+    pairs than requested."""
 
 
 class EmptySupport(FieldTopoError):

@@ -130,17 +130,12 @@ def _chain_betti(counts, D1, outer) -> BettiNumbers:
     return BettiNumbers(betti=betti, torsion=torsion + [[]])
 
 
-def _cached_betti(cx, kind: str, counts, chain) -> BettiNumbers:
-    b = memo(cx, kind, lambda: _chain_betti(counts, *chain()))
-    return BettiNumbers(betti=b.betti, torsion=[list(t) for t in b.torsion])
-
-
 def betti_numbers(cx: SimplicialComplex3) -> BettiNumbers:
     """Betti numbers and torsion of H_* from Smith normal form ranks.
 
     D0 is the incidence of the mesh's edge graph, so its forest is the
-    mesh's own ``cx.forest``.  Computed once per complex; each call returns
-    its own copy.
+    mesh's own ``cx.forest``.  Computed once per complex and shared, so
+    read-only.
     """
 
     def chain():
@@ -148,7 +143,7 @@ def betti_numbers(cx: SimplicialComplex3) -> BettiNumbers:
         return cx.D1, [(cx.D0, cx.forest), (D2t, _incidence_forest(D2t))]
 
     counts = [cx.num_vertices, cx.num_edges, cx.num_faces, cx.num_tets]
-    return _cached_betti(cx, "absolute", counts, chain)
+    return memo(cx, "absolute", lambda: _chain_betti(counts, *chain()))
 
 
 def relative_betti(cx: SimplicialComplex3) -> BettiNumbers:
@@ -156,7 +151,8 @@ def relative_betti(cx: SimplicialComplex3) -> BettiNumbers:
 
     Boundary simplices (the vertices, edges and faces of boundary faces) are
     deleted; for a closed mesh this returns the absolute homology.  Satisfies
-    beta_k(M) = beta_{3-k}(M, dM).
+    beta_k(M) = beta_{3-k}(M, dM).  Computed once per complex and shared,
+    so read-only.
     """
     bfaces = cx.boundary_faces
     if len(bfaces) == 0:
@@ -177,7 +173,7 @@ def relative_betti(cx: SimplicialComplex3) -> BettiNumbers:
         return D1r, [(D0r, _incidence_forest(D0r)), (D2rt, _incidence_forest(D2rt))]
 
     counts = [len(int_verts), len(int_edges), len(int_faces), cx.num_tets]
-    return _cached_betti(cx, "relative", counts, chain)
+    return memo(cx, "relative", lambda: _chain_betti(counts, *chain()))
 
 
 def tree_gauge_cocycles(forest: SpanningForest, D1: sp.spmatrix) -> list[np.ndarray]:
@@ -258,8 +254,8 @@ def h1_cocycles_auto(cx: SimplicialComplex3) -> list[np.ndarray]:
     Periodic grids carry one closed seam cochain per periodic axis and these
     generate H^1 for every grid product geometry, so the Smith normal form
     ranks are only computed when no seam data is available; then the tree
-    gauge supplies the basis and b1 checks its size.  Each call returns its
-    own copies of the cocycles.
+    gauge supplies the basis and b1 checks its size.  The list is shared,
+    so it and its arrays are read-only.
     """
 
     def compute() -> list[np.ndarray]:
@@ -274,7 +270,7 @@ def h1_cocycles_auto(cx: SimplicialComplex3) -> list[np.ndarray]:
             raise RuntimeError(f"found {len(cocycles)} cocycles, expected {b1}")
         return cocycles
 
-    return [c.copy() for c in memo(cx, "h1_cocycles", compute)]
+    return memo(cx, "h1_cocycles", compute)
 
 
 def _dual_basis(graph, cocycles: list[np.ndarray], what: str) -> CohomologyBasis:
@@ -289,8 +285,7 @@ def _dual_basis(graph, cocycles: list[np.ndarray], what: str) -> CohomologyBasis
 def h1_basis(cx: SimplicialComplex3) -> CohomologyBasis:
     """Integer H^1 basis with dual edge loops; pairing is the identity.
 
-    The dual loops are built once per complex; each call returns its own
-    copy of the basis.
+    Built once per complex and shared, so it and its arrays are read-only.
     """
 
     def compute() -> CohomologyBasis:
@@ -299,11 +294,7 @@ def h1_basis(cx: SimplicialComplex3) -> CohomologyBasis:
             raise TrivialH1("H^1 is trivial")
         return _dual_basis(cx, cocycles, "period pairing")
 
-    basis = memo(cx, "h1_basis", compute)
-    return CohomologyBasis(
-        cocycles=[c.copy() for c in basis.cocycles],
-        dual_cycles=[z.copy() for z in basis.dual_cycles],
-    )
+    return memo(cx, "h1_basis", compute)
 
 
 def surface_h1_basis(surf: SurfaceComplex) -> CohomologyBasis:

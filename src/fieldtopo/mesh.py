@@ -96,8 +96,9 @@ class SimplicialComplex3:
 def memo(cx: SimplicialComplex3, key, compute):
     """Record ``key`` of ``cx``, computed once and kept in ``cx.meta``.
 
-    Nothing is stored when ``compute`` raises, so the failure repeats on the
-    next call.
+    Every call returns the stored record itself, so callers treat it and
+    its arrays as read-only.  Nothing is stored when ``compute`` raises, so
+    the failure repeats on the next call.
     """
     records = cx.meta.setdefault("_records", {})
     if key not in records:

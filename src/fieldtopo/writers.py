@@ -79,6 +79,13 @@ def _float_rows(values, width: int) -> str:
     return (line * (values.size // width)) % tuple(words[inverse].tolist())
 
 
+def _write_vtk_points(fh, title: str, dataset: str, points) -> None:
+    """Legacy-VTK header of an ASCII ``dataset`` and its POINTS block."""
+    fh.write(f"# vtk DataFile Version 3.0\n{title}\nASCII\nDATASET {dataset}\n")
+    fh.write(f"POINTS {len(points)} double\n")
+    fh.write(_float_rows(points, 3))
+
+
 def write_mesh_vtk(
     path,
     cx: SimplicialComplex3,
@@ -91,14 +98,8 @@ def write_mesh_vtk(
     tet shapes instead of cells stretched across the fundamental domain.
     """
     T = cx.num_tets
-    pts = cx.tet_coords.reshape(-1, 3)
     with open(path, "w") as fh:
-        fh.write("# vtk DataFile Version 3.0\n")
-        fh.write("fieldtopo mesh\n")
-        fh.write("ASCII\n")
-        fh.write("DATASET UNSTRUCTURED_GRID\n")
-        fh.write(f"POINTS {len(pts)} double\n")
-        fh.write(_float_rows(pts, 3))
+        _write_vtk_points(fh, "fieldtopo mesh", "UNSTRUCTURED_GRID", cx.tet_coords.reshape(-1, 3))
         fh.write(f"CELLS {T} {5 * T}\n")
         fh.write(_rows("4 %d %d %d %d\n", np.arange(4 * T).reshape(T, 4)))
         fh.write(f"CELL_TYPES {T}\n")
@@ -116,15 +117,9 @@ def write_mesh_vtk(
 
 def write_cut_vtk(path, cut: CutSurface):
     """POLYDATA with the oriented triangle soup and source-tet provenance."""
-    P = len(cut.points)
     K = cut.num_triangles
     with open(path, "w") as fh:
-        fh.write("# vtk DataFile Version 3.0\n")
-        fh.write("fieldtopo cut\n")
-        fh.write("ASCII\n")
-        fh.write("DATASET POLYDATA\n")
-        fh.write(f"POINTS {P} double\n")
-        fh.write(_float_rows(cut.points, 3))
+        _write_vtk_points(fh, "fieldtopo cut", "POLYDATA", cut.points)
         fh.write(f"POLYGONS {K} {4 * K}\n")
         fh.write(_rows("3 %d %d %d\n", cut.triangles))
         if K:
