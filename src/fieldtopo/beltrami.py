@@ -25,18 +25,28 @@ pairing to exactly zero, so the iteration never sees it, and an explicit
 kernel basis gives the M1-orthogonal projector that is applied to the start
 block and to the returned eigenvectors.  The
 iteration is thick-restart block Lanczos (Grimes-Lewis-Simon, SIMAX 1994)
-with b = min(k, n) columns per block: each step is one b-column solve on one
-factor, it stops once the k leading pairs have converged, and a cluster of
-multiplicity up to k comes out complete.  Besides the factor it holds one
-M1-orthonormal basis V and its image M1 V, not the image of V under the
-transform: that maps every block but the newest into span V, so the Ritz
-residuals come from the Lanczos remainder of the newest block, which is
-also the next block.
+with b = min(k, n) columns per block: each step is one b-column solve with
+S - sigma M1, it stops once the k leading pairs have converged, and a
+cluster of multiplicity up to k comes out complete.  Besides the solver it
+holds one M1-orthonormal basis V and its image M1 V, not the image of V
+under the transform: that maps every block but the newest into span V, so
+the Ritz residuals come from the Lanczos remainder of the newest block,
+which is also the next block.
 
-A solve factors one matrix, the indefinite S - sigma M1.  The two positive
-definite systems it also meets, the projector's gradient Gram G^T M1 G and
-the mass matrix M1 in the residual norm, see only a few right-hand sides
-each and are solved by Jacobi-preconditioned CG.
+The indefinite S - sigma M1 is solved one of two ways, picked from the
+complex alone.  A fully periodic grid from ``gen_grid`` records its lattice
+layout (``generators.GridLattice``); under CLOSED_MESH (C = I) its pencil
+is translation invariant, one 7 x 7 block per vertex and neighbour offset.
+``_lattice_solve`` reads that 7 x 7 x 27 stencil off the assembled matrix,
+checks every entry against it to 1e-12 relative, and solves by FFT over the
+vertex lattice with one 7 x 7 inverse per wavevector (the discrete
+dispersion analysis of Monk-Parrott, SIAM J. Sci. Comput. 1994); nothing is
+factored.  Every other pencil is factored once: a mesh with a boundary, a
+mesh read from a file, a relabelled complex (no layout) and a grid whose
+entries fail the check.  The two positive definite systems a solve also
+meets, the projector's gradient Gram G^T M1 G and the mass matrix M1 in the
+residual norm, see only a few right-hand sides each and are solved by
+Jacobi-preconditioned CG.
 
 The factor is SuperLU's (Demmel-Eisenstat-Gilbert-Li-Liu, SIMAX 1999) in
 symmetric mode, ordered by minimum degree on A^T + A, with a 0.01 diagonal
@@ -44,9 +54,10 @@ pivot threshold and without relaxed supernodes (relax=1).  SuperLU's
 default relaxation pads small elimination-tree subtrees into dense
 supernodes (Ashcraft-Grimes, ACM TOMS 1989); the fill of this pencil is
 sparse near the leaves, so the padding costs flops and memory and saves
-nothing.  At torus3 n=12 (one thread, six alternating factorizations) the
-factor keeps its 9,136,690 nonzeros and its median time falls from 1.89 to
-1.22 s, a two-column solve from 28.5 to 21.8 ms.  The pivot threshold stays
+nothing.  On the torus3 n=12 pencil, factored as any other (one thread, six
+alternating factorizations), the factor keeps its 9,136,690 nonzeros and
+its median time falls from 1.89 to 1.22 s, a two-column solve from 28.5 to
+21.8 ms.  The pivot threshold stays
 at 0.01: 0.1 multiplied the fill of box-ring n=9 by ten (1.13 M to 10.9 M
 nonzeros), and 0.001 or 0 raised the relative residual of a two-column solve
 at box-ring n=15 from 2.5e-12 to 2.8e-11 or 1.7e-11.
@@ -402,7 +413,8 @@ def kernel_projector(pencil: ReducedPencil) -> KernelProjector:
     """Build the structural kernel deflation of a reduced pencil.
 
     No factorization: the gradient Gram is solved by Jacobi CG, so the
-    eigensolver's shifted pencil is the only matrix a Beltrami solve factors.
+    eigensolver's shifted pencil is the only matrix a Beltrami solve may
+    factor, and on a periodic grid it is solved on the lattice instead.
     """
     return KernelProjector(_gradient_columns(pencil), _harmonic_columns(pencil), pencil.M1)
 
@@ -545,6 +557,81 @@ def _block_lanczos(g, M, Q: np.ndarray, k: int, sigma: float):
     return theta[:k], X, rnorm
 
 
+# Relative deviation from a translation-invariant stencil below which the
+# shifted pencil is solved on the lattice: the grid's coordinates are
+# multiples of h, so its entries agree to a few ulp, and a moved vertex
+# changes them at the size of the move
+_STENCIL_RTOL = 1e-12
+
+
+def _lattice_solve(cx: SimplicialComplex3, A: sp.spmatrix):
+    """Solver of A Y = B by FFT over the vertex lattice of a fully periodic
+    grid, or None when ``cx`` records no ``GridLattice`` or A is not
+    translation invariant on it.
+
+    On the lattice, where edge (v, t) carries its ``GridLattice`` sign, A
+    couples (v, t) with (v + d, t') by a coefficient c(t, t', d), d in
+    {-1, 0, 1}^3, that does not depend on v.  c is the mean over v of the
+    entries; every entry of A, the zeros included, must match it to
+    _STENCIL_RTOL of max|A|.  Then A is block circulant: the real FFT over
+    the lattice turns it into one 7 x 7 symbol sum_d c(., ., d)
+    exp(i theta . d) per wavevector theta, whose inverses are computed
+    once; a solve is one forward FFT, one batched 7 x 7 product and one
+    inverse FFT, for all columns of B at once.  A symbol with an exactly zero pivot raises
+    RuntimeError, as SuperLU does for an exactly singular factor.
+    """
+    lattice = cx.meta.get("lattice")
+    if lattice is None or A.shape[0] != lattice.edge.size:
+        return None
+    V = lattice.edge.shape[0]
+    # slot v * 7 + t holds edge[slot] with sign[slot]
+    edge, sign = lattice.edge.ravel(), lattice.sign.ravel()
+    slot = np.empty(A.shape[0], dtype=np.int64)
+    slot[edge] = np.arange(A.shape[0])
+    A = A.tocoo()
+    row, col = slot[A.row], slot[A.col]
+    val = sign[row] * sign[col] * A.data
+    key = (row % 7 * 7 + col % 7) * 27
+    row //= 7
+    col //= 7
+    # vertex v = (i ny + j) nz + k: peel k, then j, then i, and add each
+    # axis's offset d in {-1, 0, 1} to the key as a base-3 digit d + 1
+    for weight, n in zip((1, 3, 9), lattice.shape[::-1]):
+        d = (col % n - row % n + 1) % n - 1
+        if np.any(d > 1):
+            return None
+        key += weight * (d + 1)
+        row //= n
+        col //= n
+    c = np.bincount(key, weights=val, minlength=7 * 7 * 27) / V
+    tol = _STENCIL_RTOL * (np.abs(val).max() if len(val) else 0.0)
+    absent = np.bincount(key, minlength=7 * 7 * 27) < V  # holds implicit zeros
+    if np.any(np.abs(val - c[key]) > tol) or np.any(np.abs(c[absent]) > tol):
+        return None
+
+    # symbol[m] = sum_d c(., ., d) prod_a exp(2 pi i m_a d_a / n_a), over the
+    # wavevectors of the real FFT, which halves the last axis
+    half = (*lattice.shape[:2], lattice.shape[2] // 2 + 1)
+    waves = [np.exp(2j * np.pi * np.outer(np.arange(h), [-1, 0, 1]) / n)
+             for h, n in zip(half, lattice.shape)]
+    symbol = np.einsum("xa,yb,zc,tuabc->xyztu", *waves, c.reshape(7, 7, 3, 3, 3))
+    try:
+        inverse = np.linalg.inv(symbol)
+    except np.linalg.LinAlgError:
+        raise RuntimeError("lattice symbol is exactly singular") from None
+    axes = (0, 1, 2)
+
+    def solve(B: np.ndarray) -> np.ndarray:
+        cols = B.reshape(B.shape[0], -1)
+        Y = (cols[edge] * sign[:, None]).reshape(*lattice.shape, 7, -1)
+        X = np.fft.irfftn(inverse @ np.fft.rfftn(Y, axes=axes), s=lattice.shape, axes=axes)
+        out = np.empty(cols.shape)
+        out[edge] = X.reshape(cols.shape) * sign[:, None]
+        return out.reshape(B.shape)
+
+    return solve
+
+
 def smallest_beltrami(
     pencil: ReducedPencil,
     k: int = 1,
@@ -560,8 +647,9 @@ def smallest_beltrami(
     (S - sigma M1)^{-1} S / sigma of OP = (S - sigma M1)^{-1} M1.  g spans
     the same Krylov space as OP.  The block has b = min(k, n) columns (n
     DOFs; a wider block would have dependent columns), so each step is one
-    solve with b right-hand sides on one factor.  The loop holds the
-    factor, the basis V and its image M1 V, and not g V: the Ritz residuals
+    solve with b right-hand sides, on the lattice (``_lattice_solve``) or
+    else on one factor.  The loop holds the solver, the basis V and its
+    image M1 V, and not g V: the Ritz residuals
     come from the Lanczos remainder of the newest block, which is also the
     next block.  A step multiplies by M1 twice, once for the new block and
     once for the residual norms.  A Ritz value theta of g stands for nu =
@@ -570,14 +658,15 @@ def smallest_beltrami(
     iteration stops when the k leading pairs have residual
     ||g x - theta x||_M1 <= 1e-12 |theta|.  A block of k columns holds up to
     k copies of one eigenvalue, so a cluster of multiplicity up to k comes
-    out complete, not through rounding.  The factor is built without
+    out complete, not through rounding.  A factor is built without
     relaxed supernodes, whose dense padding this pencil's sparse leaf fill
     does not use (see the module docstring).
 
     g, and so f, vanishes on the whole curl kernel, so the zero eigenvalue
     of the pencil is invisible to the iteration; the ``kernel_projector``,
-    built here before the factor, is applied only to the start block and to
-    the Ritz vectors, and the solution reports its harmonic dimension.  In
+    built here before the shifted solver, is applied only to the start
+    block and to the Ritz vectors, and the solution reports its harmonic
+    dimension.  In
     terms of lambda, f = lambda / (sigma (lambda - sigma)^2): positive
     exactly on the shift's side, zero on the kernel and negative on the
     other sign.  So with the shift below the smallest |lambda| the contract
@@ -600,15 +689,18 @@ def smallest_beltrami(
 
     A = pencil.S
     M = pencil.M1
-    # A - sigma M is symmetric indefinite; symmetric-mode ordering keeps the
-    # fill an order of magnitude below the default unsymmetric one; relax=1
-    # turns off relaxed supernodes (see the module docstring)
-    op_lu = spla.splu(
-        (A - sigma * M).tocsc(),
-        permc_spec="MMD_AT_PLUS_A",
-        relax=1,
-        options=dict(SymmetricMode=True, DiagPivotThresh=0.01),
-    )
+    shifted = A - sigma * M
+    shifted_solve = _lattice_solve(pencil.complex, shifted)
+    if shifted_solve is None:
+        # A - sigma M is symmetric indefinite; symmetric-mode ordering keeps
+        # the fill an order of magnitude below the default unsymmetric one;
+        # relax=1 turns off relaxed supernodes (see the module docstring)
+        shifted_solve = spla.splu(
+            shifted.tocsc(),
+            permc_spec="MMD_AT_PLUS_A",
+            relax=1,
+            options=dict(SymmetricMode=True, DiagPivotThresh=0.01),
+        ).solve
 
     def filtered(Y, MY):
         # g(OP) Y = (OP + I/sigma) Y = (A - sigma M)^{-1} A Y / sigma, the
@@ -620,7 +712,7 @@ def smallest_beltrami(
         # below 1e-12, in M-norm, of kernel in the Ritz vectors, which the
         # final projection removes).
         # MY = M Y is carried by the caller
-        return op_lu.solve(MY) + Y / sigma
+        return shifted_solve(MY) + Y / sigma
 
     b = min(k, n)
     rng = np.random.default_rng(seed)

@@ -5,7 +5,9 @@ subdivision of a hex grid, so the triangulation matches across periodic
 seams.  Periodic meshes store wrapped vertex indices but keep unwrapped
 per-tet coordinates (minimal-image convention), and record on which edges
 the mesh wraps around each periodic axis ("seam crossings") for use by the
-cohomology machinery.
+cohomology machinery.  A fully periodic grid also records its lattice
+layout, the edges that start at each vertex (``GridLattice``), so that a
+solver can use its translation invariance.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import itertools
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -130,17 +133,52 @@ def _attach_seam_crossings(cx: SimplicialComplex3, grid, spec: GridSpec):
     cx.meta["seam_crossings"] = crossings
 
 
+# the 7 Freudenthal edge steps s in {0, 1}^3 other than 0, step t having
+# s . (1, 2, 4) = t + 1: (1,0,0), (0,1,0), (1,1,0), (0,0,1), ..., (1,1,1)
+LATTICE_STEPS = (np.arange(1, 8)[:, None] >> np.arange(3)) & 1
+
+
+class GridLattice(NamedTuple):
+    """Lattice layout of a fully periodic Freudenthal grid.
+
+    Vertex v sits at grid point ``np.unravel_index(v, shape)``; the edge
+    from it to its neighbour at ``LATTICE_STEPS[t]`` (wrapped) is
+    ``edge[v, t]``, and ``sign[v, t]`` is +1 when the canonical edge runs
+    from v to that neighbour, else -1.  Every edge appears exactly once.
+    """
+
+    shape: tuple[int, int, int]  # vertex (= cell) counts per axis
+    edge: np.ndarray             # (V, 7) edge ids
+    sign: np.ndarray             # (V, 7) +-1
+
+
+def _attach_lattice(cx: SimplicialComplex3, spec: GridSpec):
+    shape = spec.counts
+    V = cx.num_vertices
+    at = np.stack(np.unravel_index(np.arange(V), shape), axis=-1)  # (V,3)
+    nbr = np.ravel_multi_index(
+        tuple(np.moveaxis((at[:, None, :] + LATTICE_STEPS) % shape, -1, 0)), shape
+    )  # (V,7)
+    v = np.broadcast_to(np.arange(V)[:, None], nbr.shape)
+    lo, hi = np.minimum(v, nbr), np.maximum(v, nbr)
+    edge = np.searchsorted(cx.edges[:, 0] * V + cx.edges[:, 1], lo * V + hi)
+    cx.meta["lattice"] = GridLattice(shape, edge, np.where(v < nbr, 1, -1))
+
+
 def gen_grid(spec: GridSpec) -> SimplicialComplex3:
     """Freudenthal subdivision of a structured hex grid.
 
     periodic=(F,F,F) gives a ball-like cube, (F,F,T) a solid torus,
-    (T,T,F) T^2 x I, and (T,T,T) the 3-torus.
+    (T,T,F) T^2 x I, and (T,T,T) the 3-torus, which also records its
+    ``GridLattice`` as ``cx.meta["lattice"]``.
     """
     spec.validate()
     tets, grid, coords, pts, h = _freudenthal_cells(spec)
     vertices = _grid_vertices(pts, h)
     cx = build_complex(vertices, tets, tet_coords=coords)
     _attach_seam_crossings(cx, grid, spec)
+    if all(spec.periodic):
+        _attach_lattice(cx, spec)
     return cx
 
 

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -21,6 +23,7 @@ from fieldtopo.homology import betti_numbers, boundary_classes, h1_cocycles_auto
 from fieldtopo.mesh import build_complex, spanning_forest
 from fieldtopo.surface import boundary_surface
 from fields import bloch_spectrum, cluster_align, edge_interpolant
+from test_relabelling import _relabel
 
 TAU = 2 * np.pi
 
@@ -384,24 +387,25 @@ def test_shift_above_smallest_selects_by_filter(shift, expected):
 
 
 @pytest.mark.parametrize(
-    "make, bc, k, two_solve_columns",
+    "make, bc, k, two_solve_columns, factors",
     [
-        (lambda: gen_box_minus_ring(7), BoundaryCondition.parse("zero-trace"), 1, 42),
+        (lambda: gen_box_minus_ring(7), BoundaryCondition.parse("zero-trace"), 1, 42, 1),
         (
             lambda: gen_grid(GridSpec(4, 4, 4, TAU, TAU, TAU, periodic=(True, True, True))),
             BoundaryCondition.parse("closed-mesh"),
             2,
             136,
+            0,
         ),
     ],
     ids=["box-ring-7", "torus3-4"],
 )
-def test_one_solve_per_step(make, bc, k, two_solve_columns, monkeypatch):
-    """Each Krylov step is one solve with k right-hand sides on the shifted
-    factor, and the iteration solves fewer columns than the two-solve
-    filter OP^2 + OP/sigma did.  Between one solve and the next the loop
-    multiplies by the pencil's M1 at most twice: M V is carried, not
-    recomputed."""
+def test_one_solve_per_step(make, bc, k, two_solve_columns, factors, monkeypatch):
+    """Each Krylov step is one solve with k right-hand sides, on the shifted
+    factor or (periodic grid, no factor) on the lattice, and the iteration
+    solves fewer columns than the two-solve filter OP^2 + OP/sigma did.
+    Between one solve and the next the loop multiplies by the pencil's M1
+    at most twice: M V is carried, not recomputed."""
     import dataclasses
 
     import fieldtopo.beltrami as beltrami
@@ -409,30 +413,40 @@ def test_one_solve_per_step(make, bc, k, two_solve_columns, monkeypatch):
     cx = make()
     pen = reduce_system(cx, bc)
 
-    solves, steps, products, at_solve = [], [], [0], []
-    splu, orthonormalize = spla.splu, beltrami._m_orthonormalize
+    solves, steps, products, at_solve, factored = [], [], [0], [], []
+    splu, lattice_solve = spla.splu, beltrami._lattice_solve
+    orthonormalize = beltrami._m_orthonormalize
 
     class CountingM1(sp.csr_matrix):
         def __matmul__(self, other):
             products[0] += 1
             return super().__matmul__(other)
 
-    class Recorder:
-        def __init__(self, lu):
-            self.lu = lu
-
-        def solve(self, b):
+    def recorded(solve):
+        def recording(b):
             solves.append(b.shape)
             at_solve.append(products[0])
-            return self.lu.solve(b)
+            return solve(b)
+
+        return recording
+
+    def factor(*args, **kwargs):
+        factored.append(1)
+        return SimpleNamespace(solve=recorded(splu(*args, **kwargs).solve))
+
+    def lattice(*args):
+        solve = lattice_solve(*args)
+        return solve and recorded(solve)
 
     def counted(*args):
         steps.append(1)
         return orthonormalize(*args)
 
-    monkeypatch.setattr(spla, "splu", lambda *a, **kw: Recorder(splu(*a, **kw)))
+    monkeypatch.setattr(spla, "splu", factor)
+    monkeypatch.setattr(beltrami, "_lattice_solve", lattice)
     monkeypatch.setattr(beltrami, "_m_orthonormalize", counted)
     smallest_beltrami(dataclasses.replace(pen, M1=CountingM1(pen.M1)), k=k, tol=1e-8)
+    assert len(factored) == factors
     assert solves and set(solves) == {(pen.ndof, k)}
     assert len(solves) == len(steps)
     assert len(solves) * k < two_solve_columns
@@ -440,21 +454,22 @@ def test_one_solve_per_step(make, bc, k, two_solve_columns, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "make,bc",
+    "make, bc, lattice",
     [
         (lambda: gen_grid(GridSpec(4, 4, 4, TAU, TAU, TAU, periodic=(True, True, True))),
-         BoundaryCondition.parse("closed-mesh")),
-        (lambda: gen_box_minus_ring(5), BoundaryCondition.parse("zero-trace")),
-        (lambda: gen_box_minus_ring(5), BoundaryCondition.parse("closed-trace:1")),
-        (torus_next_to_cube, BoundaryCondition.parse("zero-trace")),
-        (torus_next_to_cube, BoundaryCondition.parse("closed-trace:")),
+         BoundaryCondition.parse("closed-mesh"), True),
+        (lambda: gen_box_minus_ring(5), BoundaryCondition.parse("zero-trace"), False),
+        (lambda: gen_box_minus_ring(5), BoundaryCondition.parse("closed-trace:1"), False),
+        (torus_next_to_cube, BoundaryCondition.parse("zero-trace"), False),
+        (torus_next_to_cube, BoundaryCondition.parse("closed-trace:"), False),
     ],
     ids=["torus3-4", "box-ring-5-zero-trace", "box-ring-5-closed-trace-1",
          "torus-cube-zero-trace", "torus-cube-closed-trace"],
 )
-def test_one_factorization_per_solve(make, bc, monkeypatch):
-    """The projector and the eigensolver together factor one matrix, the
-    shifted pencil; the gradient Gram and the mass matrix go to CG."""
+def test_one_factorization_per_solve(make, bc, lattice, monkeypatch):
+    """The projector and the eigensolver together factor at most one matrix,
+    the shifted pencil, and none on a periodic grid, which is solved on its
+    lattice; the gradient Gram and the mass matrix go to CG."""
     import fieldtopo.beltrami as beltrami
 
     cx = make()
@@ -467,8 +482,129 @@ def test_one_factorization_per_solve(make, bc, monkeypatch):
 
     monkeypatch.setattr(beltrami.spla, "splu", counted)
     sol = smallest_beltrami(pen, k=1, tol=1e-8)
+    assert factored == ([] if lattice else [(pen.ndof, pen.ndof)])
+    assert sol.residuals.max() <= 1e-8
+
+
+# the smallest legal 3-torus grid (offsets -1 and +1 stay distinct), the n=4
+# one and a non-cubic one with unequal lengths
+LATTICE_GRIDS = {
+    "torus3-3": GridSpec(3, 3, 3, TAU, TAU, TAU, periodic=(True, True, True)),
+    "torus3-4": GridSpec(4, 4, 4, TAU, TAU, TAU, periodic=(True, True, True)),
+    "grid-3x4x5": GridSpec(3, 4, 5, 1.0, 2.0, 3.0, periodic=(True, True, True)),
+}
+
+
+def _superlu(A):
+    return spla.splu(
+        A.tocsc(), permc_spec="MMD_AT_PLUS_A", relax=1,
+        options=dict(SymmetricMode=True, DiagPivotThresh=0.01),
+    ).solve
+
+
+@pytest.mark.parametrize("name", list(LATTICE_GRIDS))
+def test_lattice_solve_matches_superlu(name):
+    """On a periodic grid the lattice solve of S - sigma M1 has relative
+    residual below 1e-12 per column and agrees with SuperLU's solve."""
+    from fieldtopo.beltrami import _lattice_solve
+
+    cx = gen_grid(LATTICE_GRIDS[name])
+    pen = reduce_system(cx, BoundaryCondition.parse("closed-mesh"))
+    A = pen.S - default_shift(cx) * pen.M1
+    solve = _lattice_solve(cx, A)
+    assert solve is not None
+    B = np.random.default_rng(3).standard_normal((pen.ndof, 3))
+    X, X_lu = solve(B), _superlu(A)(B)
+    assert np.all(np.linalg.norm(A @ X - B, axis=0) <= 1e-12 * np.linalg.norm(B, axis=0))
+    np.testing.assert_allclose(X, X_lu, rtol=0, atol=1e-10 * np.abs(X_lu).max())
+    # a vector is solved as a one-column block
+    np.testing.assert_allclose(solve(B[:, 1]), X[:, 1], rtol=0, atol=1e-12 * np.abs(X).max())
+
+
+@pytest.mark.parametrize("name", list(LATTICE_GRIDS))
+def test_lattice_path_matches_superlu_path(name, monkeypatch):
+    """smallest_beltrami through the lattice and through SuperLU gives the
+    same eigenvalues to 1e-12 and the same eigenspace: every principal
+    cosine, in the M1 inner product, is 1 to 1e-10.  The vectors may
+    differ by a rotation inside a degenerate cluster."""
+    import fieldtopo.beltrami as beltrami
+
+    cx = gen_grid(LATTICE_GRIDS[name])
+    pen = reduce_system(cx, BoundaryCondition.parse("closed-mesh"))
+    lattice = smallest_beltrami(pen, k=2)
+    monkeypatch.setattr(beltrami, "_lattice_solve", lambda *args: None)
+    factored = smallest_beltrami(pen, k=2)
+    np.testing.assert_allclose(lattice.lambdas, factored.lambdas, rtol=1e-12, atol=0)
+    R = np.linalg.cholesky(pen.M1.toarray()).T  # x^T M1 y = (R x) . (R y)
+    cosines = np.cos(sla.subspace_angles(R @ lattice.cochains, R @ factored.cochains))
+    np.testing.assert_allclose(cosines, 1.0, rtol=0, atol=1e-10)
+
+
+def _nudged_torus3():
+    """The n=4 3-torus with one vertex moved by 0.01 h in every tet that
+    holds it, before anything is assembled: it keeps its lattice layout,
+    but the pencil is no longer translation invariant."""
+    cx = gen_grid(GridSpec(4, 4, 4, TAU, TAU, TAU, periodic=(True, True, True)))
+    cx.tet_coords[cx.tets == 5] += 0.01 * (TAU / 4) * np.array([1.0, 0.5, 0.25])
+    return cx
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: _relabel(gen_grid(GridSpec(4, 4, 4, TAU, TAU, TAU, periodic=(True,) * 3)), 7)[0],
+     _nudged_torus3],
+    ids=["relabelled", "nudged"],
+)
+def test_lattice_fallback_factors_once(make, monkeypatch):
+    """A closed mesh without a lattice layout (relabelled through
+    build_complex) or whose pencil fails the stencil check (one vertex
+    moved) is solved on one SuperLU factor, as any other pencil."""
+    import fieldtopo.beltrami as beltrami
+
+    cx = make()
+    pen = reduce_system(cx, BoundaryCondition.parse("closed-mesh"))
+    factored, splu = [], beltrami.spla.splu
+
+    def counted(A, *args, **kwargs):
+        factored.append(A.shape)
+        return splu(A, *args, **kwargs)
+
+    monkeypatch.setattr(beltrami.spla, "splu", counted)
+    sol = smallest_beltrami(pen, k=2, tol=1e-8)
     assert factored == [(pen.ndof, pen.ndof)]
     assert sol.residuals.max() <= 1e-8
+
+
+def test_stencil_check_counts_implicit_zeros(torus3_coarse):
+    """A coupling absent at one vertex fails the stencil check, even one so
+    small (5e-11 max|A|) that the entries present match its mean over the
+    64 vertices to 1e-12 max|A|; present at every vertex, it passes."""
+    from fieldtopo.beltrami import _lattice_solve
+
+    cx = torus3_coarse
+    lat = cx.meta["lattice"]
+    pen = reduce_system(cx, BoundaryCondition.parse("closed-mesh"))
+    A = pen.S - default_shift(cx) * pen.M1
+    # edge step (1,0,0) at v with the same step at v + (1,1,1): no tet holds both
+    v = np.arange(cx.num_vertices)
+    w = np.ravel_multi_index(tuple((np.stack(np.unravel_index(v, lat.shape)) + 1) % 4), lat.shape)
+    a = 5e-11 * abs(A).max() * lat.sign[v, 0] * lat.sign[w, 0]
+    coupling = sp.csr_matrix((a, (lat.edge[v, 0], lat.edge[w, 0])), shape=A.shape)
+    assert _lattice_solve(cx, A + coupling + coupling.T) is not None
+    coupling = sp.csr_matrix((a[1:], (lat.edge[v[1:], 0], lat.edge[w[1:], 0])), shape=A.shape)
+    assert _lattice_solve(cx, A + coupling + coupling.T) is None
+
+
+def test_singular_lattice_symbol_is_a_runtime_error(torus3_coarse):
+    """An exactly singular symbol raises RuntimeError, as SuperLU's exactly
+    singular factor does, so the CLI exits 2 with error.json either way."""
+    from fieldtopo.beltrami import _lattice_solve
+
+    zero = sp.csr_matrix((torus3_coarse.num_edges,) * 2)
+    with pytest.raises(RuntimeError, match="exactly singular"):
+        _lattice_solve(torus3_coarse, zero)
+    with pytest.raises(RuntimeError, match="exactly singular"):
+        _superlu(zero)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

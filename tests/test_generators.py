@@ -5,6 +5,7 @@ import pytest
 
 from fieldtopo.errors import EmptyMesh, ParseError, RingTouchesBoundary
 from fieldtopo.generators import (
+    LATTICE_STEPS,
     GridSpec,
     default_ring,
     gen_box_minus_ring,
@@ -294,6 +295,27 @@ def test_read_msh_node_id_outside_int64(tmp_path):
     assert err.value.line == 13
     path.write_text(text.replace(str(big), str(big - 1)))
     assert read_msh(path).num_vertices == 4
+
+
+def test_lattice_layout():
+    """A fully periodic grid records, for each vertex and step, the one edge
+    from it to its wrapped neighbour, with the edge's orientation; each edge
+    appears once.  A grid with a boundary records no layout."""
+    spec = GridSpec(3, 4, 5, 1.0, 2.0, 3.0, periodic=(True, True, True))
+    cx = gen_grid(spec)
+    lat = cx.meta["lattice"]
+    assert lat.shape == (3, 4, 5)
+    assert np.array_equal(np.sort(lat.edge.ravel()), np.arange(cx.num_edges))
+    ends = cx.edges[lat.edge]  # (V, 7, 2)
+    start = np.where(lat.sign > 0, ends[..., 0], ends[..., 1])
+    stop = np.where(lat.sign > 0, ends[..., 1], ends[..., 0])
+    assert np.array_equal(start, np.broadcast_to(np.arange(cx.num_vertices)[:, None], start.shape))
+    step = np.stack(np.unravel_index(stop, lat.shape), -1) - np.stack(np.unravel_index(start, lat.shape), -1)
+    assert np.array_equal(step % lat.shape, np.broadcast_to(LATTICE_STEPS, step.shape))
+    assert LATTICE_STEPS.tolist() == [
+        [1, 0, 0], [0, 1, 0], [1, 1, 0], [0, 0, 1], [1, 0, 1], [0, 1, 1], [1, 1, 1]
+    ]
+    assert "lattice" not in gen_grid(GridSpec(3, 3, 3, periodic=(True, True, False))).meta
 
 
 def test_seam_cochains_closed():

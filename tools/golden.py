@@ -86,6 +86,10 @@ CASES: dict[str, list[str]] = {
     ],
     # exactly the 52 positive eigenvalues of the 189-DOF pencil
     "beltrami-torus3-whole-side": ["beltrami", "--geometry", "torus3", "--n", "3", "--k", "52"],
+    # non-cubic, unequal lengths: pins the per-axis handling of the lattice solve
+    "beltrami-torus3-3x4x5": [
+        "beltrami", "--geometry", "torus3", "--n", "3,4,5", "--size", "1,2,3", "--k", "2",
+    ],
     # one DOF, eigenvalue 0: the solver reports no pair on the shift's side
     "beltrami-cube-1": ["beltrami", "--geometry", "cube", "--n", "1"],
     "classify-torus3": ["classify", "--geometry", "torus3", "--n", "4", "--size", TAU],
