@@ -19,33 +19,36 @@ The harmonic fields follow one rule for every condition: the classes of
 H^1(M) whose boundary trace lies in the span of the chosen classes.  With no
 class chosen (ZERO_TRACE) that is the kernel of restriction to H^1(dM).
 
-The huge curl kernel is kept out of the eigensolver in two ways.  The
-Cayley transform (S - sigma M1)^{-1} S maps every null vector of the curl
-pairing to exactly zero, so the iteration never sees it, and an explicit
-kernel basis gives the M1-orthogonal projector that is applied to the start
-block and to the returned eigenvectors.  The
-iteration is thick-restart block Lanczos (Grimes-Lewis-Simon, SIMAX 1994)
-with b = min(k, n) columns per block: each step is one b-column solve with
-S - sigma M1, it stops once the k leading pairs have converged, and a
-cluster of multiplicity up to k comes out complete.  Besides the solver it
-holds one M1-orthonormal basis V and its image M1 V, not the image of V
-under the transform: that maps every block but the newest into span V, so
-the Ritz residuals come from the Lanczos remainder of the newest block,
-which is also the next block.
+The eigenpairs are found one of two ways, picked from the complex alone.  A
+fully periodic grid from ``gen_grid`` records its lattice layout
+(``generators.GridLattice``); under CLOSED_MESH (C = I) its pencil is
+translation invariant, one 7 x 7 block per vertex and neighbour offset.
+``_lattice_symbol`` reads that 7 x 7 x 27 stencil off the assembled matrix,
+checks every entry against it to 1e-12 relative, and forms its symbol at
+every wavevector of the vertex lattice: the FFT over the lattice splits the
+pencil into one 7 x 7 Hermitian pencil per wavevector (the discrete
+dispersion analysis of Monk-Parrott, SIAM J. Sci. Comput. 1994).  Every
+eigenvalue is then computed exactly, and the eigenvectors, by FFT, only at
+the wavevectors that hold a chosen one; nothing is factored or iterated.
 
-The indefinite S - sigma M1 is solved one of two ways, picked from the
-complex alone.  A fully periodic grid from ``gen_grid`` records its lattice
-layout (``generators.GridLattice``); under CLOSED_MESH (C = I) its pencil
-is translation invariant, one 7 x 7 block per vertex and neighbour offset.
-``_lattice_solve`` reads that 7 x 7 x 27 stencil off the assembled matrix,
-checks every entry against it to 1e-12 relative, and solves by FFT over the
-vertex lattice with one 7 x 7 inverse per wavevector (the discrete
-dispersion analysis of Monk-Parrott, SIAM J. Sci. Comput. 1994); nothing is
-factored.  Every other pencil is factored once: a mesh with a boundary, a
-mesh read from a file, a relabelled complex (no layout) and a grid whose
-entries fail the check.  The two positive definite systems a solve also
-meets, the projector's gradient Gram G^T M1 G and the mass matrix M1 in the
-residual norm, see only a few right-hand sides each and are solved by
+Every other pencil, a mesh with a boundary, a mesh read from a file, a
+relabelled complex (no layout) or a grid whose entries fail the check, is
+solved by shift-invert.  The huge curl kernel is kept out of the
+eigensolver in two ways.  The Cayley transform (S - sigma M1)^{-1} S maps
+every null vector of the curl pairing to exactly zero, so the iteration
+never sees it, and an explicit kernel basis gives the M1-orthogonal
+projector that is applied to the start block and to the returned
+eigenvectors.  The iteration is thick-restart block Lanczos
+(Grimes-Lewis-Simon, SIMAX 1994) with b = min(k, n) columns per block: each
+step is one b-column solve with S - sigma M1, factored once, it stops once
+the k leading pairs have converged, and a cluster of multiplicity up to k
+comes out complete.  Besides the factor it holds one M1-orthonormal basis V
+and its image M1 V, not the image of V under the transform: that maps every
+block but the newest into span V, so the Ritz residuals come from the
+Lanczos remainder of the newest block, which is also the next block.  The
+two positive definite systems a solve also meets on either path, the
+projector's gradient Gram G^T M1 G and the mass matrix M1 in the residual
+norm, see only a few right-hand sides each and are solved by
 Jacobi-preconditioned CG.
 
 The factor is SuperLU's (Demmel-Eisenstat-Gilbert-Li-Liu, SIMAX 1999) in
@@ -414,7 +417,7 @@ def kernel_projector(pencil: ReducedPencil) -> KernelProjector:
 
     No factorization: the gradient Gram is solved by Jacobi CG, so the
     eigensolver's shifted pencil is the only matrix a Beltrami solve may
-    factor, and on a periodic grid it is solved on the lattice instead.
+    factor, and on a periodic grid nothing is factored.
     """
     return KernelProjector(_gradient_columns(pencil), _harmonic_columns(pencil), pencil.M1)
 
@@ -557,28 +560,27 @@ def _block_lanczos(g, M, Q: np.ndarray, k: int, sigma: float):
     return theta[:k], X, rnorm
 
 
-# Relative deviation from a translation-invariant stencil below which the
-# shifted pencil is solved on the lattice: the grid's coordinates are
-# multiples of h, so its entries agree to a few ulp, and a moved vertex
+# Relative deviation from a translation-invariant stencil below which a
+# matrix is read as block circulant on the lattice: the grid's coordinates
+# are multiples of h, so its entries agree to a few ulp, and a moved vertex
 # changes them at the size of the move
 _STENCIL_RTOL = 1e-12
 
 
-def _lattice_solve(cx: SimplicialComplex3, A: sp.spmatrix):
-    """Solver of A Y = B by FFT over the vertex lattice of a fully periodic
-    grid, or None when ``cx`` records no ``GridLattice`` or A is not
-    translation invariant on it.
+def _lattice_symbol(cx: SimplicialComplex3, A: sp.spmatrix) -> np.ndarray | None:
+    """The 7 x 7 symbol of A at every wavevector of the vertex lattice of a
+    fully periodic grid, or None when ``cx`` records no ``GridLattice`` or A
+    is not translation invariant on it.
 
     On the lattice, where edge (v, t) carries its ``GridLattice`` sign, A
     couples (v, t) with (v + d, t') by a coefficient c(t, t', d), d in
     {-1, 0, 1}^3, that does not depend on v.  c is the mean over v of the
     entries; every entry of A, the zeros included, must match it to
-    _STENCIL_RTOL of max|A|.  Then A is block circulant: the real FFT over
-    the lattice turns it into one 7 x 7 symbol sum_d c(., ., d)
-    exp(i theta . d) per wavevector theta, whose inverses are computed
-    once; a solve is one forward FFT, one batched 7 x 7 product and one
-    inverse FFT, for all columns of B at once.  A symbol with an exactly zero pivot raises
-    RuntimeError, as SuperLU does for an exactly singular factor.
+    _STENCIL_RTOL of max|A|.  Then A is block circulant: ``_lattice_fft``
+    turns A Y into the product of the symbol sum_d c(., ., d) exp(i theta .
+    d) with the transform of Y at each wavevector theta.  The symbols are
+    those of the real FFT's wavevectors, which halve the last axis: shape
+    (n0, n1, n2 // 2 + 1, 7, 7).
     """
     lattice = cx.meta.get("lattice")
     if lattice is None or A.shape[0] != lattice.edge.size:
@@ -609,27 +611,94 @@ def _lattice_solve(cx: SimplicialComplex3, A: sp.spmatrix):
     if np.any(np.abs(val - c[key]) > tol) or np.any(np.abs(c[absent]) > tol):
         return None
 
-    # symbol[m] = sum_d c(., ., d) prod_a exp(2 pi i m_a d_a / n_a), over the
-    # wavevectors of the real FFT, which halves the last axis
+    # symbol[m] = sum_d c(., ., d) prod_a exp(2 pi i m_a d_a / n_a)
     half = (*lattice.shape[:2], lattice.shape[2] // 2 + 1)
     waves = [np.exp(2j * np.pi * np.outer(np.arange(h), [-1, 0, 1]) / n)
              for h, n in zip(half, lattice.shape)]
-    symbol = np.einsum("xa,yb,zc,tuabc->xyztu", *waves, c.reshape(7, 7, 3, 3, 3))
-    try:
-        inverse = np.linalg.inv(symbol)
-    except np.linalg.LinAlgError:
-        raise RuntimeError("lattice symbol is exactly singular") from None
-    axes = (0, 1, 2)
+    return np.einsum("xa,yb,zc,tuabc->xyztu", *waves, c.reshape(7, 7, 3, 3, 3))
 
-    def solve(B: np.ndarray) -> np.ndarray:
-        cols = B.reshape(B.shape[0], -1)
-        Y = (cols[edge] * sign[:, None]).reshape(*lattice.shape, 7, -1)
-        X = np.fft.irfftn(inverse @ np.fft.rfftn(Y, axes=axes), s=lattice.shape, axes=axes)
-        out = np.empty(cols.shape)
-        out[edge] = X.reshape(cols.shape) * sign[:, None]
-        return out.reshape(B.shape)
 
-    return solve
+def _lattice_fft(lattice, B: np.ndarray) -> np.ndarray:
+    """Real FFT over the vertex lattice of the (ndof, b) block B, each edge
+    (v, t) taken with its ``GridLattice`` sign: shape (n0, n1, n2 // 2 + 1,
+    7, b)."""
+    Y = (B[lattice.edge] * lattice.sign[..., None]).reshape(*lattice.shape, 7, -1)
+    return np.fft.rfftn(Y, axes=(0, 1, 2))
+
+
+def _lattice_ifft(lattice, Z: np.ndarray) -> np.ndarray:
+    """The (ndof, b) block whose ``_lattice_fft`` is Z."""
+    X = np.fft.irfftn(Z, s=lattice.shape, axes=(0, 1, 2)).reshape(lattice.edge.size, -1)
+    out = np.empty_like(X)
+    out[lattice.edge.ravel()] = X * lattice.sign.reshape(-1, 1)
+    return out
+
+
+def _lattice_eigenvectors(
+    cx: SimplicialComplex3, A: sp.spmatrix, M, Q: np.ndarray, sigma: float, tol: float
+) -> np.ndarray | None:
+    """The eigenvectors that block Lanczos from the start block Q converges
+    to, computed exactly per wavevector, or None when A or M has no
+    ``_lattice_symbol``.
+
+    Every eigenvalue of the pencil (A, M) is one of M(theta)^(-1) A(theta)
+    at some wavevector theta, found by a Cholesky factor of M(theta) and a
+    Hermitian eigensolve; the real FFT's half of the wavevectors stands for
+    theta and -theta, whose symbols are conjugate, except on the planes m2 =
+    0 and 2 m2 = n2 that hold both.  Of the eigenvalues on the shift's side
+    with |lambda| > tol, the b = Q.shape[1] of largest f = lambda / (sigma
+    (lambda - sigma)^2) are chosen, as in ``_block_lanczos``.  Eigenvalues
+    equal to _RITZ_RTOL relative form one cluster E, and g(OP) acts on its
+    eigenspace as one scalar, so the part of the Krylov space in E is span
+    P_E Q, with P_E the M-orthogonal projector onto E: P_E is applied to Q
+    (a a^H M(theta) at each wavevector holding E, a the M(theta)-orthonormal
+    eigenvectors of E there), the result is M-orthonormalized and its first
+    r columns are kept, r the chosen copies in E.  Returns the clusters'
+    columns side by side, in the order of their largest f.
+    """
+    symbol_A = _lattice_symbol(cx, A)
+    symbol_M = None if symbol_A is None else _lattice_symbol(cx, M)
+    if symbol_M is None:
+        return None
+    lattice = cx.meta["lattice"]
+    L = np.linalg.cholesky(symbol_M)
+    del symbol_M
+    Linv = np.linalg.inv(L)
+    LinvH = Linv.conj().swapaxes(-1, -2)
+    # L^-1 A(theta) L^-H: Hermitian, with the eigenvalues of the pencil there
+    C = Linv @ symbol_A @ LinvH
+    del symbol_A, Linv
+    lam = np.linalg.eigvalsh(C)
+    m2 = np.arange(lam.shape[2])
+    copies = np.where((m2 == 0) | (2 * m2 == lattice.shape[2]), 1, 2)
+    copies = np.broadcast_to(copies[:, None], lam.shape).ravel()
+
+    flat = lam.ravel()
+    side = np.flatnonzero(np.sign(sigma) * flat > tol)
+    # an eigenvalue at the shift itself ranks first, with f = inf
+    with np.errstate(divide="ignore"):
+        f = flat[side] / (sigma * (flat[side] - sigma) ** 2)
+    ranked = side[np.argsort(-f, kind="stable")]
+    chosen = flat[np.repeat(ranked, copies[ranked])[: Q.shape[1]]]
+
+    n = Q.shape[0]
+    Qhat = _lattice_fft(lattice, Q)
+    blocks = [np.empty((n, 0))]
+    while len(chosen):
+        mu = chosen[0]
+        near = np.abs(chosen - mu) <= _RITZ_RTOL * abs(mu)
+        r = int(near.sum())
+        chosen = chosen[~near]
+        at = np.any(np.abs(lam - mu) <= _RITZ_RTOL * abs(mu), axis=-1)
+        w, U = np.linalg.eigh(C[at])
+        U = U * (np.abs(w - mu) <= _RITZ_RTOL * abs(mu))[:, None, :]
+        # a a^H M(theta) = L^-H U U^H L^H with a = L^-H U
+        LH = L[at].conj().swapaxes(-1, -2)
+        Z = np.zeros_like(Qhat)
+        Z[at] = LinvH[at] @ (U @ (U.conj().swapaxes(-1, -2) @ (LH @ Qhat[at])))
+        X, _ = _m_orthonormalize(_lattice_ifft(lattice, Z), np.empty((n, 0)), np.empty((n, 0)), M)
+        blocks.append(X[:, :r])
+    return np.hstack(blocks)
 
 
 def smallest_beltrami(
@@ -642,42 +711,55 @@ def smallest_beltrami(
     """k eigenpairs of smallest nonzero |lambda| on the shift's side of
     S x = lambda M1 x.
 
-    Thick-restart block Lanczos (``_block_lanczos``), in the M1 inner
-    product, on the Cayley transform g(OP) = OP + I/sigma =
-    (S - sigma M1)^{-1} S / sigma of OP = (S - sigma M1)^{-1} M1.  g spans
-    the same Krylov space as OP.  The block has b = min(k, n) columns (n
-    DOFs; a wider block would have dependent columns), so each step is one
-    solve with b right-hand sides, on the lattice (``_lattice_solve``) or
-    else on one factor.  The loop holds the solver, the basis V and its
-    image M1 V, and not g V: the Ritz residuals
-    come from the Lanczos remainder of the newest block, which is also the
-    next block.  A step multiplies by M1 twice, once for the new block and
-    once for the residual norms.  A Ritz value theta of g stands for nu =
-    theta - 1/sigma = 1/(lambda - sigma), and the leading pairs are those of
-    largest f(nu) = nu^2 + nu/sigma = theta (theta - 1/sigma).  The
-    iteration stops when the k leading pairs have residual
-    ||g x - theta x||_M1 <= 1e-12 |theta|.  A block of k columns holds up to
-    k copies of one eigenvalue, so a cluster of multiplicity up to k comes
-    out complete, not through rounding.  A factor is built without
-    relaxed supernodes, whose dense padding this pencil's sparse leaf fill
-    does not use (see the module docstring).
+    The start block Q is the ``kernel_projector`` applied to b = min(k, n)
+    columns (n DOFs; a wider block would have dependent columns) of
+    standard normals drawn from ``seed``.  Two paths, picked from the
+    pencil alone:
+
+    * A pencil whose S and M1 both have a ``_lattice_symbol`` (a fully
+      periodic grid under CLOSED_MESH) is solved exactly per wavevector
+      (``_lattice_eigenvectors``), with no iteration: all eigenvalues come
+      from the 7 x 7 symbols, the b of largest f are chosen, and eigenvalues
+      equal to 1e-12 relative form one cluster E.  For a cluster holding r
+      of the chosen, the result is the M1-projection of Q onto E,
+      M1-orthonormalized, of which the first r columns are kept.  That is
+      the subspace block Lanczos from Q converges to, since g acts on E as
+      one scalar: the seed keeps its meaning.  S - sigma M1 is never formed.
+    * Any other pencil (a mesh with a boundary, a mesh read from a file, a
+      relabelled complex, a grid that fails the stencil check) runs
+      thick-restart block Lanczos (``_block_lanczos``), in the M1 inner
+      product, on the Cayley transform g(OP) = OP + I/sigma =
+      (S - sigma M1)^{-1} S / sigma of OP = (S - sigma M1)^{-1} M1, from Q.
+      g spans the same Krylov space as OP.  Each step is one solve with b
+      right-hand sides on one factor of S - sigma M1, built without relaxed
+      supernodes, whose dense padding this pencil's sparse leaf fill does
+      not use (see the module docstring).  The loop holds the factor, the
+      basis V and its image M1 V, and not g V: the Ritz residuals come from
+      the Lanczos remainder of the newest block, which is also the next
+      block.  A step multiplies by M1 twice, once for the new block and
+      once for the residual norms.  A Ritz value theta of g stands for nu =
+      theta - 1/sigma = 1/(lambda - sigma), and the leading pairs are those
+      of largest f(nu) = nu^2 + nu/sigma = theta (theta - 1/sigma).  The
+      iteration stops when the k leading pairs have residual ||g x - theta
+      x||_M1 <= 1e-12 |theta|.  A block of k columns holds up to k copies of
+      one eigenvalue, so a cluster of multiplicity up to k comes out
+      complete, not through rounding.
 
     g, and so f, vanishes on the whole curl kernel, so the zero eigenvalue
-    of the pencil is invisible to the iteration; the ``kernel_projector``,
-    built here before the shifted solver, is applied only to the start
-    block and to the Ritz vectors, and the solution reports its harmonic
-    dimension.  In
-    terms of lambda, f = lambda / (sigma (lambda - sigma)^2): positive
-    exactly on the shift's side, zero on the kernel and negative on the
-    other sign.  So with the shift below the smallest |lambda| the contract
-    is the smallest |lambda| on the shift's side: where the spectrum is not
-    sign-symmetric (closed-trace conditions), a smaller |lambda| of the
-    other sign needs a shift of that sign.  A shift above the smallest
-    |lambda| returns the k lambdas of largest f.  Only pairs on the shift's
-    side with |lambda| > tol are returned, sorted by |lambda|; a pencil with
-    fewer than k of them raises NoConvergence with their count, whatever k
-    and however few DOFs it has, none included.  Deterministic for a fixed
-    seed.
+    of the pencil is invisible to the iteration (and |lambda| <= tol is
+    never chosen per wavevector); the ``kernel_projector`` is applied only
+    to the start block and to the returned vectors, and the solution
+    reports its harmonic dimension.  In terms of lambda, f = lambda /
+    (sigma (lambda - sigma)^2): positive exactly on the shift's side, zero
+    on the kernel and negative on the other sign.  So with the shift below
+    the smallest |lambda| the contract is the smallest |lambda| on the
+    shift's side: where the spectrum is not sign-symmetric (closed-trace
+    conditions), a smaller |lambda| of the other sign needs a shift of that
+    sign.  A shift above the smallest |lambda| returns the k lambdas of
+    largest f.  Only pairs on the shift's side with |lambda| > tol are
+    returned, sorted by |lambda|; a pencil with fewer than k of them raises
+    NoConvergence with their count, whatever k and however few DOFs it has,
+    none included.  Deterministic for a fixed seed.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -689,35 +771,34 @@ def smallest_beltrami(
 
     A = pencil.S
     M = pencil.M1
-    shifted = A - sigma * M
-    shifted_solve = _lattice_solve(pencil.complex, shifted)
-    if shifted_solve is None:
+    b = min(k, n)
+    rng = np.random.default_rng(seed)
+    start = projector.apply(rng.standard_normal((n, b)))
+    vecs = _lattice_eigenvectors(pencil.complex, A, M, start, sigma, tol)
+    if vecs is None:
         # A - sigma M is symmetric indefinite; symmetric-mode ordering keeps
         # the fill an order of magnitude below the default unsymmetric one;
         # relax=1 turns off relaxed supernodes (see the module docstring)
         shifted_solve = spla.splu(
-            shifted.tocsc(),
+            (A - sigma * M).tocsc(),
             permc_spec="MMD_AT_PLUS_A",
             relax=1,
             options=dict(SymmetricMode=True, DiagPivotThresh=0.01),
         ).solve
 
-    def filtered(Y, MY):
-        # g(OP) Y = (OP + I/sigma) Y = (A - sigma M)^{-1} A Y / sigma, the
-        # Cayley transform, with OP = (A - sigma M)^{-1} M (eigenvalue nu =
-        # 1/(lambda - sigma)) and theta = nu + 1/sigma.  Gradients, harmonic
-        # fields and curls in the dead space of the mixed edge/face pairing
-        # all have A x = 0, where g vanishes: the filter removes the whole
-        # kernel exactly, with no projection inside the loop (rounding leaves
-        # below 1e-12, in M-norm, of kernel in the Ritz vectors, which the
-        # final projection removes).
-        # MY = M Y is carried by the caller
-        return shifted_solve(MY) + Y / sigma
+        def filtered(Y, MY):
+            # g(OP) Y = (OP + I/sigma) Y = (A - sigma M)^{-1} A Y / sigma, the
+            # Cayley transform, with OP = (A - sigma M)^{-1} M (eigenvalue nu =
+            # 1/(lambda - sigma)) and theta = nu + 1/sigma.  Gradients, harmonic
+            # fields and curls in the dead space of the mixed edge/face pairing
+            # all have A x = 0, where g vanishes: the filter removes the whole
+            # kernel exactly, with no projection inside the loop (rounding leaves
+            # below 1e-12, in M-norm, of kernel in the Ritz vectors, which the
+            # final projection removes).
+            # MY = M Y is carried by the caller
+            return shifted_solve(MY) + Y / sigma
 
-    b = min(k, n)
-    rng = np.random.default_rng(seed)
-    start = projector.apply(rng.standard_normal((n, b)))
-    _, vecs, _ = _block_lanczos(filtered, M, start, b, sigma)
+        _, vecs, _ = _block_lanczos(filtered, M, start, b, sigma)
 
     X = projector.apply(vecs)
     nrm = np.sqrt(np.einsum("ik,ik->k", X, M @ X))

@@ -1,3 +1,4 @@
+import itertools
 from types import SimpleNamespace
 
 import numpy as np
@@ -386,26 +387,33 @@ def test_shift_above_smallest_selects_by_filter(shift, expected):
     np.testing.assert_allclose(np.sort(sol.lambdas), leading, rtol=1e-9, atol=0.0)
 
 
+def _relabelled_torus3(n=4):
+    """The n^3 3-torus grid with its vertices and tets in random order: the
+    same pencil up to a permutation, but no lattice layout, so the solver
+    factors it and runs the Krylov loop."""
+    return _relabel(gen_grid(GridSpec(n, n, n, TAU, TAU, TAU, periodic=(True,) * 3)), 7)[0]
+
+
 @pytest.mark.parametrize(
     "make, bc, k, two_solve_columns, factors",
     [
         (lambda: gen_box_minus_ring(7), BoundaryCondition.parse("zero-trace"), 1, 42, 1),
         (
-            lambda: gen_grid(GridSpec(4, 4, 4, TAU, TAU, TAU, periodic=(True, True, True))),
+            _relabelled_torus3,
             BoundaryCondition.parse("closed-mesh"),
             2,
             136,
-            0,
+            1,
         ),
     ],
     ids=["box-ring-7", "torus3-4"],
 )
 def test_one_solve_per_step(make, bc, k, two_solve_columns, factors, monkeypatch):
-    """Each Krylov step is one solve with k right-hand sides, on the shifted
-    factor or (periodic grid, no factor) on the lattice, and the iteration
-    solves fewer columns than the two-solve filter OP^2 + OP/sigma did.
-    Between one solve and the next the loop multiplies by the pencil's M1
-    at most twice: M V is carried, not recomputed."""
+    """Each Krylov step is one solve with k right-hand sides on the shifted
+    factor, and the iteration solves fewer columns than the two-solve filter
+    OP^2 + OP/sigma did.  Between one solve and the next the loop multiplies
+    by the pencil's M1 at most twice: M V is carried, not recomputed.  The
+    3-torus is relabelled, so it has no lattice layout and runs the loop."""
     import dataclasses
 
     import fieldtopo.beltrami as beltrami
@@ -414,7 +422,7 @@ def test_one_solve_per_step(make, bc, k, two_solve_columns, factors, monkeypatch
     pen = reduce_system(cx, bc)
 
     solves, steps, products, at_solve, factored = [], [], [0], [], []
-    splu, lattice_solve = spla.splu, beltrami._lattice_solve
+    splu = spla.splu
     orthonormalize = beltrami._m_orthonormalize
 
     class CountingM1(sp.csr_matrix):
@@ -434,16 +442,11 @@ def test_one_solve_per_step(make, bc, k, two_solve_columns, factors, monkeypatch
         factored.append(1)
         return SimpleNamespace(solve=recorded(splu(*args, **kwargs).solve))
 
-    def lattice(*args):
-        solve = lattice_solve(*args)
-        return solve and recorded(solve)
-
     def counted(*args):
         steps.append(1)
         return orthonormalize(*args)
 
     monkeypatch.setattr(spla, "splu", factor)
-    monkeypatch.setattr(beltrami, "_lattice_solve", lattice)
     monkeypatch.setattr(beltrami, "_m_orthonormalize", counted)
     smallest_beltrami(dataclasses.replace(pen, M1=CountingM1(pen.M1)), k=k, tol=1e-8)
     assert len(factored) == factors
@@ -495,49 +498,70 @@ LATTICE_GRIDS = {
 }
 
 
-def _superlu(A):
-    return spla.splu(
-        A.tocsc(), permc_spec="MMD_AT_PLUS_A", relax=1,
-        options=dict(SymmetricMode=True, DiagPivotThresh=0.01),
-    ).solve
-
-
 @pytest.mark.parametrize("name", list(LATTICE_GRIDS))
-def test_lattice_solve_matches_superlu(name):
-    """On a periodic grid the lattice solve of S - sigma M1 has relative
-    residual below 1e-12 per column and agrees with SuperLU's solve."""
-    from fieldtopo.beltrami import _lattice_solve
+def test_lattice_symbols_apply_the_pencil(name):
+    """On a periodic grid the symbols of S and M1, applied by FFT over the
+    lattice to a random block, give S B and M1 B to 1e-12 relative."""
+    from fieldtopo.beltrami import _lattice_fft, _lattice_ifft, _lattice_symbol
 
     cx = gen_grid(LATTICE_GRIDS[name])
+    lat = cx.meta["lattice"]
     pen = reduce_system(cx, BoundaryCondition.parse("closed-mesh"))
-    A = pen.S - default_shift(cx) * pen.M1
-    solve = _lattice_solve(cx, A)
-    assert solve is not None
     B = np.random.default_rng(3).standard_normal((pen.ndof, 3))
-    X, X_lu = solve(B), _superlu(A)(B)
-    assert np.all(np.linalg.norm(A @ X - B, axis=0) <= 1e-12 * np.linalg.norm(B, axis=0))
-    np.testing.assert_allclose(X, X_lu, rtol=0, atol=1e-10 * np.abs(X_lu).max())
-    # a vector is solved as a one-column block
-    np.testing.assert_allclose(solve(B[:, 1]), X[:, 1], rtol=0, atol=1e-12 * np.abs(X).max())
+    for A in (pen.S, pen.M1):
+        symbol = _lattice_symbol(cx, A)
+        assert symbol is not None
+        AB = A @ B
+        np.testing.assert_allclose(_lattice_ifft(lat, symbol @ _lattice_fft(lat, B)), AB,
+                                   rtol=0, atol=1e-12 * np.abs(AB).max())
 
 
 @pytest.mark.parametrize("name", list(LATTICE_GRIDS))
 def test_lattice_path_matches_superlu_path(name, monkeypatch):
-    """smallest_beltrami through the lattice and through SuperLU gives the
-    same eigenvalues to 1e-12 and the same eigenspace: every principal
-    cosine, in the M1 inner product, is 1 to 1e-10.  The vectors may
-    differ by a rotation inside a degenerate cluster."""
+    """smallest_beltrami on the lattice and through SuperLU and the Krylov
+    loop gives the same eigenvalues to 1e-12 and, from the same seed (0, 1
+    and 2, at k = 2 and 6, with the default shift and with 1.0, above the
+    smallest lambda of the torus3 grids), the same eigenspace: every
+    principal cosine, in the M1 inner product, is 1 to 1e-10.  The vectors may differ by a
+    rotation inside a degenerate cluster.  Where k cuts a cluster E below
+    the rank min(k, dim E) of the start block's part in E (torus3 n=3, k=6:
+    2 + 4 of 6), neither path picks a unique subspace; each then lies in E,
+    the dense eigenspace."""
     import fieldtopo.beltrami as beltrami
 
     cx = gen_grid(LATTICE_GRIDS[name])
     pen = reduce_system(cx, BoundaryCondition.parse("closed-mesh"))
-    lattice = smallest_beltrami(pen, k=2)
-    monkeypatch.setattr(beltrami, "_lattice_solve", lambda *args: None)
-    factored = smallest_beltrami(pen, k=2)
-    np.testing.assert_allclose(lattice.lambdas, factored.lambdas, rtol=1e-12, atol=0)
     R = np.linalg.cholesky(pen.M1.toarray()).T  # x^T M1 y = (R x) . (R y)
-    cosines = np.cos(sla.subspace_angles(R @ lattice.cochains, R @ factored.cochains))
-    np.testing.assert_allclose(cosines, 1.0, rtol=0, atol=1e-10)
+
+    def cosines(X, Y):
+        return np.cos(sla.subspace_angles(R @ X, R @ Y))
+
+    dense, vecs = sla.eigh(pen.S.toarray(), pen.M1.toarray())
+    symbol = beltrami._lattice_symbol
+    for seed, k, shift in itertools.product(range(3), (2, 6), (None, 1.0)):
+        lattice = smallest_beltrami(pen, k=k, seed=seed, shift=shift)
+        monkeypatch.setattr(beltrami, "_lattice_symbol", lambda *args: None)
+        factored = smallest_beltrami(pen, k=k, seed=seed, shift=shift)
+        monkeypatch.setattr(beltrami, "_lattice_symbol", symbol)
+        np.testing.assert_allclose(lattice.lambdas, factored.lambdas, rtol=1e-12, atol=0)
+        for lam in np.unique(np.round(lattice.lambdas, 9)):
+            E = vecs[:, np.abs(dense - lam) <= 1e-9 * lam]
+            mine = np.abs(lattice.lambdas - lam) <= 1e-9 * lam
+            ours, theirs = lattice.cochains[:, mine], factored.cochains[:, mine]
+            if mine.sum() == min(k, E.shape[1]):
+                np.testing.assert_allclose(cosines(ours, theirs), 1.0, rtol=0, atol=1e-10)
+            for X in (ours, theirs):
+                np.testing.assert_allclose(cosines(X, E), 1.0, rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("make", [lambda: gen_grid(LATTICE_GRIDS["torus3-3"]),
+                                  lambda: _relabelled_torus3(3)], ids=["lattice", "relabelled"])
+def test_pair_count_is_the_same_on_both_paths(make):
+    """The torus3 n=3 pencil has 52 eigenvalues on the positive side; k=53
+    reports that count on the lattice and through the Krylov loop alike."""
+    pen = reduce_system(make(), BoundaryCondition.parse("closed-mesh"))
+    with pytest.raises(NoConvergence, match="^only 52 pairs on the shift's side of 53 requested$"):
+        smallest_beltrami(pen, k=53)
 
 
 def _nudged_torus3():
@@ -551,8 +575,7 @@ def _nudged_torus3():
 
 @pytest.mark.parametrize(
     "make",
-    [lambda: _relabel(gen_grid(GridSpec(4, 4, 4, TAU, TAU, TAU, periodic=(True,) * 3)), 7)[0],
-     _nudged_torus3],
+    [_relabelled_torus3, _nudged_torus3],
     ids=["relabelled", "nudged"],
 )
 def test_lattice_fallback_factors_once(make, monkeypatch):
@@ -579,7 +602,7 @@ def test_stencil_check_counts_implicit_zeros(torus3_coarse):
     """A coupling absent at one vertex fails the stencil check, even one so
     small (5e-11 max|A|) that the entries present match its mean over the
     64 vertices to 1e-12 max|A|; present at every vertex, it passes."""
-    from fieldtopo.beltrami import _lattice_solve
+    from fieldtopo.beltrami import _lattice_symbol
 
     cx = torus3_coarse
     lat = cx.meta["lattice"]
@@ -590,21 +613,23 @@ def test_stencil_check_counts_implicit_zeros(torus3_coarse):
     w = np.ravel_multi_index(tuple((np.stack(np.unravel_index(v, lat.shape)) + 1) % 4), lat.shape)
     a = 5e-11 * abs(A).max() * lat.sign[v, 0] * lat.sign[w, 0]
     coupling = sp.csr_matrix((a, (lat.edge[v, 0], lat.edge[w, 0])), shape=A.shape)
-    assert _lattice_solve(cx, A + coupling + coupling.T) is not None
+    assert _lattice_symbol(cx, A + coupling + coupling.T) is not None
     coupling = sp.csr_matrix((a[1:], (lat.edge[v[1:], 0], lat.edge[w[1:], 0])), shape=A.shape)
-    assert _lattice_solve(cx, A + coupling + coupling.T) is None
+    assert _lattice_symbol(cx, A + coupling + coupling.T) is None
 
 
-def test_singular_lattice_symbol_is_a_runtime_error(torus3_coarse):
-    """An exactly singular symbol raises RuntimeError, as SuperLU's exactly
-    singular factor does, so the CLI exits 2 with error.json either way."""
-    from fieldtopo.beltrami import _lattice_solve
+def test_zero_mass_is_a_value_error(torus3_coarse):
+    """The lattice path inverts nothing, but a zero M1 has no Cholesky
+    factor: numpy's LinAlgError, a ValueError, which the CLI reports with
+    exit 2 and error.json."""
+    from fieldtopo.beltrami import _lattice_eigenvectors
 
-    zero = sp.csr_matrix((torus3_coarse.num_edges,) * 2)
-    with pytest.raises(RuntimeError, match="exactly singular"):
-        _lattice_solve(torus3_coarse, zero)
-    with pytest.raises(RuntimeError, match="exactly singular"):
-        _superlu(zero)
+    pen = reduce_system(torus3_coarse, BoundaryCondition.parse("closed-mesh"))
+    zero = sp.csr_matrix(pen.M1.shape)
+    Q = np.random.default_rng(0).standard_normal((pen.ndof, 2))
+    with pytest.raises(np.linalg.LinAlgError) as err:
+        _lattice_eigenvectors(torus3_coarse, pen.S, zero, Q, default_shift(torus3_coarse), 1e-8)
+    assert isinstance(err.value, ValueError)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -723,13 +748,13 @@ def test_lagrangian_choice_only_under_closed_trace():
         BoundaryCondition.parse("zero-trace:1")
 
 
-def test_step_cap_ends_in_no_convergence(torus3_coarse, monkeypatch):
+def test_step_cap_ends_in_no_convergence(monkeypatch):
     """An iteration stopped early hands its Ritz vectors to the residual
     gate, which raises NoConvergence with the worst residual."""
     import fieldtopo.beltrami as beltrami
 
     bc = BoundaryCondition.parse("closed-mesh")
-    pen = reduce_system(torus3_coarse, bc)
+    pen = reduce_system(_relabelled_torus3(), bc)
     monkeypatch.setattr(beltrami, "_MAX_STEPS", 2)
     with pytest.raises(NoConvergence, match=r"eigen residual \S+ above tol 1\.0e-08"):
         smallest_beltrami(pen, k=2, tol=1e-8)
@@ -811,7 +836,7 @@ def test_lanczos_residual_from_newest_block(torus3_coarse, blocks, steps, monkey
     np.testing.assert_allclose(rnorm, explicit, rtol=1e-10, atol=0.0)
 
 
-def test_krylov_loop_holds_two_basis_arrays(torus8_beltrami, monkeypatch):
+def test_krylov_loop_holds_two_basis_arrays(monkeypatch):
     """The loop's memory peaks below three (n, m) arrays: it holds the basis
     V and its image M1 V, not g V, and a thick restart makes no (n, m/2)
     temporary.  The n=8 torus at k=2 restarts twice."""
@@ -819,7 +844,7 @@ def test_krylov_loop_holds_two_basis_arrays(torus8_beltrami, monkeypatch):
 
     import fieldtopo.beltrami as beltrami
 
-    pen, _ = torus8_beltrami
+    pen = reduce_system(_relabelled_torus3(8), BoundaryCondition.parse("closed-mesh"))
     k = 2
     peaks, lanczos = [], beltrami._block_lanczos
 
@@ -908,10 +933,12 @@ def test_bloch_oracle_matches_dense_spectrum():
 
 def test_bloch_oracle_matches_solver(torus8_beltrami):
     """k=12 on torus3 n=8 returns the oracle's 12 smallest positive
-    eigenvalues: the first two clusters, 6 x 0.95260123 and 6 x 1.11029212."""
-    pen, _ = torus8_beltrami
-    sol = smallest_beltrami(pen, k=12)
+    eigenvalues: the first two clusters, 6 x 0.95260123 and 6 x 1.11029212,
+    on the lattice and, relabelled, through the Krylov loop."""
     oracle = bloch_spectrum(8, TAU)
     positive = oracle[oracle > 1e-8][:12]
-    np.testing.assert_allclose(sol.lambdas, positive, rtol=1e-9)
     np.testing.assert_allclose(positive, [0.95260123] * 6 + [1.11029212] * 6, atol=5e-9)
+    relabelled = reduce_system(_relabelled_torus3(8), BoundaryCondition.parse("closed-mesh"))
+    for pen in (torus8_beltrami[0], relabelled):
+        sol = smallest_beltrami(pen, k=12)
+        np.testing.assert_allclose(sol.lambdas, positive, rtol=1e-9)

@@ -434,6 +434,18 @@ def test_too_few_shift_side_pairs(tmp_path, capsys, argv, found):
     assert os.listdir(tmp_path) == ["error.json"]
 
 
+def test_shift_on_an_eigenvalue(tmp_path):
+    """A shift equal to the torus3 n=4 eigenvalue 0.8441647995907942 makes
+    S - sigma M1 singular, so shift-invert cannot find that pair; solved
+    per wavevector, it has the largest f and ranks first."""
+    argv = ["beltrami", "--geometry", "torus3", "--n", "4", "--size", "6.283185307179586",
+            "--k", "1", "--shift", "0.8441647995907942", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    (pair,) = read_json(tmp_path / "spectrum.json")["pairs"]
+    assert pair["lambda"] == pytest.approx(0.8441647995907942, rel=1e-14)
+    assert pair["residual"] <= 1e-14
+
+
 def test_too_few_dofs_message(tmp_path, capsys):
     """cube n=1 leaves one DOF, whose eigenvalue is 0: the solver reports
     its count of pairs on the shift's side, as for a pencil of any size."""

@@ -63,6 +63,8 @@ CASES: dict[str, list[str]] = {
     "cuts-cube-trivial": ["cuts", "--geometry", "cube", "--n", "2"],
     "cuts-t2xi": ["cuts", "--geometry", "cube", "--periodic", "xy", "--n", "5,5,4", "--cut-class", "1"],
     "beltrami-torus3": ["beltrami", "--geometry", "torus3", "--n", "4", "--size", TAU, "--k", "2"],
+    # the complete 6-fold first cluster, which does not depend on the start block
+    "beltrami-torus3-k6": ["beltrami", "--geometry", "torus3", "--n", "4", "--size", TAU, "--k", "6"],
     "beltrami-solid-torus-closed-trace": [
         "beltrami", "--geometry", "solid-torus", "--n", "3,3,8", "--size", "1,1,3",
         "--bc", "closed-trace:1",
@@ -86,7 +88,7 @@ CASES: dict[str, list[str]] = {
     ],
     # exactly the 52 positive eigenvalues of the 189-DOF pencil
     "beltrami-torus3-whole-side": ["beltrami", "--geometry", "torus3", "--n", "3", "--k", "52"],
-    # non-cubic, unequal lengths: pins the per-axis handling of the lattice solve
+    # non-cubic, unequal lengths: pins the per-axis handling of the lattice symbols
     "beltrami-torus3-3x4x5": [
         "beltrami", "--geometry", "torus3", "--n", "3,4,5", "--size", "1,2,3", "--k", "2",
     ],
